@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import (
     AnchorOutOfRange,
@@ -95,6 +94,8 @@ class ComplexSpectrum:
         arr = np.asarray(self.values, dtype=complex)
         if arr.shape != (len(self.grid),):
             raise GridError("spectrum values must match the grid length")
+        if not np.all(np.isfinite(arr)):
+            raise GridError("spectrum contains non-finite values")
         object.__setattr__(self, "values", arr)
 
     def modulus(self) -> np.ndarray:
@@ -128,6 +129,8 @@ class TemporalSpectrum:
         t2 = np.asarray(self.tau2, dtype=float)
         if t1.shape != (n,) or t2.shape != (n,):
             raise GridError("tau arrays must match the grid length")
+        if not (np.all(np.isfinite(t1)) and np.all(np.isfinite(t2))):
+            raise GridError("tau arrays contain non-finite values")
         if self.edge_nodes < 0 or 2 * self.edge_nodes >= n:
             raise GridError("edge_nodes out of range")
         object.__setattr__(self, "tau1", t1)
@@ -264,7 +267,11 @@ def reconstruct(
     if anchor_value == 0:
         raise ValueError("anchor value must be nonzero")
     dlog = 1j * temporal.tau1 - temporal.tau2
-    log_s = cumulative_trapezoid(dlog, grid, initial=0.0)
+    # scipy's cumulative_trapezoid(dlog, grid, initial=0.0), term for term,
+    # so the output bits match without importing scipy.integrate.
+    log_s = np.concatenate(
+        ([0.0], np.cumsum(np.diff(grid) * (dlog[1:] + dlog[:-1]) / 2.0))
+    )
     at_anchor = np.interp(anchor_omega, grid, log_s.real) + 1j * np.interp(
         anchor_omega, grid, log_s.imag
     )

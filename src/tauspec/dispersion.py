@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .core import (
     ComplexSpectrum,
@@ -28,6 +27,7 @@ from .errors import (
     InsufficientDecay,
     NonPositiveGrid,
     NonUniformGrid,
+    OriginGapTooWide,
     OriginInGrid,
     SingularityOnContour,
 )
@@ -47,6 +47,10 @@ __all__ = [
 ]
 
 TAIL_MODELS = ("none", "one_over_omega", "one_over_omega2")
+
+# tau_kk_residual zero-fills k = omega_min / h nodes per side; past this many
+# per input node the padding, not the data, would set the cost.
+_MAX_ORIGIN_PAD_RATIO = 8
 
 
 @dataclass(frozen=True)
@@ -84,14 +88,63 @@ def _uniform_spacing(x: np.ndarray, what: str) -> float:
     return h
 
 
+def _good_size(n: int) -> int:
+    """Smallest 2-3-5-7-11-smooth integer >= n.
+
+    pocketfft's ``good_size`` for complex transforms, which is what
+    ``scipy.fft.next_fast_len(n, real=False)`` returns.
+    """
+    if n <= 12:
+        return n
+    best = 2 * n
+    f11 = 1
+    while f11 < best:
+        f117 = f11
+        while f117 < best:
+            x = f117
+            while x < best:
+                # Walk the products x * 2**i * 3**j from just above n down.
+                y = x
+                while y < n:
+                    y *= 2
+                while True:
+                    if y < n:
+                        y *= 3
+                    elif y > n:
+                        best = min(best, y)
+                        if y & 1:
+                            break
+                        y >>= 1
+                    else:
+                        return n
+                x *= 5
+            f117 *= 7
+        f11 *= 11
+    return best
+
+
 def _skip_node_sums(values: np.ndarray) -> np.ndarray:
-    """Trapezoid sums S_i = sum_{j != i} w_j f_j / (i - j), w half at ends."""
+    """Trapezoid sums S_i = sum_{j != i} w_j f_j / (i - j), w half at ends.
+
+    The convolution repeats ``scipy.signal.fftconvolve`` step for step, so
+    the sums match it bit for bit: both operands padded to the complex fast
+    length of the full convolution, and the real kernel's spectrum taken as
+    a half spectrum completed by its Hermitian mirror, as scipy's complex
+    transform of real input does.  A plain complex FFT of the kernel
+    differs in the last bits.
+    """
     n = values.size
     m = np.arange(-(n - 1), n, dtype=float)
     kernel = np.zeros(2 * n - 1)
     nz = m != 0
     kernel[nz] = 1.0 / m[nz]
-    out = fftconvolve(values.astype(complex), kernel)[n - 1 : 2 * n - 1]
+    size = _good_size(3 * n - 2)
+    half = np.fft.rfft(kernel, size)
+    kernel_spectrum = np.concatenate(
+        [half, np.conj(half[1 : size - half.size + 1][::-1])]
+    )
+    spectrum = np.fft.fft(values.astype(complex), size)
+    out = np.fft.ifft(spectrum * kernel_spectrum)[n - 1 : 2 * n - 1]
     idx = np.arange(n, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         left = 0.5 * values[0] / idx
@@ -262,16 +315,23 @@ def tau_kk_residual(
         NonPositiveGrid: input grid is not strictly positive.
         NonUniformGrid: input nodes do not sit on a uniform grid aligned
             with the origin.
+        OriginGapTooWide: the gap to the origin spans more than
+            8 steps per input node.
     """
     extended = extend_negative_frequencies(temporal)
     g = temporal.grid.values
     h = _uniform_spacing(g, "tau_kk_residual")
     k = int(round(g[0] / h))
+    n = g.size
+    if k > _MAX_ORIGIN_PAD_RATIO * n:
+        raise OriginGapTooWide(
+            f"zero-filling to the origin needs {k} steps per side for "
+            f"{n} nodes (limit {_MAX_ORIGIN_PAD_RATIO} per node)"
+        )
     if k < 1 or abs(g[0] - k * h) > 1e-6 * h:
         raise NonUniformGrid(
             "positive grid must sit on a uniform grid through the origin"
         )
-    n = g.size
     m_max = k + n - 1
     super_x = h * np.arange(-m_max, m_max + 1)
     values = np.zeros(super_x.size, dtype=complex)

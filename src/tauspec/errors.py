@@ -25,6 +25,11 @@ class NonPositiveGrid(GridError):
     """Operation requires a strictly positive frequency grid."""
 
 
+class OriginGapTooWide(GridError):
+    """Zero-filling the gap between the origin and the grid would cost far
+    more nodes than the grid itself holds."""
+
+
 class PoleProximity(TauspecError):
     """Evaluation point is too close to a model pole (or the origin)."""
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import erf
 
 from ._stencils import differentiate, second_difference
 from .core import ComplexSpectrum, FrequencyGrid, TemporalSpectrum
@@ -144,6 +143,8 @@ def broadening(
 
 
 def _erf_any(z):
+    from scipy.special import erf  # lazy: off the import path
+
     z = np.asarray(z)
     if np.iscomplexobj(z):
         return erf(z.astype(complex))

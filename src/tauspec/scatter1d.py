@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import DegenerateEnergy, ZeroTransmission
 
@@ -187,6 +186,8 @@ def find_resonance(
     Raises:
         ValueError: the scan peak sits on the window boundary.
     """
+    from scipy.optimize import minimize_scalar  # lazy: off the import path
+
     if not (0 < e_lo < e_hi):
         raise ValueError("need 0 < e_lo < e_hi")
     if points < 3:

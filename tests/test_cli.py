@@ -2,6 +2,9 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +21,17 @@ from tauspec.core import (
 from tauspec.physics import OscillatorParams, oscillator_green, oscillator_tau
 
 BLASCHKE_DOC = {"type": "blaschke", "resonances": [[1.0, 0.2]]}
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Runs cli.main on its arguments (none: import only) and prints the exit
+# code and every scipy module then loaded.
+SCIPY_PROBE = """
+import json, sys
+from tauspec import cli
+rc = cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+print(json.dumps([rc, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
 
 
 def write_json(path, doc) -> str:
@@ -80,6 +94,17 @@ class TestExtract:
         inp = str(tmp_path / "z.csv")
         fileio.write_spectrum(inp, ComplexSpectrum(grid, vals))
         assert main(["extract", inp, "-o", str(tmp_path / "t.csv")]) == 3
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_sample_exits_2_without_output(self, tmp_path, bad):
+        inp = tmp_path / "bad.csv"
+        inp.write_text(
+            fileio.SPECTRUM_HEADER
+            + f"\n0.0,1.0,0.0\n0.5,{bad},0.0\n1.0,1.0,0.0\n1.5,1.0,0.0\n"
+        )
+        out = str(tmp_path / "tau.csv")
+        assert main(["extract", str(inp), "-o", out]) == 2
+        assert not os.path.exists(out)
 
     def test_temporal_input_exits_2(self, tmp_path):
         grid = FrequencyGrid.linspace(0.0, 1.0, 11)
@@ -178,6 +203,13 @@ class TestKk:
 
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["kk", str(tmp_path / "nope.csv")]) == 2
+
+    def test_tau_table_far_from_origin_exits_2(self, tmp_path, capsys):
+        grid = FrequencyGrid(1000.0 + 0.125 * np.arange(11))
+        inp = str(tmp_path / "far.tau.csv")
+        fileio.write_temporal(inp, TemporalSpectrum(grid, np.ones(11), np.zeros(11)))
+        assert main(["kk", inp]) == 2
+        assert "zero-filling to the origin needs 8000 steps" in capsys.readouterr().err
 
 
 class TestSumrule:
@@ -366,3 +398,38 @@ class TestGlobalFlagPlacement:
         assert main(["--tail", "w1", "kk", causal, "-o", a1]) == 0
         assert main(["kk", causal, "-o", a2, "--tail", "w1"]) == 0
         assert open(a1, "rb").read() == open(a2, "rb").read()
+
+
+class TestImportPath:
+    """Every verb runs on numpy alone: scipy is never imported."""
+
+    def scipy_after(self, *argv):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(SRC), env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", SCIPY_PROBE, *argv],
+            env=env, capture_output=True, text=True, timeout=60, check=True,
+        )
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    def test_import_loads_no_scipy(self):
+        assert self.scipy_after() == [0, []]
+
+    def test_model_through_reconstruct_loads_no_scipy(self, tmp_path):
+        m = write_json(
+            tmp_path / "m.json",
+            {"type": "lorentz", "plasma_frequency": 1.0, "omega0": 1.0, "gamma": 0.2},
+        )
+        stem = str(tmp_path / "lor")
+        argv = ["model", m, "--from", "0.5", "--to", "1.5", "--points", "101", "-o", stem]
+        assert self.scipy_after(*argv) == [0, []]
+
+    def test_kk_through_hilbert_transform_loads_no_scipy(self, tmp_path):
+        grid = FrequencyGrid.linspace(-10.0, 10.0, 401)
+        inp = str(tmp_path / "pole.csv")
+        fileio.write_spectrum(
+            inp, ComplexSpectrum(grid, 1.0 / (grid.values - 1.0 + 0.1j))
+        )
+        assert self.scipy_after("--tail", "w1", "kk", inp) == [0, []]

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid
 
 from tauspec.core import (
     ComplexSpectrum,
@@ -137,6 +138,18 @@ class TestReconstruct:
         expected = evaluate_model(m, g.values)
         rel = np.abs(rec.values - expected) / np.abs(expected)
         assert rel.max() < 1e-6
+
+    def test_bitwise_equal_to_scipy_cumulative_trapezoid(self):
+        rng = np.random.default_rng(5)
+        g = FrequencyGrid(np.cumsum(rng.uniform(0.01, 0.1, 501)))
+        t = TemporalSpectrum(g, rng.standard_normal(501), rng.standard_normal(501))
+        anchor_omega, anchor = float(g.values[123]), 0.5 - 2.0j
+        log_s = cumulative_trapezoid(1j * t.tau1 - t.tau2, g.values, initial=0.0)
+        at_anchor = np.interp(anchor_omega, g.values, log_s.real) + 1j * np.interp(
+            anchor_omega, g.values, log_s.imag
+        )
+        expected = anchor * np.exp(log_s - at_anchor)
+        assert np.array_equal(reconstruct(t, anchor_omega, anchor).values, expected)
 
     def test_anchor_must_sit_on_grid_range(self):
         g = FrequencyGrid.linspace(0.0, 1.0, 11)

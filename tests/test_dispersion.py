@@ -1,7 +1,11 @@
 """Hilbert transform, causality residuals, sum rules, winding integral."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
+from scipy.signal import fftconvolve
 
 from tauspec.core import (
     ComplexSpectrum,
@@ -12,6 +16,8 @@ from tauspec.core import (
 )
 from tauspec.dispersion import (
     Contour,
+    _good_size,
+    _skip_node_sums,
     frequency_sum_rule,
     hilbert_transform,
     kk_residual,
@@ -25,6 +31,7 @@ from tauspec.errors import (
     GridError,
     InsufficientDecay,
     NonUniformGrid,
+    OriginGapTooWide,
     OriginInGrid,
     SingularityOnContour,
 )
@@ -35,6 +42,42 @@ def pole_spectrum(sign, n=40001, half=60.0):
     g = FrequencyGrid.linspace(-half, half, n)
     vals = 1.0 / (g.values - 1.0 + sign * 0.1j)
     return ComplexSpectrum(g, vals)
+
+
+def scipy_skip_node_sums(values):
+    """The skip-node sums as computed with scipy's fftconvolve."""
+    n = values.size
+    m = np.arange(-(n - 1), n, dtype=float)
+    kernel = np.zeros(2 * n - 1)
+    nz = m != 0
+    kernel[nz] = 1.0 / m[nz]
+    out = fftconvolve(values.astype(complex), kernel)[n - 1 : 2 * n - 1]
+    idx = np.arange(n, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        left = 0.5 * values[0] / idx
+        right = 0.5 * values[-1] / (idx - (n - 1))
+    left[0] = 0.0
+    right[-1] = 0.0
+    return out - left - right
+
+
+class TestSkipNodeSums:
+    """The numpy convolution reproduces scipy's fftconvolve bit for bit."""
+
+    def test_good_size_matches_next_fast_len(self):
+        sizes = range(1, 5001)
+        assert [_good_size(m) for m in sizes] == [
+            next_fast_len(m, real=False) for m in sizes
+        ]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 11, 4001, 40001])
+    def test_bitwise_equal_to_fftconvolve(self, n):
+        rng = np.random.default_rng(n)
+        data = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        for values in (data, np.ones(n)):
+            assert np.array_equal(
+                _skip_node_sums(values), scipy_skip_node_sums(values)
+            )
 
 
 class TestHilbertTransform:
@@ -106,6 +149,27 @@ class TestKKResidual:
         )
         assert report.residual_max < 5e-3
         assert report.origin_gap == pytest.approx(0.01)
+
+    def test_tau_variant_pads_up_to_eight_steps_per_node(self):
+        g = FrequencyGrid(0.1 * np.arange(88, 99))
+        report = tau_kk_residual(TemporalSpectrum(g, np.ones(11), np.zeros(11)))
+        assert report.origin_gap == pytest.approx(8.8)
+
+    @pytest.mark.parametrize("start,step", [(8.9, 0.1), (1000.0, 1e-3)])
+    def test_tau_variant_refuses_wide_origin_gap(self, start, step):
+        """89 steps for 11 nodes is one past the cap; 1e6 steps would
+        zero-fill 2,000,021 nodes, and nothing near that is allocated."""
+        g = FrequencyGrid(start + step * np.arange(11))
+        t = TemporalSpectrum(g, np.ones(11), np.zeros(11))
+        tracemalloc.start()
+        try:
+            with pytest.raises(OriginGapTooWide):
+                tau_kk_residual(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert issubclass(OriginGapTooWide, GridError)
+        assert peak < 100_000
 
     def test_tau_variant_flags_incommensurate_grid(self):
         g = FrequencyGrid.linspace(0.0503, 3.0, 60)

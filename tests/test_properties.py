@@ -19,6 +19,7 @@ from tauspec.core import (
     model_tau,
 )
 from tauspec.dispersion import Contour, residue_time_domain, winding_number
+from tauspec.errors import GridError
 from tauspec.extract import ExtractionOptions, extract_temporal, uncertainty_product
 from tauspec.fileio import format_artifact
 from tauspec.physics import (
@@ -229,6 +230,28 @@ class TestScattering:
         assert amp.unitarity_defect() < 1e-10
         assert abs(amp.t) ** 2 <= 1.0 + 1e-12
         assert amp.t == amp.t_prime
+
+
+class TestNonFiniteSamples:
+    @settings(**COMMON)
+    @given(
+        data=st.data(),
+        n=st.integers(min_value=3, max_value=40),
+        bad=st.sampled_from((np.nan, np.inf, -np.inf)),
+        column=st.sampled_from(("re", "im", "tau1", "tau2")),
+    )
+    def test_containers_reject_any_non_finite_sample(self, data, n, bad, column):
+        node = data.draw(st.integers(min_value=0, max_value=n - 1))
+        grid = FrequencyGrid.linspace(0.5, 1.5, n)
+        values = np.ones(n, dtype=complex)
+        tau1, tau2 = np.ones(n), np.ones(n)
+        parts = {"re": values.real, "im": values.imag, "tau1": tau1, "tau2": tau2}
+        parts[column][node] = bad
+        with pytest.raises(GridError):
+            if column in ("re", "im"):
+                ComplexSpectrum(grid, values)
+            else:
+                TemporalSpectrum(grid, tau1, tau2)
 
 
 class TestGridsAndArtifacts:
