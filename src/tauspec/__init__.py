@@ -70,6 +70,7 @@ from .physics import (
 from .scatter1d import (
     PotentialProfile,
     ScatteringMatrix1D,
+    complex_time,
     find_resonance,
     formation_time,
     s_matrix,

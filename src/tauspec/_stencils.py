@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .core import uniform_spacing
 from .errors import NonUniformGrid
 
 __all__ = ["fd_weights", "differentiate", "second_difference"]
@@ -53,16 +54,6 @@ def fd_weights(nodes: np.ndarray, x0: float, order: int) -> np.ndarray:
     return c[:, order]
 
 
-def _check_uniform(x: np.ndarray, what: str) -> float:
-    h = np.diff(x)
-    if h.size == 0:
-        raise NonUniformGrid(f"{what} needs at least two nodes")
-    mean = float(np.mean(h))
-    if np.max(np.abs(h - mean)) > 1e-9 * abs(mean):
-        raise NonUniformGrid(f"{what} requires a uniform grid")
-    return mean
-
-
 def differentiate(x: np.ndarray, f: np.ndarray, order: int = 2) -> np.ndarray:
     """First derivative of samples ``f`` on grid ``x``.
 
@@ -84,7 +75,7 @@ def differentiate(x: np.ndarray, f: np.ndarray, order: int = 2) -> np.ndarray:
         raise ValueError("stencil order must be 2 or 4")
     if x.size < 5:
         raise ValueError("order-4 derivative needs at least 5 nodes")
-    h = _check_uniform(x, "order-4 derivative")
+    h = uniform_spacing(x, "order-4 derivative requires a uniform grid")
     out = np.empty_like(f, dtype=np.result_type(f, float))
     # interior: (f[i-2] - 8 f[i-1] + 8 f[i+1] - f[i+2]) / (12 h)
     out[2:-2] = (f[:-4] - 8.0 * f[1:-3] + 8.0 * f[3:-1] - f[4:]) / (12.0 * h)
@@ -115,7 +106,7 @@ def second_difference(x: np.ndarray, f: np.ndarray, order: int = 2) -> np.ndarra
     out = np.empty_like(f, dtype=np.result_type(f, float))
     half = npts // 2
     try:
-        h = _check_uniform(x, "second difference")
+        h = uniform_spacing(x, "second difference requires a uniform grid")
         uniform = True
     except NonUniformGrid:
         if order == 4:

@@ -10,7 +10,8 @@ Verbs:
     report    merge tables and artifacts into one deterministic document
 
 Exit codes: 0 success, 2 input contract violated, 3 numerical guard
-tripped, 4 domain guard (singularity or excluded region touched).
+tripped, 4 domain guard (singularity or excluded region touched).  A
+package error names its own code in ``exit_code``.
 """
 
 from __future__ import annotations
@@ -22,14 +23,7 @@ import sys
 import numpy as np
 
 from . import fileio
-from .core import (
-    ComplexSpectrum,
-    FrequencyGrid,
-    TemporalSpectrum,
-    evaluate_model,
-    model_tau,
-    reconstruct,
-)
+from .core import ComplexSpectrum, FrequencyGrid, TemporalSpectrum
 from .dispersion import (
     Contour,
     frequency_sum_rule,
@@ -38,44 +32,12 @@ from .dispersion import (
     tau_kk_residual,
     winding_number,
 )
-from .errors import (
-    DegenerateEnergy,
-    DegenerateFrequency,
-    InsufficientDecay,
-    InsufficientSupport,
-    OriginInGrid,
-    PhaseJump,
-    PoleProximity,
-    SingularityOnContour,
-    TauspecError,
-    ZeroModulus,
-    ZeroNorm,
-    ZeroTransmission,
-)
+from .errors import TauspecError
 from .extract import ExtractionOptions, extract_temporal
-from .physics import breit_wigner_tau, oscillator_green, oscillator_tau, photon_response, photon_tau
-from .scatter1d import formation_time, s_matrix, wigner_delay
+from .scatter1d import complex_time, s_matrix
 
 EXIT_OK = 0
 EXIT_INPUT = 2
-EXIT_NUMERICAL = 3
-EXIT_DOMAIN = 4
-
-_NUMERICAL_ERRORS = (
-    ZeroModulus,
-    PhaseJump,
-    InsufficientDecay,
-    InsufficientSupport,
-    ZeroTransmission,
-    ZeroNorm,
-)
-_DOMAIN_ERRORS = (
-    PoleProximity,
-    SingularityOnContour,
-    OriginInGrid,
-    DegenerateEnergy,
-    DegenerateFrequency,
-)
 
 _TAIL_BY_FLAG = {"none": "none", "w1": "one_over_omega", "w2": "one_over_omega2"}
 
@@ -123,6 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("-o", "--output", required=True)
     _global_flags(p)
+    p.set_defaults(run=_cmd_extract)
 
     p = sub.add_parser("model", help="sample a model: spectrum and tau files")
     p.add_argument("model")
@@ -131,17 +94,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, required=True)
     p.add_argument("-o", "--output", required=True, help="output path prefix")
     _global_flags(p)
+    p.set_defaults(run=_cmd_model)
 
     p = sub.add_parser("kk", help="causality residual report")
     p.add_argument("input")
     p.add_argument("-o", "--output", help="also write the report as an artifact")
     _global_flags(p)
+    p.set_defaults(run=_cmd_kk)
 
     p = sub.add_parser("sumrule", help="weighted balance integral")
     p.add_argument("--spectrum", required=True)
     p.add_argument("--tau", required=True)
     p.add_argument("-o", "--output")
     _global_flags(p)
+    p.set_defaults(run=_cmd_sumrule)
 
     p = sub.add_parser("winding", help="zeros minus poles inside a rectangle")
     p.add_argument("model")
@@ -152,6 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=16)
     p.add_argument("-o", "--output")
     _global_flags(p)
+    p.set_defaults(run=_cmd_winding)
 
     p = sub.add_parser("barrier", help="transmission and delays of a potential")
     p.add_argument("model")
@@ -162,12 +129,14 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="energy step for delay differences")
     p.add_argument("-o", "--output", required=True)
     _global_flags(p)
+    p.set_defaults(run=_cmd_barrier)
 
     p = sub.add_parser("report", help="merge results into one document")
     p.add_argument("inputs", nargs="+")
     p.add_argument("-o", "--output")
     p.add_argument("--gnuplot", help="also write a plotting script")
     _global_flags(p)
+    p.set_defaults(run=_cmd_report)
     return parser
 
 
@@ -179,48 +148,27 @@ def _cmd_extract(args) -> int:
     return EXIT_OK
 
 
-def _model_tables(document, grid: FrequencyGrid, step: float = 1e-4):
-    """Spectrum samples and temporal samples for a model document."""
-    kind, params = document.kind, document.params
-    x = grid.values
-    if kind == "blaschke":
-        values = evaluate_model(params, x)
-        tau = model_tau(params, x)
-        return values, tau.real, tau.imag
-    if kind == "oscillator":
-        values = oscillator_green(params, x)
-        tau1, tau2 = oscillator_tau(params, x)
-        return values, tau1, tau2
-    if kind == "photon":
-        values = photon_response(x, params.k_abs, params.eta)
-        tau1, tau2 = photon_tau(x, params.k_abs, params.eta)
-        return values, tau1, tau2
-    if kind == "lorentz":
-        tau1, tau2 = oscillator_tau(params.oscillator, x)
-    elif kind == "breit_wigner":
-        tau1, tau2 = breit_wigner_tau(params, x, document.branch)
-    else:
-        raise ValueError(f"model kind {kind!r} is not a spectral model")
-    temporal = TemporalSpectrum(grid, tau1, tau2)
-    spectrum = reconstruct(temporal, float(x[0]), 1.0 + 0.0j)
-    return spectrum.values, tau1, tau2
-
-
 def _cmd_model(args) -> int:
     document = fileio.load_model(args.model)
     grid = FrequencyGrid.linspace(args.lo, args.hi, args.points)
     if document.kind == "barrier":
         return _write_barrier(document.params, grid, args.output, step=1e-4)
-    values, tau1, tau2 = _model_tables(document, grid)
-    spectrum = ComplexSpectrum(grid, values)
-    fileio.write_spectrum(args.output + ".spectrum.csv", spectrum)
-    fileio.write_temporal(
-        args.output + ".tau.csv", TemporalSpectrum(grid, tau1, tau2)
-    )
+    values, tau1, tau2 = document.sample(grid)
+    fileio.write_spectrum(args.output + ".spectrum.csv", ComplexSpectrum(grid, values))
+    fileio.write_temporal(args.output + ".tau.csv", TemporalSpectrum(grid, tau1, tau2))
     return EXIT_OK
 
 
-def _cmd_kk(args, tail_model: str) -> int:
+def _emit_artifact(kind: str, mapping: dict, output) -> int:
+    """Print an artifact, and also write it to ``output`` when one is given."""
+    sys.stdout.write(fileio.format_artifact(kind, mapping))
+    if output:
+        fileio.write_artifact(output, kind, mapping)
+    return EXIT_OK
+
+
+def _cmd_kk(args) -> int:
+    tail_model = _TAIL_BY_FLAG[args.tail]
     fmt = fileio.detect_format(args.input)
     if fmt == "spectrum":
         report = kk_residual(fileio.read_spectrum(args.input), tail_model)
@@ -237,11 +185,7 @@ def _cmd_kk(args, tail_model: str) -> int:
         "residual_max": report.residual_max,
         "tail_model": report.tail_model,
     }
-    text = fileio.format_artifact("kk", mapping)
-    sys.stdout.write(text)
-    if args.output:
-        fileio.write_artifact(args.output, "kk", mapping)
-    return EXIT_OK
+    return _emit_artifact("kk", mapping, args.output)
 
 
 def _cmd_sumrule(args) -> int:
@@ -256,11 +200,7 @@ def _cmd_sumrule(args) -> int:
         "value_im": value.imag,
         "value_re": value.real,
     }
-    text = fileio.format_artifact("sumrule", mapping)
-    sys.stdout.write(text)
-    if args.output:
-        fileio.write_artifact(args.output, "sumrule", mapping)
-    return EXIT_OK
+    return _emit_artifact("sumrule", mapping, args.output)
 
 
 def _cmd_winding(args) -> int:
@@ -278,26 +218,16 @@ def _cmd_winding(args) -> int:
         "samples_per_edge": args.samples,
         "winding": value,
     }
-    text = fileio.format_artifact("winding", mapping)
-    sys.stdout.write(text)
-    if args.output:
-        fileio.write_artifact(args.output, "winding", mapping)
-    return EXIT_OK
+    return _emit_artifact("winding", mapping, args.output)
 
 
 def _write_barrier(profile, grid: FrequencyGrid, output: str, step: float) -> int:
-    energies = grid.values
-    trans = np.empty(energies.size)
-    phase = np.empty(energies.size)
-    tau1 = np.empty(energies.size)
-    tau2 = np.empty(energies.size)
-    for i, energy in enumerate(energies):
-        amp = s_matrix(profile, float(energy))
-        trans[i] = abs(amp.t) ** 2
-        phase[i] = np.angle(amp.t)
-        tau1[i] = wigner_delay(profile, float(energy), step)
-        tau2[i] = formation_time(profile, float(energy), step)
-    fileio.write_barrier_table(output, energies, trans, phase, tau1, tau2)
+    rows = []
+    for energy in grid.values:
+        t = s_matrix(profile, float(energy)).t
+        tau = complex_time(profile, float(energy), step)
+        rows.append((abs(t) ** 2, np.angle(t), tau.real, tau.imag))
+    fileio.write_barrier_table(output, grid.values, *np.array(rows).T)
     return EXIT_OK
 
 
@@ -404,35 +334,15 @@ def _write_gnuplot(path: str, tables) -> None:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    tail_model = _TAIL_BY_FLAG[args.tail]
+    args = _build_parser().parse_args(argv)
     try:
-        if args.verb == "extract":
-            return _cmd_extract(args)
-        if args.verb == "model":
-            return _cmd_model(args)
-        if args.verb == "kk":
-            return _cmd_kk(args, tail_model)
-        if args.verb == "sumrule":
-            return _cmd_sumrule(args)
-        if args.verb == "winding":
-            return _cmd_winding(args)
-        if args.verb == "barrier":
-            return _cmd_barrier(args)
-        if args.verb == "report":
-            return _cmd_report(args)
-        parser.error(f"unknown verb {args.verb!r}")
-    except _NUMERICAL_ERRORS as exc:
+        return args.run(args)
+    except TauspecError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except _DOMAIN_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except (TauspecError, ValueError, OSError) as exc:
+        return exc.exit_code
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    return EXIT_OK
 
 
 if __name__ == "__main__":

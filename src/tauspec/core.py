@@ -21,6 +21,7 @@ from .errors import (
     AnchorOutOfRange,
     GridError,
     NonPositiveGrid,
+    NonUniformGrid,
     PoleProximity,
 )
 
@@ -33,9 +34,21 @@ __all__ = [
     "model_tau",
     "reconstruct",
     "extend_negative_frequencies",
+    "uniform_spacing",
 ]
 
 _UNIFORM_RTOL = 1e-9
+
+
+def uniform_spacing(x, message: str) -> float:
+    """Mean step of ``x``; raises NonUniformGrid(message) unless ``x`` has
+    two or more nodes, a mean step > 0 and every step within _UNIFORM_RTOL
+    times the mean of it."""
+    steps = np.diff(x)
+    h = float(np.mean(steps)) if steps.size else 0.0
+    if not (h > 0 and np.max(np.abs(steps - h)) <= _UNIFORM_RTOL * h):
+        raise NonUniformGrid(message)
+    return h
 
 
 @dataclass(frozen=True)
@@ -75,8 +88,11 @@ class FrequencyGrid:
 
     @property
     def is_uniform(self) -> bool:
-        h = np.diff(self.values)
-        return bool(np.max(np.abs(h - np.mean(h))) < _UNIFORM_RTOL * np.mean(h))
+        try:
+            uniform_spacing(self.values, "")
+        except NonUniformGrid:
+            return False
+        return True
 
     @property
     def span(self) -> float:

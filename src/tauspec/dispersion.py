@@ -21,6 +21,7 @@ from .core import (
     TemporalSpectrum,
     extend_negative_frequencies,
     model_tau,
+    uniform_spacing,
 )
 from .errors import (
     GridError,
@@ -78,14 +79,6 @@ class KKReport:
             raise ValueError("report must cover at least one node")
         if self.origin_gap < 0:
             raise ValueError("origin_gap must be non-negative")
-
-
-def _uniform_spacing(x: np.ndarray, what: str) -> float:
-    steps = np.diff(x)
-    h = float(np.mean(steps))
-    if h <= 0 or np.max(np.abs(steps - h)) > 1e-9 * abs(h):
-        raise NonUniformGrid(f"{what} needs a uniform grid")
-    return h
 
 
 def _good_size(n: int) -> int:
@@ -256,7 +249,7 @@ def hilbert_transform(
     x = grid.values
     if f.shape != x.shape:
         raise ValueError("values must match the grid length")
-    h = _uniform_spacing(x, "hilbert_transform")
+    h = uniform_spacing(x, "hilbert_transform needs a uniform grid")
     out = _pv_core(f)
     if tail_model != "none":
         out = out + _tail_correction(x, f, h, tail_model)
@@ -264,6 +257,9 @@ def hilbert_transform(
 
 
 def _interior(n: int, edge_fraction: float) -> slice:
+    # Below one half, at least one of the n nodes is left.
+    if not 0.0 <= edge_fraction < 0.5:
+        raise ValueError(f"edge_fraction must lie in [0, 0.5), got {edge_fraction!r}")
     k = int(np.floor(edge_fraction * n))
     return slice(k, n - k) if k > 0 else slice(None)
 
@@ -283,10 +279,13 @@ def kk_residual(
     Statistics are reported over the interior nodes only, dropping
     ``edge_fraction`` of the grid per side where the truncated
     principal-value integral is least trustworthy.
+
+    Raises:
+        ValueError: ``edge_fraction`` outside [0, 0.5).
     """
+    sl = _interior(spectrum.values.size, edge_fraction)
     transformed = hilbert_transform(spectrum.values, spectrum.grid, tail_model)
     residual = np.abs(spectrum.values - 1j * transformed)
-    sl = _interior(residual.size, edge_fraction)
     inner = residual[sl]
     return KKReport(
         residual_max=float(np.max(inner)),
@@ -317,10 +316,12 @@ def tau_kk_residual(
             with the origin.
         OriginGapTooWide: the gap to the origin spans more than
             8 steps per input node.
+        ValueError: ``edge_fraction`` outside [0, 0.5), or so wide that
+            the edge bands leave no node outside the origin window.
     """
     extended = extend_negative_frequencies(temporal)
     g = temporal.grid.values
-    h = _uniform_spacing(g, "tau_kk_residual")
+    h = uniform_spacing(g, "tau_kk_residual needs a uniform grid")
     k = int(round(g[0] / h))
     n = g.size
     if k > _MAX_ORIGIN_PAD_RATIO * n:
@@ -338,15 +339,16 @@ def tau_kk_residual(
     tau_pos = extended.tau[extended.grid.values > 0]
     values[m_max + k :] = tau_pos
     values[: m_max - k + 1] = np.conj(tau_pos)[::-1]
-    super_grid = FrequencyGrid(super_x)
-    transformed = hilbert_transform(values, super_grid, tail_model)
-    residual = np.abs(values - 1j * transformed)
-    keep = np.abs(super_x) > g[0] - 0.5 * h
-    sl = _interior(super_x.size, edge_fraction)
     mask = np.zeros(super_x.size, dtype=bool)
-    mask[sl] = True
-    mask &= keep
-    inner = residual[mask]
+    mask[_interior(super_x.size, edge_fraction)] = True
+    mask &= np.abs(super_x) > g[0] - 0.5 * h
+    if not mask.any():
+        raise ValueError(
+            f"edge_fraction {edge_fraction!r} leaves no node outside the "
+            "zero-filled origin window"
+        )
+    transformed = hilbert_transform(values, FrequencyGrid(super_x), tail_model)
+    inner = np.abs(values - 1j * transformed)[mask]
     return KKReport(
         residual_max=float(np.max(inner)),
         residual_l2=float(np.sqrt(np.mean(inner**2))),
@@ -430,7 +432,7 @@ def time_sum_rule(
         raise ValueError("time grid needs at least two nodes")
     if times[0] < 0:
         raise NonPositiveGrid("time grid must start at t >= 0")
-    _uniform_spacing(times, "time_sum_rule")
+    uniform_spacing(times, "time_sum_rule needs a uniform grid")
     integrand = s * np.conj(tau)
     peak = float(np.max(np.abs(integrand)))
     if peak == 0.0:

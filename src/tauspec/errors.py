@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
-Every contract violation maps to one of these classes so the command line
-front end can translate them into stable exit codes:
+Every contract violation maps to one of these classes, and each class
+carries the stable exit code the command line front end returns for it:
 
 * input contract violations (bad files, malformed grids)      -> exit 2
 * numerical contract violations (zero modulus, phase jumps)   -> exit 3
@@ -11,6 +11,8 @@ front end can translate them into stable exit codes:
 
 class TauspecError(Exception):
     """Base class for all package-specific errors."""
+
+    exit_code = 2
 
 
 class GridError(TauspecError):
@@ -33,6 +35,8 @@ class OriginGapTooWide(GridError):
 class PoleProximity(TauspecError):
     """Evaluation point is too close to a model pole (or the origin)."""
 
+    exit_code = 4
+
 
 class AnchorOutOfRange(TauspecError):
     """Reconstruction anchor lies outside the grid span."""
@@ -44,6 +48,8 @@ class ZeroModulus(TauspecError):
     Carries the offending node index in ``node``.
     """
 
+    exit_code = 3
+
     def __init__(self, message, node=None):
         super().__init__(message)
         self.node = node
@@ -54,6 +60,8 @@ class PhaseJump(TauspecError):
 
     Signals an under-resolved grid.  Carries the node index in ``node``.
     """
+
+    exit_code = 3
 
     def __init__(self, message, node=None):
         super().__init__(message)
@@ -67,21 +75,31 @@ class NonPositiveSigma(TauspecError):
 class ZeroNorm(TauspecError):
     """Spectrum has zero L2 norm; moments are undefined."""
 
+    exit_code = 3
+
 
 class InsufficientSupport(TauspecError):
     """Signal does not decay at the grid ends and is not flagged periodic."""
+
+    exit_code = 3
 
 
 class InsufficientDecay(TauspecError):
     """Time-domain integrand has not decayed at the end of the grid."""
 
+    exit_code = 3
+
 
 class OriginInGrid(TauspecError):
     """Grid contains the origin where a 1/omega weight is singular."""
 
+    exit_code = 4
+
 
 class SingularityOnContour(TauspecError):
     """Integration contour passes too close to a zero or pole."""
+
+    exit_code = 4
 
 
 class NonPositiveFrequency(TauspecError):
@@ -107,10 +125,16 @@ class BelowMassShell(TauspecError):
 class DegenerateFrequency(TauspecError):
     """Emitted frequency vanishes; formation scales are undefined."""
 
+    exit_code = 4
+
 
 class DegenerateEnergy(TauspecError):
     """Scattering energy coincides with a segment height."""
 
+    exit_code = 4
+
 
 class ZeroTransmission(TauspecError):
     """Transmission amplitude vanished; its log-derivative is undefined."""
+
+    exit_code = 3

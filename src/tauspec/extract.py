@@ -15,11 +15,10 @@ from typing import NamedTuple
 import numpy as np
 
 from ._stencils import differentiate, second_difference
-from .core import ComplexSpectrum, FrequencyGrid, TemporalSpectrum
+from .core import ComplexSpectrum, FrequencyGrid, TemporalSpectrum, uniform_spacing
 from .errors import (
     InsufficientSupport,
     NonPositiveSigma,
-    NonUniformGrid,
     PhaseJump,
     ZeroModulus,
     ZeroNorm,
@@ -151,6 +150,18 @@ def _erf_any(z):
     return erf(z)
 
 
+def _front_response(omega0, tau, sigma, r0, t, erf_sign):
+    sigma = complex(sigma) if np.iscomplexobj(np.asarray(sigma)) else float(sigma)
+    if np.real(sigma) <= 0:
+        raise NonPositiveSigma("sigma must have positive real part")
+    root = np.lib.scimath.sqrt(2.0 * sigma)
+    x = (np.asarray(t) - tau) / root
+    prefactor = r0 / np.lib.scimath.sqrt(8.0 * np.pi * sigma)
+    front = 1.0 + erf_sign * _erf_any(x)
+    value = prefactor * np.exp(-1j * omega0 * np.asarray(t) - x**2) * front
+    return complex(value) if np.ndim(t) == 0 else value
+
+
 def normal_response(omega0, tau, sigma, r0, t):
     """Saturated-front response for positive formation time.
 
@@ -163,26 +174,12 @@ def normal_response(omega0, tau, sigma, r0, t):
     Raises:
         NonPositiveSigma: Re(sigma) <= 0.
     """
-    sigma = complex(sigma) if np.iscomplexobj(np.asarray(sigma)) else float(sigma)
-    if np.real(sigma) <= 0:
-        raise NonPositiveSigma("sigma must have positive real part")
-    root = np.lib.scimath.sqrt(2.0 * sigma)
-    x = (np.asarray(t) - tau) / root
-    prefactor = r0 / np.lib.scimath.sqrt(8.0 * np.pi * sigma)
-    value = prefactor * np.exp(-1j * omega0 * np.asarray(t) - x**2) * (1.0 - _erf_any(x))
-    return complex(value) if np.ndim(t) == 0 else value
+    return _front_response(omega0, tau, sigma, r0, t, -1.0)
 
 
 def anomalous_response(omega0, tau, sigma, r0, t):
     """Mirror branch of ``normal_response`` with the opposite erf sign."""
-    sigma = complex(sigma) if np.iscomplexobj(np.asarray(sigma)) else float(sigma)
-    if np.real(sigma) <= 0:
-        raise NonPositiveSigma("sigma must have positive real part")
-    root = np.lib.scimath.sqrt(2.0 * sigma)
-    x = (np.asarray(t) - tau) / root
-    prefactor = r0 / np.lib.scimath.sqrt(8.0 * np.pi * sigma)
-    value = prefactor * np.exp(-1j * omega0 * np.asarray(t) - x**2) * (1.0 + _erf_any(x))
-    return complex(value) if np.ndim(t) == 0 else value
+    return _front_response(omega0, tau, sigma, r0, t, 1.0)
 
 
 def combined_response(omega0, tau, sigma, r0, t, tau2):
@@ -219,8 +216,7 @@ def uncertainty_product(spectrum: ComplexSpectrum) -> UncertaintyBudget:
         NonUniformGrid: the transform needs uniform spacing.
     """
     grid = spectrum.grid
-    if not grid.is_uniform:
-        raise NonUniformGrid("uncertainty_product needs a uniform grid")
+    h = uniform_spacing(grid.values, "uncertainty_product needs a uniform grid")
     e = grid.values
     weight = np.abs(spectrum.values) ** 2
     norm = float(np.sum(weight))
@@ -230,7 +226,6 @@ def uncertainty_product(spectrum: ComplexSpectrum) -> UncertaintyBudget:
     mean_e = float(np.sum(weight * e))
     delta_e = float(np.sqrt(np.sum(weight * (e - mean_e) ** 2)))
 
-    h = grid.spacing
     n_pad = 4 * len(grid)
     s_t = np.fft.fft(spectrum.values, n=n_pad)
     t = 2.0 * np.pi * np.fft.fftfreq(n_pad, d=h)
@@ -281,10 +276,7 @@ def temporal_wigner(
     times = np.asarray(times, dtype=float)
     if psi.shape != times.shape or psi.ndim != 1 or psi.size < 3:
         raise ValueError("psi and times must be matching 1-d arrays")
-    steps = np.diff(times)
-    h = float(np.mean(steps))
-    if np.max(np.abs(steps - h)) > 1e-9 * h:
-        raise NonUniformGrid("temporal_wigner needs a uniform time grid")
+    h = uniform_spacing(times, "temporal_wigner needs a uniform time grid")
     if branch not in ("+", "-"):
         raise ValueError("branch must be '+' or '-'")
     if not (times[0] < t < times[-1]):

@@ -8,16 +8,30 @@ byte-identical files.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import ComplexSpectrum, FrequencyGrid, PoleZeroModel, TemporalSpectrum
+from .core import (
+    ComplexSpectrum,
+    FrequencyGrid,
+    PoleZeroModel,
+    TemporalSpectrum,
+    evaluate_model,
+    model_tau,
+    reconstruct,
+)
 from .physics import (
     LorentzMediumParams,
     OscillatorParams,
     PhotonParams,
     TwoLevelParams,
+    breit_wigner_tau,
+    oscillator_green,
+    oscillator_tau,
+    photon_response,
+    photon_tau,
 )
 from .scatter1d import PotentialProfile
 
@@ -122,32 +136,128 @@ class ModelDocument:
     params: object
     branch: str = "lower"
 
-
-_MODEL_FIELDS = {
-    "blaschke": ({"resonances"}, {"scale", "p", "prefactor_sign"}),
-    "oscillator": ({"omega0", "gamma"}, set()),
-    "lorentz": ({"plasma_frequency", "omega0", "gamma"}, set()),
-    "breit_wigner": ({"omega0", "gamma"}, {"gamma0", "branch"}),
-    "photon": ({"k_abs", "eta"}, set()),
-    "barrier": ({"segments"}, set()),
-}
-
-
-def _check_fields(kind: str, doc: dict) -> None:
-    required, optional = _MODEL_FIELDS[kind]
-    fields = set(doc) - {"type"}
-    unknown = fields - required - optional
-    if unknown:
-        raise ValueError(f"unknown field {sorted(unknown)[0]!r} for model type {kind!r}")
-    missing = required - fields
-    if missing:
-        raise ValueError(f"missing field {sorted(missing)[0]!r} for model type {kind!r}")
+    def sample(self, grid: FrequencyGrid):
+        """Spectrum and temporal samples (S, tau1, tau2) on ``grid``."""
+        entry = _MODEL_KINDS.get(self.kind)
+        if entry is None or entry.sample is None:
+            raise ValueError(f"model kind {self.kind!r} is not a spectral model")
+        return entry.sample(self, grid)
 
 
 def _pair(value, what: str):
     if not (isinstance(value, (list, tuple)) and len(value) == 2):
         raise ValueError(f"{what} must be a two-element list")
     return float(value[0]), float(value[1])
+
+
+def _reconstructed(grid: FrequencyGrid, tau1, tau2):
+    """(S, tau1, tau2) for a model known through tau alone, with S = 1 at
+    the first node."""
+    temporal = TemporalSpectrum(grid, tau1, tau2)
+    return reconstruct(temporal, float(grid.values[0]), 1.0 + 0.0j).values, tau1, tau2
+
+
+def _load_blaschke(doc: dict, path: str) -> PoleZeroModel:
+    scale = _pair(doc.get("scale", [1.0, 0.0]), "scale")
+    return PoleZeroModel(
+        scale=complex(*scale),
+        p=int(doc.get("p", 0)),
+        resonances=tuple(_pair(item, "resonance") for item in doc["resonances"]),
+        prefactor_sign=int(doc.get("prefactor_sign", 1)),
+    )
+
+
+def _dump_blaschke(p: PoleZeroModel) -> dict:
+    return {
+        "scale": [p.scale.real, p.scale.imag],
+        "p": p.p,
+        "resonances": [[w, g] for w, g in p.resonances],
+        "prefactor_sign": p.prefactor_sign,
+    }
+
+
+def _sample_blaschke(document: ModelDocument, grid: FrequencyGrid):
+    values = evaluate_model(document.params, grid.values)
+    tau = model_tau(document.params, grid.values)
+    return values, tau.real, tau.imag
+
+
+def _load_oscillator(doc: dict, path: str) -> OscillatorParams:
+    return OscillatorParams(float(doc["omega0"]), float(doc["gamma"]))
+
+
+def _sample_oscillator(document: ModelDocument, grid: FrequencyGrid):
+    values = oscillator_green(document.params, grid.values)
+    return (values, *oscillator_tau(document.params, grid.values))
+
+
+def _load_lorentz(doc: dict, path: str) -> LorentzMediumParams:
+    return LorentzMediumParams(float(doc["plasma_frequency"]), _load_oscillator(doc, path))
+
+
+def _dump_lorentz(p: LorentzMediumParams) -> dict:
+    return {"plasma_frequency": p.plasma_frequency, **asdict(p.oscillator)}
+
+
+def _sample_lorentz(document: ModelDocument, grid: FrequencyGrid):
+    return _reconstructed(grid, *oscillator_tau(document.params.oscillator, grid.values))
+
+
+def _load_breit_wigner(doc: dict, path: str) -> TwoLevelParams:
+    # load_model reads the branch itself; it is only checked here.
+    if doc.get("branch", "lower") not in ("upper", "lower"):
+        raise ValueError(f"{path}: branch must be 'upper' or 'lower'")
+    return TwoLevelParams(
+        float(doc["omega0"]), float(doc["gamma"]), float(doc.get("gamma0", 0.0))
+    )
+
+
+def _sample_breit_wigner(document: ModelDocument, grid: FrequencyGrid):
+    tau1, tau2 = breit_wigner_tau(document.params, grid.values, document.branch)
+    return _reconstructed(grid, tau1, tau2)
+
+
+def _load_photon(doc: dict, path: str) -> PhotonParams:
+    return PhotonParams(float(doc["k_abs"]), float(doc["eta"]))
+
+
+def _sample_photon(document: ModelDocument, grid: FrequencyGrid):
+    p, x = document.params, grid.values
+    return (photon_response(x, p.k_abs, p.eta), *photon_tau(x, p.k_abs, p.eta))
+
+
+def _load_barrier(doc: dict, path: str) -> PotentialProfile:
+    segments = doc["segments"]
+    if not isinstance(segments, list):
+        raise ValueError(f"{path}: segments must be a list of [width, height] pairs")
+    return PotentialProfile(tuple(_pair(s, "segment") for s in segments))
+
+
+class _ModelKind(NamedTuple):
+    """One model kind: its JSON fields besides ``type``, the conversions
+    between JSON and parameter object, and its sampler (None: no spectrum).
+    A kind whose JSON fields are its parameter fields dumps with ``asdict``."""
+
+    required: set
+    optional: set
+    load: Callable[[dict, str], object]
+    dump: Callable[[object], dict]
+    sample: Callable[[ModelDocument, FrequencyGrid], tuple] | None
+
+
+_MODEL_KINDS = {
+    "blaschke": _ModelKind({"resonances"}, {"scale", "p", "prefactor_sign"},
+                           _load_blaschke, _dump_blaschke, _sample_blaschke),
+    "oscillator": _ModelKind({"omega0", "gamma"}, set(),
+                             _load_oscillator, asdict, _sample_oscillator),
+    "lorentz": _ModelKind({"plasma_frequency", "omega0", "gamma"}, set(),
+                          _load_lorentz, _dump_lorentz, _sample_lorentz),
+    "breit_wigner": _ModelKind({"omega0", "gamma"}, {"gamma0", "branch"},
+                               _load_breit_wigner, asdict, _sample_breit_wigner),
+    "photon": _ModelKind({"k_abs", "eta"}, set(),
+                         _load_photon, asdict, _sample_photon),
+    "barrier": _ModelKind({"segments"}, set(), _load_barrier, asdict, None),
+}
 
 
 def load_model(path: str) -> ModelDocument:
@@ -161,88 +271,29 @@ def load_model(path: str) -> ModelDocument:
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: model document must be a JSON object")
     kind = doc.get("type")
-    if kind not in _MODEL_FIELDS:
-        known = ", ".join(sorted(_MODEL_FIELDS))
+    if kind not in _MODEL_KINDS:
+        known = ", ".join(sorted(_MODEL_KINDS))
         raise ValueError(f"{path}: unknown model type {kind!r} (known: {known})")
-    _check_fields(kind, doc)
-
-    if kind == "blaschke":
-        scale = _pair(doc.get("scale", [1.0, 0.0]), "scale")
-        resonances = tuple(
-            _pair(item, "resonance") for item in doc["resonances"]
-        )
-        params = PoleZeroModel(
-            scale=complex(*scale),
-            p=int(doc.get("p", 0)),
-            resonances=resonances,
-            prefactor_sign=int(doc.get("prefactor_sign", 1)),
-        )
-        return ModelDocument(kind, params)
-    if kind == "oscillator":
-        return ModelDocument(
-            kind, OscillatorParams(float(doc["omega0"]), float(doc["gamma"]))
-        )
-    if kind == "lorentz":
-        osc = OscillatorParams(float(doc["omega0"]), float(doc["gamma"]))
-        return ModelDocument(
-            kind, LorentzMediumParams(float(doc["plasma_frequency"]), osc)
-        )
-    if kind == "breit_wigner":
-        branch = doc.get("branch", "lower")
-        if branch not in ("upper", "lower"):
-            raise ValueError(f"{path}: branch must be 'upper' or 'lower'")
-        params = TwoLevelParams(
-            float(doc["omega0"]),
-            float(doc["gamma"]),
-            float(doc.get("gamma0", 0.0)),
-        )
-        return ModelDocument(kind, params, branch)
-    if kind == "photon":
-        return ModelDocument(
-            kind, PhotonParams(float(doc["k_abs"]), float(doc["eta"]))
-        )
-    segments = doc["segments"]
-    if not isinstance(segments, list):
-        raise ValueError(f"{path}: segments must be a list of [width, height] pairs")
-    profile = PotentialProfile(tuple(_pair(s, "segment") for s in segments))
-    return ModelDocument(kind, profile)
+    entry = _MODEL_KINDS[kind]
+    fields = set(doc) - {"type"}
+    unknown = fields - entry.required - entry.optional
+    if unknown:
+        raise ValueError(f"unknown field {sorted(unknown)[0]!r} for model type {kind!r}")
+    missing = entry.required - fields
+    if missing:
+        raise ValueError(f"missing field {sorted(missing)[0]!r} for model type {kind!r}")
+    # The branch belongs to the document; only a kind that lists it may set it.
+    return ModelDocument(kind, entry.load(doc, path), doc.get("branch", "lower"))
 
 
 def save_model(path: str, document: ModelDocument) -> None:
     """Write a model document back to JSON (canonical key order)."""
-    kind = document.kind
-    p = document.params
-    if kind == "blaschke":
-        doc = {
-            "type": kind,
-            "scale": [p.scale.real, p.scale.imag],
-            "p": p.p,
-            "resonances": [[w, g] for w, g in p.resonances],
-            "prefactor_sign": p.prefactor_sign,
-        }
-    elif kind == "oscillator":
-        doc = {"type": kind, "omega0": p.omega0, "gamma": p.gamma}
-    elif kind == "lorentz":
-        doc = {
-            "type": kind,
-            "plasma_frequency": p.plasma_frequency,
-            "omega0": p.oscillator.omega0,
-            "gamma": p.oscillator.gamma,
-        }
-    elif kind == "breit_wigner":
-        doc = {
-            "type": kind,
-            "omega0": p.omega0,
-            "gamma": p.gamma,
-            "gamma0": p.gamma0,
-            "branch": document.branch,
-        }
-    elif kind == "photon":
-        doc = {"type": kind, "k_abs": p.k_abs, "eta": p.eta}
-    elif kind == "barrier":
-        doc = {"type": kind, "segments": [[w, h] for w, h in p.segments]}
-    else:
-        raise ValueError(f"unknown model kind {kind!r}")
+    entry = _MODEL_KINDS.get(document.kind)
+    if entry is None:
+        raise ValueError(f"unknown model kind {document.kind!r}")
+    doc = {"type": document.kind, **entry.dump(document.params)}
+    if "branch" in entry.optional:
+        doc["branch"] = document.branch
     with open(path, "w", newline="\n") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")

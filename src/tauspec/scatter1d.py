@@ -21,6 +21,7 @@ __all__ = [
     "transfer_matrix",
     "s_matrix",
     "transmission_probability",
+    "complex_time",
     "wigner_delay",
     "formation_time",
     "find_resonance",
@@ -148,12 +149,17 @@ def transmission_probability(profile: PotentialProfile, energy: float) -> float:
     return abs(s_matrix(profile, energy).t) ** 2
 
 
-def wigner_delay(profile: PotentialProfile, energy: float, step: float = 1e-4) -> float:
-    """Energy derivative of the transmission phase by central difference.
+def complex_time(profile: PotentialProfile, energy: float, step: float = 1e-4) -> complex:
+    """Complex time tau = -i d ln t / dE = tau1 + i tau2 by central difference.
 
-    The two-sided phase difference is taken through the complex product,
-    so it is insensitive to branch cuts as long as the phase moves by
-    less than pi across 2*step.
+    tau1 is the energy derivative of the transmission phase, taken through
+    the complex product t(E + step) conj(t(E - step)), so it is insensitive
+    to branch cuts as long as the phase moves by less than pi across
+    2*step.  tau2 is minus the derivative of the log transmission modulus.
+
+    Raises:
+        ValueError: unless 0 < step < energy.
+        ZeroTransmission: |t| below 1e-12 at either difference node.
     """
     if step <= 0 or energy - step <= 0:
         raise ValueError("need 0 < step < energy")
@@ -161,18 +167,20 @@ def wigner_delay(profile: PotentialProfile, energy: float, step: float = 1e-4) -
     t_lo = s_matrix(profile, energy - step).t
     if abs(t_hi) < 1e-12 or abs(t_lo) < 1e-12:
         raise ZeroTransmission("transmission too small to differentiate")
-    return float(np.angle(t_hi * np.conj(t_lo)) / (2.0 * step))
+    return complex(
+        float(np.angle(t_hi * np.conj(t_lo)) / (2.0 * step)),
+        float(-(np.log(abs(t_hi)) - np.log(abs(t_lo))) / (2.0 * step)),
+    )
+
+
+def wigner_delay(profile: PotentialProfile, energy: float, step: float = 1e-4) -> float:
+    """Energy derivative of the transmission phase: ``complex_time(...).real``."""
+    return complex_time(profile, energy, step).real
 
 
 def formation_time(profile: PotentialProfile, energy: float, step: float = 1e-4) -> float:
-    """Minus the energy derivative of the log transmission modulus."""
-    if step <= 0 or energy - step <= 0:
-        raise ValueError("need 0 < step < energy")
-    t_hi = s_matrix(profile, energy + step).t
-    t_lo = s_matrix(profile, energy - step).t
-    if abs(t_hi) < 1e-12 or abs(t_lo) < 1e-12:
-        raise ZeroTransmission("transmission too small to differentiate")
-    return float(-(np.log(abs(t_hi)) - np.log(abs(t_lo))) / (2.0 * step))
+    """Minus the energy derivative of ln |t|: ``complex_time(...).imag``."""
+    return complex_time(profile, energy, step).imag
 
 
 def find_resonance(

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tauspec import fileio
+from tauspec import cli, errors, fileio
 from tauspec.cli import main
 from tauspec.core import (
     ComplexSpectrum,
@@ -17,8 +17,24 @@ from tauspec.core import (
     PoleZeroModel,
     TemporalSpectrum,
     evaluate_model,
+    model_tau,
+    reconstruct,
 )
-from tauspec.physics import OscillatorParams, oscillator_green, oscillator_tau
+from tauspec.physics import (
+    OscillatorParams,
+    TwoLevelParams,
+    breit_wigner_tau,
+    oscillator_green,
+    oscillator_tau,
+    photon_response,
+    photon_tau,
+)
+from tauspec.scatter1d import (
+    PotentialProfile,
+    formation_time,
+    s_matrix,
+    wigner_delay,
+)
 
 BLASCHKE_DOC = {"type": "blaschke", "resonances": [[1.0, 0.2]]}
 
@@ -32,6 +48,68 @@ from tauspec import cli
 rc = cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
 print(json.dumps([rc, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
 """
+
+
+# Each model kind through the model verb: (document, sweep, closed form).
+# The closed form maps the sweep's nodes to (S, tau1, tau2); S is None for
+# a kind known only through tau, whose spectrum the verb rebuilds with
+# S = 1 at the first node.
+def _blaschke_tables(x):
+    model = PoleZeroModel(
+        scale=0.5 + 0.25j, p=1, resonances=((1.0, 0.2), (2.5, 0.05))
+    )
+    tau = model_tau(model, x)
+    return evaluate_model(model, x), tau.real, tau.imag
+
+
+MODEL_KIND_CASES = {
+    "blaschke": (
+        {"type": "blaschke", "resonances": [[1.0, 0.2], [2.5, 0.05]],
+         "scale": [0.5, 0.25], "p": 1},
+        (0.5, 3.0), _blaschke_tables,
+    ),
+    "oscillator": (
+        {"type": "oscillator", "omega0": 1.0, "gamma": 0.2}, (0.5, 1.5),
+        lambda x: (oscillator_green(OscillatorParams(1.0, 0.2), x),
+                   *oscillator_tau(OscillatorParams(1.0, 0.2), x)),
+    ),
+    "lorentz": (
+        {"type": "lorentz", "plasma_frequency": 2.0, "omega0": 1.5, "gamma": 0.3},
+        (0.5, 2.5), lambda x: (None, *oscillator_tau(OscillatorParams(1.5, 0.3), x)),
+    ),
+    "breit_wigner-lower": (
+        {"type": "breit_wigner", "omega0": 10.0, "gamma": 0.2, "gamma0": 0.1},
+        (9.5, 10.5),
+        lambda x: (None, *breit_wigner_tau(TwoLevelParams(10.0, 0.2, 0.1), x)),
+    ),
+    "breit_wigner-upper": (
+        {"type": "breit_wigner", "omega0": 10.0, "gamma": 0.2, "branch": "upper"},
+        (9.5, 10.5),
+        lambda x: (None, *breit_wigner_tau(TwoLevelParams(10.0, 0.2), x, "upper")),
+    ),
+    "photon": (
+        {"type": "photon", "k_abs": 1.0, "eta": 1e-2}, (0.5, 1.5),
+        lambda x: (photon_response(x, 1.0, 1e-2), *photon_tau(x, 1.0, 1e-2)),
+    ),
+}
+
+# The error classes of each non-input exit code; every other one exits 2.
+NUMERICAL_ERRORS = {
+    "ZeroModulus", "PhaseJump", "InsufficientDecay", "InsufficientSupport",
+    "ZeroTransmission", "ZeroNorm",
+}
+DOMAIN_ERRORS = {
+    "PoleProximity", "SingularityOnContour", "OriginInGrid", "DegenerateEnergy",
+    "DegenerateFrequency",
+}
+ERROR_CLASSES = sorted(
+    name for name, obj in vars(errors).items()
+    if isinstance(obj, type) and issubclass(obj, errors.TauspecError)
+)
+
+
+def expected_exit_code(name: str) -> int:
+    return 3 if name in NUMERICAL_ERRORS else 4 if name in DOMAIN_ERRORS else 2
 
 
 def write_json(path, doc) -> str:
@@ -145,6 +223,53 @@ class TestModel:
         assert rc == 0
         temporal = fileio.read_temporal(stem + ".tau.csv")
         assert temporal.tau2[0] * temporal.tau2[-1] < 0
+
+    @pytest.mark.parametrize("case", sorted(MODEL_KIND_CASES))
+    def test_each_kind_matches_closed_form(self, tmp_path, case):
+        doc, (lo, hi), closed_form = MODEL_KIND_CASES[case]
+        stem = str(tmp_path / "m")
+        argv = ["model", write_json(tmp_path / "m.json", doc), "--from", str(lo),
+                "--to", str(hi), "--points", "1001", "-o", stem]
+        assert main(argv) == 0
+        grid = FrequencyGrid.linspace(lo, hi, 1001)
+        values, tau1, tau2 = closed_form(grid.values)
+        if values is None:
+            rebuilt = reconstruct(TemporalSpectrum(grid, tau1, tau2), lo, 1.0 + 0.0j)
+            values = rebuilt.values
+            assert values[0] == 1.0
+        spectrum = fileio.read_spectrum(stem + ".spectrum.csv")
+        temporal = fileio.read_temporal(stem + ".tau.csv")
+        np.testing.assert_allclose(spectrum.grid.values, grid.values, rtol=1e-12)
+        scale = np.max(np.abs(values))
+        np.testing.assert_allclose(spectrum.values, values, rtol=1e-11, atol=1e-13 * scale)
+        scale = max(np.max(np.abs(tau1)), np.max(np.abs(tau2)))
+        np.testing.assert_allclose(temporal.tau1, tau1, rtol=1e-11, atol=1e-13 * scale)
+        np.testing.assert_allclose(temporal.tau2, tau2, rtol=1e-11, atol=1e-13 * scale)
+
+    def test_barrier_kind_writes_sweep_table(self, tmp_path):
+        segments = [[2.0, 1.0], [1.0, 0.0], [2.0, 1.0]]
+        m = write_json(tmp_path / "m.json", {"type": "barrier", "segments": segments})
+        stem = str(tmp_path / "b")
+        rc = main(
+            ["model", m, "--from", "0.05", "--to", "2.95", "--points", "60", "-o", stem]
+        )
+        assert rc == 0
+        assert not os.path.exists(stem + ".spectrum.csv")
+        header, cols = fileio.read_table(stem)
+        assert header == fileio.BARRIER_HEADER
+        profile = PotentialProfile(tuple(map(tuple, segments)))
+        energies = np.linspace(0.05, 2.95, 60)
+        t = np.array([s_matrix(profile, e).t for e in energies])
+        expected = [
+            energies,
+            np.abs(t) ** 2,
+            np.angle(t),
+            [wigner_delay(profile, e, 1e-4) for e in energies],
+            [formation_time(profile, e, 1e-4) for e in energies],
+        ]
+        assert len(cols) == 5
+        for got, want in zip(cols, expected):
+            np.testing.assert_allclose(got, want, rtol=1e-11, atol=1e-13)
 
     def test_two_points_exits_2(self, tmp_path):
         m = write_json(tmp_path / "m.json", BLASCHKE_DOC)
@@ -380,6 +505,26 @@ class TestReport:
         assert "set datafile separator ','" in text
         assert text.count("plot ") == 2
         assert "tau1" in text
+
+
+class TestExitCodes:
+    """The exit code of a package error follows from its class alone."""
+
+    @pytest.mark.parametrize("name", ERROR_CLASSES)
+    def test_main_returns_the_class_exit_code(self, monkeypatch, capsys, name):
+        def fail(args):
+            raise getattr(errors, name)("boom")
+
+        monkeypatch.setattr(cli, "_cmd_extract", fail)
+        assert main(["extract", "in.csv", "-o", "out.csv"]) == expected_exit_code(name)
+        assert capsys.readouterr().err == "error: boom\n"
+
+    @pytest.mark.parametrize("name", ERROR_CLASSES)
+    def test_exit_code_attribute(self, name):
+        assert getattr(errors, name).exit_code == expected_exit_code(name)
+
+    def test_every_guard_class_exists(self):
+        assert NUMERICAL_ERRORS | DOMAIN_ERRORS <= set(ERROR_CLASSES)
 
 
 class TestGlobalFlagPlacement:

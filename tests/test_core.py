@@ -13,11 +13,13 @@ from tauspec.core import (
     extend_negative_frequencies,
     model_tau,
     reconstruct,
+    uniform_spacing,
 )
 from tauspec.errors import (
     AnchorOutOfRange,
     GridError,
     NonPositiveGrid,
+    NonUniformGrid,
     PoleProximity,
 )
 
@@ -53,6 +55,37 @@ class TestFrequencyGrid:
     def test_non_uniform_detected(self):
         g = FrequencyGrid(np.array([0.0, 1.0, 3.0, 7.0]))
         assert not g.is_uniform
+
+
+class TestUniformSpacing:
+    def test_returns_mean_step(self):
+        x = np.linspace(0.0, 1.0, 11)
+        assert uniform_spacing(x, "msg") == float(np.mean(np.diff(x)))
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            np.linspace(1.0, 0.0, 11),
+            np.array([0.0, 1.0, 3.0]),
+            np.array([0.0]),
+            np.array([0.0, 0.0, 0.0]),
+            np.array([0.0, np.nan, 2.0]),
+        ],
+        ids=["decreasing", "non-uniform", "one-node", "zero-step", "nan"],
+    )
+    def test_rejects_with_the_callers_message(self, x):
+        with pytest.raises(NonUniformGrid, match="^caller message$"):
+            uniform_spacing(x, "caller message")
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_tolerance_is_relative_to_the_step(self, scale):
+        x = scale * np.arange(5.0)
+        assert uniform_spacing(x, "msg") == pytest.approx(scale, rel=1e-12)
+        x[2] += 1e-11 * scale
+        assert uniform_spacing(x, "msg") == pytest.approx(scale, rel=1e-12)
+        x[2] += 1e-8 * scale
+        with pytest.raises(NonUniformGrid):
+            uniform_spacing(x, "msg")
 
 
 class TestContainers:

@@ -171,6 +171,30 @@ class TestKKResidual:
         assert issubclass(OriginGapTooWide, GridError)
         assert peak < 100_000
 
+    @pytest.mark.parametrize("fraction", [0.5, 0.7, -0.1, float("nan")])
+    def test_edge_fraction_outside_half_open_unit_half_rejected(self, fraction):
+        spectrum = ComplexSpectrum(FrequencyGrid.linspace(-1, 1, 10), np.ones(10))
+        with pytest.raises(ValueError, match="edge_fraction"):
+            kk_residual(spectrum, edge_fraction=fraction)
+        g = FrequencyGrid(0.1 * np.arange(1, 12))
+        with pytest.raises(ValueError, match="edge_fraction"):
+            tau_kk_residual(TemporalSpectrum(g, np.ones(11), np.zeros(11)),
+                            edge_fraction=fraction)
+
+    def test_edge_fraction_just_below_half_keeps_a_node(self):
+        spectrum = ComplexSpectrum(FrequencyGrid.linspace(-1, 1, 10), np.ones(10))
+        assert kk_residual(spectrum, edge_fraction=0.49).nodes == 2
+        assert kk_residual(spectrum, edge_fraction=0.0).nodes == 10
+
+    def test_tau_edge_bands_covering_the_origin_window_rejected(self):
+        """The padded grid has 197 nodes; dropping 19 per side leaves only
+        the zero-filled window |omega| < 8.8."""
+        g = FrequencyGrid(0.1 * np.arange(88, 99))
+        t = TemporalSpectrum(g, np.ones(11), np.zeros(11))
+        assert tau_kk_residual(t, edge_fraction=0.05).nodes > 0
+        with pytest.raises(ValueError, match="edge_fraction"):
+            tau_kk_residual(t, edge_fraction=0.1)
+
     def test_tau_variant_flags_incommensurate_grid(self):
         g = FrequencyGrid.linspace(0.0503, 3.0, 60)
         t = TemporalSpectrum(g, np.ones(60), np.zeros(60))

@@ -8,6 +8,7 @@ from tauspec.core import ComplexSpectrum, FrequencyGrid, PoleZeroModel, evaluate
 from tauspec.errors import (
     InsufficientSupport,
     NonPositiveSigma,
+    NonUniformGrid,
     PhaseJump,
     ZeroModulus,
     ZeroNorm,
@@ -22,6 +23,16 @@ from tauspec.extract import (
     temporal_wigner,
     uncertainty_product,
 )
+
+
+def reference_response(omega0, tau, sigma, r0, t, front):
+    """Both response branches written out apart, ``front`` picking
+    1 - erf (normal) or 1 + erf (anomalous)."""
+    sigma = complex(sigma) if np.iscomplexobj(np.asarray(sigma)) else float(sigma)
+    x = (np.asarray(t) - tau) / np.lib.scimath.sqrt(2.0 * sigma)
+    prefactor = r0 / np.lib.scimath.sqrt(8.0 * np.pi * sigma)
+    e = erf(x.astype(complex)) if np.iscomplexobj(x) else erf(x)
+    return prefactor * np.exp(-1j * omega0 * np.asarray(t) - x**2) * front(e)
 
 
 def blaschke_spectrum(n=4001, lo=0.25, hi=1.75, gamma=0.2):
@@ -148,6 +159,20 @@ class TestResponses:
         r = normal_response(1.0, 2.0, 0.5 + 0.2j, 1.0, np.array([3.0]))
         assert abs(r[0]) == pytest.approx(0.021345, abs=1e-5)
 
+    @pytest.mark.parametrize("sigma", [0.5, 0.5 + 0.2j, 0.3 - 0.4j])
+    def test_branches_bitwise_equal_to_reference(self, sigma):
+        t = np.linspace(-1.0, 6.0, 57)
+        pairs = [
+            (normal_response, lambda e: 1.0 - e),
+            (anomalous_response, lambda e: 1.0 + e),
+        ]
+        for branch, front in pairs:
+            expected = reference_response(1.3, 2.0, sigma, 0.7, t, front)
+            assert np.array_equal(branch(1.3, 2.0, sigma, 0.7, t), expected)
+            scalar = branch(1.3, 2.0, sigma, 0.7, 2.5)
+            assert type(scalar) is complex
+            assert scalar == complex(reference_response(1.3, 2.0, sigma, 0.7, 2.5, front))
+
     def test_nonpositive_sigma_rejected(self):
         with pytest.raises(NonPositiveSigma):
             normal_response(1.0, 2.0, -0.5, 1.0, np.array([3.0]))
@@ -181,6 +206,11 @@ class TestUncertainty:
         prod2 = (budget.delta_e * budget.delta_t) ** 2
         assert prod2 >= 0.25 + 0.25 * budget.covariance**2 - 1e-6
         assert prod2 > 1.0
+
+    def test_non_uniform_grid_rejected(self):
+        g = FrequencyGrid(np.array([-1.0, -0.5, 0.25, 1.0]))
+        with pytest.raises(NonUniformGrid, match="uncertainty_product"):
+            uncertainty_product(ComplexSpectrum(g, np.ones(4, dtype=complex)))
 
     def test_zero_norm_rejected(self):
         g = FrequencyGrid.linspace(-1.0, 1.0, 33)
@@ -221,6 +251,16 @@ class TestTemporalWigner:
         psi = np.exp(-2j * times - 0.05 * np.abs(times))
         with pytest.raises(InsufficientSupport):
             temporal_wigner(psi, times, 2.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "times",
+        [np.linspace(10.0, -10.0, 201), np.linspace(-10.0, 10.0, 201) ** 3],
+        ids=["decreasing", "non-uniform"],
+    )
+    def test_non_uniform_time_grid_rejected(self, times):
+        psi = np.exp(-np.abs(times))
+        with pytest.raises(NonUniformGrid, match="temporal_wigner"):
+            temporal_wigner(psi, times, 1.0, 0.0)
 
     def test_zero_signal_returns_zero(self):
         times = np.linspace(-10.0, 10.0, 201)

@@ -153,6 +153,12 @@ class TestModelDocuments:
         assert back.branch == doc.branch
         assert back.params == doc.params
 
+    @pytest.mark.parametrize("kind", ["barrier", "teapot"])
+    def test_sample_needs_a_spectral_kind(self, kind):
+        grid = FrequencyGrid.linspace(0.5, 1.5, 11)
+        with pytest.raises(ValueError, match="not a spectral model"):
+            ModelDocument(kind, document_cases()[-1].params).sample(grid)
+
     def test_save_is_deterministic(self, tmp_path):
         doc = document_cases()[0]
         a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
@@ -189,6 +195,15 @@ class TestModelDocuments:
         path.write_text('{"type": "teapot"}')
         with pytest.raises(ValueError, match="blaschke"):
             load_model(str(path))
+
+    def test_unknown_type_lists_exactly_the_round_trip_kinds(self, tmp_path):
+        """A new model kind must also get a case in document_cases()."""
+        path = tmp_path / "m.json"
+        path.write_text('{"type": "teapot"}')
+        with pytest.raises(ValueError) as info:
+            load_model(str(path))
+        known = str(info.value).split("(known: ")[1].rstrip(")").split(", ")
+        assert known == sorted(doc.kind for doc in document_cases())
 
     def test_unknown_field_rejected(self, tmp_path):
         path = tmp_path / "m.json"

@@ -6,6 +6,7 @@ import pytest
 from tauspec.errors import DegenerateEnergy, ZeroTransmission
 from tauspec.scatter1d import (
     PotentialProfile,
+    complex_time,
     find_resonance,
     formation_time,
     s_matrix,
@@ -126,3 +127,31 @@ class TestResonance:
         double = PotentialProfile(segments=((0.8, 1.0), (4.0, 0.0), (0.8, 1.0)))
         with pytest.raises(ValueError):
             find_resonance(double, 0.3, 0.95)
+
+
+class TestComplexTime:
+    DOUBLE = PotentialProfile(((2.0, 1.0), (1.0, 0.0), (2.0, 1.0)))
+
+    @pytest.mark.parametrize("energy", [0.05, 0.5, 0.95, 1.3, 2.7])
+    @pytest.mark.parametrize("step", [1e-4, 1e-3])
+    def test_parts_are_the_delay_and_formation_time(self, energy, step):
+        for profile in (BARRIER, self.DOUBLE):
+            tau = complex_time(profile, energy, step)
+            assert type(tau) is complex
+            assert tau == complex(
+                wigner_delay(profile, energy, step), formation_time(profile, energy, step)
+            )
+
+    def test_opaque_barrier_raises_zero_transmission(self):
+        opaque = PotentialProfile.single(width=80.0, height=1.0)
+        with pytest.raises(ZeroTransmission):
+            complex_time(opaque, 0.5)
+
+    @pytest.mark.parametrize("energy,step", [(0.5, 0.0), (0.5, -1e-4), (1e-4, 1e-4)])
+    def test_step_must_lie_below_energy(self, energy, step):
+        with pytest.raises(ValueError, match="0 < step < energy"):
+            complex_time(BARRIER, energy, step)
+
+    def test_difference_node_on_segment_height_raises(self):
+        with pytest.raises(DegenerateEnergy):
+            complex_time(BARRIER, 1.0 - 1e-3, 1e-3)
