@@ -22,12 +22,7 @@ except ModuleNotFoundError as exc:
     # Not installed: run from this checkout's src/, wherever the cwd is.
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from tauspec.scatter1d import (
-    PotentialProfile,
-    formation_time,
-    s_matrix,
-    wigner_delay,
-)
+from tauspec.scatter1d import PotentialProfile, complex_time, s_matrix
 
 
 def main(argv) -> int:
@@ -42,10 +37,9 @@ def main(argv) -> int:
     for width in np.linspace(1.0, 22.0 / kappa, 36):
         profile = PotentialProfile.single(float(width), height)
         amp = s_matrix(profile, energy)
-        delay = wigner_delay(profile, energy)
-        formation = formation_time(profile, energy)
+        tau = complex_time(profile, energy)
         print(f"{width:.4f},{kappa * width:.4f},{abs(amp.t) ** 2:.6e},"
-              f"{delay:.9f},{formation:.9f}")
+              f"{tau.real:.9f},{tau.imag:.9f}")
     return 0
 
 

@@ -72,11 +72,9 @@ from .scatter1d import (
     ScatteringMatrix1D,
     complex_time,
     find_resonance,
-    formation_time,
     s_matrix,
     transfer_matrix,
     transmission_probability,
-    wigner_delay,
 )
 
 __version__ = "0.1.0"

@@ -222,12 +222,12 @@ def _cmd_winding(args) -> int:
 
 
 def _write_barrier(profile, grid: FrequencyGrid, output: str, step: float) -> int:
-    rows = []
-    for energy in grid.values:
-        t = s_matrix(profile, float(energy)).t
-        tau = complex_time(profile, float(energy), step)
-        rows.append((abs(t) ** 2, np.angle(t), tau.real, tau.imag))
-    fileio.write_barrier_table(output, grid.values, *np.array(rows).T)
+    t = s_matrix(profile, grid.values).t
+    tau = complex_time(profile, grid.values, step)
+    fileio.write_barrier_table(
+        output, grid.values, np.hypot(t.real, t.imag) ** 2, np.angle(t),
+        tau.real, tau.imag,
+    )
     return EXIT_OK
 
 

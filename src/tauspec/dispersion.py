@@ -19,7 +19,6 @@ from .core import (
     FrequencyGrid,
     PoleZeroModel,
     TemporalSpectrum,
-    extend_negative_frequencies,
     model_tau,
     uniform_spacing,
 )
@@ -319,8 +318,9 @@ def tau_kk_residual(
         ValueError: ``edge_fraction`` outside [0, 0.5), or so wide that
             the edge bands leave no node outside the origin window.
     """
-    extended = extend_negative_frequencies(temporal)
     g = temporal.grid.values
+    if g[0] <= 0:
+        raise NonPositiveGrid("extension needs a strictly positive grid")
     h = uniform_spacing(g, "tau_kk_residual needs a uniform grid")
     k = int(round(g[0] / h))
     n = g.size
@@ -336,7 +336,7 @@ def tau_kk_residual(
     m_max = k + n - 1
     super_x = h * np.arange(-m_max, m_max + 1)
     values = np.zeros(super_x.size, dtype=complex)
-    tau_pos = extended.tau[extended.grid.values > 0]
+    tau_pos = temporal.tau
     values[m_max + k :] = tau_pos
     values[: m_max - k + 1] = np.conj(tau_pos)[::-1]
     mask = np.zeros(super_x.size, dtype=bool)
@@ -457,15 +457,11 @@ def residue_time_domain(model: PoleZeroModel, t):
         matching the shape of ``t``.
     """
     t_arr = np.asarray(t, dtype=float)
-    wn = np.array([w for w, _ in model.resonances])
-    gn = np.array([g for _, g in model.resonances])
-    if wn.size:
-        terms = -np.cos(np.multiply.outer(t_arr, wn)) * np.exp(
-            -np.multiply.outer(np.abs(t_arr), gn)
-        )
-        tau1 = np.sum(terms, axis=-1)
-    else:
-        tau1 = np.zeros_like(t_arr)
+    wn, gn = np.reshape(model.resonances, (-1, 2)).T
+    terms = -np.cos(np.multiply.outer(t_arr, wn)) * np.exp(
+        -np.multiply.outer(np.abs(t_arr), gn)
+    )
+    tau1 = np.sum(terms, axis=-1)
     tau2 = -1j * np.sign(t_arr) * tau1
     if np.ndim(t) == 0:
         return float(tau1), complex(tau2)
@@ -555,14 +551,16 @@ def winding_number(
                 "contour edge within 1e-6 of a zero or pole"
             )
 
-    total = 0.0 + 0.0j
-    for v0, v1 in zip(v[:-1], v[1:]):
-        edges = np.linspace(0.0, 1.0, samples_per_edge + 1)
-        for s0, s1 in zip(edges[:-1], edges[1:]):
-            mid = 0.5 * (s0 + s1)
-            half = 0.5 * (s1 - s0)
-            s_q = mid + half * nodes
-            z_q = v0 + (v1 - v0) * s_q
-            tau_q = model_tau(model, z_q)
-            total += (v1 - v0) * half * np.sum(weights * tau_q)
-    return float(np.real(total) / (2.0 * np.pi))
+    edges = np.linspace(0.0, 1.0, samples_per_edge + 1)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    s_q = (0.5 * (edges[:-1] + edges[1:]))[:, None] + half[:, None] * nodes
+    dv = (v[1:] - v[:-1])[:, None]
+    tau_q = model_tau(model, v[:-1, None, None] + dv[..., None] * s_q)
+    panel = np.sum(weights * tau_q, axis=-1)
+    scale = dv * half
+    # The real part, from real parts as scalar complex arithmetic rounds it,
+    # summed panel by panel in edge-then-panel order: a pairwise np.sum
+    # rounds differently and moves the last printed digit of the count.
+    terms = scale.real * panel.real - scale.imag * panel.imag
+    total = np.cumsum(np.concatenate(([0.0], terms.ravel())))[-1]
+    return float(total / (2.0 * np.pi))

@@ -73,7 +73,10 @@ def _write_rows(path: str, header: str, columns) -> None:
 
 
 def read_table(path: str):
-    """Read a csv table, returning (header, list of float columns)."""
+    """Read a csv table, returning (header, list of float columns).
+
+    A ragged row or a cell that is no number raises naming path and line.
+    """
     with open(path, "r") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines:
@@ -81,11 +84,16 @@ def read_table(path: str):
     header = lines[0]
     names = header.split(",")
     data = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != len(names):
-            raise ValueError(f"{path}: row has {len(parts)} fields, expected {len(names)}")
-        data.append([float(p) for p in parts])
+    try:
+        for ln in lines[1:]:
+            parts = ln.split(",")
+            if len(parts) != len(names):
+                raise ValueError(f"row has {len(parts)} fields, expected {len(names)}")
+            data.append([float(p) for p in parts])
+    except ValueError as exc:  # the failing row follows the parsed ones
+        with open(path, "r") as fh:
+            numbers = [no for no, ln in enumerate(fh, 1) if ln.strip()]
+        raise ValueError(f"{path}: line {numbers[len(data) + 1]}: {exc}") from None
     if not data:
         raise ValueError(f"{path}: table has no rows")
     arr = np.asarray(data, dtype=float)

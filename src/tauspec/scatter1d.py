@@ -22,8 +22,6 @@ __all__ = [
     "s_matrix",
     "transmission_probability",
     "complex_time",
-    "wigner_delay",
-    "formation_time",
     "find_resonance",
 ]
 
@@ -53,14 +51,13 @@ class PotentialProfile:
     def single(cls, width: float, height: float) -> "PotentialProfile":
         return cls(((width, height),))
 
-    @property
-    def total_width(self) -> float:
-        return float(sum(w for w, _ in self.segments))
-
 
 @dataclass(frozen=True)
 class ScatteringMatrix1D:
-    """Reflection and transmission amplitudes for both incidence sides."""
+    """Reflection and transmission amplitudes for both incidence sides.
+
+    Complex scalars at one energy, complex arrays over an energy array.
+    """
 
     r: complex
     t: complex
@@ -68,119 +65,117 @@ class ScatteringMatrix1D:
     t_prime: complex
 
     def unitarity_defect(self) -> float:
-        """Largest entry of |S^dagger S - 1| for the 2x2 amplitude matrix."""
+        """Largest entry of |S^dagger S - 1| for the 2x2 amplitude matrix,
+        over every energy."""
         s = np.array([[self.r, self.t_prime], [self.t, self.r_prime]])
-        return float(np.max(np.abs(s.conj().T @ s - np.eye(2))))
+        s = np.moveaxis(s, (0, 1), (-2, -1))
+        return float(np.max(np.abs(np.swapaxes(s.conj(), -1, -2) @ s - np.eye(2))))
 
 
-def _segment_matrix(energy: float, width: float, height: float):
-    """Scaled wavefunction-basis transfer matrix and its log-scale."""
+def _segment_matrix(energy: np.ndarray, width: float, height: float):
+    """Scaled wavefunction-basis transfer matrices (..., 2, 2) and log-scales.
+
+    Each node takes the propagating or the evanescent form by the sign of
+    energy - height; the log-scale is kappa * width on evanescent nodes.
+    """
     gap = energy - height
-    if abs(gap) < 1e-12:
+    if np.any(np.abs(gap) < 1e-12):
         raise DegenerateEnergy(
             f"energy within 1e-12 of segment height {height:g}"
         )
-    if gap > 0:
-        k = np.sqrt(gap)
-        ka = k * width
-        mat = np.array(
-            [
-                [np.cos(ka), np.sin(ka) / k],
-                [-k * np.sin(ka), np.cos(ka)],
-            ],
-            dtype=complex,
-        )
-        return mat, 0.0
-    kappa = np.sqrt(-gap)
-    q = np.exp(-2.0 * kappa * width)
-    mat = 0.5 * np.array(
-        [
-            [1.0 + q, (1.0 - q) / kappa],
-            [kappa * (1.0 - q), 1.0 + q],
-        ],
-        dtype=complex,
-    )
-    return mat, float(kappa * width)
+    above = gap > 0
+    k = np.sqrt(np.abs(gap))
+    ka = k * width
+    cos, sin = np.cos(ka), np.sin(ka)
+    q = np.exp(-2.0 * k * width)
+    mat = np.empty(gap.shape + (2, 2), dtype=complex)
+    mat[..., 0, 0] = mat[..., 1, 1] = np.where(above, cos, 0.5 * (1.0 + q))
+    mat[..., 0, 1] = np.where(above, sin / k, 0.5 * ((1.0 - q) / k))
+    mat[..., 1, 0] = np.where(above, -k * sin, 0.5 * (k * (1.0 - q)))
+    return mat, np.where(above, 0.0, ka)
 
 
-def _scaled_transfer(profile: PotentialProfile, energy: float):
-    """Amplitude-basis transfer matrix as (scaled matrix, log-scale)."""
-    if energy <= 0:
+def _scaled_transfer(profile: PotentialProfile, energy):
+    """Amplitude-basis transfer matrices as (scaled (..., 2, 2), log-scale (...))."""
+    energy = np.asarray(energy, dtype=float)
+    if np.any(energy <= 0):
         raise ValueError("energy must be positive")
     wave = np.eye(2, dtype=complex)
-    log_scale = 0.0
+    log_scale = np.zeros(energy.shape)
     for width, height in profile.segments:
         mat, extra = _segment_matrix(energy, width, height)
         wave = mat @ wave
         log_scale += extra
     k0 = np.sqrt(energy)
-    q = np.array([[1.0, 1.0], [1j * k0, -1j * k0]], dtype=complex)
-    q_inv = 0.5 * np.array([[1.0, -1j / k0], [1.0, 1j / k0]], dtype=complex)
+    q = np.ones(energy.shape + (2, 2), dtype=complex)
+    q[..., 1, 0], q[..., 1, 1] = 1j * k0, -1j * k0
+    q_inv = np.full_like(q, 0.5)
+    q_inv[..., 0, 1], q_inv[..., 1, 1] = 0.5 * (-1j / k0), 0.5 * (1j / k0)
     return q_inv @ wave @ q, log_scale
 
 
-def transfer_matrix(profile: PotentialProfile, energy: float) -> np.ndarray:
+def transfer_matrix(profile: PotentialProfile, energy) -> np.ndarray:
     """Full amplitude-basis transfer matrix across the profile.
 
     Maps (rightward, leftward) amplitudes on the left lead to those on the
     right lead, with phases referenced to the structure edges.  A free
     stretch of width a gives diag(e^{ika}, e^{-ika}).  For strongly
     forbidden profiles the entries grow like e^{kappa a}; use
-    ``s_matrix`` when only amplitudes are needed.
+    ``s_matrix`` when only amplitudes are needed.  An energy array of
+    shape (...) gives matrices of shape (..., 2, 2).
     """
     scaled, log_scale = _scaled_transfer(profile, energy)
-    return np.exp(log_scale) * scaled
+    return np.exp(log_scale)[..., None, None] * scaled
 
 
-def s_matrix(profile: PotentialProfile, energy: float) -> ScatteringMatrix1D:
-    """Scattering amplitudes at a given energy, stable under deep tunnelling."""
+def s_matrix(profile: PotentialProfile, energy) -> ScatteringMatrix1D:
+    """Scattering amplitudes, stable under deep tunnelling.
+
+    A scalar energy gives complex fields; an energy array gives complex
+    arrays of its shape.
+    """
     scaled, log_scale = _scaled_transfer(profile, energy)
-    m22 = scaled[1, 1]
+    m22 = scaled[..., 1, 1]
     t = np.exp(-log_scale) / m22
-    return ScatteringMatrix1D(
-        r=complex(-scaled[1, 0] / m22),
-        t=complex(t),
-        r_prime=complex(scaled[0, 1] / m22),
-        t_prime=complex(t),
-    )
+    fields = (-scaled[..., 1, 0] / m22, t, scaled[..., 0, 1] / m22, t)
+    if np.ndim(energy) == 0:
+        fields = tuple(complex(f) for f in fields)
+    return ScatteringMatrix1D(*fields)
 
 
-def transmission_probability(profile: PotentialProfile, energy: float) -> float:
-    return abs(s_matrix(profile, energy).t) ** 2
+def transmission_probability(profile: PotentialProfile, energy):
+    """|t|^2 at a scalar energy (float) or an energy array."""
+    t = np.asarray(s_matrix(profile, energy).t)
+    prob = np.hypot(t.real, t.imag) ** 2
+    return prob if np.ndim(energy) else prob.item()
 
 
-def complex_time(profile: PotentialProfile, energy: float, step: float = 1e-4) -> complex:
+def complex_time(profile: PotentialProfile, energy, step: float = 1e-4):
     """Complex time tau = -i d ln t / dE = tau1 + i tau2 by central difference.
 
     tau1 is the energy derivative of the transmission phase, taken through
     the complex product t(E + step) conj(t(E - step)), so it is insensitive
     to branch cuts as long as the phase moves by less than pi across
     2*step.  tau2 is minus the derivative of the log transmission modulus.
+    A scalar energy gives a complex, an energy array a complex array; both
+    are formed from real parts, which round as scalar complex arithmetic.
 
     Raises:
-        ValueError: unless 0 < step < energy.
-        ZeroTransmission: |t| below 1e-12 at either difference node.
+        ValueError: unless 0 < step < energy at every node.
+        ZeroTransmission: |t| below 1e-12 at a difference node.
     """
-    if step <= 0 or energy - step <= 0:
+    if step <= 0 or np.any(np.asarray(energy) - step <= 0):
         raise ValueError("need 0 < step < energy")
-    t_hi = s_matrix(profile, energy + step).t
-    t_lo = s_matrix(profile, energy - step).t
-    if abs(t_hi) < 1e-12 or abs(t_lo) < 1e-12:
+    t_hi = np.asarray(s_matrix(profile, np.add(energy, step)).t)
+    t_lo = np.asarray(s_matrix(profile, np.subtract(energy, step)).t)
+    hr, hi, lr, li = t_hi.real, t_hi.imag, t_lo.real, t_lo.imag
+    mod_hi, mod_lo = np.hypot(hr, hi), np.hypot(lr, li)
+    if np.any(mod_hi < 1e-12) or np.any(mod_lo < 1e-12):
         raise ZeroTransmission("transmission too small to differentiate")
-    return complex(
-        float(np.angle(t_hi * np.conj(t_lo)) / (2.0 * step)),
-        float(-(np.log(abs(t_hi)) - np.log(abs(t_lo))) / (2.0 * step)),
-    )
-
-
-def wigner_delay(profile: PotentialProfile, energy: float, step: float = 1e-4) -> float:
-    """Energy derivative of the transmission phase: ``complex_time(...).real``."""
-    return complex_time(profile, energy, step).real
-
-
-def formation_time(profile: PotentialProfile, energy: float, step: float = 1e-4) -> float:
-    """Minus the energy derivative of ln |t|: ``complex_time(...).imag``."""
-    return complex_time(profile, energy, step).imag
+    tau = np.empty(t_hi.shape, dtype=complex)
+    tau.real = np.arctan2(hi * lr - hr * li, hr * lr + hi * li) / (2.0 * step)
+    tau.imag = -(np.log(mod_hi) - np.log(mod_lo)) / (2.0 * step)
+    return tau if np.ndim(energy) else tau.item()
 
 
 def find_resonance(
@@ -201,7 +196,7 @@ def find_resonance(
     if points < 3:
         raise ValueError("need at least three scan points")
     energies = np.linspace(e_lo, e_hi, points)
-    trans = np.array([transmission_probability(profile, e) for e in energies])
+    trans = transmission_probability(profile, energies)
     peak = int(np.argmax(trans))
     if peak in (0, points - 1):
         raise ValueError("transmission peak at scan boundary; widen the window")

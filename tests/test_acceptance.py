@@ -44,12 +44,7 @@ from tauspec.physics import (
     oscillator_tau,
     photon_tau,
 )
-from tauspec.scatter1d import (
-    PotentialProfile,
-    formation_time,
-    s_matrix,
-    wigner_delay,
-)
+from tauspec.scatter1d import PotentialProfile, complex_time, s_matrix
 
 ORDER4 = ExtractionOptions(stencil_order=4)
 
@@ -264,10 +259,10 @@ def test_c10_barrier_anchor_unitarity_hartman():
     sweep = np.linspace(0.05, 2.95, 30)
     defects = [s_matrix(barrier, float(e)).unitarity_defect() for e in sweep]
     sub = sweep[sweep < 0.95]
-    tau2_sub = [formation_time(barrier, float(e)) for e in sub]
+    tau2_sub = [complex_time(barrier, float(e)).imag for e in sub]
     wide = 12.0 / kappa
-    d1 = wigner_delay(PotentialProfile.single(wide, height), energy)
-    d2 = wigner_delay(PotentialProfile.single(2 * wide, height), energy)
+    d1 = complex_time(PotentialProfile.single(wide, height), energy).real
+    d2 = complex_time(PotentialProfile.single(2 * wide, height), energy).real
     drift = abs(d2 - d1) / d1
     print(f"[C10] PASS |t|^2 = {got:.9f} vs closed form (dev {anchor_dev:.1e}, "
           f"tol 1e-5; printed 0.21079 is {printed_dev:.1e} away), unitarity "

@@ -29,12 +29,7 @@ from tauspec.physics import (
     photon_response,
     photon_tau,
 )
-from tauspec.scatter1d import (
-    PotentialProfile,
-    formation_time,
-    s_matrix,
-    wigner_delay,
-)
+from tauspec.scatter1d import PotentialProfile, complex_time, s_matrix
 
 BLASCHKE_DOC = {"type": "blaschke", "resonances": [[1.0, 0.2]]}
 
@@ -156,6 +151,21 @@ class TestExtract:
         assert np.max(np.abs(temporal.tau1)) < 1e-12
         assert np.max(np.abs(temporal.tau2)) < 1e-12
 
+    @pytest.mark.parametrize(
+        "body,line,message",
+        [
+            ("0.5,1.0,0.0\n\n0.6,x,0.0\n", 4, "could not convert string to float: 'x'"),
+            ("0.5,1.0,0.0\n0.6,1.0\n", 3, "row has 2 fields, expected 3"),
+        ],
+    )
+    def test_bad_row_named_by_file_and_line(self, tmp_path, capsys, body, line, message):
+        inp = tmp_path / "bad.csv"
+        inp.write_text(fileio.SPECTRUM_HEADER + "\n" + body)
+        out = str(tmp_path / "tau.csv")
+        assert main(["extract", str(inp), "-o", out]) == 2
+        assert capsys.readouterr().err == f"error: {inp}: line {line}: {message}\n"
+        assert not os.path.exists(out)
+
     def test_decreasing_grid_exits_2_without_output(self, tmp_path):
         inp = tmp_path / "bad.csv"
         inp.write_text(
@@ -260,13 +270,8 @@ class TestModel:
         profile = PotentialProfile(tuple(map(tuple, segments)))
         energies = np.linspace(0.05, 2.95, 60)
         t = np.array([s_matrix(profile, e).t for e in energies])
-        expected = [
-            energies,
-            np.abs(t) ** 2,
-            np.angle(t),
-            [wigner_delay(profile, e, 1e-4) for e in energies],
-            [formation_time(profile, e, 1e-4) for e in energies],
-        ]
+        tau = np.array([complex_time(profile, e, 1e-4) for e in energies])
+        expected = [energies, np.abs(t) ** 2, np.angle(t), tau.real, tau.imag]
         assert len(cols) == 5
         for got, want in zip(cols, expected):
             np.testing.assert_allclose(got, want, rtol=1e-11, atol=1e-13)

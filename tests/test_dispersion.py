@@ -30,6 +30,7 @@ from tauspec.dispersion import (
 from tauspec.errors import (
     GridError,
     InsufficientDecay,
+    NonPositiveGrid,
     NonUniformGrid,
     OriginGapTooWide,
     OriginInGrid,
@@ -195,6 +196,13 @@ class TestKKResidual:
         with pytest.raises(ValueError, match="edge_fraction"):
             tau_kk_residual(t, edge_fraction=0.1)
 
+    @pytest.mark.parametrize("start", [0.0, -0.5])
+    def test_tau_variant_needs_a_positive_grid(self, start):
+        g = FrequencyGrid.linspace(start, start + 1.0, 11)
+        t = TemporalSpectrum(g, np.ones(11), np.zeros(11))
+        with pytest.raises(NonPositiveGrid, match="strictly positive grid"):
+            tau_kk_residual(t)
+
     def test_tau_variant_flags_incommensurate_grid(self):
         g = FrequencyGrid.linspace(0.0503, 3.0, 60)
         t = TemporalSpectrum(g, np.ones(60), np.zeros(60))
@@ -291,7 +299,45 @@ class TestResidueSeries:
         assert tau2[0] == pytest.approx(np.conj(tau2[1]))
 
 
+def per_panel_winding(model, contour, samples_per_edge):
+    """The quadrature panel by panel, summed in edge-then-panel order."""
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    v = contour.vertices
+    total = 0.0 + 0.0j
+    for v0, v1 in zip(v[:-1], v[1:]):
+        edges = np.linspace(0.0, 1.0, samples_per_edge + 1)
+        for s0, s1 in zip(edges[:-1], edges[1:]):
+            mid = 0.5 * (s0 + s1)
+            half = 0.5 * (s1 - s0)
+            z_q = v0 + (v1 - v0) * (mid + half * nodes)
+            total += (v1 - v0) * half * np.sum(weights * model_tau(model, z_q))
+    return float(np.real(total) / (2.0 * np.pi))
+
+
 class TestWinding:
+    @pytest.mark.parametrize("samples", [16, 256])
+    @pytest.mark.parametrize("p", [0, 1])
+    @pytest.mark.parametrize("counterclockwise", [True, False])
+    def test_bitwise_equal_to_per_panel_loop(self, samples, p, counterclockwise):
+        model = PoleZeroModel(resonances=((1.0, 0.2), (1.7, 0.05)), p=p)
+        hexagon = 1.0 + 0.9 * np.exp(1j * np.pi / 3 * np.arange(7))
+        contours = [
+            Contour.rectangle(*rect, counterclockwise=counterclockwise)
+            for rect in [
+                (0.0, 2.0, 0.02, 1.0),
+                (0.0, 2.0, -1.0, -0.02),
+                (2.0, 3.0, 0.02, 1.0),
+                (-0.5, 2.5, -1.0, 1.0),
+            ]
+        ]
+        contours.append(
+            Contour(hexagon if counterclockwise else hexagon[::-1], counterclockwise)
+        )
+        for contour in contours:
+            got = winding_number(model, contour, samples)
+            want = per_panel_winding(model, contour, samples)
+            assert got == want and np.signbit(got) == np.signbit(want)
+
     def test_zero_pole_nothing(self):
         model = PoleZeroModel(resonances=((1.0, 0.2),))
         upper = Contour.rectangle(0.0, 2.0, 0.0, 1.0)

@@ -98,6 +98,24 @@ class TestTables:
         with pytest.raises(ValueError, match="expected 3"):
             read_table(str(path))
 
+    def test_ragged_row_named_by_path_and_line(self, tmp_path):
+        path = tmp_path / "ragged.csv"
+        path.write_text(SPECTRUM_HEADER + "\n1.0,1.0,0.0\n\n2.0,1.0\n", newline="\n")
+        with pytest.raises(ValueError) as info:
+            read_table(str(path))
+        assert str(info.value) == f"{path}: line 4: row has 2 fields, expected 3"
+
+    @pytest.mark.parametrize("cell", ["x", "", "1.0.0"])
+    def test_unparsable_cell_named_by_path_and_line(self, tmp_path, cell):
+        path = tmp_path / "cell.csv"
+        rows = ["1.0,1.0,0.0", "", "2.0,1.0,0.0", f"3.0,{cell},0.0", "4.0,1.0,0.0"]
+        path.write_text(SPECTRUM_HEADER + "\n" + "\n".join(rows) + "\n", newline="\n")
+        with pytest.raises(ValueError) as info:
+            read_table(str(path))
+        assert str(info.value) == (
+            f"{path}: line 5: could not convert string to float: {cell!r}"
+        )
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")

@@ -1,5 +1,9 @@
 """Piecewise-constant 1D scattering: transfer matrices, delays, resonances."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,11 +12,9 @@ from tauspec.scatter1d import (
     PotentialProfile,
     complex_time,
     find_resonance,
-    formation_time,
     s_matrix,
     transfer_matrix,
     transmission_probability,
-    wigner_delay,
 )
 
 BARRIER = PotentialProfile.single(width=2.0, height=1.0)
@@ -78,7 +80,7 @@ class TestFreePropagation:
     def test_delay_is_traversal_time(self):
         """With 2m = 1 group velocity is 2k, so a length L takes L/(2k)."""
         free = PotentialProfile.single(width=1.0, height=0.0)
-        assert wigner_delay(free, 1.0) == pytest.approx(0.5, rel=1e-6)
+        assert complex_time(free, 1.0).real == pytest.approx(0.5, rel=1e-6)
 
     def test_composition_matches_single_segment(self):
         split = PotentialProfile(segments=((0.7, 0.3), (1.3, 0.3)))
@@ -92,21 +94,21 @@ class TestDelays:
     def test_sub_barrier_formation_is_negative(self):
         """|t(E)| grows monotonically below the top, so tau2 < 0 there."""
         for energy in (0.2, 0.5, 0.8):
-            assert formation_time(BARRIER, energy) < 0.0
+            assert complex_time(BARRIER, energy).imag < 0.0
 
     def test_delay_at_pinned_point(self):
-        assert wigner_delay(BARRIER, 0.5) == pytest.approx(1.776771, abs=1e-4)
+        assert complex_time(BARRIER, 0.5).real == pytest.approx(1.776771, abs=1e-4)
 
     def test_hartman_saturation(self):
         kappa = np.sqrt(0.5)
-        d1 = wigner_delay(PotentialProfile.single(width=12.0 / kappa, height=1.0), 0.5)
-        d2 = wigner_delay(PotentialProfile.single(width=24.0 / kappa, height=1.0), 0.5)
+        d1 = complex_time(PotentialProfile.single(width=12.0 / kappa, height=1.0), 0.5).real
+        d2 = complex_time(PotentialProfile.single(width=24.0 / kappa, height=1.0), 0.5).real
         assert abs(d2 - d1) / d1 < 1e-4
 
     def test_opaque_barrier_blocks_delay_query(self):
         opaque = PotentialProfile.single(width=80.0, height=1.0)
         with pytest.raises(ZeroTransmission):
-            wigner_delay(opaque, 0.5)
+            complex_time(opaque, 0.5)
 
 
 class TestResonance:
@@ -121,7 +123,7 @@ class TestResonance:
         energy = find_resonance(double, 0.05, 0.95)
         assert energy == pytest.approx(0.23380356, abs=1e-4)
         assert transmission_probability(double, energy) == pytest.approx(1.0, abs=1e-6)
-        assert wigner_delay(double, energy) > 10.0
+        assert complex_time(double, energy).real > 10.0
 
     def test_boundary_peak_rejected(self):
         double = PotentialProfile(segments=((0.8, 1.0), (4.0, 0.0), (0.8, 1.0)))
@@ -132,15 +134,52 @@ class TestResonance:
 class TestComplexTime:
     DOUBLE = PotentialProfile(((2.0, 1.0), (1.0, 0.0), (2.0, 1.0)))
 
-    @pytest.mark.parametrize("energy", [0.05, 0.5, 0.95, 1.3, 2.7])
+    ENERGIES = [0.05, 0.5, 0.95, 1.3, 2.7]
+
+    @pytest.mark.parametrize("energy", ENERGIES)
     @pytest.mark.parametrize("step", [1e-4, 1e-3])
     def test_parts_are_the_delay_and_formation_time(self, energy, step):
+        """Real part: phase derivative; imaginary part: minus the derivative
+        of ln |t|; both equal to scalar complex arithmetic to the last bit."""
         for profile in (BARRIER, self.DOUBLE):
             tau = complex_time(profile, energy, step)
             assert type(tau) is complex
-            assert tau == complex(
-                wigner_delay(profile, energy, step), formation_time(profile, energy, step)
-            )
+            t_hi = s_matrix(profile, energy + step).t
+            t_lo = s_matrix(profile, energy - step).t
+            delay = np.angle(t_hi * np.conj(t_lo)) / (2.0 * step)
+            formation = -(np.log(abs(t_hi)) - np.log(abs(t_lo))) / (2.0 * step)
+            assert tau == complex(delay, formation)
+
+    @pytest.mark.parametrize("step", [1e-4, 1e-3])
+    def test_array_matches_scalar(self, step):
+        energies = np.array(self.ENERGIES)
+        for profile in (BARRIER, self.DOUBLE):
+            for func, args in (
+                (complex_time, (step,)),
+                (transmission_probability, ()),
+                (transfer_matrix, ()),
+            ):
+                batch = func(profile, energies, *args)
+                scalars = np.array([func(profile, e, *args) for e in self.ENERGIES])
+                assert np.array_equal(batch, scalars), func.__name__
+
+    def test_array_shape_is_kept(self):
+        energies = np.array(self.ENERGIES[:4]).reshape(2, 2)
+        assert transfer_matrix(self.DOUBLE, energies).shape == (2, 2, 2, 2)
+        assert complex_time(self.DOUBLE, energies).shape == (2, 2)
+        amp = s_matrix(self.DOUBLE, energies)
+        assert amp.t.shape == (2, 2)
+        assert amp.unitarity_defect() < 1e-10
+        assert type(s_matrix(self.DOUBLE, 0.5).t) is complex
+        assert type(transmission_probability(self.DOUBLE, 0.5)) is float
+
+    def test_one_bad_node_fails_the_sweep(self):
+        with pytest.raises(DegenerateEnergy, match="segment height 1"):
+            s_matrix(BARRIER, np.array([0.5, 1.0, 1.5]))
+        with pytest.raises(ValueError, match="energy must be positive"):
+            transmission_probability(BARRIER, np.array([0.5, 0.0]))
+        with pytest.raises(ValueError, match="0 < step < energy"):
+            complex_time(BARRIER, np.array([0.5, 1e-4]), 1e-4)
 
     def test_opaque_barrier_raises_zero_transmission(self):
         opaque = PotentialProfile.single(width=80.0, height=1.0)
@@ -155,3 +194,22 @@ class TestComplexTime:
     def test_difference_node_on_segment_height_raises(self):
         with pytest.raises(DegenerateEnergy):
             complex_time(BARRIER, 1.0 - 1e-3, 1e-3)
+
+
+class TestHartmanScan:
+    SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "hartman_scan.py"
+
+    def test_table(self):
+        proc = subprocess.run(
+            [sys.executable, str(self.SCRIPT)],
+            capture_output=True,
+            text=True,
+            env={"PATH": "/usr/bin:/bin"},
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "width,opacity,transmission,delay,formation"
+        rows = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+        assert rows.shape == (36, 5)
+        assert np.all(rows[:, 4] < 0.0)
+        assert rows[-1, 3] == pytest.approx(rows[-2, 3], rel=1e-6)
