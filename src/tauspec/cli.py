@@ -300,8 +300,7 @@ def _cmd_report(args) -> int:
         lines.append(f"{name}={value:.12e}  # {why}")
     text = "\n".join(lines) + "\n"
     if args.output:
-        with open(args.output, "w", newline="\n") as fh:
-            fh.write(text)
+        fileio._write_text(args.output, text)
     else:
         sys.stdout.write(text)
     if args.gnuplot:
@@ -329,8 +328,7 @@ def _write_gnuplot(path: str, tables) -> None:
         )
         lines.append(f"plot {plots}")
         lines.append("pause -1")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    fileio._write_text(path, "\n".join(lines) + "\n")
 
 
 def main(argv=None) -> int:

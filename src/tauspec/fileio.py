@@ -7,7 +7,10 @@ byte-identical files.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
+import warnings
 from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple
 
@@ -64,39 +67,95 @@ def _fmt(x: float) -> str:
     return "%.12e" % float(x)
 
 
+def _write_text(path: str, text: str) -> None:
+    """Replace ``path`` by ``text`` with LF newlines, all or nothing.
+
+    The text goes to a temporary file beside ``path``, created with the
+    mode a plain ``open(path, "w")`` gives, which is then renamed over
+    ``path``; on any failure the temporary file is removed and ``path``
+    keeps its old content.  A symbolic link is followed, and a target that
+    exists but is no regular file (a device, a pipe) is written in place.
+    """
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", newline="\n") as fh:
+            fh.write(text)
+        return
+    target = os.path.realpath(path) if os.path.islink(path) else path
+    head, tail = os.path.split(target)
+    while True:
+        tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        except FileExistsError:
+            continue
+        except OSError as exc:  # name the target, as open(path) would
+            raise OSError(exc.errno, exc.strerror, path) from None
+        break
+    try:
+        with open(fd, "w", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, target)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def _write_rows(path: str, header: str, columns) -> None:
-    rows = [",".join(_fmt(c[i]) for c in columns) for i in range(len(columns[0]))]
-    with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
-        fh.write("\n".join(rows))
-        fh.write("\n")
+    # One % over the whole block: "%.12e" of a Python float is _fmt.  A
+    # table without rows is the header and one blank line.
+    block = np.column_stack(columns).astype(float, copy=False)
+    row = ",".join(["%.12e"] * block.shape[1]) + "\n"
+    body = (row * len(block)) % tuple(block.ravel().tolist())
+    _write_text(path, header + "\n" + (body or "\n"))
+
+
+def _parse_rows(path: str, lines, start: int, width: int):
+    """Rows after the header at ``lines[start]``, one ``float`` per cell.
+
+    This is the reference parser and the error path of ``read_table``: a
+    ragged row or a cell that is no number raises naming path and line.
+    """
+    data = []
+    for number, ln in enumerate(lines[start + 1 :], start + 2):
+        ln = ln.strip()
+        if not ln:
+            continue
+        parts = ln.split(",")
+        try:
+            if len(parts) != width:
+                raise ValueError(f"row has {len(parts)} fields, expected {width}")
+            data.append([float(p) for p in parts])
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {number}: {exc}") from None
+    if not data:
+        raise ValueError(f"{path}: table has no rows")
+    return np.asarray(data, dtype=float)
 
 
 def read_table(path: str):
     """Read a csv table, returning (header, list of float columns).
 
-    A ragged row or a cell that is no number raises naming path and line.
+    numpy parses the rows; when it fails, or finds no rows or a column
+    count other than the header's, ``_parse_rows`` reads them again and
+    names the bad row.
     """
     with open(path, "r") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
+        lines = fh.readlines()
+    start = next((i for i, ln in enumerate(lines) if ln.strip()), None)
+    if start is None:
         raise ValueError(f"{path}: empty file")
-    header = lines[0]
-    names = header.split(",")
-    data = []
+    header = lines[start].strip()
+    width = len(header.split(","))
     try:
-        for ln in lines[1:]:
-            parts = ln.split(",")
-            if len(parts) != len(names):
-                raise ValueError(f"row has {len(parts)} fields, expected {len(names)}")
-            data.append([float(p) for p in parts])
-    except ValueError as exc:  # the failing row follows the parsed ones
-        with open(path, "r") as fh:
-            numbers = [no for no, ln in enumerate(fh, 1) if ln.strip()]
-        raise ValueError(f"{path}: line {numbers[len(data) + 1]}: {exc}") from None
-    if not data:
-        raise ValueError(f"{path}: table has no rows")
-    arr = np.asarray(data, dtype=float)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            arr = np.loadtxt(lines[start + 1 :], dtype=float, delimiter=",",
+                             comments=None, ndmin=2)
+    except (ValueError, Warning):
+        arr = None
+    if arr is None or len(arr) == 0 or arr.shape[1] != width:
+        arr = _parse_rows(path, lines, start, width)
     return header, [arr[:, i] for i in range(arr.shape[1])]
 
 
@@ -302,9 +361,7 @@ def save_model(path: str, document: ModelDocument) -> None:
     doc = {"type": document.kind, **entry.dump(document.params)}
     if "branch" in entry.optional:
         doc["branch"] = document.branch
-    with open(path, "w", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def format_artifact(kind: str, mapping: dict) -> str:
@@ -325,8 +382,7 @@ def format_artifact(kind: str, mapping: dict) -> str:
 
 
 def write_artifact(path: str, kind: str, mapping: dict) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(format_artifact(kind, mapping))
+    _write_text(path, format_artifact(kind, mapping))
 
 
 def read_artifact(path: str):

@@ -1,8 +1,14 @@
 """Round-trip and validation tests for the on-disk formats."""
 
+import dataclasses
+import os
+import stat
+import threading
+
 import numpy as np
 import pytest
 
+from tauspec import fileio
 from tauspec.core import (
     ComplexSpectrum,
     FrequencyGrid,
@@ -128,6 +134,24 @@ class TestTables:
         with pytest.raises(ValueError, match="no rows"):
             read_table(str(path))
 
+    def test_good_tables_take_the_numpy_path(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("well-formed table reached the fallback parser")
+
+        monkeypatch.setattr(fileio, "_parse_rows", refuse)
+        spec, temp = sample_spectrum(), sample_temporal()
+        write_spectrum(str(tmp_path / "s.csv"), spec)
+        write_temporal(str(tmp_path / "t.csv"), temp)
+        e = np.array([0.5, 1.5, 2.5])
+        write_barrier_table(str(tmp_path / "b.csv"), e, e, -e, 2 * e, 3 * e)
+        np.testing.assert_allclose(read_spectrum(str(tmp_path / "s.csv")).values,
+                                   spec.values, rtol=1e-12)
+        np.testing.assert_allclose(read_temporal(str(tmp_path / "t.csv")).tau2,
+                                   temp.tau2, rtol=1e-12)
+        header, cols = read_table(str(tmp_path / "b.csv"))
+        assert header == BARRIER_HEADER
+        np.testing.assert_allclose(np.array(cols), [e, e, -e, 2 * e, 3 * e], rtol=1e-12)
+
     def test_barrier_table_round_trip(self, tmp_path):
         path = str(tmp_path / "b.csv")
         e = np.array([0.5, 1.5, 2.5])
@@ -159,6 +183,136 @@ def document_cases():
         "barrier", PotentialProfile(((2.0, 1.0), (1.0, 0.0), (2.0, 1.0)))
     )
     return [blaschke, osc, lorentz, bw, photon, barrier]
+
+
+def per_cell_text(header, columns) -> str:
+    """Table text as formatted one cell at a time."""
+    rows = [",".join("%.12e" % float(c[i]) for c in columns) for i in range(len(columns[0]))]
+    return header + "\n" + "\n".join(rows) + "\n"
+
+
+class TestTableWriter:
+    EXTREMES = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                -1.7976931348623157e308, 1e-300, 2.2250738585072014e-308, 1.0,
+                0.1, -1 / 3, 123456789012345.0, np.inf, -np.inf, np.nan]
+
+    @pytest.mark.parametrize("n", [0, 1, 120001])
+    def test_block_format_equals_per_cell_format(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        special = np.resize(np.array(self.EXTREMES), n)
+        columns = [
+            special,
+            np.arange(n) - n // 2,
+            rng.standard_normal(n).astype(np.float32),
+            rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n),
+        ]
+        path = tmp_path / "t.csv"
+        fileio._write_rows(str(path), "a,b,c,d", columns)
+        assert path.read_bytes() == per_cell_text("a,b,c,d", columns).encode()
+
+
+class TestAtomicWrites:
+    OLD = b"old content\n"
+
+    class Unprintable:
+        def __str__(self):
+            raise RuntimeError("formatting failed")
+
+        def __float__(self):
+            raise RuntimeError("formatting failed")
+
+    @dataclasses.dataclass(frozen=True)
+    class HalfJson:
+        omega0: float = 1.0
+        gamma: object = dataclasses.field(default_factory=object)
+
+    def write_cases(self):
+        """Writers that fail partway through formatting or encoding."""
+        bad = self.Unprintable()
+        cols = [np.arange(4.0), np.array([1.0, 2.0, bad, 4.0], dtype=object)]
+        return {
+            "table": lambda p: fileio._write_rows(p, "a,b", cols),
+            "artifact": lambda p: write_artifact(p, "check", {"a": 1.0, "m": bad, "z": 2}),
+            "model": lambda p: save_model(p, ModelDocument("oscillator", self.HalfJson())),
+            "encoding": lambda p: fileio._write_text(p, "x" * 100000 + "\ud800"),
+        }
+
+    @pytest.mark.parametrize("case", ["table", "artifact", "model", "encoding"])
+    def test_failed_write_keeps_old_file(self, tmp_path, case):
+        path = tmp_path / "out"
+        path.write_bytes(self.OLD)
+        with pytest.raises((RuntimeError, TypeError, UnicodeEncodeError)):
+            self.write_cases()[case](str(path))
+        assert path.read_bytes() == self.OLD
+        assert os.listdir(tmp_path) == ["out"]
+
+    def test_failed_rename_leaves_no_temporary_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "out"
+        path.write_bytes(self.OLD)
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(fileio.os, "replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            write_spectrum(str(path), sample_spectrum())
+        assert path.read_bytes() == self.OLD
+        assert os.listdir(tmp_path) == ["out"]
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=oct)
+    def test_new_file_mode_matches_plain_open(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            fileio._write_text(str(tmp_path / "new"), "text\n")
+            with open(tmp_path / "plain", "w"):
+                pass
+        finally:
+            os.umask(old)
+        assert os.stat(tmp_path / "new").st_mode == os.stat(tmp_path / "plain").st_mode
+
+    def test_replaces_a_longer_existing_file(self, tmp_path):
+        path = tmp_path / "out"
+        path.write_bytes(self.OLD * 100)
+        fileio._write_text(str(path), "a\nb\n")
+        assert path.read_bytes() == b"a\nb\n"
+        assert os.listdir(tmp_path) == ["out"]
+
+    def test_symlink_is_followed(self, tmp_path):
+        target = tmp_path / "target"
+        target.write_bytes(self.OLD)
+        link = tmp_path / "link"
+        link.symlink_to(target)
+        fileio._write_text(str(link), "new\n")
+        assert link.is_symlink()
+        assert target.read_bytes() == b"new\n"
+        assert sorted(os.listdir(tmp_path)) == ["link", "target"]
+
+    def test_fifo_is_written_in_place(self, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()),
+                                  daemon=True)
+        reader.start()
+        fileio._write_text(str(fifo), "through\n")
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert received == [b"through\n"]
+
+    def test_errors_name_the_target(self, tmp_path):
+        missing = str(tmp_path / "no-such-dir" / "out")
+        with pytest.raises(FileNotFoundError) as info:
+            fileio._write_text(missing, "x")
+        assert info.value.filename == missing
+        with pytest.raises(IsADirectoryError) as info:
+            fileio._write_text(str(tmp_path), "x")
+        assert info.value.filename == str(tmp_path)
+        as_dir = str(tmp_path / "new-dir") + os.sep
+        with pytest.raises(FileNotFoundError) as info:
+            fileio._write_text(as_dir, "x")
+        assert info.value.filename == as_dir
+        assert os.listdir(tmp_path) == []
 
 
 class TestModelDocuments:

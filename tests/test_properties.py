@@ -21,7 +21,7 @@ from tauspec.core import (
 from tauspec.dispersion import Contour, residue_time_domain, winding_number
 from tauspec.errors import GridError
 from tauspec.extract import ExtractionOptions, extract_temporal, uncertainty_product
-from tauspec.fileio import format_artifact
+from tauspec.fileio import format_artifact, read_table
 from tauspec.physics import (
     TwoLevelParams,
     breit_wigner_tau,
@@ -286,3 +286,96 @@ class TestGridsAndArtifacts:
         assert text == format_artifact("check", mapping)
         keys = [line.split("=", 1)[0] for line in text.splitlines()[1:]]
         assert keys == sorted(keys)
+
+
+def loop_read_table(path):
+    """The per-cell ``float`` parser that ``read_table`` replaced, kept as
+    the reference for its numpy path."""
+    with open(path, "r") as fh:
+        lines = [ln.strip() for ln in fh if ln.strip()]
+    if not lines:
+        raise ValueError(f"{path}: empty file")
+    header = lines[0]
+    names = header.split(",")
+    data = []
+    try:
+        for ln in lines[1:]:
+            parts = ln.split(",")
+            if len(parts) != len(names):
+                raise ValueError(f"row has {len(parts)} fields, expected {len(names)}")
+            data.append([float(p) for p in parts])
+    except ValueError as exc:
+        with open(path, "r") as fh:
+            numbers = [no for no, ln in enumerate(fh, 1) if ln.strip()]
+        raise ValueError(f"{path}: line {numbers[len(data) + 1]}: {exc}") from None
+    if not data:
+        raise ValueError(f"{path}: table has no rows")
+    arr = np.asarray(data, dtype=float)
+    return header, [arr[:, i] for i in range(arr.shape[1])]
+
+
+# Cells as writers print them, and cells that only float() or neither
+# parser accepts: underscores, non-ASCII digits, comment marks, hex,
+# inf/nan spellings, stray whitespace, NUL and empty cells.
+number_cells = st.one_of(
+    st.floats(width=64).map(lambda x: "%.12e" % x),
+    st.floats(width=64).map(repr),
+    st.floats(width=64).map(lambda x: "%.17g" % x),
+    st.integers(min_value=-(10**20), max_value=10**20).map(str),
+)
+odd_cells = st.one_of(
+    st.text(alphabet="0123456789+-.eE_# \t", max_size=8),
+    st.sampled_from([
+        "", " ", "inf", "-inf", "+Infinity", "iNfInItY", "nan", "-NaN", "+nan",
+        "nan(1)", "1_0", "1__0", "_1", "\u0661", "1\u0660", "0x10", "1e400",
+        "-1e-400", "1.", ".5", ".", "e5", "1e", "1e+", "# 1", "1 2", " 1 ",
+        "\t-0.0\t", "1\x0c", "\x0b2", "1\x00", "1d0", "\u00a01",
+    ]),
+)
+any_cells = st.one_of(number_cells, number_cells, number_cells, odd_cells)
+
+
+@st.composite
+def csv_tables(draw):
+    """Table text: a header of 1-4 names, then rows (as wide as the header
+    or all one other width), ragged rows, trailing commas, blank lines."""
+    width = draw(st.integers(min_value=1, max_value=4))
+    row_width = draw(st.sampled_from([width] * 4 + [width + 1, max(width - 1, 1)]))
+    cells = draw(st.sampled_from([number_cells, any_cells]))
+    lines = [",".join("abcd"[:width])]
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        kind = draw(st.sampled_from(["row"] * 8 + ["ragged", "comma", "blank", "blank"]))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", " ", "\t", "  \t "])))
+            continue
+        n = row_width if kind != "ragged" else draw(st.integers(min_value=1, max_value=5))
+        row = ",".join(draw(st.lists(cells, min_size=n, max_size=n)))
+        lines.append(row + ("," if kind == "comma" else ""))
+    lead = draw(st.sampled_from(["", "\n", " \n"]))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return lead + end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+@pytest.fixture(scope="module")
+def table_path(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("tables") / "t.csv")
+
+
+class TestReadTable:
+    @settings(max_examples=300, deadline=None)
+    @given(text=csv_tables())
+    def test_numpy_path_matches_the_float_loop(self, table_path, text):
+        with open(table_path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        try:
+            want = loop_read_table(table_path)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                read_table(table_path)
+            assert str(info.value) == str(exc)
+            return
+        header, cols = read_table(table_path)
+        assert header == want[0]
+        assert len(cols) == len(want[1])
+        for got, ref in zip(cols, want[1]):
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64))
