@@ -80,70 +80,22 @@ class KKReport:
             raise ValueError("origin_gap must be non-negative")
 
 
-def _good_size(n: int) -> int:
-    """Smallest 2-3-5-7-11-smooth integer >= n.
-
-    pocketfft's ``good_size`` for complex transforms, which is what
-    ``scipy.fft.next_fast_len(n, real=False)`` returns.
-    """
-    if n <= 12:
-        return n
-    best = 2 * n
-    f11 = 1
-    while f11 < best:
-        f117 = f11
-        while f117 < best:
-            x = f117
-            while x < best:
-                # Walk the products x * 2**i * 3**j from just above n down.
-                y = x
-                while y < n:
-                    y *= 2
-                while True:
-                    if y < n:
-                        y *= 3
-                    elif y > n:
-                        best = min(best, y)
-                        if y & 1:
-                            break
-                        y >>= 1
-                    else:
-                        return n
-                x *= 5
-            f117 *= 7
-        f11 *= 11
-    return best
-
-
 def _skip_node_sums(values: np.ndarray) -> np.ndarray:
     """Trapezoid sums S_i = sum_{j != i} w_j f_j / (i - j), w half at ends.
 
-    The convolution repeats ``scipy.signal.fftconvolve`` step for step, so
-    the sums match it bit for bit: both operands padded to the complex fast
-    length of the full convolution, and the real kernel's spectrum taken as
-    a half spectrum completed by its Hermitian mirror, as scipy's complex
-    transform of real input does.  A plain complex FFT of the kernel
-    differs in the last bits.
+    One complex FFT convolution of w f with the kernel 1/m, 0 < |m| < n.
+    Any length of at least 2n - 1 leaves the wrap-around in outputs that
+    are sliced away; the next power of two is the fastest such length.
     """
     n = values.size
-    m = np.arange(-(n - 1), n, dtype=float)
-    kernel = np.zeros(2 * n - 1)
-    nz = m != 0
-    kernel[nz] = 1.0 / m[nz]
-    size = _good_size(3 * n - 2)
-    half = np.fft.rfft(kernel, size)
-    kernel_spectrum = np.concatenate(
-        [half, np.conj(half[1 : size - half.size + 1][::-1])]
-    )
-    spectrum = np.fft.fft(values.astype(complex), size)
-    out = np.fft.ifft(spectrum * kernel_spectrum)[n - 1 : 2 * n - 1]
-    idx = np.arange(n, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        left = 0.5 * values[0] / idx
-        right = 0.5 * values[-1] / (idx - (n - 1))
-    left[0] = 0.0
-    right[-1] = 0.0
-    return out - left - right
+    with np.errstate(divide="ignore"):
+        kernel = 1.0 / np.arange(-(n - 1), n, dtype=float)
+    kernel[n - 1] = 0.0
+    weighted = np.array(values, dtype=complex)
+    weighted[[0, -1]] *= 0.5
+    size = 1 << (2 * n - 2).bit_length()
+    spectrum = np.fft.fft(weighted, size) * np.fft.fft(kernel, size)
+    return np.fft.ifft(spectrum)[n - 1 : 2 * n - 1]
 
 
 def _pv_core(values: np.ndarray) -> np.ndarray:
@@ -155,18 +107,21 @@ def _pv_core(values: np.ndarray) -> np.ndarray:
     reduces to endpoint terms: the rule stays accurate across sharp
     resonances instead of degrading with the local curvature.  The two
     end nodes fall back to the skip-node sum; they are edge-band anyway.
+    The skip-node sums of f = 1 are harmonic numbers, H_i - H_{n-1-i},
+    less the half-weight end terms.
     """
     n = values.size
     s1 = _skip_node_sums(values)
-    ones_sums = _skip_node_sums(np.ones(n)).real
     out = np.empty(n, dtype=complex)
     out[0] = s1[0]
     out[-1] = s1[-1]
     idx = np.arange(1, n - 1, dtype=float)
+    harmonic = np.concatenate(([0.0], np.cumsum(1.0 / np.arange(1, n))))
+    ones_sums = harmonic[1:-1] - harmonic[-2:0:-1] - 0.5 / idx + 0.5 / (n - 1 - idx)
     log_kernel = np.log(idx / (n - 1 - idx))
     centre = 0.5 * (values[2:] - values[:-2])
     mid = slice(1, n - 1)
-    out[mid] = s1[mid] - values[mid] * ones_sums[mid] - centre + values[mid] * log_kernel
+    out[mid] = s1[mid] - values[mid] * ones_sums - centre + values[mid] * log_kernel
     return out
 
 

@@ -110,6 +110,30 @@ def _write_rows(path: str, header: str, columns) -> None:
     _write_text(path, header + "\n" + (body or "\n"))
 
 
+@contextlib.contextmanager
+def _open_text(path: str):
+    """``open(path, "r")``, where a byte that does not decode raises a
+    ValueError naming the file, the line and the position in that line."""
+    try:
+        with open(path, "r") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        # Its positions count from the decoder's chunk: decode the file whole.
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:
+            data.decode(exc.encoding)
+        except UnicodeDecodeError as whole:
+            exc = whole
+        # Lines end as in text mode: at LF, CR LF or CR.
+        head = data[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        cut = exc.start - (len(head) - head.rfind(b"\n") - 1)
+        in_line = UnicodeDecodeError(exc.encoding, data[cut : exc.end],
+                                     exc.start - cut, exc.end - cut, exc.reason)
+        line = head.count(b"\n") + 1
+        raise ValueError(f"{path}: line {line}: {in_line}") from None
+
+
 def _parse_rows(path: str, lines, start: int, width: int):
     """Rows after the header at ``lines[start]``, one ``float`` per cell.
 
@@ -140,7 +164,7 @@ def read_table(path: str):
     count other than the header's, ``_parse_rows`` reads them again and
     names the bad row.
     """
-    with open(path, "r") as fh:
+    with _open_text(path) as fh:
         lines = fh.readlines()
     start = next((i for i, ln in enumerate(lines) if ln.strip()), None)
     if start is None:
@@ -164,7 +188,9 @@ def read_spectrum(path: str) -> ComplexSpectrum:
     if header != SPECTRUM_HEADER:
         raise ValueError(f"{path}: expected header {SPECTRUM_HEADER!r}, got {header!r}")
     grid = FrequencyGrid(cols[0])
-    return ComplexSpectrum(grid, cols[1] + 1j * cols[2])
+    values = cols[1].astype(complex)
+    values.imag = cols[2]  # not 1j * im: an inf would warn before the check
+    return ComplexSpectrum(grid, values)
 
 
 def write_spectrum(path: str, spectrum: ComplexSpectrum) -> None:
@@ -333,7 +359,7 @@ def load_model(path: str) -> ModelDocument:
     Every parameter invariant is re-checked on load by constructing the
     corresponding parameter object; unknown fields are rejected.
     """
-    with open(path, "r") as fh:
+    with _open_text(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: model document must be a JSON object")
@@ -387,7 +413,7 @@ def write_artifact(path: str, kind: str, mapping: dict) -> None:
 
 def read_artifact(path: str):
     """Read an artifact file, returning (kind, ordered key/value dict)."""
-    with open(path, "r") as fh:
+    with _open_text(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     if not lines or not lines[0].startswith(ARTIFACT_PREFIX):
         raise ValueError(f"{path}: not an artifact file")
@@ -404,7 +430,7 @@ def read_artifact(path: str):
 
 def detect_format(path: str) -> str:
     """Classify a file by its first non-empty line."""
-    with open(path, "r") as fh:
+    with _open_text(path) as fh:
         first = ""
         for ln in fh:
             if ln.strip():

@@ -181,29 +181,27 @@ def complex_time(profile: PotentialProfile, energy, step: float = 1e-4):
 def find_resonance(
     profile: PotentialProfile, e_lo: float, e_hi: float, points: int = 201
 ) -> float:
-    """Locate a transmission maximum by scan plus golden-section refinement.
+    """Locate a transmission maximum by a scan plus zoomed rescans.
 
-    Scans ``points`` energies on [e_lo, e_hi], brackets the best interior
-    node, and polishes with a golden-section search.
+    Scans ``points`` energies on [e_lo, e_hi] and takes the best interior
+    node.  Each further round rescans the bracket between that node's two
+    neighbours with max(points, 5) energies, until the bracket spans at
+    most 1.5e-8 of the peak energy.
 
     Raises:
         ValueError: the scan peak sits on the window boundary.
     """
-    from scipy.optimize import minimize_scalar  # lazy: off the import path
-
     if not (0 < e_lo < e_hi):
         raise ValueError("need 0 < e_lo < e_hi")
     if points < 3:
         raise ValueError("need at least three scan points")
     energies = np.linspace(e_lo, e_hi, points)
-    trans = transmission_probability(profile, energies)
-    peak = int(np.argmax(trans))
+    peak = int(np.argmax(transmission_probability(profile, energies)))
     if peak in (0, points - 1):
         raise ValueError("transmission peak at scan boundary; widen the window")
-    bracket = (energies[peak - 1], energies[peak], energies[peak + 1])
-    result = minimize_scalar(
-        lambda e: -transmission_probability(profile, e),
-        bracket=bracket,
-        method="golden",
-    )
-    return float(result.x)
+    zoom = max(points, 5)
+    while energies[peak + 1] - energies[peak - 1] > 1.5e-8 * energies[peak]:
+        energies = np.linspace(energies[peak - 1], energies[peak + 1], zoom)
+        peak = int(np.argmax(transmission_probability(profile, energies)))
+        peak = min(max(peak, 1), zoom - 2)
+    return float(energies[peak])

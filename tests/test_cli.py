@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -510,6 +511,70 @@ class TestReport:
         assert "set datafile separator ','" in text
         assert text.count("plot ") == 2
         assert "tau1" in text
+
+
+def bad_byte_table(tmp_path, rows):
+    """A spectrum header and ``rows`` rows, the third row from the end with
+    the byte 0xe9 after the '1.' of its re cell; returns the path and the
+    1-based file line of that byte."""
+    lines = [b"%d.0,1.0,0.0\n" % i for i in range(rows)]
+    lines[-3] = b"%d.0,1.\xe9,0.0\n" % (rows - 3)
+    path = tmp_path / "bad.csv"
+    path.write_bytes(fileio.SPECTRUM_HEADER.encode() + b"\n" + b"".join(lines))
+    return str(path), rows - 1
+
+
+VERB_ARGV = {
+    "extract": lambda inp, tmp_path: ["extract", inp, "-o", str(tmp_path / "t.csv")],
+    "kk": lambda inp, tmp_path: ["kk", inp],
+    "report": lambda inp, tmp_path: ["report", inp],
+}
+
+
+class TestInputErrors:
+    """Bad input bytes and values exit 2 with one message on stderr."""
+
+    @pytest.mark.parametrize("verb", sorted(VERB_ARGV))
+    def test_infinite_im_cell_raises_no_warning(self, tmp_path, capsys, verb):
+        inp = tmp_path / "inf.csv"
+        inp.write_text(fileio.SPECTRUM_HEADER + "\n0,1,0\n1,1,0\n2,1,-Infinity\n3,1,0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(VERB_ARGV[verb](str(inp), tmp_path)) == 2
+        assert capsys.readouterr().err == "error: spectrum contains non-finite values\n"
+
+    @pytest.mark.parametrize("verb", sorted(VERB_ARGV))
+    @pytest.mark.parametrize("rows", [4, 3001])
+    def test_undecodable_byte_named_by_file_and_line(self, tmp_path, capsys, verb, rows):
+        """The position counts within the line, not within a decode chunk.
+        Four rows put the bad byte on line 3; 3001 rows, past the first 8 kB."""
+        inp, line = bad_byte_table(tmp_path, rows)
+        column = len(b"%d.0,1." % (rows - 3))
+        assert main(VERB_ARGV[verb](inp, tmp_path)) == 2
+        assert capsys.readouterr().err == (
+            f"error: {inp}: line {line}: 'utf-8' codec can't decode byte 0xe9 "
+            f"in position {column}: invalid continuation byte\n"
+        )
+
+    def test_undecodable_model_named_by_file_and_line(self, tmp_path, capsys):
+        inp = tmp_path / "m.json"
+        inp.write_bytes(b'{"type": "oscillator",\n "omega0": 1.0, "gamma": 0.2,\n "x": "\xe9"}\n')
+        argv = ["model", str(inp), "--from", "0.5", "--to", "1.5", "--points", "11",
+                "-o", str(tmp_path / "m")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {inp}: line 3: 'utf-8' codec can't decode byte 0xe9 "
+            "in position 7: invalid continuation byte\n"
+        )
+
+    def test_undecodable_artifact_named_by_file_and_line(self, tmp_path, capsys):
+        inp = tmp_path / "a.txt"
+        inp.write_bytes(b"# tauspec:kk v1\r\nnodes=3\r\nname=\xff\r\n")
+        assert main(["report", str(inp)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {inp}: line 3: 'utf-8' codec can't decode byte 0xff "
+            "in position 5: invalid start byte\n"
+        )
 
 
 class TestExitCodes:

@@ -18,6 +18,7 @@ from tauspec.scatter1d import (
 )
 
 BARRIER = PotentialProfile.single(width=2.0, height=1.0)
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def analytic_barrier_transmission(energy, height, width):
@@ -129,6 +130,25 @@ class TestResonance:
         double = PotentialProfile(segments=((0.8, 1.0), (4.0, 0.0), (0.8, 1.0)))
         with pytest.raises(ValueError):
             find_resonance(double, 0.3, 0.95)
+
+    def test_three_point_scan_still_refines(self):
+        """Rescans use at least five nodes, so a three-node bracket shrinks."""
+        energy = find_resonance(BARRIER, 2.0, 5.0, points=3)
+        assert energy == pytest.approx(1.0 + (np.pi / 2.0) ** 2, rel=1e-6)
+
+    def test_loads_no_scipy(self):
+        probe = (
+            "import sys\n"
+            "from tauspec.scatter1d import PotentialProfile, find_resonance\n"
+            "find_resonance(PotentialProfile.single(2.0, 1.0), 2.0, 5.0)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": str(SRC)}
+        proc = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env, capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert proc.stdout.splitlines()[-1] == "[]"
 
 
 class TestComplexTime:
