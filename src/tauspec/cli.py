@@ -260,11 +260,14 @@ def _summarise_table(fmt: str, path: str) -> dict:
             "omega_min": float(temporal.grid.values[0]),
         }
     header, cols = fileio.read_table(path)
+    energies = FrequencyGrid(cols[0]).values
+    if not np.all(np.isfinite(cols[1:])):
+        raise ValueError(f"{path}: barrier table contains non-finite values")
     return {
-        "energy_max": float(cols[0][-1]),
-        "energy_min": float(cols[0][0]),
+        "energy_max": float(energies[-1]),
+        "energy_min": float(energies[0]),
         "format": fmt,
-        "nodes": int(cols[0].size),
+        "nodes": int(energies.size),
         "transmission_max": float(np.max(cols[1])),
         "transmission_min": float(np.min(cols[1])),
     }

@@ -114,13 +114,6 @@ class ComplexSpectrum:
             raise GridError("spectrum contains non-finite values")
         object.__setattr__(self, "values", arr)
 
-    def modulus(self) -> np.ndarray:
-        return np.abs(self.values)
-
-    def phase(self) -> np.ndarray:
-        """Wrapped phase in (-pi, pi]; unwrapping is the extractor's job."""
-        return np.angle(self.values)
-
 
 @dataclass(frozen=True)
 class TemporalSpectrum:

@@ -301,13 +301,7 @@ def temporal_wigner(
     lags = h * np.arange(n_lag + 1)
 
     def sample(points):
-        if periodic:
-            re = np.interp(points, times, psi.real, period=span)
-            im = np.interp(points, times, psi.imag, period=span)
-        else:
-            re = np.interp(points, times, psi.real)
-            im = np.interp(points, times, psi.imag)
-        return re + 1j * im
+        return np.interp(points, times, psi, period=span if periodic else None)
 
     om = omega if branch == "+" else -omega
     integrand = (

@@ -8,6 +8,7 @@ byte-identical files.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import os
 import warnings
@@ -160,9 +161,9 @@ def _parse_rows(path: str, lines, start: int, width: int):
 def read_table(path: str):
     """Read a csv table, returning (header, list of float columns).
 
-    numpy parses the rows; when it fails, or finds no rows or a column
-    count other than the header's, ``_parse_rows`` reads them again and
-    names the bad row.
+    numpy parses the rows that are not blank; when it fails, or finds no
+    rows or a column count other than the header's, ``_parse_rows`` reads
+    them again and names the bad row.
     """
     with _open_text(path) as fh:
         lines = fh.readlines()
@@ -174,8 +175,8 @@ def read_table(path: str):
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            arr = np.loadtxt(lines[start + 1 :], dtype=float, delimiter=",",
-                             comments=None, ndmin=2)
+            rows = itertools.filterfalse(str.isspace, lines[start + 1 :])
+            arr = np.loadtxt(rows, dtype=float, delimiter=",", comments=None, ndmin=2)
     except (ValueError, Warning):
         arr = None
     if arr is None or len(arr) == 0 or arr.shape[1] != width:
@@ -250,13 +251,20 @@ def _reconstructed(grid: FrequencyGrid, tau1, tau2):
     return reconstruct(temporal, float(grid.values[0]), 1.0 + 0.0j).values, tau1, tau2
 
 
+def _integer(value, what: str) -> int:
+    number = float(value)
+    if not number.is_integer():
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(number)
+
+
 def _load_blaschke(doc: dict, path: str) -> PoleZeroModel:
     scale = _pair(doc.get("scale", [1.0, 0.0]), "scale")
     return PoleZeroModel(
         scale=complex(*scale),
-        p=int(doc.get("p", 0)),
+        p=_integer(doc.get("p", 0), f"{path}: p"),
         resonances=tuple(_pair(item, "resonance") for item in doc["resonances"]),
-        prefactor_sign=int(doc.get("prefactor_sign", 1)),
+        prefactor_sign=_integer(doc.get("prefactor_sign", 1), f"{path}: prefactor_sign"),
     )
 
 
@@ -375,8 +383,12 @@ def load_model(path: str) -> ModelDocument:
     missing = entry.required - fields
     if missing:
         raise ValueError(f"missing field {sorted(missing)[0]!r} for model type {kind!r}")
+    try:
+        params = entry.load(doc, path)
+    except TypeError as exc:  # a field of the wrong JSON type
+        raise ValueError(f"{path}: {exc}") from None
     # The branch belongs to the document; only a kind that lists it may set it.
-    return ModelDocument(kind, entry.load(doc, path), doc.get("branch", "lower"))
+    return ModelDocument(kind, params, doc.get("branch", "lower"))
 
 
 def save_model(path: str, document: ModelDocument) -> None:

@@ -530,6 +530,17 @@ VERB_ARGV = {
     "report": lambda inp, tmp_path: ["report", inp],
 }
 
+# Model documents whose fields have the wrong JSON type or a fractional
+# integer; each must exit 2 with a one-line message.
+WRONGLY_TYPED_MODELS = {
+    "omega0-list": {"type": "oscillator", "omega0": [1], "gamma": 0.1},
+    "omega0-null": {"type": "oscillator", "omega0": None, "gamma": 0.1},
+    "resonances-number": {"type": "blaschke", "resonances": 5},
+    "segment-nested": {"type": "barrier", "segments": [[1, [2]]]},
+    "p-fraction": {**BLASCHKE_DOC, "p": 1.5},
+    "prefactor_sign-fraction": {**BLASCHKE_DOC, "prefactor_sign": 1.5},
+}
+
 
 class TestInputErrors:
     """Bad input bytes and values exit 2 with one message on stderr."""
@@ -566,6 +577,25 @@ class TestInputErrors:
             f"error: {inp}: line 3: 'utf-8' codec can't decode byte 0xe9 "
             "in position 7: invalid continuation byte\n"
         )
+
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_barrier_table_rejected_by_report(self, tmp_path, capsys, cell):
+        inp = tmp_path / "b.csv"
+        rows = [f"0.1,{cell},0,1,2", "0.2,0.5,0,1,2", "0.3,0.5,0,1,2"]
+        inp.write_text(fileio.BARRIER_HEADER + "\n" + "\n".join(rows) + "\n")
+        assert main(["report", str(inp)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {inp}: barrier table contains non-finite values\n"
+        )
+
+    @pytest.mark.parametrize("name", sorted(WRONGLY_TYPED_MODELS))
+    def test_wrongly_typed_model_field_exits_2(self, tmp_path, capsys, name):
+        inp = write_json(tmp_path / "m.json", WRONGLY_TYPED_MODELS[name])
+        argv = ["model", inp, "--from", "0.5", "--to", "1.5", "--points", "11",
+                "-o", str(tmp_path / "m")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_undecodable_artifact_named_by_file_and_line(self, tmp_path, capsys):
         inp = tmp_path / "a.txt"

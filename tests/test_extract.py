@@ -119,6 +119,46 @@ class TestBroadening:
         out = broadening(spec)
         assert np.max(np.abs(out.sigma[4:-4])) < 1e-8
 
+    def test_order2_nonuniform_quadratic_exact_at_every_node(self):
+        """ln S = c w^2 + i w has curvature 2c at every node, ends included."""
+        x = np.cumsum(np.r_[-2.0, 0.01 + 0.04 * np.random.default_rng(7).random(120)])
+        c = -0.05 + 0.3j
+        spec = ComplexSpectrum(FrequencyGrid(x), np.exp(c * x**2 + 1j * x))
+        assert not spec.grid.is_uniform
+        out = broadening(spec)
+        np.testing.assert_allclose(out.sigma, -2.0 * c, rtol=0, atol=1e-9)
+
+    def test_order2_ends_take_the_one_sided_three_point_rule(self):
+        """On a cubic each end gets the curvature of the parabola through
+        the three nodes nearest it."""
+        x = np.array([0.0, 0.03, 0.05, 0.11, 0.16, 0.2, 0.28, 0.31])
+        log_s = (0.4 - 0.2j) * x**3 + 0.5j * x**2 + 1j * x
+        out = broadening(ComplexSpectrum(FrequencyGrid(x), np.exp(log_s)))
+        for ends, node in ((slice(0, 3), 0), (slice(-3, None), -1)):
+            fit = 2.0 * np.polyfit(x[ends], log_s[ends], 2)[0]
+            assert abs(out.sigma[node] + fit) < 1e-9
+
+    def test_order4_uniform_quintic_exact_at_every_node(self):
+        """The 5-point stencil and its 6-point closures are exact on quintics."""
+        g = FrequencyGrid.linspace(-1.0, 1.0, 41)
+        w = g.values
+        coeffs = [0.2, 0.5j, -0.3 + 0.1j, 0.15, -0.1j, 0.05 + 0.02j]
+        log_s = np.polynomial.polynomial.polyval(w, coeffs)
+        exact = np.polynomial.polynomial.polyval(
+            w, np.polynomial.polynomial.polyder(coeffs, 2)
+        )
+        out = broadening(ComplexSpectrum(g, np.exp(log_s)), ExtractionOptions(stencil_order=4))
+        np.testing.assert_allclose(out.sigma, -exact, rtol=0, atol=1e-9)
+
+    def test_order4_needs_six_nodes(self):
+        opts = ExtractionOptions(stencil_order=4)
+        five = FrequencyGrid.linspace(0.0, 1.0, 5)
+        with pytest.raises(ValueError, match="needs >= 6 nodes"):
+            broadening(ComplexSpectrum(five, np.exp(1j * five.values)), opts)
+        six = FrequencyGrid.linspace(0.0, 1.0, 6)
+        out = broadening(ComplexSpectrum(six, np.exp(0.5 * six.values**2 + 0j)), opts)
+        np.testing.assert_allclose(out.sigma, -1.0, rtol=0, atol=1e-9)
+
 
 class TestResponses:
     def test_normal_amplitude_oracle(self):

@@ -152,6 +152,23 @@ class TestTables:
         assert header == BARRIER_HEADER
         np.testing.assert_allclose(np.array(cols), [e, e, -e, 2 * e, 3 * e], rtol=1e-12)
 
+    def test_whitespace_only_line_takes_the_numpy_path(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a whitespace-only line reached the fallback parser")
+
+        monkeypatch.setattr(fileio, "_parse_rows", refuse)
+        path = tmp_path / "s.csv"
+        path.write_text(SPECTRUM_HEADER + "\n0,1,2\n   \n1,3,4\n\t\n2,5,6\n")
+        header, cols = read_table(str(path))
+        assert header == SPECTRUM_HEADER
+        np.testing.assert_array_equal(np.array(cols), [[0, 1, 2], [1, 3, 5], [2, 4, 6]])
+
+    def test_bad_row_after_whitespace_line_keeps_its_line_number(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text(SPECTRUM_HEADER + "\n0,1,2\n   \n1,x,4\n")
+        with pytest.raises(ValueError, match=r"s\.csv: line 4: could not convert"):
+            read_table(str(path))
+
     def test_barrier_table_round_trip(self, tmp_path):
         path = str(tmp_path / "b.csv")
         e = np.array([0.5, 1.5, 2.5])
