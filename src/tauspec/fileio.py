@@ -8,7 +8,6 @@ byte-identical files.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import json
 import os
 import warnings
@@ -158,12 +157,22 @@ def _parse_rows(path: str, lines, start: int, width: int):
     return np.asarray(data, dtype=float)
 
 
+def _loadtxt(rows):
+    """numpy's parse of csv ``rows``, or None where numpy refuses them."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return np.loadtxt(rows, dtype=float, delimiter=",", comments=None, ndmin=2)
+    except (ValueError, Warning):
+        return None
+
+
 def read_table(path: str):
     """Read a csv table, returning (header, list of float columns).
 
-    numpy parses the rows that are not blank; when it fails, or finds no
-    rows or a column count other than the header's, ``_parse_rows`` reads
-    them again and names the bad row.
+    numpy parses the rows, a second time without whitespace-only lines if
+    it refuses them; when it still fails, or finds no rows or a column
+    count other than the header's, ``_parse_rows`` names the bad row.
     """
     with _open_text(path) as fh:
         lines = fh.readlines()
@@ -172,13 +181,9 @@ def read_table(path: str):
         raise ValueError(f"{path}: empty file")
     header = lines[start].strip()
     width = len(header.split(","))
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rows = itertools.filterfalse(str.isspace, lines[start + 1 :])
-            arr = np.loadtxt(rows, dtype=float, delimiter=",", comments=None, ndmin=2)
-    except (ValueError, Warning):
-        arr = None
+    arr = _loadtxt(lines[start + 1 :])
+    if arr is None:  # numpy reads a whitespace-only line as a one-cell row
+        arr = _loadtxt([ln for ln in lines[start + 1 :] if not ln.isspace()])
     if arr is None or len(arr) == 0 or arr.shape[1] != width:
         arr = _parse_rows(path, lines, start, width)
     return header, [arr[:, i] for i in range(arr.shape[1])]
@@ -252,9 +257,9 @@ def _reconstructed(grid: FrequencyGrid, tau1, tau2):
 
 
 def _integer(value, what: str) -> int:
-    number = float(value)
-    if not number.is_integer():
-        raise ValueError(f"{what} must be an integer, got {value!r}")
+    number = float(value)  # raises OverflowError past the float range
+    if not (number.is_integer() and abs(number) < 2.0**53):  # past 2**53 floats round
+        raise ValueError(f"{what} must be an integer of magnitude below 2**53, got {value!r}")
     return int(number)
 
 
@@ -385,7 +390,7 @@ def load_model(path: str) -> ModelDocument:
         raise ValueError(f"missing field {sorted(missing)[0]!r} for model type {kind!r}")
     try:
         params = entry.load(doc, path)
-    except TypeError as exc:  # a field of the wrong JSON type
+    except (TypeError, OverflowError) as exc:  # a field of the wrong JSON type or size
         raise ValueError(f"{path}: {exc}") from None
     # The branch belongs to the document; only a kind that lists it may set it.
     return ModelDocument(kind, params, doc.get("branch", "lower"))

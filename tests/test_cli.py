@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -530,15 +531,28 @@ VERB_ARGV = {
     "report": lambda inp, tmp_path: ["report", inp],
 }
 
-# Model documents whose fields have the wrong JSON type or a fractional
-# integer; each must exit 2 with a one-line message.
+# Model documents whose fields have the wrong JSON type, a fractional
+# integer or one no float holds; each must exit 2 with one line naming the
+# file.  The pattern matches the rest of that line; where it starts with .*
+# the interpreter words the conversion error itself.
 WRONGLY_TYPED_MODELS = {
-    "omega0-list": {"type": "oscillator", "omega0": [1], "gamma": 0.1},
-    "omega0-null": {"type": "oscillator", "omega0": None, "gamma": 0.1},
-    "resonances-number": {"type": "blaschke", "resonances": 5},
-    "segment-nested": {"type": "barrier", "segments": [[1, [2]]]},
-    "p-fraction": {**BLASCHKE_DOC, "p": 1.5},
-    "prefactor_sign-fraction": {**BLASCHKE_DOC, "prefactor_sign": 1.5},
+    "omega0-list": ({"type": "oscillator", "omega0": [1], "gamma": 0.1}, r".*not 'list'"),
+    "omega0-null": ({"type": "oscillator", "omega0": None, "gamma": 0.1}, r".*not 'NoneType'"),
+    "resonances-number": ({"type": "blaschke", "resonances": 5},
+                          re.escape("'int' object is not iterable")),
+    "segment-nested": ({"type": "barrier", "segments": [[1, [2]]]}, r".*not 'list'"),
+    "p-fraction": ({**BLASCHKE_DOC, "p": 1.5},
+                   re.escape("p must be an integer of magnitude below 2**53, got 1.5")),
+    "prefactor_sign-fraction": (
+        {**BLASCHKE_DOC, "prefactor_sign": 1.5},
+        re.escape("prefactor_sign must be an integer of magnitude below 2**53, got 1.5"),
+    ),
+    "p-past-float-range": ({**BLASCHKE_DOC, "p": 10**400},
+                           re.escape("int too large to convert to float")),
+    "p-past-2**53": (
+        {**BLASCHKE_DOC, "p": 2**53 + 1},
+        re.escape("p must be an integer of magnitude below 2**53, got 9007199254740993"),
+    ),
 }
 
 
@@ -590,12 +604,12 @@ class TestInputErrors:
 
     @pytest.mark.parametrize("name", sorted(WRONGLY_TYPED_MODELS))
     def test_wrongly_typed_model_field_exits_2(self, tmp_path, capsys, name):
-        inp = write_json(tmp_path / "m.json", WRONGLY_TYPED_MODELS[name])
+        doc, rest = WRONGLY_TYPED_MODELS[name]
+        inp = write_json(tmp_path / "m.json", doc)
         argv = ["model", inp, "--from", "0.5", "--to", "1.5", "--points", "11",
                 "-o", str(tmp_path / "m")]
         assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "Traceback" not in err
+        assert re.fullmatch(f"error: {re.escape(inp)}: {rest}\n", capsys.readouterr().err)
 
     def test_undecodable_artifact_named_by_file_and_line(self, tmp_path, capsys):
         inp = tmp_path / "a.txt"
