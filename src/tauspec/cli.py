@@ -153,7 +153,10 @@ def _cmd_model(args) -> int:
     grid = FrequencyGrid.linspace(args.lo, args.hi, args.points)
     if document.kind == "barrier":
         return _write_barrier(document.params, grid, args.output, step=1e-4)
-    values, tau1, tau2 = document.sample(grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values, tau1, tau2 = document.sample(grid)
+    if not all(np.isfinite(a).all() for a in (values, tau1, tau2)):
+        raise ValueError(f"{args.model}: model is not finite on [{args.lo:g}, {args.hi:g}]")
     fileio.write_spectrum(args.output + ".spectrum.csv", ComplexSpectrum(grid, values))
     fileio.write_temporal(args.output + ".tau.csv", TemporalSpectrum(grid, tau1, tau2))
     return EXIT_OK
@@ -206,7 +209,7 @@ def _cmd_sumrule(args) -> int:
 def _cmd_winding(args) -> int:
     document = fileio.load_model(args.model)
     if document.kind != "blaschke":
-        raise ValueError("winding needs a pole-zero model")
+        raise ValueError(f"{args.model}: winding needs a pole-zero model")
     re_min, re_max, im_min, im_max = args.rect
     contour = Contour.rectangle(re_min, re_max, im_min, im_max)
     value = winding_number(document.params, contour, args.samples)
@@ -234,7 +237,7 @@ def _write_barrier(profile, grid: FrequencyGrid, output: str, step: float) -> in
 def _cmd_barrier(args) -> int:
     document = fileio.load_model(args.model)
     if document.kind != "barrier":
-        raise ValueError("barrier needs a potential-profile model")
+        raise ValueError(f"{args.model}: barrier needs a potential-profile model")
     grid = FrequencyGrid.linspace(args.lo, args.hi, args.points)
     return _write_barrier(document.params, grid, args.output, args.step)
 
@@ -259,17 +262,14 @@ def _summarise_table(fmt: str, path: str) -> dict:
             "omega_max": float(temporal.grid.values[-1]),
             "omega_min": float(temporal.grid.values[0]),
         }
-    header, cols = fileio.read_table(path)
-    energies = FrequencyGrid(cols[0]).values
-    if not np.all(np.isfinite(cols[1:])):
-        raise ValueError(f"{path}: barrier table contains non-finite values")
+    grid, transmission, *_ = fileio.read_barrier_table(path)
     return {
-        "energy_max": float(energies[-1]),
-        "energy_min": float(energies[0]),
+        "energy_max": float(grid.values[-1]),
+        "energy_min": float(grid.values[0]),
         "format": fmt,
-        "nodes": int(energies.size),
-        "transmission_max": float(np.max(cols[1])),
-        "transmission_min": float(np.min(cols[1])),
+        "nodes": len(grid),
+        "transmission_max": float(np.max(transmission)),
+        "transmission_min": float(np.min(transmission)),
     }
 
 

@@ -125,17 +125,6 @@ def _pv_core(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fit_tail_amplitude(x, f, tail_model, side):
-    count = max(3, int(round(0.05 * x.size)))
-    if side == "right":
-        xs, fs = x[-count:], f[-count:]
-    else:
-        xs, fs = x[:count], f[:count]
-    if tail_model == "one_over_omega":
-        return np.mean(fs * xs)
-    return np.mean(fs * xs**2)
-
-
 def _log_ratio_over_omega(omega, edge):
     """log1p(-omega/edge) / omega with the removable singularity filled."""
     out = np.empty(omega.shape, dtype=float)
@@ -168,15 +157,14 @@ def _tail_correction(x, f, h, tail_model):
         raise ValueError("tail corrections need a grid spanning the origin")
     a = x[0] - 0.5 * h
     b = x[-1] + 0.5 * h
-    a_right = _fit_tail_amplitude(x, f, tail_model, "right")
-    a_left = _fit_tail_amplitude(x, f, tail_model, "left")
+    count = max(3, int(round(0.05 * x.size)))
     if tail_model == "one_over_omega":
-        t_right = a_right * _log_ratio_over_omega(x, b)
-        t_left = -a_left * _log_ratio_over_omega(x, a)
+        power, ratio = 1, _log_ratio_over_omega
     else:
-        t_right = a_right * _log_ratio_balanced(x, b)
-        t_left = -a_left * _log_ratio_balanced(x, a)
-    return t_right + t_left
+        power, ratio = 2, _log_ratio_balanced
+    a_right = np.mean(f[-count:] * x[-count:] ** power)
+    a_left = np.mean(f[:count] * x[:count] ** power)
+    return a_right * ratio(x, b) - a_left * ratio(x, a)
 
 
 def hilbert_transform(
@@ -218,6 +206,19 @@ def _interior(n: int, edge_fraction: float) -> slice:
     return slice(k, n - k) if k > 0 else slice(None)
 
 
+def _kk_report(values, grid, tail_model, keep, origin_gap=0.0) -> KKReport:
+    """Statistics of the residual |S - i H[S]| over the nodes ``keep`` picks."""
+    transformed = hilbert_transform(values, grid, tail_model)
+    inner = np.abs(values - 1j * transformed)[keep]
+    return KKReport(
+        residual_max=float(np.max(inner)),
+        residual_l2=float(np.sqrt(np.mean(inner**2))),
+        tail_model=tail_model,
+        nodes=int(inner.size),
+        origin_gap=origin_gap,
+    )
+
+
 def kk_residual(
     spectrum: ComplexSpectrum,
     tail_model: str = "none",
@@ -237,16 +238,8 @@ def kk_residual(
     Raises:
         ValueError: ``edge_fraction`` outside [0, 0.5).
     """
-    sl = _interior(spectrum.values.size, edge_fraction)
-    transformed = hilbert_transform(spectrum.values, spectrum.grid, tail_model)
-    residual = np.abs(spectrum.values - 1j * transformed)
-    inner = residual[sl]
-    return KKReport(
-        residual_max=float(np.max(inner)),
-        residual_l2=float(np.sqrt(np.mean(inner**2))),
-        tail_model=tail_model,
-        nodes=int(inner.size),
-    )
+    keep = _interior(spectrum.values.size, edge_fraction)
+    return _kk_report(spectrum.values, spectrum.grid, tail_model, keep)
 
 
 def tau_kk_residual(
@@ -302,15 +295,7 @@ def tau_kk_residual(
             f"edge_fraction {edge_fraction!r} leaves no node outside the "
             "zero-filled origin window"
         )
-    transformed = hilbert_transform(values, FrequencyGrid(super_x), tail_model)
-    inner = np.abs(values - 1j * transformed)[mask]
-    return KKReport(
-        residual_max=float(np.max(inner)),
-        residual_l2=float(np.sqrt(np.mean(inner**2))),
-        tail_model=tail_model,
-        nodes=int(inner.size),
-        origin_gap=float(g[0]),
-    )
+    return _kk_report(values, FrequencyGrid(super_x), tail_model, mask, float(g[0]))
 
 
 def _sum_rule_blocks(grid_values: np.ndarray):

@@ -25,6 +25,7 @@ from .core import (
     model_tau,
     reconstruct,
 )
+from .errors import TauspecError
 from .physics import (
     LorentzMediumParams,
     OscillatorParams,
@@ -48,6 +49,7 @@ __all__ = [
     "read_temporal",
     "write_temporal",
     "write_barrier_table",
+    "read_barrier_table",
     "read_table",
     "load_model",
     "save_model",
@@ -60,6 +62,8 @@ SPECTRUM_HEADER = "omega,re,im"
 TEMPORAL_HEADER = "omega,tau1,tau2"
 BARRIER_HEADER = "energy,transmission,phase,tau1,tau2"
 ARTIFACT_PREFIX = "# tauspec:"
+_TABLE_FORMATS = {SPECTRUM_HEADER: "spectrum", TEMPORAL_HEADER: "temporal",
+                  BARRIER_HEADER: "barrier"}
 ARTIFACT_VERSION = "v1"
 
 
@@ -111,9 +115,12 @@ def _write_rows(path: str, header: str, columns) -> None:
 
 
 @contextlib.contextmanager
-def _open_text(path: str):
-    """``open(path, "r")``, where a byte that does not decode raises a
-    ValueError naming the file, the line and the position in that line."""
+def _reading(path: str):
+    """``open(path, "r")`` that names the file in every input error raised
+    in the block; no other code names an input file.  A byte that does not
+    decode names its line and its position in that line.  A TauspecError
+    keeps its class; a ValueError, TypeError or OverflowError becomes a
+    ValueError."""
     try:
         with open(path, "r") as fh:
             yield fh
@@ -132,13 +139,18 @@ def _open_text(path: str):
                                      exc.start - cut, exc.end - cut, exc.reason)
         line = head.count(b"\n") + 1
         raise ValueError(f"{path}: line {line}: {in_line}") from None
+    except TauspecError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
-def _parse_rows(path: str, lines, start: int, width: int):
+def _parse_rows(lines, start: int, width: int):
     """Rows after the header at ``lines[start]``, one ``float`` per cell.
 
-    This is the reference parser and the error path of ``read_table``: a
-    ragged row or a cell that is no number raises naming path and line.
+    This is the reference parser and the error path of ``_table``: a
+    ragged row or a cell that is no number raises naming its line.
     """
     data = []
     for number, ln in enumerate(lines[start + 1 :], start + 2):
@@ -151,9 +163,9 @@ def _parse_rows(path: str, lines, start: int, width: int):
                 raise ValueError(f"row has {len(parts)} fields, expected {width}")
             data.append([float(p) for p in parts])
         except ValueError as exc:
-            raise ValueError(f"{path}: line {number}: {exc}") from None
+            raise ValueError(f"line {number}: {exc}") from None
     if not data:
-        raise ValueError(f"{path}: table has no rows")
+        raise ValueError("table has no rows")
     return np.asarray(data, dtype=float)
 
 
@@ -167,36 +179,42 @@ def _loadtxt(rows):
         return None
 
 
-def read_table(path: str):
-    """Read a csv table, returning (header, list of float columns).
+def _table(fh, header: str | None = None):
+    """(header, list of float columns) of the csv table in ``fh``; the
+    header must equal ``header`` when one is given.
 
     numpy parses the rows, a second time without whitespace-only lines if
     it refuses them; when it still fails, or finds no rows or a column
     count other than the header's, ``_parse_rows`` names the bad row.
     """
-    with _open_text(path) as fh:
-        lines = fh.readlines()
+    lines = fh.readlines()
     start = next((i for i, ln in enumerate(lines) if ln.strip()), None)
     if start is None:
-        raise ValueError(f"{path}: empty file")
-    header = lines[start].strip()
-    width = len(header.split(","))
+        raise ValueError("empty file")
+    found = lines[start].strip()
+    width = len(found.split(","))
     arr = _loadtxt(lines[start + 1 :])
     if arr is None:  # numpy reads a whitespace-only line as a one-cell row
         arr = _loadtxt([ln for ln in lines[start + 1 :] if not ln.isspace()])
     if arr is None or len(arr) == 0 or arr.shape[1] != width:
-        arr = _parse_rows(path, lines, start, width)
-    return header, [arr[:, i] for i in range(arr.shape[1])]
+        arr = _parse_rows(lines, start, width)
+    if header is not None and found != header:
+        raise ValueError(f"expected header {header!r}, got {found!r}")
+    return found, [arr[:, i] for i in range(arr.shape[1])]
+
+
+def read_table(path: str):
+    """Read a csv table, returning (header, list of float columns)."""
+    with _reading(path) as fh:
+        return _table(fh)
 
 
 def read_spectrum(path: str) -> ComplexSpectrum:
-    header, cols = read_table(path)
-    if header != SPECTRUM_HEADER:
-        raise ValueError(f"{path}: expected header {SPECTRUM_HEADER!r}, got {header!r}")
-    grid = FrequencyGrid(cols[0])
-    values = cols[1].astype(complex)
-    values.imag = cols[2]  # not 1j * im: an inf would warn before the check
-    return ComplexSpectrum(grid, values)
+    with _reading(path) as fh:
+        _, cols = _table(fh, SPECTRUM_HEADER)
+        values = cols[1].astype(complex)
+        values.imag = cols[2]  # not 1j * im: an inf would warn before the check
+        return ComplexSpectrum(FrequencyGrid(cols[0]), values)
 
 
 def write_spectrum(path: str, spectrum: ComplexSpectrum) -> None:
@@ -208,11 +226,9 @@ def write_spectrum(path: str, spectrum: ComplexSpectrum) -> None:
 
 
 def read_temporal(path: str) -> TemporalSpectrum:
-    header, cols = read_table(path)
-    if header != TEMPORAL_HEADER:
-        raise ValueError(f"{path}: expected header {TEMPORAL_HEADER!r}, got {header!r}")
-    grid = FrequencyGrid(cols[0])
-    return TemporalSpectrum(grid, cols[1], cols[2])
+    with _reading(path) as fh:
+        _, cols = _table(fh, TEMPORAL_HEADER)
+        return TemporalSpectrum(FrequencyGrid(cols[0]), cols[1], cols[2])
 
 
 def write_temporal(path: str, temporal: TemporalSpectrum) -> None:
@@ -225,6 +241,16 @@ def write_temporal(path: str, temporal: TemporalSpectrum) -> None:
 
 def write_barrier_table(path, energies, transmission, phase, tau1, tau2) -> None:
     _write_rows(path, BARRIER_HEADER, [energies, transmission, phase, tau1, tau2])
+
+
+def read_barrier_table(path: str):
+    """(energy grid, transmission, phase, tau1, tau2) of a barrier table."""
+    with _reading(path) as fh:
+        _, (energies, *cols) = _table(fh, BARRIER_HEADER)
+        grid = FrequencyGrid(energies)
+        if not np.all(np.isfinite(cols)):
+            raise ValueError("barrier table contains non-finite values")
+        return (grid, *cols)
 
 
 @dataclass(frozen=True)
@@ -256,20 +282,20 @@ def _reconstructed(grid: FrequencyGrid, tau1, tau2):
     return reconstruct(temporal, float(grid.values[0]), 1.0 + 0.0j).values, tau1, tau2
 
 
-def _integer(value, what: str) -> int:
+def _integer(value, name: str) -> int:
     number = float(value)  # raises OverflowError past the float range
     if not (number.is_integer() and abs(number) < 2.0**53):  # past 2**53 floats round
-        raise ValueError(f"{what} must be an integer of magnitude below 2**53, got {value!r}")
+        raise ValueError(f"{name} must be an integer of magnitude below 2**53, got {value!r}")
     return int(number)
 
 
-def _load_blaschke(doc: dict, path: str) -> PoleZeroModel:
+def _load_blaschke(doc: dict) -> PoleZeroModel:
     scale = _pair(doc.get("scale", [1.0, 0.0]), "scale")
     return PoleZeroModel(
         scale=complex(*scale),
-        p=_integer(doc.get("p", 0), f"{path}: p"),
+        p=_integer(doc.get("p", 0), "p"),
         resonances=tuple(_pair(item, "resonance") for item in doc["resonances"]),
-        prefactor_sign=_integer(doc.get("prefactor_sign", 1), f"{path}: prefactor_sign"),
+        prefactor_sign=_integer(doc.get("prefactor_sign", 1), "prefactor_sign"),
     )
 
 
@@ -288,7 +314,7 @@ def _sample_blaschke(document: ModelDocument, grid: FrequencyGrid):
     return values, tau.real, tau.imag
 
 
-def _load_oscillator(doc: dict, path: str) -> OscillatorParams:
+def _load_oscillator(doc: dict) -> OscillatorParams:
     return OscillatorParams(float(doc["omega0"]), float(doc["gamma"]))
 
 
@@ -297,8 +323,8 @@ def _sample_oscillator(document: ModelDocument, grid: FrequencyGrid):
     return (values, *oscillator_tau(document.params, grid.values))
 
 
-def _load_lorentz(doc: dict, path: str) -> LorentzMediumParams:
-    return LorentzMediumParams(float(doc["plasma_frequency"]), _load_oscillator(doc, path))
+def _load_lorentz(doc: dict) -> LorentzMediumParams:
+    return LorentzMediumParams(float(doc["plasma_frequency"]), _load_oscillator(doc))
 
 
 def _dump_lorentz(p: LorentzMediumParams) -> dict:
@@ -309,10 +335,10 @@ def _sample_lorentz(document: ModelDocument, grid: FrequencyGrid):
     return _reconstructed(grid, *oscillator_tau(document.params.oscillator, grid.values))
 
 
-def _load_breit_wigner(doc: dict, path: str) -> TwoLevelParams:
+def _load_breit_wigner(doc: dict) -> TwoLevelParams:
     # load_model reads the branch itself; it is only checked here.
     if doc.get("branch", "lower") not in ("upper", "lower"):
-        raise ValueError(f"{path}: branch must be 'upper' or 'lower'")
+        raise ValueError("branch must be 'upper' or 'lower'")
     return TwoLevelParams(
         float(doc["omega0"]), float(doc["gamma"]), float(doc.get("gamma0", 0.0))
     )
@@ -323,7 +349,7 @@ def _sample_breit_wigner(document: ModelDocument, grid: FrequencyGrid):
     return _reconstructed(grid, tau1, tau2)
 
 
-def _load_photon(doc: dict, path: str) -> PhotonParams:
+def _load_photon(doc: dict) -> PhotonParams:
     return PhotonParams(float(doc["k_abs"]), float(doc["eta"]))
 
 
@@ -332,10 +358,10 @@ def _sample_photon(document: ModelDocument, grid: FrequencyGrid):
     return (photon_response(x, p.k_abs, p.eta), *photon_tau(x, p.k_abs, p.eta))
 
 
-def _load_barrier(doc: dict, path: str) -> PotentialProfile:
+def _load_barrier(doc: dict) -> PotentialProfile:
     segments = doc["segments"]
     if not isinstance(segments, list):
-        raise ValueError(f"{path}: segments must be a list of [width, height] pairs")
+        raise ValueError("segments must be a list of [width, height] pairs")
     return PotentialProfile(tuple(_pair(s, "segment") for s in segments))
 
 
@@ -346,7 +372,7 @@ class _ModelKind(NamedTuple):
 
     required: set
     optional: set
-    load: Callable[[dict, str], object]
+    load: Callable[[dict], object]
     dump: Callable[[object], dict]
     sample: Callable[[ModelDocument, FrequencyGrid], tuple] | None
 
@@ -372,28 +398,24 @@ def load_model(path: str) -> ModelDocument:
     Every parameter invariant is re-checked on load by constructing the
     corresponding parameter object; unknown fields are rejected.
     """
-    with _open_text(path) as fh:
+    with _reading(path) as fh:
         doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: model document must be a JSON object")
-    kind = doc.get("type")
-    if kind not in _MODEL_KINDS:
-        known = ", ".join(sorted(_MODEL_KINDS))
-        raise ValueError(f"{path}: unknown model type {kind!r} (known: {known})")
-    entry = _MODEL_KINDS[kind]
-    fields = set(doc) - {"type"}
-    unknown = fields - entry.required - entry.optional
-    if unknown:
-        raise ValueError(f"unknown field {sorted(unknown)[0]!r} for model type {kind!r}")
-    missing = entry.required - fields
-    if missing:
-        raise ValueError(f"missing field {sorted(missing)[0]!r} for model type {kind!r}")
-    try:
-        params = entry.load(doc, path)
-    except (TypeError, OverflowError) as exc:  # a field of the wrong JSON type or size
-        raise ValueError(f"{path}: {exc}") from None
-    # The branch belongs to the document; only a kind that lists it may set it.
-    return ModelDocument(kind, params, doc.get("branch", "lower"))
+        if not isinstance(doc, dict):
+            raise ValueError("model document must be a JSON object")
+        kind = doc.get("type")
+        if kind not in _MODEL_KINDS:
+            known = ", ".join(sorted(_MODEL_KINDS))
+            raise ValueError(f"unknown model type {kind!r} (known: {known})")
+        entry = _MODEL_KINDS[kind]
+        fields = set(doc) - {"type"}
+        unknown = fields - entry.required - entry.optional
+        if unknown:
+            raise ValueError(f"unknown field {sorted(unknown)[0]!r} for model type {kind!r}")
+        missing = entry.required - fields
+        if missing:
+            raise ValueError(f"missing field {sorted(missing)[0]!r} for model type {kind!r}")
+        # The branch belongs to the document; only a kind that lists it may set it.
+        return ModelDocument(kind, entry.load(doc), doc.get("branch", "lower"))
 
 
 def save_model(path: str, document: ModelDocument) -> None:
@@ -430,39 +452,31 @@ def write_artifact(path: str, kind: str, mapping: dict) -> None:
 
 def read_artifact(path: str):
     """Read an artifact file, returning (kind, ordered key/value dict)."""
-    with _open_text(path) as fh:
+    with _reading(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines or not lines[0].startswith(ARTIFACT_PREFIX):
-        raise ValueError(f"{path}: not an artifact file")
-    head = lines[0][len(ARTIFACT_PREFIX) :].split()
-    kind = head[0]
-    mapping = {}
-    for ln in lines[1:]:
-        if "=" not in ln:
-            raise ValueError(f"{path}: malformed artifact line {ln!r}")
-        key, _, value = ln.partition("=")
-        mapping[key] = value
-    return kind, mapping
+        head = lines[0][len(ARTIFACT_PREFIX) :].split() if lines else []
+        if not (head and lines[0].startswith(ARTIFACT_PREFIX)):  # no kind, no artifact
+            raise ValueError("not an artifact file")
+        kind = head[0]
+        mapping = {}
+        for ln in lines[1:]:
+            if "=" not in ln:
+                raise ValueError(f"malformed artifact line {ln!r}")
+            key, _, value = ln.partition("=")
+            mapping[key] = value
+        return kind, mapping
 
 
 def detect_format(path: str) -> str:
     """Classify a file by its first non-empty line."""
-    with _open_text(path) as fh:
-        first = ""
-        for ln in fh:
-            if ln.strip():
-                first = ln.strip()
-                break
-    if not first:
-        raise ValueError(f"{path}: empty file")
-    if first.startswith(ARTIFACT_PREFIX):
-        return "artifact"
-    if first == SPECTRUM_HEADER:
-        return "spectrum"
-    if first == TEMPORAL_HEADER:
-        return "temporal"
-    if first == BARRIER_HEADER:
-        return "barrier"
-    if first.startswith("{"):
-        return "model"
-    raise ValueError(f"{path}: unrecognised file format")
+    with _reading(path) as fh:
+        first = next((ln.strip() for ln in fh if ln.strip()), "")
+        if not first:
+            raise ValueError("empty file")
+        if first.startswith(ARTIFACT_PREFIX):
+            return "artifact"
+        if first.startswith("{"):
+            return "model"
+        if first not in _TABLE_FORMATS:
+            raise ValueError("unrecognised file format")
+        return _TABLE_FORMATS[first]

@@ -479,13 +479,13 @@ class TestReport:
         out2 = str(tmp_path / "r2.txt")
         assert main(["report", *inputs, "-o", out1]) == 0
         assert main(["report", *inputs, "-o", out2]) == 0
-        assert open(out1, "rb").read() == open(out2, "rb").read()
+        assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
     def test_sections_and_tolerances(self, tmp_path):
         inputs = self.build_inputs(tmp_path)
         out = str(tmp_path / "r.txt")
         assert main(["report", *inputs, "-o", out]) == 0
-        text = open(out).read()
+        text = Path(out).read_text()
         assert text.startswith("# tauspec:report v1")
         assert "[file spec.csv]" in text
         assert "[file tau.csv]" in text
@@ -508,7 +508,7 @@ class TestReport:
         out = str(tmp_path / "r.txt")
         script = str(tmp_path / "plot.gp")
         assert main(["report", *inputs, "-o", out, "--gnuplot", script]) == 0
-        text = open(script).read()
+        text = Path(script).read_text()
         assert "set datafile separator ','" in text
         assert text.count("plot ") == 2
         assert "tau1" in text
@@ -556,6 +556,49 @@ WRONGLY_TYPED_MODELS = {
 }
 
 
+OSCILLATOR_DOC = {"type": "oscillator", "omega0": 1.0, "gamma": 0.1}
+
+
+def model_argv(inp, tmp_path):
+    return ["model", inp, "--from", "0.5", "--to", "1.5", "--points", "11",
+            "-o", str(tmp_path / "m")]
+
+
+INFINITE_IM_TABLE = fileio.SPECTRUM_HEADER + "\n0,1,0\n1,1,0\n2,1,-Infinity\n3,1,0\n"
+
+# Inputs a verb refuses: (file name, content, argv, reason).  The one line
+# on stderr names the file, once, and then gives the reason.
+REFUSED_INPUTS = {
+    "model-float-field": ("m.json", json.dumps({**OSCILLATOR_DOC, "omega0": "abc"}), model_argv,
+                          "could not convert string to float: 'abc'"),
+    "model-gamma-range": ("m.json", json.dumps({**OSCILLATOR_DOC, "gamma": 5}), model_argv,
+                          "gamma must satisfy 0 < gamma < 2 omega0"),
+    "model-unknown-field": ("m.json", json.dumps({**OSCILLATOR_DOC, "x": 1}), model_argv,
+                            "unknown field 'x' for model type 'oscillator'"),
+    "model-missing-field": ("m.json", json.dumps({"type": "oscillator", "omega0": 1.0}),
+                            model_argv, "missing field 'gamma' for model type 'oscillator'"),
+    "model-truncated-json": ("m.json", '{"type": "oscillator",\n', model_argv,
+                             "Expecting property name enclosed in double quotes"),
+    "model-large-p": ("m.json", json.dumps({**BLASCHKE_DOC, "p": 2000}), model_argv,
+                      "model is not finite on [0.5, 1.5]"),
+    "winding-kind": ("m.json", json.dumps(OSCILLATOR_DOC),
+                     lambda inp, tmp_path: ["winding", inp, "--rect", "0", "2", "-1", "1"],
+                     "winding needs a pole-zero model"),
+    "barrier-kind": ("m.json", json.dumps(OSCILLATOR_DOC),
+                     lambda inp, tmp_path: ["barrier", inp, "--from", "0.5", "--to", "1.5",
+                                            "--points", "11", "-o", str(tmp_path / "b.csv")],
+                     "barrier needs a potential-profile model"),
+    "report-nan-energy": ("b.csv", fileio.BARRIER_HEADER + "\nnan,1,0,1,2\n0.2,1,0,1,2\n"
+                          "0.3,1,0,1,2\n", lambda inp, tmp_path: ["report", inp],
+                          "grid contains non-finite values"),
+    "extract-repeated-omega": ("s.csv", fileio.SPECTRUM_HEADER + "\n0,1,0\n1,1,0\n1,1,0\n"
+                               "2,1,0\n", VERB_ARGV["extract"], "grid must be strictly increasing"),
+    **{f"{verb}-infinite-im": ("s.csv", INFINITE_IM_TABLE, argv,
+                               "spectrum contains non-finite values")
+       for verb, argv in VERB_ARGV.items()},
+}
+
+
 class TestInputErrors:
     """Bad input bytes and values exit 2 with one message on stderr."""
 
@@ -566,7 +609,7 @@ class TestInputErrors:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(VERB_ARGV[verb](str(inp), tmp_path)) == 2
-        assert capsys.readouterr().err == "error: spectrum contains non-finite values\n"
+        assert capsys.readouterr().err == f"error: {inp}: spectrum contains non-finite values\n"
 
     @pytest.mark.parametrize("verb", sorted(VERB_ARGV))
     @pytest.mark.parametrize("rows", [4, 3001])
@@ -611,6 +654,18 @@ class TestInputErrors:
         assert main(argv) == 2
         assert re.fullmatch(f"error: {re.escape(inp)}: {rest}\n", capsys.readouterr().err)
 
+    @pytest.mark.parametrize("name", sorted(REFUSED_INPUTS))
+    def test_refused_input_named_once(self, tmp_path, capsys, name):
+        filename, content, argv, reason = REFUSED_INPUTS[name]
+        inp = str(tmp_path / filename)
+        Path(inp).write_text(content)
+        assert main(argv(inp, tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert err.startswith(f"error: {inp}: ")
+        assert err.count(inp) == 1
+        assert reason in err
+
     def test_undecodable_artifact_named_by_file_and_line(self, tmp_path, capsys):
         inp = tmp_path / "a.txt"
         inp.write_bytes(b"# tauspec:kk v1\r\nnodes=3\r\nname=\xff\r\n")
@@ -648,7 +703,7 @@ class TestGlobalFlagPlacement:
         out2 = str(tmp_path / "t2.csv")
         assert main(["--stencil", "4", "extract", inp, "-o", out1]) == 0
         assert main(["extract", inp, "-o", out2, "--stencil", "4"]) == 0
-        assert open(out1, "rb").read() == open(out2, "rb").read()
+        assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
     def test_tail_position_independent(self, tmp_path):
         causal = pole_spectrum_file(tmp_path, "c.csv", +1)
@@ -656,7 +711,7 @@ class TestGlobalFlagPlacement:
         a2 = str(tmp_path / "a2.txt")
         assert main(["--tail", "w1", "kk", causal, "-o", a1]) == 0
         assert main(["kk", causal, "-o", a2, "--tail", "w1"]) == 0
-        assert open(a1, "rb").read() == open(a2, "rb").read()
+        assert Path(a1).read_bytes() == Path(a2).read_bytes()
 
 
 class TestImportPath:

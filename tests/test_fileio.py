@@ -4,6 +4,7 @@ import dataclasses
 import os
 import stat
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,12 +76,12 @@ class TestTables:
         a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         write_spectrum(a, spec)
         write_spectrum(b, spec)
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_lf_newlines_only(self, tmp_path):
         path = str(tmp_path / "s.csv")
         write_spectrum(path, sample_spectrum())
-        raw = open(path, "rb").read()
+        raw = Path(path).read_bytes()
         assert b"\r" not in raw
         assert raw.endswith(b"\n")
 
@@ -168,6 +169,31 @@ class TestTables:
         path.write_text(SPECTRUM_HEADER + "\n0,1,2\n   \n1,x,4\n")
         with pytest.raises(ValueError, match=r"s\.csv: line 4: could not convert"):
             read_table(str(path))
+
+    def test_read_barrier_table_round_trip(self, tmp_path):
+        path = str(tmp_path / "b.csv")
+        e = np.array([0.5, 1.5, 2.5])
+        write_barrier_table(path, e, e * 0.1, e * 0.2, e * 0.3, e * 0.4)
+        grid, *cols = fileio.read_barrier_table(path)
+        np.testing.assert_array_equal(grid.values, e)
+        np.testing.assert_allclose(np.array(cols), [e * 0.1, e * 0.2, e * 0.3, e * 0.4],
+                                   rtol=1e-12)
+
+    def test_read_barrier_table_checks_header(self, tmp_path):
+        path = str(tmp_path / "s.csv")
+        write_spectrum(path, sample_spectrum())
+        with pytest.raises(ValueError) as info:
+            fileio.read_barrier_table(path)
+        assert str(info.value) == (
+            f"{path}: expected header {BARRIER_HEADER!r}, got {SPECTRUM_HEADER!r}"
+        )
+
+    def test_grid_error_keeps_its_class_and_names_the_file(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text(SPECTRUM_HEADER + "\n0,1,0\n1,1,0\n1,1,0\n")
+        with pytest.raises(GridError) as info:
+            read_spectrum(str(path))
+        assert str(info.value) == f"{path}: grid must be strictly increasing"
 
     def test_barrier_table_round_trip(self, tmp_path):
         path = str(tmp_path / "b.csv")
@@ -353,7 +379,7 @@ class TestModelDocuments:
         a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
         save_model(a, doc)
         save_model(b, doc)
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_blaschke_defaults(self, tmp_path):
         path = tmp_path / "m.json"
@@ -458,13 +484,20 @@ class TestArtifacts:
         payload = {"z": 1.0, "a": 2, "m": False}
         write_artifact(a, "check", payload)
         write_artifact(b, "check", payload)
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_non_artifact_rejected(self, tmp_path):
         path = tmp_path / "a.txt"
         path.write_text("just some text\n")
         with pytest.raises(ValueError, match="not an artifact"):
             read_artifact(str(path))
+
+    def test_header_without_kind_rejected(self, tmp_path):
+        path = tmp_path / "a.txt"
+        path.write_text("# tauspec:\nnodes=3\n")
+        with pytest.raises(ValueError) as info:
+            read_artifact(str(path))
+        assert str(info.value) == f"{path}: not an artifact file"
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "a.txt"
