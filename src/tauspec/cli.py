@@ -338,12 +338,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except TauspecError as exc:
+    except (TauspecError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return getattr(exc, "exit_code", EXIT_INPUT)
 
 
 if __name__ == "__main__":

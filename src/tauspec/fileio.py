@@ -115,15 +115,12 @@ def _write_rows(path: str, header: str, columns) -> None:
 
 
 @contextlib.contextmanager
-def _reading(path: str):
-    """``open(path, "r")`` that names the file in every input error raised
-    in the block; no other code names an input file.  A byte that does not
-    decode names its line and its position in that line.  A TauspecError
-    keeps its class; a ValueError, TypeError or OverflowError becomes a
-    ValueError."""
+def _naming(path: str):
+    """Put ``path`` in front of every input error raised in the block; no
+    other code names an input file.  A byte that does not decode names its
+    line and its position in that line.  A TauspecError keeps its class."""
     try:
-        with open(path, "r") as fh:
-            yield fh
+        yield
     except UnicodeDecodeError as exc:
         # Its positions count from the decoder's chunk: decode the file whole.
         with open(path, "rb") as fh:
@@ -142,14 +139,14 @@ def _reading(path: str):
     except TauspecError as exc:
         exc.args = (f"{path}: {exc}",)
         raise
-    except (ValueError, TypeError, OverflowError) as exc:
+    except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
 def _parse_rows(lines, start: int, width: int):
     """Rows after the header at ``lines[start]``, one ``float`` per cell.
 
-    This is the reference parser and the error path of ``_table``: a
+    This is the reference parser and the error path of ``read_table``: a
     ragged row or a cell that is no number raises naming its line.
     """
     data = []
@@ -179,42 +176,44 @@ def _loadtxt(rows):
         return None
 
 
-def _table(fh, header: str | None = None):
-    """(header, list of float columns) of the csv table in ``fh``; the
-    header must equal ``header`` when one is given.
+def read_table(path: str):
+    """Read a csv table, returning (header, list of float columns).
 
     numpy parses the rows, a second time without whitespace-only lines if
     it refuses them; when it still fails, or finds no rows or a column
     count other than the header's, ``_parse_rows`` names the bad row.
     """
-    lines = fh.readlines()
-    start = next((i for i, ln in enumerate(lines) if ln.strip()), None)
-    if start is None:
-        raise ValueError("empty file")
-    found = lines[start].strip()
-    width = len(found.split(","))
-    arr = _loadtxt(lines[start + 1 :])
-    if arr is None:  # numpy reads a whitespace-only line as a one-cell row
-        arr = _loadtxt([ln for ln in lines[start + 1 :] if not ln.isspace()])
-    if arr is None or len(arr) == 0 or arr.shape[1] != width:
-        arr = _parse_rows(lines, start, width)
-    if header is not None and found != header:
-        raise ValueError(f"expected header {header!r}, got {found!r}")
-    return found, [arr[:, i] for i in range(arr.shape[1])]
+    with _naming(path), open(path, "r") as fh:
+        lines = fh.readlines()
+        start = next((i for i, ln in enumerate(lines) if ln.strip()), None)
+        if start is None:
+            raise ValueError("empty file")
+        header = lines[start].strip()
+        width = len(header.split(","))
+        arr = _loadtxt(lines[start + 1 :])
+        if arr is None:  # numpy reads a whitespace-only line as a one-cell row
+            arr = _loadtxt([ln for ln in lines[start + 1 :] if not ln.isspace()])
+        if arr is None or len(arr) == 0 or arr.shape[1] != width:
+            arr = _parse_rows(lines, start, width)
+        return header, [arr[:, i] for i in range(arr.shape[1])]
 
 
-def read_table(path: str):
-    """Read a csv table, returning (header, list of float columns)."""
-    with _reading(path) as fh:
-        return _table(fh)
+@contextlib.contextmanager
+def _columns(path: str, header: str):
+    """The columns of the csv table at ``path``, whose header must be
+    ``header``; the block builds its container inside ``_naming(path)``."""
+    found, cols = read_table(path)
+    with _naming(path):
+        if found != header:
+            raise ValueError(f"expected header {header!r}, got {found!r}")
+        yield cols
 
 
 def read_spectrum(path: str) -> ComplexSpectrum:
-    with _reading(path) as fh:
-        _, cols = _table(fh, SPECTRUM_HEADER)
-        values = cols[1].astype(complex)
-        values.imag = cols[2]  # not 1j * im: an inf would warn before the check
-        return ComplexSpectrum(FrequencyGrid(cols[0]), values)
+    with _columns(path, SPECTRUM_HEADER) as (omega, re, im):
+        values = re.astype(complex)
+        values.imag = im  # not 1j * im: an inf would warn before the check
+        return ComplexSpectrum(FrequencyGrid(omega), values)
 
 
 def write_spectrum(path: str, spectrum: ComplexSpectrum) -> None:
@@ -226,9 +225,8 @@ def write_spectrum(path: str, spectrum: ComplexSpectrum) -> None:
 
 
 def read_temporal(path: str) -> TemporalSpectrum:
-    with _reading(path) as fh:
-        _, cols = _table(fh, TEMPORAL_HEADER)
-        return TemporalSpectrum(FrequencyGrid(cols[0]), cols[1], cols[2])
+    with _columns(path, TEMPORAL_HEADER) as (omega, tau1, tau2):
+        return TemporalSpectrum(FrequencyGrid(omega), tau1, tau2)
 
 
 def write_temporal(path: str, temporal: TemporalSpectrum) -> None:
@@ -245,8 +243,7 @@ def write_barrier_table(path, energies, transmission, phase, tau1, tau2) -> None
 
 def read_barrier_table(path: str):
     """(energy grid, transmission, phase, tau1, tau2) of a barrier table."""
-    with _reading(path) as fh:
-        _, (energies, *cols) = _table(fh, BARRIER_HEADER)
+    with _columns(path, BARRIER_HEADER) as (energies, *cols):
         grid = FrequencyGrid(energies)
         if not np.all(np.isfinite(cols)):
             raise ValueError("barrier table contains non-finite values")
@@ -398,12 +395,12 @@ def load_model(path: str) -> ModelDocument:
     Every parameter invariant is re-checked on load by constructing the
     corresponding parameter object; unknown fields are rejected.
     """
-    with _reading(path) as fh:
+    with _naming(path), open(path, "r") as fh:
         doc = json.load(fh)
         if not isinstance(doc, dict):
             raise ValueError("model document must be a JSON object")
         kind = doc.get("type")
-        if kind not in _MODEL_KINDS:
+        if not (isinstance(kind, str) and kind in _MODEL_KINDS):
             known = ", ".join(sorted(_MODEL_KINDS))
             raise ValueError(f"unknown model type {kind!r} (known: {known})")
         entry = _MODEL_KINDS[kind]
@@ -414,8 +411,12 @@ def load_model(path: str) -> ModelDocument:
         missing = entry.required - fields
         if missing:
             raise ValueError(f"missing field {sorted(missing)[0]!r} for model type {kind!r}")
+        try:
+            params = entry.load(doc)
+        except (TypeError, OverflowError) as exc:  # a field of the wrong JSON type or size
+            raise ValueError(str(exc)) from None
         # The branch belongs to the document; only a kind that lists it may set it.
-        return ModelDocument(kind, entry.load(doc), doc.get("branch", "lower"))
+        return ModelDocument(kind, params, doc.get("branch", "lower"))
 
 
 def save_model(path: str, document: ModelDocument) -> None:
@@ -452,7 +453,7 @@ def write_artifact(path: str, kind: str, mapping: dict) -> None:
 
 def read_artifact(path: str):
     """Read an artifact file, returning (kind, ordered key/value dict)."""
-    with _reading(path) as fh:
+    with _naming(path), open(path, "r") as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
         head = lines[0][len(ARTIFACT_PREFIX) :].split() if lines else []
         if not (head and lines[0].startswith(ARTIFACT_PREFIX)):  # no kind, no artifact
@@ -469,7 +470,7 @@ def read_artifact(path: str):
 
 def detect_format(path: str) -> str:
     """Classify a file by its first non-empty line."""
-    with _reading(path) as fh:
+    with _naming(path), open(path, "r") as fh:
         first = next((ln.strip() for ln in fh if ln.strip()), "")
         if not first:
             raise ValueError("empty file")

@@ -411,6 +411,19 @@ class TestModelDocuments:
         with pytest.raises(ValueError, match="blaschke"):
             load_model(str(path))
 
+    def test_reader_fault_is_not_an_input_error(self, tmp_path, monkeypatch):
+        """Only ValueErrors and package errors name the file; a TypeError
+        from the reader's own code keeps its class and its traceback."""
+        path = str(tmp_path / "s.csv")
+        write_spectrum(path, ComplexSpectrum(FrequencyGrid([1.0, 2.0, 3.0]), np.ones(3, complex)))
+
+        def broken(values):
+            raise TypeError("broken")
+
+        monkeypatch.setattr(fileio, "FrequencyGrid", broken)
+        with pytest.raises(TypeError, match="^broken$"):
+            read_spectrum(path)
+
     def test_unknown_type_lists_exactly_the_round_trip_kinds(self, tmp_path):
         """A new model kind must also get a case in document_cases()."""
         path = tmp_path / "m.json"
