@@ -38,15 +38,19 @@ __all__ = [
 ]
 
 _UNIFORM_RTOL = 1e-9
+# A %.12e cell moves its node by at most 5e-13 of it, so a grid read back
+# from csv has steps off by up to 1e-12 of its largest node.
+_CSV_ROUNDOFF = 1e-12
 
 
 def uniform_spacing(x, message: str) -> float:
     """Mean step of ``x``; raises NonUniformGrid(message) unless ``x`` has
     two or more nodes, a mean step > 0 and every step within _UNIFORM_RTOL
-    times the mean of it."""
+    times the mean of it plus the csv round-off of the largest |node|."""
     steps = np.diff(x)
     h = float(np.mean(steps)) if steps.size else 0.0
-    if not (h > 0 and np.max(np.abs(steps - h)) <= _UNIFORM_RTOL * h):
+    if not (h > 0 and np.max(np.abs(steps - h))
+            <= _UNIFORM_RTOL * h + _CSV_ROUNDOFF * np.max(np.abs(x))):
         raise NonUniformGrid(message)
     return h
 

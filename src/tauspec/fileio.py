@@ -105,13 +105,94 @@ def _write_text(path: str, text: str) -> None:
         raise
 
 
+# Tables of the csv formatter, indexed by the decimal exponent e less
+# _E_FIRST: the scale q = |x| * _TIMES / _OVER that brings a cell's 13
+# digits before the point, its tie margin, and the exponent as text
+# ("e+05", "e-123").  One of _TIMES = 10**(12 - e) and _OVER = 10**(e - 12)
+# is the power, the other is 1.
+_E_FIRST = -271
+_E = np.arange(_E_FIRST, 271)
+_TIMES = 10.0 ** np.maximum(12 - _E, 0)
+_OVER = 10.0 ** np.maximum(_E - 12, 0)
+# How close the computed q^ may come to a tie k + 1/2 before it may round
+# to the other side of it.  Where the power is an exact double (10**k for
+# k <= 22), q^ is q correctly rounded, and as each k + 1/2 below 1e13 is a
+# double, q^ falls on the same side as q or on the tie itself: the margin
+# is 0, and a q^ on a tie goes to %.  Any other power is off by at most one
+# ulp, so |q^ - q| <= 1e13 * 2**-52 + ulp(q)/2 < 2.3e-3 + 2**-10 < 4e-3.
+_TIE_MARGIN = np.where(np.abs(_E - 12) <= 22, 0.0, 4e-3)
+# "00" to "99", then "0000" to "9999", as little-endian words of ASCII digits.
+_D = np.arange(100, dtype="<u4")
+_PAIRS = 48 + _D // 10 | (48 + _D % 10) << 8
+_QUAD = (_PAIRS[:, None] | _PAIRS << 16).ravel()
+_K = np.abs(_E)
+_EXP_HEAD = (ord("e") | np.where(_E < 0, ord("-"), ord("+")) << 8
+             | np.where(_K >= 100, 48 + _K // 100, 0) << 16).astype("<u4")
+_EXP_TAIL = _PAIRS[_K % 100]
+_CHUNK_ROWS = 1 << 13  # a few MB of arrays per chunk, and no size formats faster
+
+
+def _decimal(x):
+    """(m, e, decided): |x| rounds to m * 10**(e - 12) with 10**12 <= m <
+    10**13 where ``decided`` holds.  It fails where float arithmetic cannot
+    decide the rounding: at 0, inf and nan, for |x| outside [1e-270, 1e270),
+    and within _TIE_MARGIN of a tie; there m and e mean nothing."""
+    a = np.abs(x)
+    decided = (a >= 1e-270) & (a < 1e270)
+    a = np.where(decided, a, 1.0)
+    i = np.floor(np.log10(a)).astype(np.intp) - _E_FIRST
+    q = a * _TIMES[i] / _OVER[i]
+    i += (q >= 1e13).astype(np.intp) - (q < 1e12)  # log10 is off by one near 10**k
+    q = a * _TIMES[i] / _OVER[i]
+    frac = q - np.floor(q)
+    decided &= (q >= 1e12) & (q < 1e13) & (np.abs(frac - 0.5) > _TIE_MARGIN[i])
+    m = np.rint(q).astype(np.int64)
+    carry = m == 10**13  # 9.9999999999996 is 1.000000000000e+01
+    m[carry] = 10**12
+    return m, i + carry + _E_FIRST, decided
+
+
+def _format_cells(block) -> str:
+    """The rows of ``block`` as csv text, each cell exactly "%.12e" % cell.
+
+    Each cell fills six little-endian words: sign, lead digit and point;
+    three groups of four digits; "e", exponent sign and hundreds digit; the
+    last two exponent digits and the separator.  Zero bytes pad, and are
+    dropped.  A cell ``_decimal`` cannot round is formatted by % instead.
+    """
+    rows, cols = block.shape
+    sep = np.full(cols, ord(","), "<u4")
+    sep[-1] = ord("\n")
+    text = []
+    for start in range(0, rows, _CHUNK_ROWS):
+        x = block[start : start + _CHUNK_ROWS]
+        m, e, decided = _decimal(x)
+        lead, rest = np.divmod(m, 10**12)
+        high, rest = np.divmod(rest, 10**8)
+        middle, low = np.divmod(rest, 10**4)
+        words = np.empty(x.shape + (6,), "<u4")
+        words[..., 0] = np.where(x < 0, ord("-"), 0) | (48 + lead) << 8 | ord(".") << 16
+        words[..., 1] = _QUAD[high]
+        words[..., 2] = _QUAD[middle]
+        words[..., 3] = _QUAD[low]
+        i = e - _E_FIRST
+        words[..., 4] = _EXP_HEAD[i]
+        words[..., 5] = _EXP_TAIL[i] | sep << 16
+        odd = np.flatnonzero(~decided)
+        if odd.size:  # a cell by % fills at most 20 bytes: "-1.797693134862e+308"
+            cells = [(b"%.12e" % v).ljust(20, b"\0") for v in x.ravel()[odd].tolist()]
+            flat = words.reshape(-1, 6)
+            flat[odd, :5] = np.frombuffer(b"".join(cells), "<u4").reshape(-1, 5)
+            flat[odd, 5] = sep[odd % cols]
+        chunk = words.view(np.uint8).ravel()
+        text.append(chunk[chunk != 0].tobytes().decode("ascii"))
+    return "".join(text)
+
+
 def _write_rows(path: str, header: str, columns) -> None:
-    # One % over the whole block: "%.12e" of a Python float is _fmt.  A
-    # table without rows is the header and one blank line.
+    # A table without rows is the header and one blank line.
     block = np.column_stack(columns).astype(float, copy=False)
-    row = ",".join(["%.12e"] * block.shape[1]) + "\n"
-    body = (row * len(block)) % tuple(block.ravel().tolist())
-    _write_text(path, header + "\n" + (body or "\n"))
+    _write_text(path, header + "\n" + (_format_cells(block) or "\n"))
 
 
 @contextlib.contextmanager
@@ -166,35 +247,42 @@ def _parse_rows(lines, start: int, width: int):
     return np.asarray(data, dtype=float)
 
 
-def _loadtxt(rows):
-    """numpy's parse of csv ``rows``, or None where numpy refuses them."""
+def _loadtxt(rows, width: int):
+    """numpy's parse of csv ``rows``, or None where numpy refuses them or
+    finds no rows or a column count other than ``width``."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            return np.loadtxt(rows, dtype=float, delimiter=",", comments=None, ndmin=2)
+            arr = np.loadtxt(rows, dtype=float, delimiter=",", comments=None, ndmin=2)
     except (ValueError, Warning):
         return None
+    return arr if len(arr) and arr.shape[1] == width else None
 
 
 def read_table(path: str):
     """Read a csv table, returning (header, list of float columns).
 
-    numpy parses the rows, a second time without whitespace-only lines if
-    it refuses them; when it still fails, or finds no rows or a column
-    count other than the header's, ``_parse_rows`` names the bad row.
+    numpy parses the rows straight from the file.  Only where it fails is
+    the file read again as a list of lines: numpy parses them once more
+    without whitespace-only lines, and if that fails too, ``_parse_rows``
+    names the bad row.
     """
     with _naming(path), open(path, "r") as fh:
-        lines = fh.readlines()
-        start = next((i for i, ln in enumerate(lines) if ln.strip()), None)
-        if start is None:
-            raise ValueError("empty file")
-        header = lines[start].strip()
+        start = 0
+        while not (header := fh.readline()).strip():
+            if not header:
+                raise ValueError("empty file")
+            start += 1
+        header = header.strip()
         width = len(header.split(","))
-        arr = _loadtxt(lines[start + 1 :])
-        if arr is None:  # numpy reads a whitespace-only line as a one-cell row
-            arr = _loadtxt([ln for ln in lines[start + 1 :] if not ln.isspace()])
-        if arr is None or len(arr) == 0 or arr.shape[1] != width:
-            arr = _parse_rows(lines, start, width)
+        arr = _loadtxt(fh, width)
+        if arr is None:
+            fh.seek(0)
+            lines = fh.readlines()
+            # numpy reads a whitespace-only line as a one-cell row
+            arr = _loadtxt([ln for ln in lines[start + 1 :] if not ln.isspace()], width)
+            if arr is None:
+                arr = _parse_rows(lines, start, width)
         return header, [arr[:, i] for i in range(arr.shape[1])]
 
 
@@ -266,10 +354,18 @@ class ModelDocument:
         return entry.sample(self, grid)
 
 
-def _pair(value, what: str):
+def _float(value, name: str) -> float:
+    """``float(value)``; a string or JSON type no float holds names its field."""
+    try:
+        return float(value)  # an OverflowError past the float range stays unnamed
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"{name}: {exc}") from None
+
+
+def _pair(value, what: str, name: str):
     if not (isinstance(value, (list, tuple)) and len(value) == 2):
         raise ValueError(f"{what} must be a two-element list")
-    return float(value[0]), float(value[1])
+    return _float(value[0], name), _float(value[1], name)
 
 
 def _reconstructed(grid: FrequencyGrid, tau1, tau2):
@@ -280,18 +376,19 @@ def _reconstructed(grid: FrequencyGrid, tau1, tau2):
 
 
 def _integer(value, name: str) -> int:
-    number = float(value)  # raises OverflowError past the float range
+    number = _float(value, name)
     if not (number.is_integer() and abs(number) < 2.0**53):  # past 2**53 floats round
         raise ValueError(f"{name} must be an integer of magnitude below 2**53, got {value!r}")
     return int(number)
 
 
 def _load_blaschke(doc: dict) -> PoleZeroModel:
-    scale = _pair(doc.get("scale", [1.0, 0.0]), "scale")
+    scale = _pair(doc.get("scale", [1.0, 0.0]), "scale", "scale")
     return PoleZeroModel(
         scale=complex(*scale),
         p=_integer(doc.get("p", 0), "p"),
-        resonances=tuple(_pair(item, "resonance") for item in doc["resonances"]),
+        resonances=tuple(_pair(item, "resonance", f"resonances[{i}]")
+                         for i, item in enumerate(doc["resonances"])),
         prefactor_sign=_integer(doc.get("prefactor_sign", 1), "prefactor_sign"),
     )
 
@@ -312,7 +409,7 @@ def _sample_blaschke(document: ModelDocument, grid: FrequencyGrid):
 
 
 def _load_oscillator(doc: dict) -> OscillatorParams:
-    return OscillatorParams(float(doc["omega0"]), float(doc["gamma"]))
+    return OscillatorParams(_float(doc["omega0"], "omega0"), _float(doc["gamma"], "gamma"))
 
 
 def _sample_oscillator(document: ModelDocument, grid: FrequencyGrid):
@@ -321,7 +418,8 @@ def _sample_oscillator(document: ModelDocument, grid: FrequencyGrid):
 
 
 def _load_lorentz(doc: dict) -> LorentzMediumParams:
-    return LorentzMediumParams(float(doc["plasma_frequency"]), _load_oscillator(doc))
+    return LorentzMediumParams(_float(doc["plasma_frequency"], "plasma_frequency"),
+                               _load_oscillator(doc))
 
 
 def _dump_lorentz(p: LorentzMediumParams) -> dict:
@@ -336,9 +434,8 @@ def _load_breit_wigner(doc: dict) -> TwoLevelParams:
     # load_model reads the branch itself; it is only checked here.
     if doc.get("branch", "lower") not in ("upper", "lower"):
         raise ValueError("branch must be 'upper' or 'lower'")
-    return TwoLevelParams(
-        float(doc["omega0"]), float(doc["gamma"]), float(doc.get("gamma0", 0.0))
-    )
+    return TwoLevelParams(_float(doc["omega0"], "omega0"), _float(doc["gamma"], "gamma"),
+                          _float(doc.get("gamma0", 0.0), "gamma0"))
 
 
 def _sample_breit_wigner(document: ModelDocument, grid: FrequencyGrid):
@@ -347,7 +444,7 @@ def _sample_breit_wigner(document: ModelDocument, grid: FrequencyGrid):
 
 
 def _load_photon(doc: dict) -> PhotonParams:
-    return PhotonParams(float(doc["k_abs"]), float(doc["eta"]))
+    return PhotonParams(_float(doc["k_abs"], "k_abs"), _float(doc["eta"], "eta"))
 
 
 def _sample_photon(document: ModelDocument, grid: FrequencyGrid):
@@ -359,7 +456,8 @@ def _load_barrier(doc: dict) -> PotentialProfile:
     segments = doc["segments"]
     if not isinstance(segments, list):
         raise ValueError("segments must be a list of [width, height] pairs")
-    return PotentialProfile(tuple(_pair(s, "segment") for s in segments))
+    return PotentialProfile(tuple(_pair(s, "segment", f"segments[{i}]")
+                                  for i, s in enumerate(segments)))
 
 
 class _ModelKind(NamedTuple):

@@ -311,6 +311,18 @@ class TestModel:
             extracted.tau2[sl], direct.tau2[sl], rtol=1e-3, atol=2e-3
         )
 
+    def test_fine_grid_output_is_read_back_as_uniform(self, tmp_path):
+        """%.12e moves each node of a 120001-point grid by up to 1e-12, far
+        more than 1e-9 of its step; extract and kk still take the grid."""
+        doc = {"type": "lorentz", "plasma_frequency": 1.0, "omega0": 1.5, "gamma": 0.2}
+        stem = str(tmp_path / "m")
+        assert main(["model", write_json(tmp_path / "m.json", doc), "--from", "0.5",
+                     "--to", "2.5", "--points", "120001", "-o", stem]) == 0
+        out = str(tmp_path / "back.csv")
+        assert main(["--stencil", "4", "extract", stem + ".spectrum.csv", "-o", out]) == 0
+        assert len(fileio.read_temporal(out).grid) == 120001
+        assert main(["kk", stem + ".spectrum.csv"]) == 0
+
 
 class TestKk:
     def test_causal_and_acausal_reports(self, tmp_path):
@@ -572,7 +584,16 @@ INFINITE_IM_TABLE = fileio.SPECTRUM_HEADER + "\n0,1,0\n1,1,0\n2,1,-Infinity\n3,1
 # on stderr names the file and then gives the reason.
 REFUSED_INPUTS = {
     "model-float-field": ("m.json", json.dumps({**OSCILLATOR_DOC, "omega0": "abc"}), model_argv,
-                          "could not convert string to float: 'abc'"),
+                          "omega0: could not convert string to float: 'abc'"),
+    "model-resonance-entry": ("m.json", json.dumps({"type": "blaschke",
+                                                    "resonances": [[1, 0.2], [2, "x"]]}),
+                              model_argv, "resonances[1]: could not convert string to float: 'x'"),
+    "model-scale-entry": ("m.json", json.dumps({**BLASCHKE_DOC, "scale": ["a", 0]}), model_argv,
+                          "scale: could not convert string to float: 'a'"),
+    "model-segment-entry": ("m.json", json.dumps({"type": "barrier", "segments": [[1, "w"]]}),
+                            model_argv, "segments[0]: could not convert string to float: 'w'"),
+    "model-integer-field": ("m.json", json.dumps({**BLASCHKE_DOC, "p": "one"}), model_argv,
+                            "p: could not convert string to float: 'one'"),
     "model-gamma-range": ("m.json", json.dumps({**OSCILLATOR_DOC, "gamma": 5}), model_argv,
                           "gamma must satisfy 0 < gamma < 2 omega0"),
     "model-unknown-field": ("m.json", json.dumps({**OSCILLATOR_DOC, "x": 1}), model_argv,

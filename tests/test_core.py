@@ -87,6 +87,16 @@ class TestUniformSpacing:
         with pytest.raises(NonUniformGrid):
             uniform_spacing(x, "msg")
 
+    def test_tolerance_admits_csv_round_off_and_no_more(self):
+        """A %.12e cell near 1 moves by up to 5e-13, so a step by up to 1e-12:
+        far more than 1e-9 of a step of 1e-5."""
+        x = 1.0 + 1e-5 * np.arange(5)
+        x[2] += 0.9e-12
+        assert uniform_spacing(x, "msg") == pytest.approx(1e-5, rel=1e-9)
+        x[2] += 2e-12
+        with pytest.raises(NonUniformGrid):
+            uniform_spacing(x, "msg")
+
 
 class TestContainers:
     def test_spectrum_length_mismatch(self):

@@ -1,6 +1,8 @@
 """Round-trip and validation tests for the on-disk formats."""
 
 import dataclasses
+import io
+import json
 import os
 import stat
 import threading
@@ -8,8 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from tauspec import fileio
+from tauspec import cli, fileio
 from tauspec.core import (
     ComplexSpectrum,
     FrequencyGrid,
@@ -139,7 +144,15 @@ class TestTables:
         def refuse(*args):
             raise AssertionError("well-formed table reached the fallback parser")
 
+        class Streamed(io.TextIOWrapper):
+            def readlines(self, *args):
+                raise AssertionError("well-formed table was read as a list of lines")
+
+        def streamed_open(file, mode="r", **kwargs):
+            return Streamed(open(file, "rb")) if mode == "r" else open(file, mode, **kwargs)
+
         monkeypatch.setattr(fileio, "_parse_rows", refuse)
+        monkeypatch.setattr(fileio, "open", streamed_open, raising=False)
         spec, temp = sample_spectrum(), sample_temporal()
         write_spectrum(str(tmp_path / "s.csv"), spec)
         write_temporal(str(tmp_path / "t.csv"), temp)
@@ -234,6 +247,39 @@ def per_cell_text(header, columns) -> str:
     return header + "\n" + "\n".join(rows) + "\n"
 
 
+def writer_cases():
+    """Columns whose text the numpy formatter must get exactly right."""
+    rng = np.random.default_rng(11)
+    near_ties = rng.integers(10**12, 10**13, 20000) + 0.5
+    near_ties *= 10.0 ** rng.choice(np.r_[-40:-10, 35:50], 20000)
+    float32 = rng.standard_normal(5000) * 10.0 ** rng.integers(-44, 37, 5000)
+    cases = {
+        # exact ties at the 13th digit: % rounds half to even
+        "ties": [1234567890122.5, 1234567890123.5, 9999999999999.5, 1000000000000.5],
+        "powers-of-ten": [np.nextafter(10.0**k, d) for k in range(-30, 31)
+                          for d in (-np.inf, np.inf)],
+        # a mantissa that rounds up to 10 carries into the exponent
+        "carry": [9.9999999999996, 9.99999999999949, 0.99999999999996, 99999999999999.6,
+                  9.9999999999996e-100],
+        # three-digit exponents, and the ends of the range formatted in numpy
+        "three-digit-exponents": [1e100, 2.5e-150, 1e269, 9.9999999999999e269, 1e270,
+                                  1e-270, 9.99e-271, 1e-99, 1e99],
+        # where 10**(e - 12) is no double, a scaled cell may miss its tie by 1e-3
+        "near-ties-at-inexact-powers": near_ties,
+        "float32": float32.astype(np.float32),
+    }
+    cases = {name: [np.array(c), -np.array(c)] for name, c in cases.items()}
+    for offset in (-1, 0, 1):
+        n = fileio._CHUNK_ROWS + offset
+        edge = rng.standard_normal(n)
+        edge[[0, -1]] = np.nan, -0.0
+        cases[f"chunk{offset:+d}"] = [np.linspace(0.5, 2.5, n), edge, rng.standard_normal(n)]
+    return cases
+
+
+WRITER_CASES = writer_cases()
+
+
 class TestTableWriter:
     EXTREMES = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
                 -1.7976931348623157e308, 1e-300, 2.2250738585072014e-308, 1.0,
@@ -252,6 +298,52 @@ class TestTableWriter:
         path = tmp_path / "t.csv"
         fileio._write_rows(str(path), "a,b,c,d", columns)
         assert path.read_bytes() == per_cell_text("a,b,c,d", columns).encode()
+
+    @settings(max_examples=300, deadline=None)
+    @given(block=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=12),
+                            elements=st.floats()))
+    def test_any_float_is_written_as_by_percent(self, tmp_path_factory, block):
+        path = tmp_path_factory.getbasetemp() / "any-float.csv"
+        columns = list(block.T)
+        fileio._write_rows(str(path), "a", columns)
+        assert path.read_bytes() == per_cell_text("a", columns).encode()
+
+    @pytest.mark.parametrize("case", sorted(WRITER_CASES))
+    def test_cells_as_by_percent(self, tmp_path, case):
+        columns = WRITER_CASES[case]
+        header = ",".join("abc"[: len(columns)])
+        path = tmp_path / "t.csv"
+        fileio._write_rows(str(path), header, columns)
+        assert path.read_bytes() == per_cell_text(header, columns).encode()
+
+    def test_scaling_powers_are_exact_or_within_one_ulp(self):
+        """The tie margins assume 10**k exact for k <= 22, else off by at
+        most one ulp."""
+        for table, k in [(fileio._TIMES, 12 - fileio._E), (fileio._OVER, fileio._E - 12)]:
+            k = np.maximum(k, 0)
+            exact = np.array([float(10 ** int(j)) for j in k])
+            assert np.all(np.abs(table - exact) <= np.spacing(exact))
+            np.testing.assert_array_equal(table[k <= 22], exact[k <= 22])
+
+    def test_few_model_cells_fall_back_to_percent(self, tmp_path, monkeypatch):
+        """Counts cells, not time: on a 120001-row model table fewer than
+        2% of the cells are formatted by % instead of in numpy."""
+        blocks = []
+        format_cells = fileio._format_cells
+
+        def spy(block):
+            blocks.append(block)
+            return format_cells(block)
+
+        monkeypatch.setattr(fileio, "_format_cells", spy)
+        doc = tmp_path / "m.json"
+        doc.write_text(json.dumps({"type": "lorentz", "plasma_frequency": 1.0,
+                                   "omega0": 1.5, "gamma": 0.2}))
+        assert cli.main(["model", str(doc), "--from", "0.5", "--to", "2.5",
+                         "--points", "120001", "-o", str(tmp_path / "m")]) == 0
+        assert [b.shape for b in blocks] == [(120001, 3)] * 2
+        decided = np.concatenate([fileio._decimal(b)[2].ravel() for b in blocks])
+        assert 1 - decided.mean() < 0.02
 
 
 class TestAtomicWrites:
