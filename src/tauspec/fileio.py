@@ -362,9 +362,9 @@ def _float(value, name: str) -> float:
         raise ValueError(f"{name}: {exc}") from None
 
 
-def _pair(value, what: str, name: str):
+def _pair(value, name: str):
     if not (isinstance(value, (list, tuple)) and len(value) == 2):
-        raise ValueError(f"{what} must be a two-element list")
+        raise ValueError(f"{name} must be a two-element list")
     return _float(value[0], name), _float(value[1], name)
 
 
@@ -383,11 +383,11 @@ def _integer(value, name: str) -> int:
 
 
 def _load_blaschke(doc: dict) -> PoleZeroModel:
-    scale = _pair(doc.get("scale", [1.0, 0.0]), "scale", "scale")
+    scale = _pair(doc.get("scale", [1.0, 0.0]), "scale")
     return PoleZeroModel(
         scale=complex(*scale),
         p=_integer(doc.get("p", 0), "p"),
-        resonances=tuple(_pair(item, "resonance", f"resonances[{i}]")
+        resonances=tuple(_pair(item, f"resonances[{i}]")
                          for i, item in enumerate(doc["resonances"])),
         prefactor_sign=_integer(doc.get("prefactor_sign", 1), "prefactor_sign"),
     )
@@ -456,8 +456,7 @@ def _load_barrier(doc: dict) -> PotentialProfile:
     segments = doc["segments"]
     if not isinstance(segments, list):
         raise ValueError("segments must be a list of [width, height] pairs")
-    return PotentialProfile(tuple(_pair(s, "segment", f"segments[{i}]")
-                                  for i, s in enumerate(segments)))
+    return PotentialProfile(tuple(_pair(s, f"segments[{i}]") for i, s in enumerate(segments)))
 
 
 class _ModelKind(NamedTuple):

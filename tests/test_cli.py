@@ -592,6 +592,8 @@ REFUSED_INPUTS = {
                           "scale: could not convert string to float: 'a'"),
     "model-segment-entry": ("m.json", json.dumps({"type": "barrier", "segments": [[1, "w"]]}),
                             model_argv, "segments[0]: could not convert string to float: 'w'"),
+    "model-segment-shape": ("m.json", json.dumps({"type": "barrier", "segments": [[1, 0.5], [2]]}),
+                            model_argv, "segments[1] must be a two-element list"),
     "model-integer-field": ("m.json", json.dumps({**BLASCHKE_DOC, "p": "one"}), model_argv,
                             "p: could not convert string to float: 'one'"),
     "model-gamma-range": ("m.json", json.dumps({**OSCILLATOR_DOC, "gamma": 5}), model_argv,
