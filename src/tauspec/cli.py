@@ -39,6 +39,10 @@ from .scatter1d import complex_time, s_matrix
 EXIT_OK = 0
 EXIT_INPUT = 2
 
+# Caps on the sizes a flag asks for, checked before anything is allocated.
+MAX_POINTS = 10**7
+MAX_SAMPLES_PER_EDGE = 10**5
+
 _TAIL_BY_FLAG = {"none": "none", "w1": "one_over_omega", "w2": "one_over_omega2"}
 
 _TOLERANCES = (
@@ -91,7 +95,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("--from", dest="lo", type=float, required=True)
     p.add_argument("--to", dest="hi", type=float, required=True)
-    p.add_argument("--points", type=int, required=True)
+    p.add_argument("--points", type=int, required=True,
+                   help=f"grid nodes, at most {MAX_POINTS}")
     p.add_argument("-o", "--output", required=True, help="output path prefix")
     _global_flags(p)
     p.set_defaults(run=_cmd_model)
@@ -115,7 +120,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--rect", nargs=4, type=float, required=True,
         metavar=("RE_MIN", "RE_MAX", "IM_MIN", "IM_MAX"),
     )
-    p.add_argument("--samples", type=int, default=16)
+    p.add_argument("--samples", type=int, default=16,
+                   help=f"panels per edge, 16 to {MAX_SAMPLES_PER_EDGE} (default 16)")
     p.add_argument("-o", "--output")
     _global_flags(p)
     p.set_defaults(run=_cmd_winding)
@@ -124,7 +130,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("--from", dest="lo", type=float, required=True)
     p.add_argument("--to", dest="hi", type=float, required=True)
-    p.add_argument("--points", type=int, required=True)
+    p.add_argument("--points", type=int, required=True,
+                   help=f"energy nodes, at most {MAX_POINTS}")
     p.add_argument("--step", type=float, default=1e-4,
                    help="energy step for delay differences")
     p.add_argument("-o", "--output", required=True)
@@ -140,6 +147,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_cap(flag: str, value: int, cap: int) -> None:
+    if value > cap:
+        raise ValueError(f"{flag} {value} exceeds the cap of {cap}")
+
+
 def _cmd_extract(args) -> int:
     spectrum = fileio.read_spectrum(args.input)
     options = ExtractionOptions(stencil_order=args.stencil)
@@ -149,6 +161,7 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_model(args) -> int:
+    _check_cap("--points", args.points, MAX_POINTS)
     document = fileio.load_model(args.model)
     grid = FrequencyGrid.linspace(args.lo, args.hi, args.points)
     if document.kind == "barrier":
@@ -207,6 +220,7 @@ def _cmd_sumrule(args) -> int:
 
 
 def _cmd_winding(args) -> int:
+    _check_cap("--samples", args.samples, MAX_SAMPLES_PER_EDGE)
     document = fileio.load_model(args.model)
     if document.kind != "blaschke":
         raise ValueError(f"{args.model}: winding needs a pole-zero model")
@@ -235,6 +249,7 @@ def _write_barrier(profile, grid: FrequencyGrid, output: str, step: float) -> in
 
 
 def _cmd_barrier(args) -> int:
+    _check_cap("--points", args.points, MAX_POINTS)
     document = fileio.load_model(args.model)
     if document.kind != "barrier":
         raise ValueError(f"{args.model}: barrier needs a potential-profile model")

@@ -80,22 +80,42 @@ class KKReport:
             raise ValueError("origin_gap must be non-negative")
 
 
+def _fft_length(m: int) -> int:
+    """Smallest 2**a 3**b 5**c at or above m >= 1: numpy's fast FFT lengths."""
+    best = 1 << (m - 1).bit_length()
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:
+            # The least power of two that lifts this 3**b 5**c to m.
+            best = min(best, odd << (-(-m // odd) - 1).bit_length())
+            odd *= 3
+        odd5 *= 5
+    return best
+
+
 def _skip_node_sums(values: np.ndarray) -> np.ndarray:
     """Trapezoid sums S_i = sum_{j != i} w_j f_j / (i - j), w half at ends.
 
-    One complex FFT convolution of w f with the kernel 1/m, 0 < |m| < n.
-    Any length of at least 2n - 1 leaves the wrap-around in outputs that
-    are sliced away; the next power of two is the fastest such length.
+    One circular FFT convolution of w f with the kernel 1/m, 0 < |m| < n,
+    at the smallest 5-smooth length L >= 2n - 1, where numpy's FFT is
+    fastest.  The kernel is stored wrapped, 1/m at index m and -1/m at
+    L - m, so the sums are the first n outputs with no wrap-around.  That
+    kernel is real and odd, so its spectrum is one rfft completed by
+    Hermitian symmetry.
     """
     n = values.size
-    with np.errstate(divide="ignore"):
-        kernel = 1.0 / np.arange(-(n - 1), n, dtype=float)
-    kernel[n - 1] = 0.0
+    size = _fft_length(2 * n - 1)
+    kernel = np.zeros(size)
+    kernel[1:n] = 1.0 / np.arange(1, n)
+    kernel[size - n + 1 :] = -kernel[n - 1 : 0 : -1]
+    half = np.fft.rfft(kernel)
     weighted = np.array(values, dtype=complex)
     weighted[[0, -1]] *= 0.5
-    size = 1 << (2 * n - 2).bit_length()
-    spectrum = np.fft.fft(weighted, size) * np.fft.fft(kernel, size)
-    return np.fft.ifft(spectrum)[n - 1 : 2 * n - 1]
+    spectrum = np.fft.fft(weighted, size)
+    spectrum[: half.size] *= half
+    spectrum[half.size :] *= np.conj(half[(size - 1) // 2 : 0 : -1])
+    return np.fft.ifft(spectrum)[:n]
 
 
 def _pv_core(values: np.ndarray) -> np.ndarray:

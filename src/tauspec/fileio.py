@@ -355,10 +355,11 @@ class ModelDocument:
 
 
 def _float(value, name: str) -> float:
-    """``float(value)``; a string or JSON type no float holds names its field."""
+    """``float(value)``; a string, JSON type or integer no float holds names
+    its field."""
     try:
-        return float(value)  # an OverflowError past the float range stays unnamed
-    except (ValueError, TypeError) as exc:
+        return float(value)
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ValueError(f"{name}: {exc}") from None
 
 

@@ -356,6 +356,28 @@ class TestKk:
         assert "zero-filling to the origin needs 8000 steps" in capsys.readouterr().err
 
 
+# Grids kk refuses: (file name, header, grid, whole stderr line after
+# "error: "); each table has the cells 1 and 0 on every row.
+KK_GRID_GUARDS = {
+    "NonUniformGrid": ("s.csv", fileio.SPECTRUM_HEADER, [0.0, 1.0, 3.0, 4.0],
+                       "hilbert_transform needs a uniform grid"),
+    "NonPositiveGrid": ("t.csv", fileio.TEMPORAL_HEADER, [0.0, 1.0, 2.0, 3.0],
+                        "extension needs a strictly positive grid"),
+    "OriginGapTooWide": ("t.csv", fileio.TEMPORAL_HEADER, [1000.0, 1000.125, 1000.25],
+                         "zero-filling to the origin needs 8000 steps per side for "
+                         "3 nodes (limit 8 per node)"),
+}
+
+
+@pytest.mark.parametrize("guard", sorted(KK_GRID_GUARDS))
+def test_kk_grid_guard_exits_2(tmp_path, capsys, guard):
+    filename, header, grid, message = KK_GRID_GUARDS[guard]
+    inp = tmp_path / filename
+    inp.write_text(header + "\n" + "".join(f"{x!r},1,0\n" for x in grid))
+    assert main(["kk", str(inp)]) == getattr(errors, guard).exit_code == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 class TestSumrule:
     def test_inverse_frequency_artifact(self, tmp_path, capsys):
         half = FrequencyGrid.linspace(0.5, 50.0, 992).values
@@ -561,8 +583,10 @@ WRONGLY_TYPED_MODELS = {
         {**BLASCHKE_DOC, "prefactor_sign": 1.5},
         re.escape("prefactor_sign must be an integer of magnitude below 2**53, got 1.5"),
     ),
+    "omega0-past-float-range": ({"type": "oscillator", "omega0": 10**400, "gamma": 0.1},
+                                re.escape("omega0: int too large to convert to float")),
     "p-past-float-range": ({**BLASCHKE_DOC, "p": 10**400},
-                           re.escape("int too large to convert to float")),
+                           re.escape("p: int too large to convert to float")),
     "p-past-2**53": (
         {**BLASCHKE_DOC, "p": 2**53 + 1},
         re.escape("p must be an integer of magnitude below 2**53, got 9007199254740993"),
@@ -696,6 +720,28 @@ class TestInputErrors:
             f"error: {inp}: line 3: 'utf-8' codec can't decode byte 0xff "
             "in position 5: invalid start byte\n"
         )
+
+
+# Sizes past a cap, refused before any allocation: (verb, model document,
+# argv after the model path, flag, cap).  Only cap + 1 is ever tried.
+CAPPED_FLAGS = {
+    "model-points": ("model", BLASCHKE_DOC, ["--from", "0.5", "--to", "1.5", "--points"],
+                     "--points", cli.MAX_POINTS),
+    "barrier-points": ("barrier", {"type": "barrier", "segments": [[1.0, 0.5]]},
+                       ["--from", "0.5", "--to", "1.5", "--points"], "--points", cli.MAX_POINTS),
+    "winding-samples": ("winding", BLASCHKE_DOC, ["--rect", "0", "2", "-1", "1", "--samples"],
+                        "--samples", cli.MAX_SAMPLES_PER_EDGE),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CAPPED_FLAGS))
+def test_size_past_cap_exits_2_without_output(tmp_path, capsys, name):
+    verb, doc, flags, flag, cap = CAPPED_FLAGS[name]
+    out = tmp_path / "out"
+    argv = [verb, write_json(tmp_path / "m.json", doc), *flags, str(cap + 1), "-o", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {flag} {cap + 1} exceeds the cap of {cap}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json"]
 
 
 class TestExitCodes:

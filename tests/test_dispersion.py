@@ -14,6 +14,7 @@ from tauspec.core import (
 )
 from tauspec.dispersion import (
     Contour,
+    _fft_length,
     _pv_core,
     _skip_node_sums,
     frequency_sum_rule,
@@ -80,13 +81,33 @@ def direct_pv_core(values):
 DIRECT_SUM_TOL = 2.5e-13
 
 
+def smallest_5_smooth(m):
+    """The least k >= m with no prime factor above 5, by trial division."""
+    k = m
+    while True:
+        rest = k
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return k
+        k += 1
+
+
+def test_fft_length_is_smallest_5_smooth():
+    assert [_fft_length(m) for m in range(1, 5001)] == [
+        smallest_5_smooth(m) for m in range(1, 5001)
+    ]
+
+
 class TestSkipNodeSums:
     """The FFT convolution and the closed form against direct O(n^2) sums.
 
-    1025 sits just past a power of two, so its padded length is largest
-    relative to the data."""
+    At n = 13, 41 and 63 the FFT length is exactly 2n - 1 (25, 81 and
+    125), so the wrapped kernel's two halves meet with no zero between
+    them; an off-by-one in the wrap shows there first."""
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 11, 1024, 1025, 3000])
+    @pytest.mark.parametrize("n", [1, 2, 3, 11, 13, 41, 63, 1024, 1025, 3000])
     def test_matches_direct_sum(self, n):
         rng = np.random.default_rng(n)
         data = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -94,7 +115,7 @@ class TestSkipNodeSums:
             err = np.abs(_skip_node_sums(values) - direct_skip_node_sums(values))
             assert np.max(err) <= DIRECT_SUM_TOL
 
-    @pytest.mark.parametrize("n", [2, 3, 11, 1024, 1025, 3000])
+    @pytest.mark.parametrize("n", [2, 3, 11, 13, 41, 63, 1024, 1025, 3000])
     def test_pv_core_matches_direct_rule(self, n):
         rng = np.random.default_rng(n)
         data = rng.standard_normal(n) + 1j * rng.standard_normal(n)
