@@ -17,6 +17,7 @@ package error names its own code in ``exit_code``.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -155,7 +156,8 @@ def _check_cap(flag: str, value: int, cap: int) -> None:
 def _cmd_extract(args) -> int:
     spectrum = fileio.read_spectrum(args.input)
     options = ExtractionOptions(stencil_order=args.stencil)
-    temporal = extract_temporal(spectrum, options)
+    with fileio._naming(args.input):
+        temporal = extract_temporal(spectrum, options)
     fileio.write_temporal(args.output, temporal)
     return EXIT_OK
 
@@ -187,20 +189,15 @@ def _cmd_kk(args) -> int:
     tail_model = _TAIL_BY_FLAG[args.tail]
     fmt = fileio.detect_format(args.input)
     if fmt == "spectrum":
-        report = kk_residual(fileio.read_spectrum(args.input), tail_model)
+        table, residual = fileio.read_spectrum(args.input), kk_residual
     elif fmt == "temporal":
-        report = tau_kk_residual(fileio.read_temporal(args.input), tail_model)
+        table, residual = fileio.read_temporal(args.input), tau_kk_residual
     else:
         raise ValueError(f"{args.input}: kk needs a spectrum or tau table")
-    mapping = {
-        "input": os.path.basename(args.input),
-        "kind": fmt,
-        "nodes": report.nodes,
-        "origin_gap": report.origin_gap,
-        "residual_l2": report.residual_l2,
-        "residual_max": report.residual_max,
-        "tail_model": report.tail_model,
-    }
+    with fileio._naming(args.input):
+        report = residual(table, tail_model)
+    mapping = {"input": os.path.basename(args.input), "kind": fmt,
+               **dataclasses.asdict(report)}
     return _emit_artifact("kk", mapping, args.output)
 
 
@@ -210,7 +207,7 @@ def _cmd_sumrule(args) -> int:
     value = frequency_sum_rule(spectrum, temporal)
     scale = sum_rule_scale(spectrum, temporal)
     mapping = {
-        "exclusion_radius": float(np.min(np.abs(spectrum.grid.values))),
+        "exclusion_radius": np.min(np.abs(spectrum.grid.values)),
         "l1_scale": scale,
         "nodes": len(spectrum.grid),
         "value_im": value.imag,
@@ -258,39 +255,28 @@ def _cmd_barrier(args) -> int:
 
 
 def _summarise_table(fmt: str, path: str) -> dict:
+    """Format, nodes, first and last abscissa and the extremes of a table."""
     if fmt == "spectrum":
         spectrum = fileio.read_spectrum(path)
-        return {
-            "format": fmt,
-            "max_abs": float(np.max(np.abs(spectrum.values))),
-            "nodes": len(spectrum.grid),
-            "omega_max": float(spectrum.grid.values[-1]),
-            "omega_min": float(spectrum.grid.values[0]),
-        }
-    if fmt == "temporal":
+        axis, grid = "omega", spectrum.grid
+        extremes = {"max_abs": np.max(np.abs(spectrum.values))}
+    elif fmt == "temporal":
         temporal = fileio.read_temporal(path)
-        return {
-            "format": fmt,
-            "max_abs_tau1": float(np.max(np.abs(temporal.tau1))),
-            "max_abs_tau2": float(np.max(np.abs(temporal.tau2))),
-            "nodes": len(temporal.grid),
-            "omega_max": float(temporal.grid.values[-1]),
-            "omega_min": float(temporal.grid.values[0]),
-        }
-    grid, transmission, *_ = fileio.read_barrier_table(path)
-    return {
-        "energy_max": float(grid.values[-1]),
-        "energy_min": float(grid.values[0]),
-        "format": fmt,
-        "nodes": len(grid),
-        "transmission_max": float(np.max(transmission)),
-        "transmission_min": float(np.min(transmission)),
-    }
+        axis, grid = "omega", temporal.grid
+        extremes = {"max_abs_tau1": np.max(np.abs(temporal.tau1)),
+                    "max_abs_tau2": np.max(np.abs(temporal.tau2))}
+    else:
+        grid, transmission, *_ = fileio.read_barrier_table(path)
+        axis = "energy"
+        extremes = {"transmission_max": np.max(transmission),
+                    "transmission_min": np.min(transmission)}
+    return {"format": fmt, "nodes": len(grid), f"{axis}_max": grid.values[-1],
+            f"{axis}_min": grid.values[0], **extremes}
 
 
 def _cmd_report(args) -> int:
     entries = sorted(args.inputs, key=lambda p: (os.path.basename(p), p))
-    lines = [f"{fileio.ARTIFACT_PREFIX}report {fileio.ARTIFACT_VERSION}"]
+    lines = []
     tables = []
     for path in entries:
         fmt = fileio.detect_format(path)
@@ -299,24 +285,17 @@ def _cmd_report(args) -> int:
         if fmt == "artifact":
             kind, mapping = fileio.read_artifact(path)
             lines.append(f"format=artifact:{kind}")
-            for key in sorted(mapping):
-                lines.append(f"{key}={mapping[key]}")
+            lines.extend(fileio.format_fields(mapping))
         elif fmt in ("spectrum", "temporal", "barrier"):
             tables.append((path, fmt))
-            summary = _summarise_table(fmt, path)
-            for key in sorted(summary):
-                value = summary[key]
-                if isinstance(value, float):
-                    lines.append(f"{key}={value:.12e}")
-                else:
-                    lines.append(f"{key}={value}")
+            lines.extend(fileio.format_fields(_summarise_table(fmt, path)))
         else:
             raise ValueError(f"{path}: report cannot summarise this format")
     lines.append("")
     lines.append("[tolerances]")
     for name, value, why in _TOLERANCES:
         lines.append(f"{name}={value:.12e}  # {why}")
-    text = "\n".join(lines) + "\n"
+    text = fileio.format_artifact("report", {}) + "\n".join(lines) + "\n"
     if args.output:
         fileio._write_text(args.output, text)
     else:

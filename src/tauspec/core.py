@@ -41,6 +41,17 @@ _UNIFORM_RTOL = 1e-9
 # A %.12e cell moves its node by at most 5e-13 of it, so a grid read back
 # from csv has steps off by up to 1e-12 of its largest node.
 _CSV_ROUNDOFF = 1e-12
+# The nearest a model sample may come to a pole, a zero or a singular origin.
+_POLE_TOLERANCE = 1e-12
+
+
+def _pointwise(arg, *results):
+    """``results`` of a pointwise function of ``arg``: Python scalars (the
+    one element of each) when ``arg`` is 0-d, else the arrays as they are.
+    One result comes back bare, several as a tuple."""
+    if np.ndim(arg) == 0:
+        results = tuple(np.asarray(r).item() for r in results)
+    return results[0] if len(results) == 1 else results
 
 
 def uniform_spacing(x, message: str) -> float:
@@ -207,57 +218,58 @@ class PoleZeroModel:
         return np.conj(self.zeros())
 
 
-def _guard_proximity(omega, points, tol, what):
+def _guard_proximity(omega, points, what):
     for pt in np.atleast_1d(points):
         d = np.min(np.abs(omega - pt))
-        if d < tol:
+        if d < _POLE_TOLERANCE:
             raise PoleProximity(
                 f"evaluation point within {d:.3e} of {what} at {pt}"
             )
 
 
-def evaluate_model(model: PoleZeroModel, omega, pole_tolerance: float = 1e-12):
+def evaluate_model(model: PoleZeroModel, omega):
     """Evaluate the rational response at real or complex frequencies.
 
     Raises:
-        PoleProximity: a sample sits within ``pole_tolerance`` of a pole,
-            or of the origin when the prefactor is singular there.
+        PoleProximity: a sample sits within 1e-12 of a pole, or of the
+            origin when the prefactor is singular there.
     """
     om = np.atleast_1d(np.asarray(omega, dtype=complex))
-    scalar = np.ndim(omega) == 0
     if model.p > 0 and model.prefactor_sign > 0:
-        _guard_proximity(om, 0.0, pole_tolerance, "the origin prefactor pole")
+        _guard_proximity(om, 0.0, "the origin prefactor pole")
     if len(model.resonances) > 0:
-        _guard_proximity(om, model.poles(), pole_tolerance, "a model pole")
+        _guard_proximity(om, model.poles(), "a model pole")
     out = np.full(om.shape, model.scale, dtype=complex)
     if model.p > 0:
         out = out * om ** (-model.prefactor_sign * model.p)
     for z in model.zeros():
         out = out * (om - z) / (om - np.conj(z))
-    return complex(out[0]) if scalar else out
+    return _pointwise(omega, out)
 
 
-def model_tau(model: PoleZeroModel, omega, pole_tolerance: float = 1e-12):
+def model_tau(model: PoleZeroModel, omega):
     """Closed-form complex time tau(omega) of the rational response.
 
     Works for complex omega as well, which is what the winding-number
     contour integration uses.  On the real axis each resonance contributes
     gamma_n / ((omega - omega_n)**2 + gamma_n**2 / 4) to tau1 and the
     origin prefactor contributes prefactor_sign * p / omega to tau2.
+
+    Raises:
+        PoleProximity: a sample within 1e-12 of a pole, a zero or a prefactor origin.
     """
     om = np.atleast_1d(np.asarray(omega, dtype=complex))
-    scalar = np.ndim(omega) == 0
     if model.p > 0:
-        _guard_proximity(om, 0.0, pole_tolerance, "the origin")
+        _guard_proximity(om, 0.0, "the origin")
     if len(model.resonances) > 0:
-        _guard_proximity(om, model.poles(), pole_tolerance, "a model pole")
-        _guard_proximity(om, model.zeros(), pole_tolerance, "a model zero")
+        _guard_proximity(om, model.poles(), "a model pole")
+        _guard_proximity(om, model.zeros(), "a model zero")
     out = np.zeros(om.shape, dtype=complex)
     for z in model.zeros():
         out += -1j * (1.0 / (om - z) - 1.0 / (om - np.conj(z)))
     if model.p > 0:
         out += 1j * model.prefactor_sign * model.p / om
-    return complex(out[0]) if scalar else out
+    return _pointwise(omega, out)
 
 
 def reconstruct(

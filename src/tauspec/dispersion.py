@@ -19,6 +19,7 @@ from .core import (
     FrequencyGrid,
     PoleZeroModel,
     TemporalSpectrum,
+    _pointwise,
     model_tau,
     uniform_spacing,
 )
@@ -423,9 +424,7 @@ def residue_time_domain(model: PoleZeroModel, t):
     )
     tau1 = np.sum(terms, axis=-1)
     tau2 = -1j * np.sign(t_arr) * tau1
-    if np.ndim(t) == 0:
-        return float(tau1), complex(tau2)
-    return tau1, tau2
+    return _pointwise(t, tau1, tau2)
 
 
 @dataclass(frozen=True)

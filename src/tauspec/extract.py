@@ -15,7 +15,8 @@ from typing import NamedTuple
 import numpy as np
 
 from ._stencils import differentiate, second_difference
-from .core import ComplexSpectrum, FrequencyGrid, TemporalSpectrum, uniform_spacing
+from .core import (ComplexSpectrum, FrequencyGrid, TemporalSpectrum, _pointwise,
+                   uniform_spacing)
 from .errors import (
     InsufficientSupport,
     NonPositiveSigma,
@@ -159,7 +160,7 @@ def _front_response(omega0, tau, sigma, r0, t, erf_sign):
     prefactor = r0 / np.lib.scimath.sqrt(8.0 * np.pi * sigma)
     front = 1.0 + erf_sign * _erf_any(x)
     value = prefactor * np.exp(-1j * omega0 * np.asarray(t) - x**2) * front
-    return complex(value) if np.ndim(t) == 0 else value
+    return _pointwise(t, value)
 
 
 def normal_response(omega0, tau, sigma, r0, t):

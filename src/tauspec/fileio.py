@@ -528,9 +528,10 @@ def save_model(path: str, document: ModelDocument) -> None:
     _write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def format_artifact(kind: str, mapping: dict) -> str:
-    """Render an artifact document as deterministic text."""
-    lines = [f"{ARTIFACT_PREFIX}{kind} {ARTIFACT_VERSION}"]
+def format_fields(mapping: dict) -> list:
+    """``key=value`` lines of ``mapping`` in key order: a bool as true or
+    false, an integer as %d, a float as %.12e and anything else as str."""
+    lines = []
     for key in sorted(mapping):
         value = mapping[key]
         if isinstance(value, bool):
@@ -542,7 +543,13 @@ def format_artifact(kind: str, mapping: dict) -> str:
         else:
             text = str(value)
         lines.append(f"{key}={text}")
-    return "\n".join(lines) + "\n"
+    return lines
+
+
+def format_artifact(kind: str, mapping: dict) -> str:
+    """Render an artifact document as deterministic text."""
+    head = f"{ARTIFACT_PREFIX}{kind} {ARTIFACT_VERSION}"
+    return "\n".join([head, *format_fields(mapping)]) + "\n"
 
 
 def write_artifact(path: str, kind: str, mapping: dict) -> None:

@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._stencils import differentiate
-from .core import FrequencyGrid
+from .core import FrequencyGrid, _pointwise
 from .errors import (
     BelowMassShell,
     DegenerateFrequency,
@@ -155,7 +155,7 @@ def oscillator_green(params: OscillatorParams, omega):
     hg = 0.5j * params.gamma
     om = np.asarray(omega, dtype=complex)
     out = -1.0 / (2.0 * np.pi * (om - w1 + hg) * (om + w1 + hg))
-    return complex(out[()]) if np.ndim(omega) == 0 else out
+    return _pointwise(omega, out)
 
 
 def oscillator_tau(params: OscillatorParams, omega):
@@ -179,9 +179,7 @@ def oscillator_tau(params: OscillatorParams, omega):
     d_plus = (om + w1) ** 2 + q
     tau1 = 0.5 * params.gamma * (1.0 / d_minus + 1.0 / d_plus)
     tau2 = (om - w1) / d_minus + (om + w1) / d_plus
-    if np.ndim(omega) == 0:
-        return float(tau1), float(tau2)
-    return tau1, tau2
+    return _pointwise(omega, tau1, tau2)
 
 
 def lorentz_medium(params: LorentzMediumParams, omega):
@@ -202,9 +200,7 @@ def lorentz_medium(params: LorentzMediumParams, omega):
     den = detune**2 + 0.25 * osc.gamma**2
     eps1_minus_1 = wp2 * detune / (2.0 * om * den)
     sigma_el = wp2 / (8.0 * np.pi * osc.gamma * den)
-    if np.ndim(omega) == 0:
-        return float(eps1_minus_1), float(sigma_el)
-    return eps1_minus_1, sigma_el
+    return _pointwise(omega, eps1_minus_1, sigma_el)
 
 
 def medium_inequality(params: LorentzMediumParams, omega: float) -> MediumInequalityResult:
@@ -246,12 +242,10 @@ def breit_wigner_tau(params: TwoLevelParams, omega, branch: str = "lower"):
     den = np.pi * (detune**2 + 0.25 * params.gamma**2)
     tau1 = 0.5 * params.gamma / den
     tau2 = -detune / den if branch == "upper" else detune / den
-    if np.ndim(omega) == 0:
-        return float(tau1), float(tau2)
-    return tau1, tau2
+    return _pointwise(omega, tau1, tau2)
 
 
-def resolvent_delay(params: TwoLevelParams, energy) -> complex:
+def resolvent_delay(params: TwoLevelParams, energy):
     """Delay shift from swapping the total width for the partial one.
 
     Delta tau(E) = i [ 1/(E - E0 - i gamma/2) - 1/(E - E0 - i gamma0/2) ]
@@ -265,15 +259,16 @@ def resolvent_delay(params: TwoLevelParams, energy) -> complex:
         1.0 / (e - params.omega0 - 0.5j * params.gamma)
         - 1.0 / (e - params.omega0 - 0.5j * params.gamma0)
     )
-    return complex(out[()]) if np.ndim(energy) == 0 else out
+    return _pointwise(energy, out)
 
 
-def resolvent_delay_sum(params_seq, energy) -> complex:
-    """Sum of resolvent delay shifts over independent levels."""
-    total = 0.0 + 0.0j
+def resolvent_delay_sum(params_seq, energy):
+    """Sum of resolvent delay shifts over independent levels; zeros of the
+    shape of ``energy`` when there are none."""
+    total = np.zeros(np.shape(energy), complex)
     for params in params_seq:
         total += resolvent_delay(params, energy)
-    return total
+    return _pointwise(energy, total)
 
 
 def mean_delay(params: KineticMediumParams) -> float:
@@ -303,7 +298,7 @@ def photon_response(omega, k_abs: float, eta: float):
         raise NonPositiveEta("eta must be positive")
     om = np.asarray(omega, dtype=complex)
     out = 4.0 * np.pi / (om**2 - k_abs**2 + 1j * eta)
-    return complex(out[()]) if np.ndim(omega) == 0 else out
+    return _pointwise(omega, out)
 
 
 def photon_tau(omega, k_abs: float, eta: float):
@@ -325,9 +320,7 @@ def photon_tau(omega, k_abs: float, eta: float):
     den = u**2 + eta**2
     tau1 = 2.0 * om * eta / den
     tau2 = 2.0 * om * u / den
-    if np.ndim(omega) == 0:
-        return float(tau1), float(tau2)
-    return tau1, tau2
+    return _pointwise(omega, tau1, tau2)
 
 
 def cross_section_tau2(sigma_samples: np.ndarray, grid: FrequencyGrid) -> np.ndarray:

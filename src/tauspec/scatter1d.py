@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _pointwise
 from .errors import DegenerateEnergy, ZeroTransmission
 
 __all__ = [
@@ -137,17 +138,14 @@ def s_matrix(profile: PotentialProfile, energy) -> ScatteringMatrix1D:
     scaled, log_scale = _scaled_transfer(profile, energy)
     m22 = scaled[..., 1, 1]
     t = np.exp(-log_scale) / m22
-    fields = (-scaled[..., 1, 0] / m22, t, scaled[..., 0, 1] / m22, t)
-    if np.ndim(energy) == 0:
-        fields = tuple(complex(f) for f in fields)
-    return ScatteringMatrix1D(*fields)
+    return ScatteringMatrix1D(
+        *_pointwise(energy, -scaled[..., 1, 0] / m22, t, scaled[..., 0, 1] / m22, t))
 
 
 def transmission_probability(profile: PotentialProfile, energy):
     """|t|^2 at a scalar energy (float) or an energy array."""
     t = np.asarray(s_matrix(profile, energy).t)
-    prob = np.hypot(t.real, t.imag) ** 2
-    return prob if np.ndim(energy) else prob.item()
+    return _pointwise(energy, np.hypot(t.real, t.imag) ** 2)
 
 
 def complex_time(profile: PotentialProfile, energy, step: float = 1e-4):
@@ -175,7 +173,7 @@ def complex_time(profile: PotentialProfile, energy, step: float = 1e-4):
     tau = np.empty(t_hi.shape, dtype=complex)
     tau.real = np.arctan2(hi * lr - hr * li, hr * lr + hi * li) / (2.0 * step)
     tau.imag = -(np.log(mod_hi) - np.log(mod_lo)) / (2.0 * step)
-    return tau if np.ndim(energy) else tau.item()
+    return _pointwise(energy, tau)
 
 
 def find_resonance(

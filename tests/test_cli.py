@@ -205,6 +205,31 @@ class TestExtract:
         assert main(["extract", inp, "-o", str(tmp_path / "o.csv")]) == 2
 
 
+# Spectra that extract refuses in the computation: (stencil order, grid,
+# re cells, exit code, whole stderr line after "error: <path>: "); every
+# im cell is 0.
+EXTRACT_GUARDS = {
+    "ZeroModulus": (2, [0.0, 1.0, 2.0, 3.0, 4.0], [1.0, 0.0, 1.0, 1.0, 1.0], 3,
+                    "|S| below 1e-12 at node 1"),
+    "order-4-too-few-nodes": (4, [0.0, 1.0, 2.0, 3.0], [1.0] * 4, 2,
+                              "order-4 derivative needs at least 5 nodes"),
+    "order-4-NonUniformGrid": (4, [0.0, 1.0, 3.0, 4.0, 5.0, 6.0], [1.0] * 6, 2,
+                               "order-4 derivative requires a uniform grid"),
+}
+
+
+@pytest.mark.parametrize("guard", sorted(EXTRACT_GUARDS))
+def test_extract_guard_names_input(tmp_path, capsys, guard):
+    order, grid, re_cells, code, message = EXTRACT_GUARDS[guard]
+    inp = tmp_path / "s.csv"
+    inp.write_text(fileio.SPECTRUM_HEADER + "\n"
+                   + "".join(f"{x!r},{r!r},0\n" for x, r in zip(grid, re_cells)))
+    out = tmp_path / "t.csv"
+    assert main(["--stencil", str(order), "extract", str(inp), "-o", str(out)]) == code
+    assert capsys.readouterr() == ("", f"error: {inp}: {message}\n")
+    assert not out.exists()
+
+
 class TestModel:
     def test_oscillator_tables(self, tmp_path):
         m = write_json(
@@ -324,6 +349,82 @@ class TestModel:
         assert main(["kk", stem + ".spectrum.csv"]) == 0
 
 
+# The whole text of kk and report on small tables of BLASCHKE_DOC and a
+# single barrier, as the key=value writer renders them.
+KK_GOLDEN = """\
+# tauspec:kk v1
+input=m.spectrum.csv
+kind=spectrum
+nodes=9
+origin_gap=0.000000000000e+00
+residual_l2=1.063589205251e+00
+residual_max=1.346814448903e+00
+tail_model=none
+"""
+REPORT_GOLDEN = """\
+# tauspec:report v1
+
+[file b.csv]
+energy_max=2.500000000000e+00
+energy_min=5.000000000000e-01
+format=barrier
+nodes=5
+transmission_max=9.161977183751e-01
+transmission_min=5.250752531606e-01
+
+[file kk.txt]
+format=artifact:kk
+input=m.spectrum.csv
+kind=spectrum
+nodes=9
+origin_gap=0.000000000000e+00
+residual_l2=1.063589205251e+00
+residual_max=1.346814448903e+00
+tail_model=none
+
+[file m.spectrum.csv]
+format=spectrum
+max_abs=1.000000000000e+00
+nodes=9
+omega_max=2.000000000000e+00
+omega_min=-2.000000000000e+00
+
+[file m.tau.csv]
+format=temporal
+max_abs_tau1=2.000000000000e+01
+max_abs_tau2=0.000000000000e+00
+nodes=9
+omega_max=2.000000000000e+00
+omega_min=-2.000000000000e+00
+
+[tolerances]
+extract_closed_form_abs=1.000000000000e-03  # interior concordance with closed forms
+extract_fine_grid_rel=1.000000000000e-04  # order-4 stencil on a resolved grid
+round_trip_rel=1.000000000000e-06  # extract after reconstruct, interior
+kk_causal_max=2.000000000000e-02  # retarded response residual with tails
+kk_acausal_ratio_min=1.000000000000e+01  # advanced over retarded residual
+sum_rule_ratio=1.000000000000e-02  # vanishing rule against integrand L1 scale
+winding_abs=1.000000000000e-03  # integer count from contour quadrature
+uncertainty_gaussian_abs=1.000000000000e-02  # spread product of a plain Gaussian
+unitarity_abs=1.000000000000e-10  # flux conservation of scattering amplitudes
+hartman_drift_rel=1.000000000000e-02  # delay change under opaque-width doubling
+"""
+
+
+def golden_inputs(tmp_path):
+    """Writes m.spectrum.csv, m.tau.csv, b.csv and kk.txt; returns their paths."""
+    m = write_json(tmp_path / "m.json", BLASCHKE_DOC)
+    b = write_json(tmp_path / "b.json", {"type": "barrier", "segments": [[1.0, 1.2]]})
+    prefix = str(tmp_path / "m")
+    assert main(["model", m, "--from", "-2", "--to", "2", "--points", "9", "-o", prefix]) == 0
+    paths = [prefix + ".spectrum.csv", prefix + ".tau.csv", str(tmp_path / "b.csv"),
+             str(tmp_path / "kk.txt")]
+    assert main(["barrier", b, "--from", "0.5", "--to", "2.5", "--points", "5",
+                 "-o", paths[2]]) == 0
+    assert main(["kk", paths[0], "-o", paths[3]]) == 0
+    return paths
+
+
 class TestKk:
     def test_causal_and_acausal_reports(self, tmp_path):
         causal = pole_spectrum_file(tmp_path, "causal.csv", +1)
@@ -341,6 +442,11 @@ class TestKk:
         ratio = float(a_map["residual_max"]) / float(c_map["residual_max"])
         assert ratio > 10.0
 
+    def test_artifact_whole_text(self, tmp_path, capsys):
+        paths = golden_inputs(tmp_path)
+        assert capsys.readouterr().out == KK_GOLDEN
+        assert Path(paths[3]).read_text() == KK_GOLDEN
+
     def test_model_json_input_exits_2(self, tmp_path):
         m = write_json(tmp_path / "m.json", BLASCHKE_DOC)
         assert main(["kk", m]) == 2
@@ -357,7 +463,7 @@ class TestKk:
 
 
 # Grids kk refuses: (file name, header, grid, whole stderr line after
-# "error: "); each table has the cells 1 and 0 on every row.
+# "error: <path>: "); each table has the cells 1 and 0 on every row.
 KK_GRID_GUARDS = {
     "NonUniformGrid": ("s.csv", fileio.SPECTRUM_HEADER, [0.0, 1.0, 3.0, 4.0],
                        "hilbert_transform needs a uniform grid"),
@@ -375,7 +481,7 @@ def test_kk_grid_guard_exits_2(tmp_path, capsys, guard):
     inp = tmp_path / filename
     inp.write_text(header + "\n" + "".join(f"{x!r},1,0\n" for x in grid))
     assert main(["kk", str(inp)]) == getattr(errors, guard).exit_code == 2
-    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert capsys.readouterr() == ("", f"error: {inp}: {message}\n")
 
 
 class TestSumrule:
@@ -526,6 +632,12 @@ class TestReport:
         assert "format=artifact:winding" in text
         assert "[tolerances]" in text
         assert "unitarity_abs=" in text
+
+    def test_whole_text(self, tmp_path, capsys):
+        paths = golden_inputs(tmp_path)
+        capsys.readouterr()
+        assert main(["report", *paths]) == 0
+        assert capsys.readouterr().out == REPORT_GOLDEN
 
     def test_stdout_when_no_output_path(self, tmp_path, capsys):
         inputs = self.build_inputs(tmp_path)

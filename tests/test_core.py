@@ -1,9 +1,13 @@
-"""Grid, spectrum containers, pole-zero models, reconstruction."""
+"""Grid, spectrum containers, pole-zero models, reconstruction, and the
+scalar convention of every pointwise function."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
 
+from tauspec import physics
 from tauspec.core import (
     ComplexSpectrum,
     FrequencyGrid,
@@ -15,12 +19,20 @@ from tauspec.core import (
     reconstruct,
     uniform_spacing,
 )
+from tauspec.dispersion import residue_time_domain
 from tauspec.errors import (
     AnchorOutOfRange,
     GridError,
     NonPositiveGrid,
     NonUniformGrid,
     PoleProximity,
+)
+from tauspec.extract import normal_response
+from tauspec.scatter1d import (
+    PotentialProfile,
+    complex_time,
+    s_matrix,
+    transmission_probability,
 )
 
 
@@ -225,3 +237,47 @@ class TestNegativeExtension:
         t = TemporalSpectrum(g, np.zeros(6), np.zeros(6))
         with pytest.raises(NonPositiveGrid):
             extend_negative_frequencies(t)
+
+
+_MODEL = PoleZeroModel(scale=0.5 + 0.25j, p=1, resonances=((1.0, 0.2), (2.5, 0.05)))
+_OSC = physics.OscillatorParams(1.0, 0.2)
+_LEVEL = physics.TwoLevelParams(2.0, 0.3, 0.1)
+_MEDIUM = physics.LorentzMediumParams(2.0, _OSC)
+_BARRIER = PotentialProfile(((1.0, 1.2), (0.5, -0.3)))
+
+# Every pointwise function: (call at one argument, argument, result types);
+# a tuple of types is a tuple of results.
+POINTWISE = {
+    "evaluate_model": (lambda w: evaluate_model(_MODEL, w), 0.7, complex),
+    "model_tau": (lambda w: model_tau(_MODEL, w), 0.7 - 0.1j, complex),
+    "oscillator_green": (lambda w: physics.oscillator_green(_OSC, w), 0.7, complex),
+    "oscillator_tau": (lambda w: physics.oscillator_tau(_OSC, w), 0.7, (float, float)),
+    "lorentz_medium": (lambda w: physics.lorentz_medium(_MEDIUM, w), 0.7, (float, float)),
+    "breit_wigner_tau": (lambda w: physics.breit_wigner_tau(_LEVEL, w, "upper"), 1.9,
+                         (float, float)),
+    "resolvent_delay": (lambda e: physics.resolvent_delay(_LEVEL, e), 1.9, complex),
+    "resolvent_delay_sum": (lambda e: physics.resolvent_delay_sum([_LEVEL, _LEVEL], e), 1.9,
+                            complex),
+    "photon_response": (lambda w: physics.photon_response(w, 1.0, 0.01), 0.7, complex),
+    "photon_tau": (lambda w: physics.photon_tau(w, 1.0, 0.01), 0.7, (float, float)),
+    "s_matrix": (lambda e: dataclasses.astuple(s_matrix(_BARRIER, e)), 0.9, (complex,) * 4),
+    "transmission_probability": (lambda e: transmission_probability(_BARRIER, e), 0.9, float),
+    "complex_time": (lambda e: complex_time(_BARRIER, e), 0.9, complex),
+    "normal_response": (lambda t: normal_response(1.3, 2.0, 0.5 + 0.2j, 0.7, t), 2.5, complex),
+    "residue_time_domain": (lambda t: residue_time_domain(_MODEL, t), 0.4, (float, complex)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POINTWISE))
+def test_scalar_argument_gives_python_scalars(name):
+    """A 0-d argument gives Python scalars, each equal to element 0 of the
+    result on a one-element array.  numpy may fuse the multiply-adds of a
+    complex product over an array but not over a scalar, so the two may
+    differ in the last bit or two."""
+    call, arg, types = POINTWISE[name]
+    scalar, batch = call(arg), call(np.array([arg]))
+    if not isinstance(types, tuple):
+        scalar, batch, types = (scalar,), (batch,), (types,)
+    assert tuple(type(v) for v in scalar) == types
+    assert all(isinstance(b, np.ndarray) and b.shape == (1,) for b in batch)
+    assert scalar == pytest.approx(tuple(b[0] for b in batch), rel=1e-15, abs=0)

@@ -191,6 +191,14 @@ class TestResolvent:
         parts = resolvent_delay(self.PARAMS, 6.0) + resolvent_delay(other, 6.0)
         assert total == pytest.approx(parts)
 
+    @pytest.mark.parametrize("energy", [6.0, np.array([5.0, 6.0])])
+    def test_sum_of_no_levels_is_zeros_of_the_energy_shape(self, energy):
+        total = resolvent_delay_sum([], energy)
+        if np.ndim(energy):
+            assert total.dtype == complex and np.array_equal(total, np.zeros(2))
+        else:
+            assert type(total) is complex and total == 0
+
 
 class TestKinetics:
     PARAMS = KineticMediumParams(
