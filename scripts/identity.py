@@ -1,0 +1,327 @@
+#!/usr/bin/env python3
+"""Check that two source trees behave the same, byte for byte.
+
+Usage: identity.py OLD_SRC NEW_SRC [--expect-diff CASE ...]
+
+OLD_SRC and NEW_SRC are directories that hold a ``tauspec`` package,
+such as the ``src`` of two checkouts. Each case writes its own inputs and
+runs one command in a fresh interpreter, once with PYTHONPATH set to each
+tree: a ``python -m tauspec`` verb, or a script beside this one. The two
+runs of a case happen in two directories under the same relative file
+names, so messages that name a file compare as text.
+
+The exit code, stdout, stderr and the bytes of every file left in the
+case directory are compared, and each difference is printed on one line.
+The one field masked is the elapsed time the demo prints. The exit code
+is 1 if a case not named with --expect-diff differs, else 0.
+"""
+
+import argparse
+import json
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+import numpy as np
+
+SCRIPTS = Path(__file__).resolve().parent
+SPECTRUM = "omega,re,im"
+TEMPORAL = "omega,tau1,tau2"
+BARRIER = "energy,transmission,phase,tau1,tau2"
+
+
+def _table(header, *columns) -> str:
+    rows = np.column_stack(columns).tolist()
+    return header + "\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows)
+
+
+def _spectrum(x, s) -> str:
+    return _table(SPECTRUM, x, s.real, s.imag)
+
+
+def _rows(header, *rows) -> str:
+    return header + "\n" + "".join(row + "\n" for row in rows)
+
+
+def _bad_byte_table(rows: int) -> bytes:
+    """A spectrum table with the byte 0xe9 in the third row from the end."""
+    lines = [b"%d.0,1.0,0.0\n" % i for i in range(rows)]
+    lines[-3] = b"%d.0,1.\xe9,0.0\n" % (rows - 3)
+    return SPECTRUM.encode() + b"\n" + b"".join(lines)
+
+
+_W = np.linspace(0.25, 1.75, 401)
+RESONANCE = _spectrum(_W, (_W - 1.0 - 0.1j) / (_W - 1.0 + 0.1j))
+_X = np.linspace(-60.0, 60.0, 4001)
+POLE = _spectrum(_X, 1.0 / (_X - 1.0 + 0.1j))
+_P = 0.05 * np.arange(1, 401)
+TAU = _table(TEMPORAL, _P, 0.2 / ((_P - 1.0) ** 2 + 0.01), 0.1 / _P)
+_H = np.linspace(0.5, 50.0, 992)
+_F = np.concatenate([-_H[::-1], _H])
+SUM_SPECTRUM = _spectrum(_F, (2.3 + 0.4j) / _F)
+SUM_TAU = _table(TEMPORAL, _F, 0.0 * _F, 1.0 / _F)
+BARRIER_TABLE = _rows(BARRIER, "0.5,0.1,-1.5,2.0,-0.5", "1.5,0.6,0.3,1.0,0.25",
+                      "2.5,0.9,0.1,0.5,0.125")
+KK_ARTIFACT = "# tauspec:kk v1\ninput=s.csv\nkind=spectrum\nnodes=4001\n"
+INFINITE_IM = _rows(SPECTRUM, "0,1,0", "1,1,0", "2,1,-Infinity", "3,1,0")
+
+BLASCHKE = {"type": "blaschke", "resonances": [[1.0, 0.2]]}
+OSCILLATOR = {"type": "oscillator", "omega0": 1.0, "gamma": 0.1}
+BARRIER_DOC = {"type": "barrier", "segments": [[2.0, 1.0]]}
+
+# (document, from, to) of each model kind.
+MODELS = {
+    "blaschke": ({"type": "blaschke", "resonances": [[1.0, 0.2], [2.5, 0.05]],
+                  "scale": [0.5, 0.25], "p": 1}, "0.5", "3.0"),
+    "oscillator": ({"type": "oscillator", "omega0": 1.0, "gamma": 0.2}, "0.5", "1.5"),
+    "lorentz": ({"type": "lorentz", "plasma_frequency": 2.0, "omega0": 1.5, "gamma": 0.3},
+                "0.5", "2.5"),
+    "breit_wigner": ({"type": "breit_wigner", "omega0": 10.0, "gamma": 0.2, "gamma0": 0.1},
+                     "9.5", "10.5"),
+    "breit_wigner-upper": ({"type": "breit_wigner", "omega0": 10.0, "gamma": 0.2,
+                            "branch": "upper"}, "9.5", "10.5"),
+    "photon": ({"type": "photon", "k_abs": 1.0, "eta": 1e-2}, "0.5", "1.5"),
+    "barrier": (BARRIER_DOC, "0.05", "2.95"),
+}
+
+# Model documents (or raw JSON text) that `model` refuses.
+REFUSED_MODELS = {
+    "float-field": {**OSCILLATOR, "omega0": "abc"},
+    "resonance-entry": {"type": "blaschke", "resonances": [[1, 0.2], [2, "x"]]},
+    "scale-entry": {**BLASCHKE, "scale": ["a", 0]},
+    "segment-entry": {"type": "barrier", "segments": [[1, "w"]]},
+    "segment-shape": {"type": "barrier", "segments": [[1, 0.5], [2]]},
+    "segment-nested": {"type": "barrier", "segments": [[1, [2]]]},
+    "integer-field": {**BLASCHKE, "p": "one"},
+    "gamma-range": {**OSCILLATOR, "gamma": 5},
+    "unknown-field": {**OSCILLATOR, "x": 1},
+    "missing-field": {"type": "oscillator", "omega0": 1.0},
+    "type-list": {**OSCILLATOR, "type": ["oscillator"]},
+    "omega0-list": {**OSCILLATOR, "omega0": [1]},
+    "omega0-null": {**OSCILLATOR, "omega0": None},
+    "resonances-number": {"type": "blaschke", "resonances": 5},
+    "p-fraction": {**BLASCHKE, "p": 1.5},
+    "prefactor_sign-fraction": {**BLASCHKE, "prefactor_sign": 1.5},
+    "omega0-past-float-range": {**OSCILLATOR, "omega0": 10**400},
+    "p-past-float-range": {**BLASCHKE, "p": 10**400},
+    "p-past-2**53": {**BLASCHKE, "p": 2**53 + 1},
+    "large-p": {**BLASCHKE, "p": 2000},
+    "truncated-json": '{"type": "oscillator",\n',
+    "undecodable": b'{"type": "oscillator",\n "omega0": 1.0, "gamma": 0.2,\n "x": "\xe9"}\n',
+}
+
+MODEL_ARGV = ("--from", "0.5", "--to", "1.5", "--points", "11", "-o", "m")
+VERBS = {"extract": ("extract", "s.csv", "-o", "t.csv"), "kk": ("kk", "s.csv"),
+         "report": ("report", "s.csv")}
+
+
+def _doc(doc) -> dict:
+    return {"m.json": doc if isinstance(doc, (str, bytes)) else json.dumps(doc)}
+
+
+# Other refused inputs: (input files, tauspec argv).
+REFUSED = {
+    "extract-bad-cell": ({"s.csv": _rows(SPECTRUM, "0.5,1.0,0.0", "", "0.6,x,0.0")},
+                         VERBS["extract"]),
+    "extract-ragged-row": ({"s.csv": _rows(SPECTRUM, "0.5,1.0,0.0", "0.6,1.0")},
+                           VERBS["extract"]),
+    "extract-bad-cell-after-whitespace": (
+        {"s.csv": _rows(SPECTRUM, "0,1,2", "   ", "1,x,4")}, VERBS["extract"]),
+    "extract-decreasing-grid": ({"s.csv": _rows(SPECTRUM, "2.0,1.0,0.0", "1.0,1.0,0.0",
+                                                "0.5,1.0,0.0")}, VERBS["extract"]),
+    "extract-repeated-omega": ({"s.csv": _rows(SPECTRUM, "0,1,0", "1,1,0", "1,1,0",
+                                               "2,1,0")}, VERBS["extract"]),
+    "extract-nan-sample": ({"s.csv": _rows(SPECTRUM, "0.0,1.0,0.0", "0.5,nan,0.0",
+                                           "1.0,1.0,0.0", "1.5,1.0,0.0")},
+                           VERBS["extract"]),
+    "extract-temporal-input": ({"s.csv": TAU}, VERBS["extract"]),
+    "extract-zero-modulus": ({"s.csv": _rows(SPECTRUM, "0,1,0", "1,0,0", "2,1,0",
+                                             "3,1,0", "4,1,0")}, VERBS["extract"]),
+    "extract-order-4-too-few-nodes": ({"s.csv": _rows(SPECTRUM, "0,1,0", "1,1,0",
+                                                      "2,1,0", "3,1,0")},
+                                      ("--stencil", "4", *VERBS["extract"])),
+    "extract-order-4-non-uniform": ({"s.csv": _rows(SPECTRUM, "0,1,0", "1,1,0", "3,1,0",
+                                                    "4,1,0", "5,1,0", "6,1,0")},
+                                    ("--stencil", "4", *VERBS["extract"])),
+    "kk-non-uniform": ({"s.csv": _rows(SPECTRUM, "0,1,0", "1,1,0", "3,1,0", "4,1,0")},
+                       VERBS["kk"]),
+    "kk-tau-through-origin": ({"t.csv": _rows(TEMPORAL, "0,1,0", "1,1,0", "2,1,0",
+                                              "3,1,0")}, ("kk", "t.csv")),
+    "kk-tau-far-from-origin": ({"t.csv": _rows(TEMPORAL, "1000.0,1,0", "1000.125,1,0",
+                                               "1000.25,1,0")}, ("kk", "t.csv")),
+    "kk-model-input": (_doc(BLASCHKE), ("kk", "m.json")),
+    "kk-missing-file": ({}, ("kk", "nope.csv")),
+    "sumrule-grid-mismatch": ({"s.csv": SUM_SPECTRUM, "t.csv": TAU},
+                              ("sumrule", "--spectrum", "s.csv", "--tau", "t.csv")),
+    "winding-kind": (_doc(OSCILLATOR), ("winding", "m.json", "--rect", "0", "2", "-1",
+                                        "1")),
+    "winding-edge-through-zero": (_doc(BLASCHKE), ("winding", "m.json", "--rect", "0",
+                                                   "2", "0.1", "1")),
+    "winding-few-samples": (_doc(BLASCHKE), ("winding", "m.json", "--rect", "0", "2",
+                                             "0.02", "1", "--samples", "8")),
+    "winding-samples-past-cap": (_doc(BLASCHKE), ("winding", "m.json", "--rect", "0",
+                                                  "2", "-1", "1", "--samples",
+                                                  "100001", "-o", "w.txt")),
+    "model-points-past-cap": (_doc(BLASCHKE), ("model", "m.json", "--from", "0.5",
+                                               "--to", "1.5", "--points", "10000001",
+                                               "-o", "m")),
+    "model-two-points": (_doc(BLASCHKE), ("model", "m.json", "--from", "0", "--to", "1",
+                                          "--points", "2", "-o", "m")),
+    "model-missing-flag": (_doc(BLASCHKE), ("model", "m.json", "--from", "0",
+                                            "--to", "1")),
+    "barrier-kind": (_doc(OSCILLATOR), ("barrier", "m.json", *MODEL_ARGV[:-1],
+                                        "b.csv")),
+    "barrier-points-past-cap": (_doc(BARRIER_DOC), ("barrier", "m.json", "--from",
+                                                    "0.5", "--to", "1.5", "--points",
+                                                    "10000001", "-o", "b.csv")),
+    "barrier-node-at-top": (_doc(BARRIER_DOC), ("barrier", "m.json", "--from", "0.1",
+                                                "--to", "3.0", "--points", "30",
+                                                "-o", "b.csv")),
+    "barrier-opaque": (_doc({"type": "barrier", "segments": [[80.0, 1.0]]}),
+                       ("barrier", "m.json", "--from", "0.4", "--to", "0.6",
+                        "--points", "3", "-o", "b.csv")),
+    "report-nan-energy": ({"b.csv": _rows(BARRIER, "nan,1,0,1,2", "0.2,1,0,1,2",
+                                          "0.3,1,0,1,2")}, ("report", "b.csv")),
+    "report-inf-transmission": ({"b.csv": _rows(BARRIER, "0.1,inf,0,1,2", "0.2,0.5,0,1,2",
+                                                "0.3,0.5,0,1,2")}, ("report", "b.csv")),
+    "report-model": (_doc(BLASCHKE), ("report", "m.json")),
+    "report-missing-input": ({}, ("report", "missing.csv")),
+    "report-undecodable-artifact": ({"a.txt": b"# tauspec:kk v1\r\nnodes=3\r\nname=\xff\r\n"},
+                                    ("report", "a.txt")),
+}
+
+
+def _verb(files: dict, *argv) -> tuple:
+    return files, ("-m", "tauspec", *argv)
+
+
+def _cases() -> dict:
+    """Each case's input files (name -> text or bytes) and interpreter argv."""
+    cases = {
+        "demo": ({}, (str(SCRIPTS / "run_demo.py"), "demo")),
+        "hartman_scan": ({}, (str(SCRIPTS / "hartman_scan.py"),)),
+        "barrier": _verb(_doc(BARRIER_DOC), "barrier", "m.json", "--from", "0.05", "--to",
+                         "2.95", "--points", "30", "-o", "b.csv"),
+        "extract-order-2": _verb({"s.csv": RESONANCE}, "extract", "s.csv", "-o", "t.csv"),
+        "extract-order-4": _verb({"s.csv": RESONANCE}, "--stencil", "4", "extract", "s.csv",
+                                 "-o", "t.csv"),
+        "extract-whitespace-lines": _verb(
+            {"s.csv": _rows(SPECTRUM, "0,1,2", "   ", "1,3,4", "\t", "2,5,6", "3,7,8")},
+            "extract", "s.csv", "-o", "t.csv"),
+        "sumrule": _verb({"s.csv": SUM_SPECTRUM, "t.csv": SUM_TAU}, "sumrule", "--spectrum",
+                         "s.csv", "--tau", "t.csv", "-o", "sumrule.txt"),
+        "winding": _verb(_doc(BLASCHKE), "winding", "m.json", "--rect", "0", "2", "0.02",
+                         "1", "-o", "w.txt"),
+        "report": _verb({"s.csv": RESONANCE, "t.csv": TAU, "b.csv": BARRIER_TABLE,
+                         "kk.txt": KK_ARTIFACT}, "report", "s.csv", "t.csv", "b.csv",
+                        "kk.txt", "--gnuplot", "plot.gp"),
+        "report-to-file": _verb({"s.csv": RESONANCE, "kk.txt": KK_ARTIFACT}, "report",
+                                "kk.txt", "s.csv", "-o", "report.txt"),
+    }
+    for kind, (doc, lo, hi) in MODELS.items():
+        cases[f"model-{kind}"] = _verb(_doc(doc), "model", "m.json", "--from", lo, "--to",
+                                       hi, "--points", "201", "-o", "m")
+    for tail in ("none", "w1", "w2"):
+        cases[f"kk-spectrum-{tail}"] = _verb({"s.csv": POLE}, "--tail", tail, "kk", "s.csv",
+                                             "-o", "kk.txt")
+        cases[f"kk-tau-{tail}"] = _verb({"t.csv": TAU}, "--tail", tail, "kk", "t.csv")
+    for name, doc in REFUSED_MODELS.items():
+        cases[f"refused-model-{name}"] = _verb(_doc(doc), "model", "m.json", *MODEL_ARGV)
+    for verb, argv in VERBS.items():
+        cases[f"refused-{verb}-infinite-im"] = _verb({"s.csv": INFINITE_IM}, *argv)
+        for rows in (4, 3001):
+            cases[f"refused-{verb}-bad-byte-{rows}"] = _verb(
+                {"s.csv": _bad_byte_table(rows)}, *argv)
+    for name, (files, argv) in REFUSED.items():
+        cases[f"refused-{name}"] = _verb(files, *argv)
+    return cases
+
+
+CASES = _cases()
+_ELAPSED = re.compile(rb"demo finished in [0-9.]+ s")
+
+
+def _run(workdir: Path, name: str, side: str, src: Path):
+    """Exit code, stdout, stderr and every file left of one run of a case."""
+    files, argv = CASES[name]
+    cwd = workdir / side / name
+    cwd.mkdir(parents=True)
+    for filename, content in files.items():
+        (cwd / filename).write_bytes(content if isinstance(content, bytes) else content.encode())
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, *argv], cwd=cwd, env=env, capture_output=True,
+                          timeout=600)
+    tree = {p.relative_to(cwd).as_posix(): p.read_bytes()
+            for p in sorted(cwd.rglob("*")) if p.is_file()}
+    stdout = _ELAPSED.sub(b"demo finished in - s", proc.stdout)
+    return proc.returncode, stdout, proc.stderr, tree
+
+
+def _first_line(a: bytes, b: bytes) -> int:
+    """1-based number of the first line where ``a`` and ``b`` differ."""
+    la, lb = a.splitlines(), b.splitlines()
+    return next((i for i, (x, y) in enumerate(zip(la, lb), 1) if x != y),
+                min(len(la), len(lb)) + 1)
+
+
+def _differences(name: str, old, new) -> list:
+    (old_code, old_out, old_err, old_tree), (new_code, new_out, new_err, new_tree) = old, new
+    lines = []
+    if old_code != new_code:
+        lines.append(f"{name}: exit {old_code} -> {new_code}")
+    for stream, a, b in (("stdout", old_out, new_out), ("stderr", old_err, new_err)):
+        if a != b:
+            lines.append(f"{name}: {stream} differs at line {_first_line(a, b)}")
+    for path in sorted(old_tree.keys() | new_tree.keys()):
+        if path not in new_tree:
+            lines.append(f"{name}: {path} only in old")
+        elif path not in old_tree:
+            lines.append(f"{name}: {path} only in new")
+        elif old_tree[path] != new_tree[path]:
+            lines.append(f"{name}: {path} differs at line "
+                         f"{_first_line(old_tree[path], new_tree[path])}")
+    return lines
+
+
+def compare(old_src: Path, new_src: Path, names, workdir: Path) -> list:
+    """One line per difference between the two trees over the cases ``names``."""
+    old_src, new_src = Path(old_src).resolve(), Path(new_src).resolve()
+    jobs = [(name, side, src) for name in names
+            for side, src in (("old", old_src), ("new", new_src))]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        runs = list(pool.map(lambda job: _run(Path(workdir), *job), jobs))
+    return [line for i, name in enumerate(names)
+            for line in _differences(name, runs[2 * i], runs[2 * i + 1])]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Compare two tauspec source trees.")
+    parser.add_argument("old_src", type=Path)
+    parser.add_argument("new_src", type=Path)
+    parser.add_argument("--expect-diff", action="append", default=[], metavar="CASE",
+                        help="a case whose differences do not fail the check")
+    args = parser.parse_args(argv)
+    for src in (args.old_src, args.new_src):
+        if not (src / "tauspec" / "__init__.py").is_file():
+            parser.error(f"{src} holds no tauspec package")
+    unknown = sorted(set(args.expect_diff) - CASES.keys())
+    if unknown:
+        parser.error(f"unknown case {', '.join(unknown)}")
+    with tempfile.TemporaryDirectory() as workdir:
+        lines = compare(args.old_src, args.new_src, list(CASES), Path(workdir))
+    unexpected = 0
+    for line in lines:
+        expected = line.split(":", 1)[0] in args.expect_diff
+        unexpected += not expected
+        print(line + (" (expected)" if expected else ""))
+    print(f"identity: {len(CASES)} cases, {len(lines)} differences, "
+          f"{unexpected} not expected")
+    return 1 if unexpected else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

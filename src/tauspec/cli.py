@@ -153,39 +153,37 @@ def _check_cap(flag: str, value: int, cap: int) -> None:
         raise ValueError(f"{flag} {value} exceeds the cap of {cap}")
 
 
-def _cmd_extract(args) -> int:
+def _cmd_extract(args) -> None:
     spectrum = fileio.read_spectrum(args.input)
     options = ExtractionOptions(stencil_order=args.stencil)
     with fileio._naming(args.input):
         temporal = extract_temporal(spectrum, options)
     fileio.write_temporal(args.output, temporal)
-    return EXIT_OK
 
 
-def _cmd_model(args) -> int:
+def _cmd_model(args) -> None:
     _check_cap("--points", args.points, MAX_POINTS)
     document = fileio.load_model(args.model)
     grid = FrequencyGrid.linspace(args.lo, args.hi, args.points)
     if document.kind == "barrier":
-        return _write_barrier(document.params, grid, args.output, step=1e-4)
+        _write_barrier(document.params, grid, args.output, step=1e-4)
+        return
     with np.errstate(over="ignore", invalid="ignore"):
         values, tau1, tau2 = document.sample(grid)
     if not all(np.isfinite(a).all() for a in (values, tau1, tau2)):
         raise ValueError(f"{args.model}: model is not finite on [{args.lo:g}, {args.hi:g}]")
     fileio.write_spectrum(args.output + ".spectrum.csv", ComplexSpectrum(grid, values))
     fileio.write_temporal(args.output + ".tau.csv", TemporalSpectrum(grid, tau1, tau2))
-    return EXIT_OK
 
 
-def _emit_artifact(kind: str, mapping: dict, output) -> int:
+def _emit_artifact(kind: str, mapping: dict, output) -> None:
     """Print an artifact, and also write it to ``output`` when one is given."""
     sys.stdout.write(fileio.format_artifact(kind, mapping))
     if output:
         fileio.write_artifact(output, kind, mapping)
-    return EXIT_OK
 
 
-def _cmd_kk(args) -> int:
+def _cmd_kk(args) -> None:
     tail_model = _TAIL_BY_FLAG[args.tail]
     fmt = fileio.detect_format(args.input)
     if fmt == "spectrum":
@@ -198,10 +196,10 @@ def _cmd_kk(args) -> int:
         report = residual(table, tail_model)
     mapping = {"input": os.path.basename(args.input), "kind": fmt,
                **dataclasses.asdict(report)}
-    return _emit_artifact("kk", mapping, args.output)
+    _emit_artifact("kk", mapping, args.output)
 
 
-def _cmd_sumrule(args) -> int:
+def _cmd_sumrule(args) -> None:
     spectrum = fileio.read_spectrum(args.spectrum)
     temporal = fileio.read_temporal(args.tau)
     value = frequency_sum_rule(spectrum, temporal)
@@ -213,10 +211,10 @@ def _cmd_sumrule(args) -> int:
         "value_im": value.imag,
         "value_re": value.real,
     }
-    return _emit_artifact("sumrule", mapping, args.output)
+    _emit_artifact("sumrule", mapping, args.output)
 
 
-def _cmd_winding(args) -> int:
+def _cmd_winding(args) -> None:
     _check_cap("--samples", args.samples, MAX_SAMPLES_PER_EDGE)
     document = fileio.load_model(args.model)
     if document.kind != "blaschke":
@@ -232,26 +230,25 @@ def _cmd_winding(args) -> int:
         "samples_per_edge": args.samples,
         "winding": value,
     }
-    return _emit_artifact("winding", mapping, args.output)
+    _emit_artifact("winding", mapping, args.output)
 
 
-def _write_barrier(profile, grid: FrequencyGrid, output: str, step: float) -> int:
+def _write_barrier(profile, grid: FrequencyGrid, output: str, step: float) -> None:
     t = s_matrix(profile, grid.values).t
     tau = complex_time(profile, grid.values, step)
     fileio.write_barrier_table(
         output, grid.values, np.hypot(t.real, t.imag) ** 2, np.angle(t),
         tau.real, tau.imag,
     )
-    return EXIT_OK
 
 
-def _cmd_barrier(args) -> int:
+def _cmd_barrier(args) -> None:
     _check_cap("--points", args.points, MAX_POINTS)
     document = fileio.load_model(args.model)
     if document.kind != "barrier":
         raise ValueError(f"{args.model}: barrier needs a potential-profile model")
     grid = FrequencyGrid.linspace(args.lo, args.hi, args.points)
-    return _write_barrier(document.params, grid, args.output, args.step)
+    _write_barrier(document.params, grid, args.output, args.step)
 
 
 def _summarise_table(fmt: str, path: str) -> dict:
@@ -274,7 +271,7 @@ def _summarise_table(fmt: str, path: str) -> dict:
             f"{axis}_min": grid.values[0], **extremes}
 
 
-def _cmd_report(args) -> int:
+def _cmd_report(args) -> None:
     entries = sorted(args.inputs, key=lambda p: (os.path.basename(p), p))
     lines = []
     tables = []
@@ -302,7 +299,6 @@ def _cmd_report(args) -> int:
         sys.stdout.write(text)
     if args.gnuplot:
         _write_gnuplot(args.gnuplot, tables)
-    return EXIT_OK
 
 
 _PLOT_COLUMNS = {
@@ -331,10 +327,11 @@ def _write_gnuplot(path: str, tables) -> None:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.run(args)
+        args.run(args)
     except (TauspecError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", EXIT_INPUT)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -10,9 +10,16 @@ carries the stable exit code the command line front end returns for it:
 
 
 class TauspecError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors.
+
+    ``node`` is the index of the grid node where the error arose, or None.
+    """
 
     exit_code = 2
+
+    def __init__(self, message, node=None):
+        super().__init__(message)
+        self.node = node
 
 
 class GridError(TauspecError):
@@ -43,29 +50,18 @@ class AnchorOutOfRange(TauspecError):
 
 
 class ZeroModulus(TauspecError):
-    """Spectrum modulus fell below the floor where log/phase are defined.
-
-    Carries the offending node index in ``node``.
-    """
+    """Spectrum modulus fell below the floor where log/phase are defined."""
 
     exit_code = 3
-
-    def __init__(self, message, node=None):
-        super().__init__(message)
-        self.node = node
 
 
 class PhaseJump(TauspecError):
     """Successive unwrapped phase difference exceeded the tolerance.
 
-    Signals an under-resolved grid.  Carries the node index in ``node``.
+    Signals an under-resolved grid.
     """
 
     exit_code = 3
-
-    def __init__(self, message, node=None):
-        super().__init__(message)
-        self.node = node
 
 
 class NonPositiveSigma(TauspecError):

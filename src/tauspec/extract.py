@@ -156,10 +156,13 @@ def _front_response(omega0, tau, sigma, r0, t, erf_sign):
     if np.real(sigma) <= 0:
         raise NonPositiveSigma("sigma must have positive real part")
     root = np.lib.scimath.sqrt(2.0 * sigma)
-    x = (np.asarray(t) - tau) / root
+    # A scalar t too goes through as an array: numpy may round a complex
+    # product of scalars otherwise than the same product over an array.
+    ts = np.atleast_1d(t)
+    x = (ts - tau) / root
     prefactor = r0 / np.lib.scimath.sqrt(8.0 * np.pi * sigma)
     front = 1.0 + erf_sign * _erf_any(x)
-    value = prefactor * np.exp(-1j * omega0 * np.asarray(t) - x**2) * front
+    value = prefactor * np.exp(-1j * omega0 * ts - x**2) * front
     return _pointwise(t, value)
 
 

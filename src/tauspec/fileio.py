@@ -197,9 +197,12 @@ def _write_rows(path: str, header: str, columns) -> None:
 
 @contextlib.contextmanager
 def _naming(path: str):
-    """Put ``path`` in front of every input error raised in the block; no
-    other code names an input file.  A byte that does not decode names its
-    line and its position in that line.  A TauspecError keeps its class."""
+    """Put ``path`` in front of every input error raised in the block.  The
+    only other code that names an input file is ``cli``, in the refusals
+    it makes of a whole input: a model that is not finite, or a file of
+    the wrong kind or format for its verb.  A byte that does not decode
+    names its line and its position in that line.  A TauspecError keeps
+    its class."""
     try:
         yield
     except UnicodeDecodeError as exc:
@@ -262,10 +265,9 @@ def _loadtxt(rows, width: int):
 def read_table(path: str):
     """Read a csv table, returning (header, list of float columns).
 
-    numpy parses the rows straight from the file.  Only where it fails is
-    the file read again as a list of lines: numpy parses them once more
-    without whitespace-only lines, and if that fails too, ``_parse_rows``
-    names the bad row.
+    numpy parses the rows straight from the file.  A table numpy refuses
+    is read again as a list of lines by ``_parse_rows``, which skips
+    whitespace-only lines and names a bad row.
     """
     with _naming(path), open(path, "r") as fh:
         start = 0
@@ -278,11 +280,7 @@ def read_table(path: str):
         arr = _loadtxt(fh, width)
         if arr is None:
             fh.seek(0)
-            lines = fh.readlines()
-            # numpy reads a whitespace-only line as a one-cell row
-            arr = _loadtxt([ln for ln in lines[start + 1 :] if not ln.isspace()], width)
-            if arr is None:
-                arr = _parse_rows(lines, start, width)
+            arr = _parse_rows(fh.readlines(), start, width)
         return header, [arr[:, i] for i in range(arr.shape[1])]
 
 

@@ -2,11 +2,13 @@
 scalar convention of every pointwise function."""
 
 import dataclasses
+import importlib
 
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
 
+import tauspec
 from tauspec import physics
 from tauspec.core import (
     ComplexSpectrum,
@@ -27,7 +29,7 @@ from tauspec.errors import (
     NonUniformGrid,
     PoleProximity,
 )
-from tauspec.extract import normal_response
+from tauspec.extract import anomalous_response, normal_response
 from tauspec.scatter1d import (
     PotentialProfile,
     complex_time,
@@ -264,20 +266,36 @@ POINTWISE = {
     "transmission_probability": (lambda e: transmission_probability(_BARRIER, e), 0.9, float),
     "complex_time": (lambda e: complex_time(_BARRIER, e), 0.9, complex),
     "normal_response": (lambda t: normal_response(1.3, 2.0, 0.5 + 0.2j, 0.7, t), 2.5, complex),
+    "anomalous_response": (lambda t: anomalous_response(1.3, 2.0, 0.5 + 0.2j, 0.7, t), 2.5,
+                           complex),
     "residue_time_domain": (lambda t: residue_time_domain(_MODEL, t), 0.4, (float, complex)),
 }
+# These evaluate a 0-d argument as a one-element array.
+BITWISE = {"normal_response", "anomalous_response"}
 
 
 @pytest.mark.parametrize("name", sorted(POINTWISE))
 def test_scalar_argument_gives_python_scalars(name):
     """A 0-d argument gives Python scalars, each equal to element 0 of the
     result on a one-element array.  numpy may fuse the multiply-adds of a
-    complex product over an array but not over a scalar, so the two may
-    differ in the last bit or two."""
+    complex product over an array but not over a scalar, so outside
+    ``BITWISE`` the two may differ in the last bit or two."""
     call, arg, types = POINTWISE[name]
     scalar, batch = call(arg), call(np.array([arg]))
     if not isinstance(types, tuple):
         scalar, batch, types = (scalar,), (batch,), (types,)
     assert tuple(type(v) for v in scalar) == types
     assert all(isinstance(b, np.ndarray) and b.shape == (1,) for b in batch)
-    assert scalar == pytest.approx(tuple(b[0] for b in batch), rel=1e-15, abs=0)
+    expected = tuple(b[0] for b in batch)
+    if name in BITWISE:
+        assert scalar == expected
+    else:
+        assert scalar == pytest.approx(expected, rel=1e-15, abs=0)
+
+
+@pytest.mark.parametrize("module", ["core", "dispersion", "extract", "physics", "scatter1d"])
+def test_package_exports_every_public_name(module):
+    """``tauspec.<name>`` is the module's own object for each name in its
+    ``__all__``."""
+    mod = importlib.import_module(f"tauspec.{module}")
+    assert [n for n in mod.__all__ if getattr(tauspec, n, None) is not getattr(mod, n)] == []

@@ -211,7 +211,9 @@ class TestResponses:
             assert np.array_equal(branch(1.3, 2.0, sigma, 0.7, t), expected)
             scalar = branch(1.3, 2.0, sigma, 0.7, 2.5)
             assert type(scalar) is complex
-            assert scalar == complex(reference_response(1.3, 2.0, sigma, 0.7, 2.5, front))
+            # A scalar t is evaluated as a one-element array.
+            one = reference_response(1.3, 2.0, sigma, 0.7, np.array([2.5]), front)
+            assert scalar == complex(one[0])
 
     def test_nonpositive_sigma_rejected(self):
         with pytest.raises(NonPositiveSigma):
