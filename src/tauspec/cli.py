@@ -26,6 +26,7 @@ import numpy as np
 from . import fileio
 from .core import ComplexSpectrum, FrequencyGrid, TemporalSpectrum
 from .dispersion import (
+    MIN_SAMPLES_PER_EDGE,
     Contour,
     frequency_sum_rule,
     kk_residual,
@@ -121,8 +122,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--rect", nargs=4, type=float, required=True,
         metavar=("RE_MIN", "RE_MAX", "IM_MIN", "IM_MAX"),
     )
-    p.add_argument("--samples", type=int, default=16,
-                   help=f"panels per edge, 16 to {MAX_SAMPLES_PER_EDGE} (default 16)")
+    p.add_argument("--samples", type=int, default=MIN_SAMPLES_PER_EDGE,
+                   help=f"panels per edge, {MIN_SAMPLES_PER_EDGE} to "
+                   f"{MAX_SAMPLES_PER_EDGE} (default {MIN_SAMPLES_PER_EDGE})")
     p.add_argument("-o", "--output")
     _global_flags(p)
     p.set_defaults(run=_cmd_winding)
@@ -148,7 +150,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_cap(flag: str, value: int, cap: int) -> None:
+def _check_cap(flag: str, value: int, cap: int, minimum: int | None = None) -> None:
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{flag} {value} is below the minimum of {minimum}")
     if value > cap:
         raise ValueError(f"{flag} {value} exceeds the cap of {cap}")
 
@@ -202,8 +206,10 @@ def _cmd_kk(args) -> None:
 def _cmd_sumrule(args) -> None:
     spectrum = fileio.read_spectrum(args.spectrum)
     temporal = fileio.read_temporal(args.tau)
-    value = frequency_sum_rule(spectrum, temporal)
-    scale = sum_rule_scale(spectrum, temporal)
+    # The grid checks compare the two tables, so a refusal names both.
+    with fileio._naming(f"{args.spectrum}, {args.tau}"):
+        value = frequency_sum_rule(spectrum, temporal)
+        scale = sum_rule_scale(spectrum, temporal)
     mapping = {
         "exclusion_radius": np.min(np.abs(spectrum.grid.values)),
         "l1_scale": scale,
@@ -215,7 +221,7 @@ def _cmd_sumrule(args) -> None:
 
 
 def _cmd_winding(args) -> None:
-    _check_cap("--samples", args.samples, MAX_SAMPLES_PER_EDGE)
+    _check_cap("--samples", args.samples, MAX_SAMPLES_PER_EDGE, MIN_SAMPLES_PER_EDGE)
     document = fileio.load_model(args.model)
     if document.kind != "blaschke":
         raise ValueError(f"{args.model}: winding needs a pole-zero model")

@@ -10,6 +10,7 @@ falloff.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,9 @@ TAIL_MODELS = ("none", "one_over_omega", "one_over_omega2")
 # per input node the padding, not the data, would set the cost.
 _MAX_ORIGIN_PAD_RATIO = 8
 
+# winding_number's fewest panels per contour edge, and its default.
+MIN_SAMPLES_PER_EDGE = 16
+
 
 @dataclass(frozen=True)
 class KKReport:
@@ -95,22 +99,35 @@ def _fft_length(m: int) -> int:
     return best
 
 
-def _skip_node_sums(values: np.ndarray) -> np.ndarray:
-    """Trapezoid sums S_i = sum_{j != i} w_j f_j / (i - j), w half at ends.
+@functools.lru_cache(maxsize=2)
+def _kernel_spectrum(n: int):
+    """FFT length L and the rfft of the skip-node kernel for n nodes.
 
-    One circular FFT convolution of w f with the kernel 1/m, 0 < |m| < n,
-    at the smallest 5-smooth length L >= 2n - 1, where numpy's FFT is
-    fastest.  The kernel is stored wrapped, 1/m at index m and -1/m at
-    L - m, so the sums are the first n outputs with no wrap-around.  That
-    kernel is real and odd, so its spectrum is one rfft completed by
-    Hermitian symmetry.
+    L is the smallest 5-smooth length >= 2n - 1, where numpy's FFT is
+    fastest.  The kernel 1/m, 0 < |m| < n, is stored wrapped, 1/m at index
+    m and -1/m at L - m, so a circular convolution at length L has no
+    wrap-around in its first n outputs.  The spectrum depends on n alone;
+    the two most recent sizes stay cached (about 16 n bytes each), which
+    covers a caller alternating a spectrum and its mirrored tau grid.
     """
-    n = values.size
     size = _fft_length(2 * n - 1)
     kernel = np.zeros(size)
     kernel[1:n] = 1.0 / np.arange(1, n)
     kernel[size - n + 1 :] = -kernel[n - 1 : 0 : -1]
     half = np.fft.rfft(kernel)
+    half.setflags(write=False)
+    return size, half
+
+
+def _skip_node_sums(values: np.ndarray) -> np.ndarray:
+    """Trapezoid sums S_i = sum_{j != i} w_j f_j / (i - j), w half at ends.
+
+    One circular FFT convolution of w f with the kernel of
+    ``_kernel_spectrum``.  That kernel is real and odd, so its spectrum is
+    one rfft completed by Hermitian symmetry.
+    """
+    n = values.size
+    size, half = _kernel_spectrum(n)
     weighted = np.array(values, dtype=complex)
     weighted[[0, -1]] *= 0.5
     spectrum = np.fft.fft(weighted, size)
@@ -482,7 +499,8 @@ def _segment_gap(v0: complex, v1: complex, points: np.ndarray) -> float:
 
 
 def winding_number(
-    model: PoleZeroModel, contour: Contour, samples_per_edge: int = 16
+    model: PoleZeroModel, contour: Contour,
+    samples_per_edge: int = MIN_SAMPLES_PER_EDGE,
 ) -> float:
     """Contour integral (1/2 pi) oint tau d omega of a pole-zero model.
 
@@ -495,8 +513,8 @@ def winding_number(
         SingularityOnContour: an edge passes within 1e-6 of a zero,
             pole, or (for a power prefactor) the origin.
     """
-    if samples_per_edge < 16:
-        raise ValueError("samples_per_edge must be at least 16")
+    if samples_per_edge < MIN_SAMPLES_PER_EDGE:
+        raise ValueError(f"samples_per_edge must be at least {MIN_SAMPLES_PER_EDGE}")
     nodes, weights = np.polynomial.legendre.leggauss(8)
     singular = list(model.zeros()) + list(model.poles())
     if model.p > 0:

@@ -83,6 +83,27 @@ class UncertaintyBudget(NamedTuple):
     covariance: float
 
 
+def _unwrap(phase: np.ndarray) -> np.ndarray:
+    """numpy's ``unwrap`` of ``phase``, bit for bit, paying only at its jumps.
+
+    numpy wraps every step into [-pi, pi) and then zeroes the correction
+    of each step below pi.  Here the same formula, boundary fix included,
+    runs only on the steps of pi or more (and NaN steps, which numpy's
+    mask keeps too); the corrections are scattered into zeros and summed
+    as numpy sums them, so every addition is the one numpy makes.
+    """
+    steps = np.diff(phase)
+    jumps = np.nonzero(~(np.abs(steps) < np.pi))[0]
+    d = steps[jumps]
+    wrapped = np.mod(d + np.pi, 2.0 * np.pi) - np.pi
+    np.copyto(wrapped, np.pi, where=(wrapped == -np.pi) & (d > 0))
+    correction = np.zeros(steps.shape)
+    correction[jumps] = wrapped - d
+    out = np.array(phase, dtype=float)
+    out[1:] = phase[1:] + np.cumsum(correction)
+    return out
+
+
 def _log_spectrum(spectrum: ComplexSpectrum, options: ExtractionOptions):
     """Split samples into log-modulus and unwrapped phase, with guards."""
     moduli = np.abs(spectrum.values)
@@ -92,7 +113,7 @@ def _log_spectrum(spectrum: ComplexSpectrum, options: ExtractionOptions):
             f"|S| below {options.min_modulus:g} at node {low[0]}",
             node=int(low[0]),
         )
-    phase = np.unwrap(np.angle(spectrum.values))
+    phase = _unwrap(np.angle(spectrum.values))
     steps = np.abs(np.diff(phase))
     bad = np.nonzero(steps > options.unwrap_tolerance)[0]
     if bad.size:
@@ -238,7 +259,7 @@ def uncertainty_product(spectrum: ComplexSpectrum) -> UncertaintyBudget:
     mean_t = float(np.sum(w_t * t))
     delta_t = float(np.sqrt(np.sum(w_t * (t - mean_t) ** 2)))
 
-    phase = np.unwrap(np.angle(spectrum.values))
+    phase = _unwrap(np.angle(spectrum.values))
     tau1 = np.gradient(phase, e)
     mean_tau = float(np.sum(weight * tau1))
     covariance = 2.0 * (float(np.sum(weight * e * tau1)) - mean_e * mean_tau)

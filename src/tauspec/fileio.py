@@ -197,7 +197,8 @@ def _write_rows(path: str, header: str, columns) -> None:
 
 @contextlib.contextmanager
 def _naming(path: str):
-    """Put ``path`` in front of every input error raised in the block.  The
+    """Put ``path`` in front of every input error raised in the block;
+    around a check that compares two tables, ``path`` lists both.  The
     only other code that names an input file is ``cli``, in the refusals
     it makes of a whole input: a model that is not finite, or a file of
     the wrong kind or format for its verb.  A byte that does not decode

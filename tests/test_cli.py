@@ -510,7 +510,7 @@ class TestSumrule:
         stdout = capsys.readouterr().out
         assert "value_im" in stdout
 
-    def test_grid_mismatch_exits_2(self, tmp_path):
+    def test_grid_mismatch_exits_2(self, tmp_path, capsys):
         g1 = FrequencyGrid.linspace(0.5, 1.5, 11)
         g2 = FrequencyGrid.linspace(0.5, 1.5, 12)
         spath = str(tmp_path / "s.csv")
@@ -518,6 +518,20 @@ class TestSumrule:
         fileio.write_spectrum(spath, ComplexSpectrum(g1, np.ones(11, dtype=complex)))
         fileio.write_temporal(tpath, TemporalSpectrum(g2, np.ones(12), np.zeros(12)))
         assert main(["sumrule", "--spectrum", spath, "--tau", tpath]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {spath}, {tpath}: sum rule needs matching spectrum and tau grids\n"
+        )
+
+    def test_origin_in_grid_exits_4_naming_both_files(self, tmp_path, capsys):
+        grid = FrequencyGrid.linspace(-1.0, 1.0, 11)
+        spath = str(tmp_path / "s.csv")
+        tpath = str(tmp_path / "t.csv")
+        fileio.write_spectrum(spath, ComplexSpectrum(grid, np.ones(11, dtype=complex)))
+        fileio.write_temporal(tpath, TemporalSpectrum(grid, np.ones(11), np.zeros(11)))
+        assert main(["sumrule", "--spectrum", spath, "--tau", tpath]) == 4
+        assert capsys.readouterr() == (
+            "", f"error: {spath}, {tpath}: sum rule grid must exclude the origin\n"
+        )
 
 
 class TestWinding:
@@ -546,12 +560,13 @@ class TestWinding:
         rc = main(["winding", m, "--rect", "0.0", "2.0", "0.1", "1.0"])
         assert rc == 4
 
-    def test_small_sample_count_exits_2(self, tmp_path):
+    def test_small_sample_count_exits_2(self, tmp_path, capsys):
         m = write_json(tmp_path / "m.json", BLASCHKE_DOC)
         rc = main(
             ["winding", m, "--rect", "0.0", "2.0", "0.02", "1.0", "--samples", "8"]
         )
         assert rc == 2
+        assert capsys.readouterr() == ("", "error: --samples 8 is below the minimum of 16\n")
 
     def test_non_blaschke_model_exits_2(self, tmp_path):
         m = write_json(

@@ -15,6 +15,7 @@ from tauspec.core import (
 from tauspec.dispersion import (
     Contour,
     _fft_length,
+    _kernel_spectrum,
     _pv_core,
     _skip_node_sums,
     frequency_sum_rule,
@@ -122,6 +123,38 @@ class TestSkipNodeSums:
         for values in (data, np.ones(n, dtype=complex)):
             err = np.abs(_pv_core(values) - direct_pv_core(values))
             assert np.max(err) <= DIRECT_SUM_TOL
+
+
+class TestKernelSpectrumCache:
+    """The kernel spectrum is cached per node count, two sizes at a time;
+    a warm cache must give the same bits as a cold one."""
+
+    def test_cached_half_is_read_only(self):
+        size, half = _kernel_spectrum(41)
+        assert size == _fft_length(81)
+        assert not half.flags.writeable
+        with pytest.raises(ValueError):
+            half[0] = 0.0
+
+    def test_repeated_call_gives_equal_report(self):
+        spectrum = pole_spectrum(+1, n=4001)
+        first = kk_residual(spectrum, tail_model="one_over_omega")
+        assert kk_residual(spectrum, tail_model="one_over_omega") == first
+
+    def test_alternating_sizes_match_a_cold_cache(self):
+        sizes = (4001, 3001, 4001, 3001, 2001)
+        spectra = {n: pole_spectrum(+1, n=n) for n in set(sizes)}
+        _kernel_spectrum.cache_clear()
+        warm = []
+        for n in sizes:
+            warm.append(kk_residual(spectra[n], tail_model="one_over_omega"))
+            assert _kernel_spectrum.cache_info().currsize <= 2
+        assert _kernel_spectrum.cache_info().hits == 2
+        cold = []
+        for n in sizes:
+            _kernel_spectrum.cache_clear()
+            cold.append(kk_residual(spectra[n], tail_model="one_over_omega"))
+        assert warm == cold
 
 
 class TestHilbertTransform:

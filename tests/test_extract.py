@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import erf
 
 from tauspec.core import ComplexSpectrum, FrequencyGrid, PoleZeroModel, evaluate_model, model_tau
@@ -15,6 +17,7 @@ from tauspec.errors import (
 )
 from tauspec.extract import (
     ExtractionOptions,
+    _unwrap,
     anomalous_response,
     broadening,
     combined_response,
@@ -39,6 +42,39 @@ def blaschke_spectrum(n=4001, lo=0.25, hi=1.75, gamma=0.2):
     model = PoleZeroModel(resonances=((1.0, gamma),))
     grid = FrequencyGrid.linspace(lo, hi, n)
     return model, ComplexSpectrum(grid, evaluate_model(model, grid.values))
+
+
+# Steps that land on numpy's wrapping boundary, or past it, or well short.
+UNWRAP_STEPS = (np.pi, -np.pi, 2.0 * np.pi, -2.0 * np.pi, 3.5, -3.5, 0.25, -1.0)
+
+phases = st.one_of(
+    # Finite walks through the boundary steps.
+    st.tuples(st.floats(-10.0, 10.0), st.lists(st.sampled_from(UNWRAP_STEPS), max_size=40))
+    .map(lambda walk: np.cumsum([walk[0], *walk[1]])),
+    # Signed zeros next to steps of exactly pi and 2 pi.
+    st.lists(st.sampled_from((0.0, -0.0, np.pi, -np.pi)), max_size=20)
+    .map(lambda values: np.array(values, dtype=float)),
+    # Long runs without a jump: the steps below pi that skip the wrap.
+    st.tuples(st.integers(2, 5000), st.floats(-3.0, 3.0), st.floats(-1.0, 1.0))
+    .map(lambda run: run[1] + run[2] * np.arange(run[0])),
+    # The wrapped phase of a sampled Blaschke product.
+    st.lists(st.tuples(st.floats(0.2, 2.8), st.floats(0.01, 0.5)), min_size=1, max_size=3)
+    .map(lambda res: np.angle(evaluate_model(PoleZeroModel(resonances=tuple(res)),
+                                             np.linspace(0.0, 3.0, 601)))),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(phase=phases)
+@example(phase=np.array([0.0, -0.0, np.pi, -np.pi, 2.0 * np.pi, -0.0]))
+@example(phase=np.array([0.0, np.nan, 1.0, -np.inf, 2.0]))
+def test_unwrap_matches_numpy_bit_for_bit(phase):
+    # numpy's mask takes NaN steps as jumps; a mask of steps above pi does not.
+    with np.errstate(invalid="ignore"):
+        got = _unwrap(phase)
+        want = np.unwrap(phase)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestExtraction:
