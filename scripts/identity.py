@@ -88,6 +88,11 @@ MODELS = {
     "barrier": (BARRIER_DOC, "0.05", "2.95"),
 }
 
+# Kinds also sampled at 40,001 nodes: a change in the last bit of S or tau
+# moves the %.12e text of a cell about once in 10**3 to 10**4 cells, so 201
+# nodes rarely show one.
+FINE_MODELS = ("blaschke", "oscillator", "lorentz", "photon")
+
 # Model documents (or raw JSON text) that `model` refuses.
 REFUSED_MODELS = {
     "float-field": {**OSCILLATOR, "omega0": "abc"},
@@ -225,6 +230,9 @@ def _cases() -> dict:
     for kind, (doc, lo, hi) in MODELS.items():
         cases[f"model-{kind}"] = _verb(_doc(doc), "model", "m.json", "--from", lo, "--to",
                                        hi, "--points", "201", "-o", "m")
+        if kind in FINE_MODELS:
+            cases[f"model-{kind}-fine"] = _verb(_doc(doc), "model", "m.json", "--from", lo,
+                                                "--to", hi, "--points", "40001", "-o", "m")
     for tail in ("none", "w1", "w2"):
         cases[f"kk-spectrum-{tail}"] = _verb({"s.csv": POLE}, "--tail", tail, "kk", "s.csv",
                                              "-o", "kk.txt")

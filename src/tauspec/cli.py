@@ -36,7 +36,7 @@ from .dispersion import (
 )
 from .errors import TauspecError
 from .extract import ExtractionOptions, extract_temporal
-from .scatter1d import complex_time, s_matrix
+from .scatter1d import DIFFERENCE_STEP, complex_time, s_matrix
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -135,7 +135,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", dest="hi", type=float, required=True)
     p.add_argument("--points", type=int, required=True,
                    help=f"energy nodes, at most {MAX_POINTS}")
-    p.add_argument("--step", type=float, default=1e-4,
+    p.add_argument("--step", type=float, default=DIFFERENCE_STEP,
                    help="energy step for delay differences")
     p.add_argument("-o", "--output", required=True)
     _global_flags(p)
@@ -170,7 +170,7 @@ def _cmd_model(args) -> None:
     document = fileio.load_model(args.model)
     grid = FrequencyGrid.linspace(args.lo, args.hi, args.points)
     if document.kind == "barrier":
-        _write_barrier(document.params, grid, args.output, step=1e-4)
+        _write_barrier(document.params, grid, args.output, DIFFERENCE_STEP)
         return
     with np.errstate(over="ignore", invalid="ignore"):
         values, tau1, tau2 = document.sample(grid)

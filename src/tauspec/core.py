@@ -1,4 +1,4 @@
-"""Core spectral containers and the rational response model.
+"""Core spectral containers and the rational response.
 
 The two temporal functions used throughout the package come from the
 logarithmic frequency derivative of a complex response S(omega):
@@ -6,9 +6,9 @@ logarithmic frequency derivative of a complex response S(omega):
     tau(omega) = -i d/domega ln S(omega) = tau1 + i tau2
 
 where tau1 tracks the phase slope (delay) and tau2 the modulus slope
-(formation / reshaping).  A rational model with zeros in the upper half
-plane mirrored by poles in the lower half plane gives closed forms for
-both, and exponential integration inverts the extraction.
+(formation / reshaping).  A rational response, a product of powers of
+(omega**degree - root), gives one closed form for both, and exponential
+integration inverts the extraction.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ __all__ = [
     "FrequencyGrid",
     "ComplexSpectrum",
     "TemporalSpectrum",
+    "RationalResponse",
     "PoleZeroModel",
     "evaluate_model",
     "model_tau",
@@ -174,6 +175,44 @@ class TemporalSpectrum:
 
 
 @dataclass(frozen=True)
+class RationalResponse:
+    """S(omega) = scale * prod (omega**degree - root)**power over the (root,
+    degree, power) ``factors``, and tau = -i d ln S/domega, one term each:
+        tau = -i sum power * degree * omega**(degree-1) / (omega**degree - root).
+
+    tau carries the rounding error of each addition (Knuth's two-sum): on
+    the real axis a zero's tau2 term and its mirrored pole's cancel, and a
+    plain running sum would keep the rounding of the larger one in what is
+    left.  Nothing guards against a sample on a pole.
+    """
+
+    scale: complex
+    factors: tuple
+
+    def values(self, omega):
+        """S at real or complex frequencies."""
+        om = np.asarray(omega, dtype=complex)
+        out = np.full(om.shape, self.scale, dtype=complex)
+        for root, degree, power in self.factors:
+            base = om**degree - root
+            # A simple pole divides: one rounding, where base**-1 takes two.
+            out = out / base if power == -1 else out * base**power
+        return _pointwise(omega, out)
+
+    def tau(self, omega):
+        """Complex time tau1 + i tau2 at real or complex frequencies."""
+        om = np.asarray(omega, dtype=complex)
+        total = carry = np.zeros(om.shape, dtype=complex)
+        for root, degree, power in self.factors:
+            term = -1j * power * degree * om ** (degree - 1) / (om**degree - root)
+            new = total + term
+            back = new - total
+            carry = carry + ((total - (new - back)) + (term - back))
+            total = new
+        return _pointwise(omega, total + carry)
+
+
+@dataclass(frozen=True)
 class PoleZeroModel:
     """Unit-modulus rational response built from mirrored resonances.
 
@@ -217,8 +256,15 @@ class PoleZeroModel:
         """Lower-half-plane poles omega_n - i gamma_n / 2."""
         return np.conj(self.zeros())
 
+    def response(self) -> RationalResponse:
+        """The origin factor, then each zero and its mirrored pole."""
+        origin = ((0.0, 1, -self.prefactor_sign * self.p),) if self.p > 0 else ()
+        pairs = tuple(f for z in self.zeros() for f in ((z, 1, 1), (np.conj(z), 1, -1)))
+        return RationalResponse(self.scale, origin + pairs)
+
 
 def _guard_proximity(omega, points, what):
+    omega = np.asarray(omega, dtype=complex)
     for pt in np.atleast_1d(points):
         d = np.min(np.abs(omega - pt))
         if d < _POLE_TOLERANCE:
@@ -227,49 +273,37 @@ def _guard_proximity(omega, points, what):
             )
 
 
-def evaluate_model(model: PoleZeroModel, omega):
-    """Evaluate the rational response at real or complex frequencies.
+def evaluate_model(model, omega):
+    """S(omega) of a model with a ``response()`` at real or complex omega.
 
     Raises:
-        PoleProximity: a sample sits within 1e-12 of a pole, or of the
-            origin when the prefactor is singular there.
+        PoleProximity: for a PoleZeroModel, a sample within 1e-12 of a
+            pole, or of the origin when the prefactor is singular there.
     """
-    om = np.atleast_1d(np.asarray(omega, dtype=complex))
-    if model.p > 0 and model.prefactor_sign > 0:
-        _guard_proximity(om, 0.0, "the origin prefactor pole")
-    if len(model.resonances) > 0:
-        _guard_proximity(om, model.poles(), "a model pole")
-    out = np.full(om.shape, model.scale, dtype=complex)
-    if model.p > 0:
-        out = out * om ** (-model.prefactor_sign * model.p)
-    for z in model.zeros():
-        out = out * (om - z) / (om - np.conj(z))
-    return _pointwise(omega, out)
+    if isinstance(model, PoleZeroModel):
+        if model.p > 0 and model.prefactor_sign > 0:
+            _guard_proximity(omega, 0.0, "the origin prefactor pole")
+        _guard_proximity(omega, model.poles(), "a model pole")
+    return model.response().values(omega)
 
 
-def model_tau(model: PoleZeroModel, omega):
-    """Closed-form complex time tau(omega) of the rational response.
-
-    Works for complex omega as well, which is what the winding-number
-    contour integration uses.  On the real axis each resonance contributes
-    gamma_n / ((omega - omega_n)**2 + gamma_n**2 / 4) to tau1 and the
-    origin prefactor contributes prefactor_sign * p / omega to tau2.
+def model_tau(model, omega):
+    """Complex time tau(omega) = -i d ln S/domega of a model with a
+    ``response()``, at real or complex omega (winding_number takes it on a
+    contour).  On the real axis each resonance of a PoleZeroModel adds
+    gamma_n / ((omega - omega_n)**2 + gamma_n**2 / 4) to tau1, and the
+    origin prefactor adds prefactor_sign * p / omega to tau2.
 
     Raises:
-        PoleProximity: a sample within 1e-12 of a pole, a zero or a prefactor origin.
+        PoleProximity: for a PoleZeroModel, a sample within 1e-12 of a
+            pole, a zero or a prefactor origin.
     """
-    om = np.atleast_1d(np.asarray(omega, dtype=complex))
-    if model.p > 0:
-        _guard_proximity(om, 0.0, "the origin")
-    if len(model.resonances) > 0:
-        _guard_proximity(om, model.poles(), "a model pole")
-        _guard_proximity(om, model.zeros(), "a model zero")
-    out = np.zeros(om.shape, dtype=complex)
-    for z in model.zeros():
-        out += -1j * (1.0 / (om - z) - 1.0 / (om - np.conj(z)))
-    if model.p > 0:
-        out += 1j * model.prefactor_sign * model.p / om
-    return _pointwise(omega, out)
+    if isinstance(model, PoleZeroModel):
+        if model.p > 0:
+            _guard_proximity(omega, 0.0, "the origin")
+        _guard_proximity(omega, model.poles(), "a model pole")
+        _guard_proximity(omega, model.zeros(), "a model zero")
+    return model.response().tau(omega)
 
 
 def reconstruct(

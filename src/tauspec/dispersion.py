@@ -516,10 +516,7 @@ def winding_number(
     if samples_per_edge < MIN_SAMPLES_PER_EDGE:
         raise ValueError(f"samples_per_edge must be at least {MIN_SAMPLES_PER_EDGE}")
     nodes, weights = np.polynomial.legendre.leggauss(8)
-    singular = list(model.zeros()) + list(model.poles())
-    if model.p > 0:
-        singular.append(0.0 + 0.0j)
-    singular = np.array(singular, dtype=complex)
+    singular = np.array([root for root, _, _ in model.response().factors], dtype=complex)
 
     v = contour.vertices
     for v0, v1 in zip(v[:-1], v[1:]):

@@ -32,10 +32,7 @@ from .physics import (
     PhotonParams,
     TwoLevelParams,
     breit_wigner_tau,
-    oscillator_green,
     oscillator_tau,
-    photon_response,
-    photon_tau,
 )
 from .scatter1d import PotentialProfile
 
@@ -402,7 +399,7 @@ def _dump_blaschke(p: PoleZeroModel) -> dict:
     }
 
 
-def _sample_blaschke(document: ModelDocument, grid: FrequencyGrid):
+def _sample_rational(document: ModelDocument, grid: FrequencyGrid):
     values = evaluate_model(document.params, grid.values)
     tau = model_tau(document.params, grid.values)
     return values, tau.real, tau.imag
@@ -410,11 +407,6 @@ def _sample_blaschke(document: ModelDocument, grid: FrequencyGrid):
 
 def _load_oscillator(doc: dict) -> OscillatorParams:
     return OscillatorParams(_float(doc["omega0"], "omega0"), _float(doc["gamma"], "gamma"))
-
-
-def _sample_oscillator(document: ModelDocument, grid: FrequencyGrid):
-    values = oscillator_green(document.params, grid.values)
-    return (values, *oscillator_tau(document.params, grid.values))
 
 
 def _load_lorentz(doc: dict) -> LorentzMediumParams:
@@ -447,11 +439,6 @@ def _load_photon(doc: dict) -> PhotonParams:
     return PhotonParams(_float(doc["k_abs"], "k_abs"), _float(doc["eta"], "eta"))
 
 
-def _sample_photon(document: ModelDocument, grid: FrequencyGrid):
-    p, x = document.params, grid.values
-    return (photon_response(x, p.k_abs, p.eta), *photon_tau(x, p.k_abs, p.eta))
-
-
 def _load_barrier(doc: dict) -> PotentialProfile:
     segments = doc["segments"]
     if not isinstance(segments, list):
@@ -473,15 +460,15 @@ class _ModelKind(NamedTuple):
 
 _MODEL_KINDS = {
     "blaschke": _ModelKind({"resonances"}, {"scale", "p", "prefactor_sign"},
-                           _load_blaschke, _dump_blaschke, _sample_blaschke),
+                           _load_blaschke, _dump_blaschke, _sample_rational),
     "oscillator": _ModelKind({"omega0", "gamma"}, set(),
-                             _load_oscillator, asdict, _sample_oscillator),
+                             _load_oscillator, asdict, _sample_rational),
     "lorentz": _ModelKind({"plasma_frequency", "omega0", "gamma"}, set(),
                           _load_lorentz, _dump_lorentz, _sample_lorentz),
     "breit_wigner": _ModelKind({"omega0", "gamma"}, {"gamma0", "branch"},
                                _load_breit_wigner, asdict, _sample_breit_wigner),
     "photon": _ModelKind({"k_abs", "eta"}, set(),
-                         _load_photon, asdict, _sample_photon),
+                         _load_photon, asdict, _sample_rational),
     "barrier": _ModelKind({"segments"}, set(), _load_barrier, asdict, None),
 }
 

@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._stencils import differentiate
-from .core import FrequencyGrid, _pointwise
+from .core import FrequencyGrid, RationalResponse, _pointwise
 from .errors import (
     BelowMassShell,
     DegenerateFrequency,
@@ -71,6 +71,11 @@ class OscillatorParams:
     def omega1(self) -> float:
         """Shifted resonance position sqrt(omega0^2 - gamma^2/4)."""
         return float(np.sqrt(self.omega0**2 - 0.25 * self.gamma**2))
+
+    def response(self) -> RationalResponse:
+        """-1/(2 pi) times two simple poles at +-omega1 - i gamma/2."""
+        poles = (self.omega1 - 0.5j * self.gamma, -self.omega1 - 0.5j * self.gamma)
+        return RationalResponse(-1.0 / (2.0 * np.pi), tuple((p, 1, -1) for p in poles))
 
 
 @dataclass(frozen=True)
@@ -129,6 +134,12 @@ class PhotonParams:
         if self.eta <= 0:
             raise NonPositiveEta("eta must be positive")
 
+    def response(self) -> RationalResponse:
+        """4 pi / (omega^2 - k^2 + i eta) as one factor of degree 2: two poles
+        at the rounded roots +-sqrt(k^2 - i eta) would leave tau2 far from
+        zero on the shell omega = k when eta is small."""
+        return RationalResponse(4.0 * np.pi, ((self.k_abs**2 - 1j * self.eta, 2, -1),))
+
 
 @dataclass(frozen=True)
 class MediumInequalityResult:
@@ -151,35 +162,15 @@ def oscillator_green(params: OscillatorParams, omega):
     G(omega) = -1 / [2 pi (omega - omega1 + i gamma/2)
                         (omega + omega1 + i gamma/2)]
     """
-    w1 = params.omega1
-    hg = 0.5j * params.gamma
-    om = np.asarray(omega, dtype=complex)
-    out = -1.0 / (2.0 * np.pi * (om - w1 + hg) * (om + w1 + hg))
-    return _pointwise(omega, out)
+    return params.response().values(omega)
 
 
 def oscillator_tau(params: OscillatorParams, omega):
-    """Delay and formation times of the damped oscillator response.
-
-    Each of the two resonance factors contributes a Lorentzian delay and
-    an antisymmetric formation term:
-
-        tau1 = (gamma/2) (1/D- + 1/D+)
-        tau2 = (omega - omega1)/D- + (omega + omega1)/D+
-
-    with D-+ = (omega -+ omega1)^2 + gamma^2/4.
-
-    Returns:
-        Tuple (tau1, tau2) of floats or arrays matching ``omega``.
-    """
-    w1 = params.omega1
-    q = 0.25 * params.gamma**2
-    om = np.asarray(omega, dtype=float)
-    d_minus = (om - w1) ** 2 + q
-    d_plus = (om + w1) ** 2 + q
-    tau1 = 0.5 * params.gamma * (1.0 / d_minus + 1.0 / d_plus)
-    tau2 = (om - w1) / d_minus + (om + w1) / d_plus
-    return _pointwise(omega, tau1, tau2)
+    """Delay and formation times (tau1, tau2) of the damped oscillator
+    response, floats or arrays matching ``omega``: each pole gives a
+    Lorentzian delay and an antisymmetric formation term."""
+    tau = params.response().tau(np.asarray(omega, dtype=float))
+    return tau.real, tau.imag
 
 
 def lorentz_medium(params: LorentzMediumParams, omega):
@@ -293,34 +284,21 @@ def group_index(params: KineticMediumParams) -> float:
 
 
 def photon_response(omega, k_abs: float, eta: float):
-    """Driven-mode response 4 pi / (omega^2 - k^2 + i eta)."""
-    if eta <= 0:
-        raise NonPositiveEta("eta must be positive")
-    om = np.asarray(omega, dtype=complex)
-    out = 4.0 * np.pi / (om**2 - k_abs**2 + 1j * eta)
-    return _pointwise(omega, out)
+    """Driven-mode response 4 pi / (omega^2 - k^2 + i eta); only k^2 enters."""
+    return PhotonParams(abs(k_abs), eta).response().values(omega)
 
 
 def photon_tau(omega, k_abs: float, eta: float):
-    """Temporal functions of the driven photon mode.
+    """Temporal functions (tau1, tau2) of the driven photon mode.
 
-    tau1 = 2 omega eta / [(omega^2-k^2)^2 + eta^2]
-    tau2 = 2 omega (omega^2-k^2) / [(omega^2-k^2)^2 + eta^2]
-
-    tau2 changes sign where omega crosses |k|; as eta -> 0 the tau1 peak
-    narrows onto the mass shell.
+    tau2 changes sign where omega crosses |k| and is exactly zero there;
+    as eta -> 0 the tau1 peak narrows onto the mass shell.
 
     Raises:
         NonPositiveEta: eta <= 0.
     """
-    if eta <= 0:
-        raise NonPositiveEta("eta must be positive")
-    om = np.asarray(omega, dtype=float)
-    u = om**2 - k_abs**2
-    den = u**2 + eta**2
-    tau1 = 2.0 * om * eta / den
-    tau2 = 2.0 * om * u / den
-    return _pointwise(omega, tau1, tau2)
+    tau = PhotonParams(abs(k_abs), eta).response().tau(np.asarray(omega, dtype=float))
+    return tau.real, tau.imag
 
 
 def cross_section_tau2(sigma_samples: np.ndarray, grid: FrequencyGrid) -> np.ndarray:

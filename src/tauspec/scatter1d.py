@@ -17,6 +17,7 @@ from .core import _pointwise
 from .errors import DegenerateEnergy, ZeroTransmission
 
 __all__ = [
+    "DIFFERENCE_STEP",
     "PotentialProfile",
     "ScatteringMatrix1D",
     "transfer_matrix",
@@ -25,6 +26,8 @@ __all__ = [
     "complex_time",
     "find_resonance",
 ]
+
+DIFFERENCE_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -148,7 +151,7 @@ def transmission_probability(profile: PotentialProfile, energy):
     return _pointwise(energy, np.hypot(t.real, t.imag) ** 2)
 
 
-def complex_time(profile: PotentialProfile, energy, step: float = 1e-4):
+def complex_time(profile: PotentialProfile, energy, step: float = DIFFERENCE_STEP):
     """Complex time tau = -i d ln t / dE = tau1 + i tau2 by central difference.
 
     tau1 is the energy derivative of the transmission phase, taken through

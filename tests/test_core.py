@@ -171,6 +171,25 @@ class TestPoleZeroModel:
         extra = model_tau(m, om) - model_tau(base, om)
         assert extra[0] == pytest.approx(2j / 0.7)
 
+    @pytest.mark.parametrize("p,sign", [(0, 1), (1, 1), (2, -1)])
+    def test_s_and_tau_are_the_pairwise_closed_forms_to_the_bit(self, p, sign):
+        """The generic factor product and sum give, bit for bit, the closed
+        forms that take each zero with its mirrored pole, the origin factor
+        first in S and its term last in tau, so model tables keep their
+        exact text."""
+        m = PoleZeroModel(scale=0.5 + 0.25j, p=p, resonances=((1.0, 0.2), (2.5, 0.05)),
+                          prefactor_sign=sign)
+        x = np.linspace(0.5, 3.0, 40001)
+        s = np.full(x.shape, m.scale) * x.astype(complex) ** (-sign * p)
+        tau = np.zeros(x.shape, complex)
+        for z in m.zeros():
+            s = s * (x - z) / (x - np.conj(z))
+            tau += -1j * (1.0 / (x - z) - 1.0 / (x - np.conj(z)))
+        if p:
+            tau += 1j * sign * p / x
+        assert np.array_equal(evaluate_model(m, x).view(np.int64), s.view(np.int64))
+        assert np.array_equal(model_tau(m, x).view(np.int64), tau.view(np.int64))
+
     def test_pole_proximity_guard(self):
         m = single_factor()
         pole = 1.0 - 0.1j

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from tauspec import fileio
 from tauspec.core import FrequencyGrid
 from tauspec.errors import (
     BelowMassShell,
@@ -37,6 +38,43 @@ from tauspec.physics import (
 )
 
 OSC = OscillatorParams(omega0=1.0, gamma=0.2)
+# The grid of the generic-against-closed-form checks: 120,001 nodes.
+WIDE = FrequencyGrid.linspace(0.05, 3.0, 120001)
+
+
+# Hand-written closed forms, the references of the generic rational
+# response: they share no code with tauspec.
+def oscillator_reference(params, om):
+    """(G, tau1, tau2) of the damped oscillator, written out: with
+    D-+ = (omega -+ omega1)^2 + gamma^2/4, each pole gives a Lorentzian
+    delay and an antisymmetric formation term."""
+    w1, half = params.omega1, 0.5 * params.gamma
+    green = -1.0 / (2.0 * np.pi * (om - w1 + 1j * half) * (om + w1 + 1j * half))
+    d_minus, d_plus = (om - w1) ** 2 + half**2, (om + w1) ** 2 + half**2
+    tau1 = half * (1.0 / d_minus + 1.0 / d_plus)
+    tau2 = (om - w1) / d_minus + (om + w1) / d_plus
+    return green, tau1, tau2
+
+
+def photon_reference(om, k_abs, eta):
+    """(S, tau1, tau2) of the driven photon mode 4 pi / (omega^2 - k^2 + i eta)."""
+    u = om**2 - k_abs**2
+    den = u**2 + eta**2
+    return 4.0 * np.pi / (u + 1j * eta), 2.0 * om * eta / den, 2.0 * om * u / den
+
+
+def assert_matches_reference(got, want):
+    """Each of S, tau1 and tau2 agrees to 1e-15 of the largest |S| or |tau|."""
+    (s, tau1, tau2), (s_ref, tau1_ref, tau2_ref) = got, want
+    assert np.max(np.abs(s - s_ref)) <= 1e-15 * np.max(np.abs(s_ref))
+    scale = np.max(np.abs(tau1_ref + 1j * tau2_ref))
+    assert np.max(np.abs(tau1 - tau1_ref)) <= 1e-15 * scale
+    assert np.max(np.abs(tau2 - tau2_ref)) <= 1e-15 * scale
+
+
+def sample(kind, params, grid):
+    """(S, tau1, tau2) of a model kind's sampler, as the model verb takes it."""
+    return fileio.ModelDocument(kind, params).sample(grid)
 
 
 class TestOscillator:
@@ -61,6 +99,17 @@ class TestOscillator:
             OscillatorParams(omega0=1.0, gamma=2.5)
         with pytest.raises(ValueError):
             OscillatorParams(omega0=1.0, gamma=0.0)
+
+    @pytest.mark.parametrize("path", ["functions", "sampler"])
+    @pytest.mark.parametrize("gamma", [1e-3, 0.2, 1.5])
+    def test_generic_response_matches_closed_form(self, path, gamma):
+        params = OscillatorParams(omega0=1.0, gamma=gamma)
+        x = WIDE.values
+        if path == "functions":
+            got = (oscillator_green(params, x), *oscillator_tau(params, x))
+        else:
+            got = sample("oscillator", params, WIDE)
+        assert_matches_reference(got, oscillator_reference(params, x))
 
     def test_narrow_resonance_single_pole_limit(self):
         """At gamma = 1e-3 the sharp factor dominates: tau2 ~ 1/(w - w1)."""
@@ -250,6 +299,29 @@ class TestPhoton:
         _, lo = photon_tau(1.0 - 1e-9, 1.0, eta)
         _, hi = photon_tau(1.0 + 1e-9, 1.0, eta)
         assert lo < 0 < hi
+
+    @pytest.mark.parametrize("path", ["functions", "sampler"])
+    @pytest.mark.parametrize("eta", [1e-8, 1e-2, 1.0])
+    def test_generic_response_matches_closed_form(self, path, eta):
+        x = WIDE.values
+        if path == "functions":
+            got = (photon_response(x, 1.3, eta), *photon_tau(x, 1.3, eta))
+        else:
+            got = sample("photon", PhotonParams(1.3, eta), WIDE)
+        assert_matches_reference(got, photon_reference(x, 1.3, eta))
+
+    @pytest.mark.parametrize("path", ["functions", "sampler"])
+    @pytest.mark.parametrize("eta", [1e-12, 1e-8, 1e-3, 1.0])
+    def test_formation_is_zero_on_shell_and_flips_sign(self, path, eta):
+        """tau2 is +0.0 at omega = k, which the csv writes as 0.000000000000e+00,
+        and changes sign 1e-9 to either side."""
+        om = np.array([1.0 - 1e-9, 1.0, 1.0 + 1e-9])
+        if path == "functions":
+            _, tau2 = photon_tau(om, 1.0, eta)
+        else:
+            _, _, tau2 = sample("photon", PhotonParams(1.0, eta), FrequencyGrid(om))
+        assert tau2[1] == 0.0 and not np.signbit(tau2[1])
+        assert tau2[0] < 0.0 < tau2[2]
 
     def test_response_pole_structure(self):
         out = photon_response(2.0, 1.0, 1e-2)
