@@ -6,7 +6,8 @@ Usage: identity.py OLD_SRC NEW_SRC [--expect-diff CASE ...]
 OLD_SRC and NEW_SRC are directories that hold a ``tauspec`` package,
 such as the ``src`` of two checkouts. Each case writes its own inputs and
 runs one command in a fresh interpreter, once with PYTHONPATH set to each
-tree: a ``python -m tauspec`` verb, or a script beside this one. The two
+tree: a ``python -m tauspec`` verb, or a script beside this one. The
+cases ``refused-<name>`` are the refusal table of ``refusals.py``. The two
 runs of a case happen in two directories under the same relative file
 names, so messages that name a file compare as text.
 
@@ -17,21 +18,25 @@ is 1 if a case not named with --expect-diff differs, else 0.
 """
 
 import argparse
-import json
+import importlib.util
 import os
 import re
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 SCRIPTS = Path(__file__).resolve().parent
-SPECTRUM = "omega,re,im"
-TEMPORAL = "omega,tau1,tau2"
-BARRIER = "energy,transmission,phase,tau1,tau2"
+_SPEC = importlib.util.spec_from_file_location("refusals", SCRIPTS / "refusals.py")
+refusals = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(refusals)
+SPECTRUM, TEMPORAL, BARRIER = refusals.SPECTRUM, refusals.TEMPORAL, refusals.BARRIER
+BLASCHKE, BARRIER_DOC = refusals.BLASCHKE, refusals.BARRIER_DOC
+_rows, _doc = refusals.rows, refusals.model_file
 
 
 def _table(header, *columns) -> str:
@@ -41,17 +46,6 @@ def _table(header, *columns) -> str:
 
 def _spectrum(x, s) -> str:
     return _table(SPECTRUM, x, s.real, s.imag)
-
-
-def _rows(header, *rows) -> str:
-    return header + "\n" + "".join(row + "\n" for row in rows)
-
-
-def _bad_byte_table(rows: int) -> bytes:
-    """A spectrum table with the byte 0xe9 in the third row from the end."""
-    lines = [b"%d.0,1.0,0.0\n" % i for i in range(rows)]
-    lines[-3] = b"%d.0,1.\xe9,0.0\n" % (rows - 3)
-    return SPECTRUM.encode() + b"\n" + b"".join(lines)
 
 
 _W = np.linspace(0.25, 1.75, 401)
@@ -67,11 +61,6 @@ SUM_TAU = _table(TEMPORAL, _F, 0.0 * _F, 1.0 / _F)
 BARRIER_TABLE = _rows(BARRIER, "0.5,0.1,-1.5,2.0,-0.5", "1.5,0.6,0.3,1.0,0.25",
                       "2.5,0.9,0.1,0.5,0.125")
 KK_ARTIFACT = "# tauspec:kk v1\ninput=s.csv\nkind=spectrum\nnodes=4001\n"
-INFINITE_IM = _rows(SPECTRUM, "0,1,0", "1,1,0", "2,1,-Infinity", "3,1,0")
-
-BLASCHKE = {"type": "blaschke", "resonances": [[1.0, 0.2]]}
-OSCILLATOR = {"type": "oscillator", "omega0": 1.0, "gamma": 0.1}
-BARRIER_DOC = {"type": "barrier", "segments": [[2.0, 1.0]]}
 
 # (document, from, to) of each model kind.
 MODELS = {
@@ -93,160 +82,53 @@ MODELS = {
 # nodes rarely show one.
 FINE_MODELS = ("blaschke", "oscillator", "lorentz", "photon")
 
-# Model documents (or raw JSON text) that `model` refuses.
-REFUSED_MODELS = {
-    "float-field": {**OSCILLATOR, "omega0": "abc"},
-    "resonance-entry": {"type": "blaschke", "resonances": [[1, 0.2], [2, "x"]]},
-    "scale-entry": {**BLASCHKE, "scale": ["a", 0]},
-    "segment-entry": {"type": "barrier", "segments": [[1, "w"]]},
-    "segment-shape": {"type": "barrier", "segments": [[1, 0.5], [2]]},
-    "segment-nested": {"type": "barrier", "segments": [[1, [2]]]},
-    "integer-field": {**BLASCHKE, "p": "one"},
-    "gamma-range": {**OSCILLATOR, "gamma": 5},
-    "unknown-field": {**OSCILLATOR, "x": 1},
-    "missing-field": {"type": "oscillator", "omega0": 1.0},
-    "type-list": {**OSCILLATOR, "type": ["oscillator"]},
-    "omega0-list": {**OSCILLATOR, "omega0": [1]},
-    "omega0-null": {**OSCILLATOR, "omega0": None},
-    "resonances-number": {"type": "blaschke", "resonances": 5},
-    "p-fraction": {**BLASCHKE, "p": 1.5},
-    "prefactor_sign-fraction": {**BLASCHKE, "prefactor_sign": 1.5},
-    "omega0-past-float-range": {**OSCILLATOR, "omega0": 10**400},
-    "p-past-float-range": {**BLASCHKE, "p": 10**400},
-    "p-past-2**53": {**BLASCHKE, "p": 2**53 + 1},
-    "large-p": {**BLASCHKE, "p": 2000},
-    "truncated-json": '{"type": "oscillator",\n',
-    "undecodable": b'{"type": "oscillator",\n "omega0": 1.0, "gamma": 0.2,\n "x": "\xe9"}\n',
-}
-
-MODEL_ARGV = ("--from", "0.5", "--to", "1.5", "--points", "11", "-o", "m")
-VERBS = {"extract": ("extract", "s.csv", "-o", "t.csv"), "kk": ("kk", "s.csv"),
-         "report": ("report", "s.csv")}
-
-
-def _doc(doc) -> dict:
-    return {"m.json": doc if isinstance(doc, (str, bytes)) else json.dumps(doc)}
-
-
-# Other refused inputs: (input files, tauspec argv).
-REFUSED = {
-    "extract-bad-cell": ({"s.csv": _rows(SPECTRUM, "0.5,1.0,0.0", "", "0.6,x,0.0")},
-                         VERBS["extract"]),
-    "extract-ragged-row": ({"s.csv": _rows(SPECTRUM, "0.5,1.0,0.0", "0.6,1.0")},
-                           VERBS["extract"]),
-    "extract-bad-cell-after-whitespace": (
-        {"s.csv": _rows(SPECTRUM, "0,1,2", "   ", "1,x,4")}, VERBS["extract"]),
-    "extract-decreasing-grid": ({"s.csv": _rows(SPECTRUM, "2.0,1.0,0.0", "1.0,1.0,0.0",
-                                                "0.5,1.0,0.0")}, VERBS["extract"]),
-    "extract-repeated-omega": ({"s.csv": _rows(SPECTRUM, "0,1,0", "1,1,0", "1,1,0",
-                                               "2,1,0")}, VERBS["extract"]),
-    "extract-nan-sample": ({"s.csv": _rows(SPECTRUM, "0.0,1.0,0.0", "0.5,nan,0.0",
-                                           "1.0,1.0,0.0", "1.5,1.0,0.0")},
-                           VERBS["extract"]),
-    "extract-temporal-input": ({"s.csv": TAU}, VERBS["extract"]),
-    "extract-zero-modulus": ({"s.csv": _rows(SPECTRUM, "0,1,0", "1,0,0", "2,1,0",
-                                             "3,1,0", "4,1,0")}, VERBS["extract"]),
-    "extract-order-4-too-few-nodes": ({"s.csv": _rows(SPECTRUM, "0,1,0", "1,1,0",
-                                                      "2,1,0", "3,1,0")},
-                                      ("--stencil", "4", *VERBS["extract"])),
-    "extract-order-4-non-uniform": ({"s.csv": _rows(SPECTRUM, "0,1,0", "1,1,0", "3,1,0",
-                                                    "4,1,0", "5,1,0", "6,1,0")},
-                                    ("--stencil", "4", *VERBS["extract"])),
-    "kk-non-uniform": ({"s.csv": _rows(SPECTRUM, "0,1,0", "1,1,0", "3,1,0", "4,1,0")},
-                       VERBS["kk"]),
-    "kk-tau-through-origin": ({"t.csv": _rows(TEMPORAL, "0,1,0", "1,1,0", "2,1,0",
-                                              "3,1,0")}, ("kk", "t.csv")),
-    "kk-tau-far-from-origin": ({"t.csv": _rows(TEMPORAL, "1000.0,1,0", "1000.125,1,0",
-                                               "1000.25,1,0")}, ("kk", "t.csv")),
-    "kk-model-input": (_doc(BLASCHKE), ("kk", "m.json")),
-    "kk-missing-file": ({}, ("kk", "nope.csv")),
-    "sumrule-grid-mismatch": ({"s.csv": SUM_SPECTRUM, "t.csv": TAU},
-                              ("sumrule", "--spectrum", "s.csv", "--tau", "t.csv")),
-    "winding-kind": (_doc(OSCILLATOR), ("winding", "m.json", "--rect", "0", "2", "-1",
-                                        "1")),
-    "winding-edge-through-zero": (_doc(BLASCHKE), ("winding", "m.json", "--rect", "0",
-                                                   "2", "0.1", "1")),
-    "winding-few-samples": (_doc(BLASCHKE), ("winding", "m.json", "--rect", "0", "2",
-                                             "0.02", "1", "--samples", "8")),
-    "winding-samples-past-cap": (_doc(BLASCHKE), ("winding", "m.json", "--rect", "0",
-                                                  "2", "-1", "1", "--samples",
-                                                  "100001", "-o", "w.txt")),
-    "model-points-past-cap": (_doc(BLASCHKE), ("model", "m.json", "--from", "0.5",
-                                               "--to", "1.5", "--points", "10000001",
-                                               "-o", "m")),
-    "model-two-points": (_doc(BLASCHKE), ("model", "m.json", "--from", "0", "--to", "1",
-                                          "--points", "2", "-o", "m")),
-    "model-missing-flag": (_doc(BLASCHKE), ("model", "m.json", "--from", "0",
-                                            "--to", "1")),
-    "barrier-kind": (_doc(OSCILLATOR), ("barrier", "m.json", *MODEL_ARGV[:-1],
-                                        "b.csv")),
-    "barrier-points-past-cap": (_doc(BARRIER_DOC), ("barrier", "m.json", "--from",
-                                                    "0.5", "--to", "1.5", "--points",
-                                                    "10000001", "-o", "b.csv")),
-    "barrier-node-at-top": (_doc(BARRIER_DOC), ("barrier", "m.json", "--from", "0.1",
-                                                "--to", "3.0", "--points", "30",
-                                                "-o", "b.csv")),
-    "barrier-opaque": (_doc({"type": "barrier", "segments": [[80.0, 1.0]]}),
-                       ("barrier", "m.json", "--from", "0.4", "--to", "0.6",
-                        "--points", "3", "-o", "b.csv")),
-    "report-nan-energy": ({"b.csv": _rows(BARRIER, "nan,1,0,1,2", "0.2,1,0,1,2",
-                                          "0.3,1,0,1,2")}, ("report", "b.csv")),
-    "report-inf-transmission": ({"b.csv": _rows(BARRIER, "0.1,inf,0,1,2", "0.2,0.5,0,1,2",
-                                                "0.3,0.5,0,1,2")}, ("report", "b.csv")),
-    "report-model": (_doc(BLASCHKE), ("report", "m.json")),
-    "report-missing-input": ({}, ("report", "missing.csv")),
-    "report-undecodable-artifact": ({"a.txt": b"# tauspec:kk v1\r\nnodes=3\r\nname=\xff\r\n"},
-                                    ("report", "a.txt")),
-}
-
 
 def _verb(files: dict, *argv) -> tuple:
     return files, ("-m", "tauspec", *argv)
 
 
 def _cases() -> dict:
-    """Each case's input files (name -> text or bytes) and interpreter argv."""
-    cases = {
-        "demo": ({}, (str(SCRIPTS / "run_demo.py"), "demo")),
-        "hartman_scan": ({}, (str(SCRIPTS / "hartman_scan.py"),)),
-        "barrier": _verb(_doc(BARRIER_DOC), "barrier", "m.json", "--from", "0.05", "--to",
-                         "2.95", "--points", "30", "-o", "b.csv"),
-        "extract-order-2": _verb({"s.csv": RESONANCE}, "extract", "s.csv", "-o", "t.csv"),
-        "extract-order-4": _verb({"s.csv": RESONANCE}, "--stencil", "4", "extract", "s.csv",
-                                 "-o", "t.csv"),
-        "extract-whitespace-lines": _verb(
+    """Each case's input files (name -> text or bytes) and interpreter argv;
+    a name given twice is an error, not a silent replacement."""
+    cases = [
+        ("demo", ({}, (str(SCRIPTS / "run_demo.py"), "demo"))),
+        ("hartman_scan", ({}, (str(SCRIPTS / "hartman_scan.py"),))),
+        ("barrier", _verb(_doc(BARRIER_DOC), "barrier", "m.json", "--from", "0.05", "--to",
+                          "2.95", "--points", "30", "-o", "b.csv")),
+        ("extract-order-2", _verb({"s.csv": RESONANCE}, "extract", "s.csv", "-o", "t.csv")),
+        ("extract-order-4", _verb({"s.csv": RESONANCE}, "--stencil", "4", "extract", "s.csv",
+                                  "-o", "t.csv")),
+        ("extract-whitespace-lines", _verb(
             {"s.csv": _rows(SPECTRUM, "0,1,2", "   ", "1,3,4", "\t", "2,5,6", "3,7,8")},
-            "extract", "s.csv", "-o", "t.csv"),
-        "sumrule": _verb({"s.csv": SUM_SPECTRUM, "t.csv": SUM_TAU}, "sumrule", "--spectrum",
-                         "s.csv", "--tau", "t.csv", "-o", "sumrule.txt"),
-        "winding": _verb(_doc(BLASCHKE), "winding", "m.json", "--rect", "0", "2", "0.02",
-                         "1", "-o", "w.txt"),
-        "report": _verb({"s.csv": RESONANCE, "t.csv": TAU, "b.csv": BARRIER_TABLE,
-                         "kk.txt": KK_ARTIFACT}, "report", "s.csv", "t.csv", "b.csv",
-                        "kk.txt", "--gnuplot", "plot.gp"),
-        "report-to-file": _verb({"s.csv": RESONANCE, "kk.txt": KK_ARTIFACT}, "report",
-                                "kk.txt", "s.csv", "-o", "report.txt"),
-    }
+            "extract", "s.csv", "-o", "t.csv")),
+        ("sumrule", _verb({"s.csv": SUM_SPECTRUM, "t.csv": SUM_TAU}, "sumrule", "--spectrum",
+                          "s.csv", "--tau", "t.csv", "-o", "sumrule.txt")),
+        ("winding", _verb(_doc(BLASCHKE), "winding", "m.json", "--rect", "0", "2", "0.02",
+                          "1", "-o", "w.txt")),
+        ("report", _verb({"s.csv": RESONANCE, "t.csv": TAU, "b.csv": BARRIER_TABLE,
+                          "kk.txt": KK_ARTIFACT}, "report", "s.csv", "t.csv", "b.csv",
+                         "kk.txt", "--gnuplot", "plot.gp")),
+        ("report-to-file", _verb({"s.csv": RESONANCE, "kk.txt": KK_ARTIFACT}, "report",
+                                 "kk.txt", "s.csv", "-o", "report.txt")),
+    ]
     for kind, (doc, lo, hi) in MODELS.items():
-        cases[f"model-{kind}"] = _verb(_doc(doc), "model", "m.json", "--from", lo, "--to",
-                                       hi, "--points", "201", "-o", "m")
+        cases.append((f"model-{kind}", _verb(_doc(doc), "model", "m.json", "--from", lo,
+                                             "--to", hi, "--points", "201", "-o", "m")))
         if kind in FINE_MODELS:
-            cases[f"model-{kind}-fine"] = _verb(_doc(doc), "model", "m.json", "--from", lo,
-                                                "--to", hi, "--points", "40001", "-o", "m")
+            cases.append((f"model-{kind}-fine", _verb(_doc(doc), "model", "m.json", "--from",
+                                                      lo, "--to", hi, "--points", "40001",
+                                                      "-o", "m")))
     for tail in ("none", "w1", "w2"):
-        cases[f"kk-spectrum-{tail}"] = _verb({"s.csv": POLE}, "--tail", tail, "kk", "s.csv",
-                                             "-o", "kk.txt")
-        cases[f"kk-tau-{tail}"] = _verb({"t.csv": TAU}, "--tail", tail, "kk", "t.csv")
-    for name, doc in REFUSED_MODELS.items():
-        cases[f"refused-model-{name}"] = _verb(_doc(doc), "model", "m.json", *MODEL_ARGV)
-    for verb, argv in VERBS.items():
-        cases[f"refused-{verb}-infinite-im"] = _verb({"s.csv": INFINITE_IM}, *argv)
-        for rows in (4, 3001):
-            cases[f"refused-{verb}-bad-byte-{rows}"] = _verb(
-                {"s.csv": _bad_byte_table(rows)}, *argv)
-    for name, (files, argv) in REFUSED.items():
-        cases[f"refused-{name}"] = _verb(files, *argv)
-    return cases
+        cases.append((f"kk-spectrum-{tail}", _verb({"s.csv": POLE}, "--tail", tail, "kk",
+                                                   "s.csv", "-o", "kk.txt")))
+        cases.append((f"kk-tau-{tail}", _verb({"t.csv": TAU}, "--tail", tail, "kk", "t.csv")))
+    cases += [(f"refused-{name}", _verb(case.files, *case.argv))
+              for name, case in refusals.CASES.items()]
+    twice = sorted(name for name, count in Counter(name for name, _ in cases).items()
+                   if count > 1)
+    if twice:
+        raise ValueError(f"case named more than once: {', '.join(twice)}")
+    return dict(cases)
 
 
 CASES = _cases()

@@ -36,13 +36,14 @@ from .dispersion import (
 )
 from .errors import TauspecError
 from .extract import ExtractionOptions, extract_temporal
+from .fileio import MAX_POINTS
 from .scatter1d import DIFFERENCE_STEP, complex_time, s_matrix
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 
-# Caps on the sizes a flag asks for, checked before anything is allocated.
-MAX_POINTS = 10**7
+# Caps on the sizes a flag asks for, checked before anything is allocated;
+# MAX_POINTS also caps the rows of a table read.
 MAX_SAMPLES_PER_EDGE = 10**5
 
 _TAIL_BY_FLAG = {"none": "none", "w1": "one_over_omega", "w2": "one_over_omega2"}

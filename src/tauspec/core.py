@@ -202,9 +202,12 @@ class RationalResponse:
     def tau(self, omega):
         """Complex time tau1 + i tau2 at real or complex frequencies."""
         om = np.asarray(omega, dtype=complex)
-        total = carry = np.zeros(om.shape, dtype=complex)
-        for root, degree, power in self.factors:
-            term = -1j * power * degree * om ** (degree - 1) / (om**degree - root)
+        terms = (-1j * power / (om - root) if degree == 1
+                 else -1j * power * degree * om ** (degree - 1) / (om**degree - root)
+                 for root, degree, power in self.factors)
+        carry = np.zeros(om.shape, dtype=complex)
+        total = next(terms, carry)
+        for term in terms:
             new = total + term
             back = new - total
             carry = carry + ((total - (new - back)) + (term - back))

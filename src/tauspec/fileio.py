@@ -8,6 +8,7 @@ byte-identical files.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import os
 import warnings
@@ -62,6 +63,8 @@ ARTIFACT_PREFIX = "# tauspec:"
 _TABLE_FORMATS = {SPECTRUM_HEADER: "spectrum", TEMPORAL_HEADER: "temporal",
                   BARRIER_HEADER: "barrier"}
 ARTIFACT_VERSION = "v1"
+# The most rows a table may hold and the most nodes --points may ask for.
+MAX_POINTS = 10**7
 
 
 def _fmt(x: float) -> str:
@@ -229,13 +232,15 @@ def _parse_rows(lines, start: int, width: int):
     """Rows after the header at ``lines[start]``, one ``float`` per cell.
 
     This is the reference parser and the error path of ``read_table``: a
-    ragged row or a cell that is no number raises naming its line.
+    ragged row or a cell that is no number raises naming its line.  It
+    takes ``lines`` one at a time and stops at the row past the cap.
     """
     data = []
-    for number, ln in enumerate(lines[start + 1 :], start + 2):
+    for number, ln in enumerate(itertools.islice(lines, start + 1, None), start + 2):
         ln = ln.strip()
         if not ln:
             continue
+        _check_rows(len(data) + 1)
         parts = ln.split(",")
         try:
             if len(parts) != width:
@@ -248,13 +253,20 @@ def _parse_rows(lines, start: int, width: int):
     return np.asarray(data, dtype=float)
 
 
+def _check_rows(count: int) -> None:
+    if count > MAX_POINTS:
+        raise ValueError(f"table has more than {MAX_POINTS} rows")
+
+
 def _loadtxt(rows, width: int):
-    """numpy's parse of csv ``rows``, or None where numpy refuses them or
-    finds no rows or a column count other than ``width``."""
+    """numpy's parse of csv ``rows``, at most one past the cap, or None
+    where numpy refuses them or finds no rows or a column count other than
+    ``width``."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            arr = np.loadtxt(rows, dtype=float, delimiter=",", comments=None, ndmin=2)
+            arr = np.loadtxt(rows, dtype=float, delimiter=",", comments=None, ndmin=2,
+                             max_rows=MAX_POINTS + 1)
     except (ValueError, Warning):
         return None
     return arr if len(arr) and arr.shape[1] == width else None
@@ -264,8 +276,9 @@ def read_table(path: str):
     """Read a csv table, returning (header, list of float columns).
 
     numpy parses the rows straight from the file.  A table numpy refuses
-    is read again as a list of lines by ``_parse_rows``, which skips
-    whitespace-only lines and names a bad row.
+    is read again line by line by ``_parse_rows``, which skips
+    whitespace-only lines and names a bad row.  Either way a table of more
+    than ``MAX_POINTS`` rows is refused once the row past the cap is read.
     """
     with _naming(path), open(path, "r") as fh:
         start = 0
@@ -278,7 +291,8 @@ def read_table(path: str):
         arr = _loadtxt(fh, width)
         if arr is None:
             fh.seek(0)
-            arr = _parse_rows(fh.readlines(), start, width)
+            arr = _parse_rows(fh, start, width)
+        _check_rows(len(arr))
         return header, [arr[:, i] for i in range(arr.shape[1])]
 
 

@@ -1,8 +1,8 @@
 """End-to-end tests that drive the command line in process."""
 
+import importlib.util
 import json
 import os
-import re
 import subprocess
 import sys
 import warnings
@@ -35,7 +35,11 @@ from tauspec.scatter1d import PotentialProfile, complex_time, s_matrix
 
 BLASCHKE_DOC = {"type": "blaschke", "resonances": [[1.0, 0.2]]}
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+_SPEC = importlib.util.spec_from_file_location("refusals", ROOT / "scripts" / "refusals.py")
+refusals = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(refusals)
 
 # Runs cli.main on its arguments (none: import only) and prints the exit
 # code and every scipy module then loaded.
@@ -131,6 +135,40 @@ def pole_spectrum_file(tmp_path, name, sign):
     return path
 
 
+@pytest.fixture
+def refused(tmp_path, monkeypatch, capsys):
+    """Runs a case of the refusal table, given by name or as a
+    ``refusals.Refusal``, through ``main`` in an empty ``tmp_path``: it must
+    raise no warning, exit with the case's code, print the case's whole
+    stderr and nothing on stdout, and leave no file but its inputs."""
+    monkeypatch.chdir(tmp_path)
+
+    def run(case):
+        case = refusals.CASES[case] if isinstance(case, str) else case
+        for name, content in case.files.items():
+            Path(name).write_bytes(content if isinstance(content, bytes) else content.encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                code = main(list(case.argv))
+            except SystemExit as exc:  # argparse's own refusals
+                code = exc.code
+        out, err = capsys.readouterr()
+        assert (code, out) == (case.code, "")
+        assert err.endswith("\n")
+        if isinstance(case.stderr, str):
+            assert err[:-1] == case.stderr
+        else:
+            assert case.stderr.fullmatch(err[:-1]), err
+        assert sorted(os.listdir(tmp_path)) == sorted(case.files)
+
+    return run
+
+
+# A test named for one refusal runs the table case it names; the inputs and
+# the message of every refusal are written in the table only.
+
+
 class TestExtract:
     def test_resonance_peak(self, tmp_path):
         inp = blaschke_spectrum_file(tmp_path)
@@ -153,81 +191,28 @@ class TestExtract:
         assert np.max(np.abs(temporal.tau1)) < 1e-12
         assert np.max(np.abs(temporal.tau2)) < 1e-12
 
-    @pytest.mark.parametrize(
-        "body,line,message",
-        [
-            ("0.5,1.0,0.0\n\n0.6,x,0.0\n", 4, "could not convert string to float: 'x'"),
-            ("0.5,1.0,0.0\n0.6,1.0\n", 3, "row has 2 fields, expected 3"),
-        ],
-    )
-    def test_bad_row_named_by_file_and_line(self, tmp_path, capsys, body, line, message):
-        inp = tmp_path / "bad.csv"
-        inp.write_text(fileio.SPECTRUM_HEADER + "\n" + body)
-        out = str(tmp_path / "tau.csv")
-        assert main(["extract", str(inp), "-o", out]) == 2
-        assert capsys.readouterr().err == f"error: {inp}: line {line}: {message}\n"
-        assert not os.path.exists(out)
+    def test_decreasing_grid_exits_2_without_output(self, refused):
+        refused("extract-decreasing-grid")
 
-    def test_decreasing_grid_exits_2_without_output(self, tmp_path):
-        inp = tmp_path / "bad.csv"
-        inp.write_text(
-            fileio.SPECTRUM_HEADER + "\n2.0,1.0,0.0\n1.0,1.0,0.0\n0.5,1.0,0.0\n"
-        )
-        out = str(tmp_path / "tau.csv")
-        assert main(["extract", str(inp), "-o", out]) == 2
-        assert not os.path.exists(out)
-
-    def test_zero_modulus_exits_3(self, tmp_path):
-        grid = FrequencyGrid.linspace(0.0, 1.0, 11)
-        vals = np.ones(11, dtype=complex)
-        vals[5] = 0.0
-        inp = str(tmp_path / "z.csv")
-        fileio.write_spectrum(inp, ComplexSpectrum(grid, vals))
-        assert main(["extract", inp, "-o", str(tmp_path / "t.csv")]) == 3
+    def test_zero_modulus_exits_3(self, refused):
+        refused("extract-zero-modulus-node-5")
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])
-    def test_non_finite_sample_exits_2_without_output(self, tmp_path, bad):
-        inp = tmp_path / "bad.csv"
-        inp.write_text(
-            fileio.SPECTRUM_HEADER
-            + f"\n0.0,1.0,0.0\n0.5,{bad},0.0\n1.0,1.0,0.0\n1.5,1.0,0.0\n"
-        )
-        out = str(tmp_path / "tau.csv")
-        assert main(["extract", str(inp), "-o", out]) == 2
-        assert not os.path.exists(out)
+    def test_non_finite_sample_exits_2_without_output(self, refused, bad):
+        refused(f"extract-{bad}-sample")
 
-    def test_temporal_input_exits_2(self, tmp_path):
-        grid = FrequencyGrid.linspace(0.0, 1.0, 11)
-        inp = str(tmp_path / "t.csv")
-        fileio.write_temporal(
-            inp, TemporalSpectrum(grid, np.ones(11), np.zeros(11))
-        )
-        assert main(["extract", inp, "-o", str(tmp_path / "o.csv")]) == 2
+    def test_temporal_input_exits_2(self, refused):
+        refused("extract-temporal-input")
 
 
-# Spectra that extract refuses in the computation: (stencil order, grid,
-# re cells, exit code, whole stderr line after "error: <path>: "); every
-# im cell is 0.
-EXTRACT_GUARDS = {
-    "ZeroModulus": (2, [0.0, 1.0, 2.0, 3.0, 4.0], [1.0, 0.0, 1.0, 1.0, 1.0], 3,
-                    "|S| below 1e-12 at node 1"),
-    "order-4-too-few-nodes": (4, [0.0, 1.0, 2.0, 3.0], [1.0] * 4, 2,
-                              "order-4 derivative needs at least 5 nodes"),
-    "order-4-NonUniformGrid": (4, [0.0, 1.0, 3.0, 4.0, 5.0, 6.0], [1.0] * 6, 2,
-                               "order-4 derivative requires a uniform grid"),
-}
+EXTRACT_GUARDS = {"ZeroModulus": "extract-zero-modulus",
+                  "order-4-too-few-nodes": "extract-order-4-too-few-nodes",
+                  "order-4-NonUniformGrid": "extract-order-4-non-uniform"}
 
 
 @pytest.mark.parametrize("guard", sorted(EXTRACT_GUARDS))
-def test_extract_guard_names_input(tmp_path, capsys, guard):
-    order, grid, re_cells, code, message = EXTRACT_GUARDS[guard]
-    inp = tmp_path / "s.csv"
-    inp.write_text(fileio.SPECTRUM_HEADER + "\n"
-                   + "".join(f"{x!r},{r!r},0\n" for x, r in zip(grid, re_cells)))
-    out = tmp_path / "t.csv"
-    assert main(["--stencil", str(order), "extract", str(inp), "-o", str(out)]) == code
-    assert capsys.readouterr() == ("", f"error: {inp}: {message}\n")
-    assert not out.exists()
+def test_extract_guard_names_input(refused, guard):
+    refused(EXTRACT_GUARDS[guard])
 
 
 class TestModel:
@@ -303,19 +288,11 @@ class TestModel:
         for got, want in zip(cols, expected):
             np.testing.assert_allclose(got, want, rtol=1e-11, atol=1e-13)
 
-    def test_two_points_exits_2(self, tmp_path):
-        m = write_json(tmp_path / "m.json", BLASCHKE_DOC)
-        rc = main(
-            ["model", m, "--from", "0.0", "--to", "1.0", "--points", "2",
-             "-o", str(tmp_path / "x")]
-        )
-        assert rc == 2
+    def test_two_points_exits_2(self, refused):
+        refused("model-two-points")
 
-    def test_missing_required_flag_raises_system_exit(self, tmp_path):
-        m = write_json(tmp_path / "m.json", BLASCHKE_DOC)
-        with pytest.raises(SystemExit) as info:
-            main(["model", m, "--from", "0.0", "--to", "1.0"])
-        assert info.value.code == 2
+    def test_missing_required_flag_raises_system_exit(self, refused):
+        refused("model-missing-flag")
 
     def test_round_trip_model_then_extract(self, tmp_path):
         m = write_json(tmp_path / "m.json", BLASCHKE_DOC)
@@ -447,41 +424,23 @@ class TestKk:
         assert capsys.readouterr().out == KK_GOLDEN
         assert Path(paths[3]).read_text() == KK_GOLDEN
 
-    def test_model_json_input_exits_2(self, tmp_path):
-        m = write_json(tmp_path / "m.json", BLASCHKE_DOC)
-        assert main(["kk", m]) == 2
+    def test_model_json_input_exits_2(self, refused):
+        refused("kk-model-input")
 
-    def test_missing_file_exits_2(self, tmp_path):
-        assert main(["kk", str(tmp_path / "nope.csv")]) == 2
+    def test_missing_file_exits_2(self, refused):
+        refused("kk-missing-file")
 
-    def test_tau_table_far_from_origin_exits_2(self, tmp_path, capsys):
-        grid = FrequencyGrid(1000.0 + 0.125 * np.arange(11))
-        inp = str(tmp_path / "far.tau.csv")
-        fileio.write_temporal(inp, TemporalSpectrum(grid, np.ones(11), np.zeros(11)))
-        assert main(["kk", inp]) == 2
-        assert "zero-filling to the origin needs 8000 steps" in capsys.readouterr().err
+    def test_tau_table_far_from_origin_exits_2(self, refused):
+        refused("kk-tau-far-from-origin-11-nodes")
 
 
-# Grids kk refuses: (file name, header, grid, whole stderr line after
-# "error: <path>: "); each table has the cells 1 and 0 on every row.
-KK_GRID_GUARDS = {
-    "NonUniformGrid": ("s.csv", fileio.SPECTRUM_HEADER, [0.0, 1.0, 3.0, 4.0],
-                       "hilbert_transform needs a uniform grid"),
-    "NonPositiveGrid": ("t.csv", fileio.TEMPORAL_HEADER, [0.0, 1.0, 2.0, 3.0],
-                        "extension needs a strictly positive grid"),
-    "OriginGapTooWide": ("t.csv", fileio.TEMPORAL_HEADER, [1000.0, 1000.125, 1000.25],
-                         "zero-filling to the origin needs 8000 steps per side for "
-                         "3 nodes (limit 8 per node)"),
-}
+KK_GRID_GUARDS = {"NonUniformGrid": "kk-non-uniform", "NonPositiveGrid": "kk-tau-through-origin",
+                  "OriginGapTooWide": "kk-tau-far-from-origin"}
 
 
 @pytest.mark.parametrize("guard", sorted(KK_GRID_GUARDS))
-def test_kk_grid_guard_exits_2(tmp_path, capsys, guard):
-    filename, header, grid, message = KK_GRID_GUARDS[guard]
-    inp = tmp_path / filename
-    inp.write_text(header + "\n" + "".join(f"{x!r},1,0\n" for x in grid))
-    assert main(["kk", str(inp)]) == getattr(errors, guard).exit_code == 2
-    assert capsys.readouterr() == ("", f"error: {inp}: {message}\n")
+def test_kk_grid_guard_exits_2(refused, guard):
+    refused(KK_GRID_GUARDS[guard])
 
 
 class TestSumrule:
@@ -510,28 +469,11 @@ class TestSumrule:
         stdout = capsys.readouterr().out
         assert "value_im" in stdout
 
-    def test_grid_mismatch_exits_2(self, tmp_path, capsys):
-        g1 = FrequencyGrid.linspace(0.5, 1.5, 11)
-        g2 = FrequencyGrid.linspace(0.5, 1.5, 12)
-        spath = str(tmp_path / "s.csv")
-        tpath = str(tmp_path / "t.csv")
-        fileio.write_spectrum(spath, ComplexSpectrum(g1, np.ones(11, dtype=complex)))
-        fileio.write_temporal(tpath, TemporalSpectrum(g2, np.ones(12), np.zeros(12)))
-        assert main(["sumrule", "--spectrum", spath, "--tau", tpath]) == 2
-        assert capsys.readouterr() == (
-            "", f"error: {spath}, {tpath}: sum rule needs matching spectrum and tau grids\n"
-        )
+    def test_grid_mismatch_exits_2(self, refused):
+        refused("sumrule-grid-mismatch")
 
-    def test_origin_in_grid_exits_4_naming_both_files(self, tmp_path, capsys):
-        grid = FrequencyGrid.linspace(-1.0, 1.0, 11)
-        spath = str(tmp_path / "s.csv")
-        tpath = str(tmp_path / "t.csv")
-        fileio.write_spectrum(spath, ComplexSpectrum(grid, np.ones(11, dtype=complex)))
-        fileio.write_temporal(tpath, TemporalSpectrum(grid, np.ones(11), np.zeros(11)))
-        assert main(["sumrule", "--spectrum", spath, "--tau", tpath]) == 4
-        assert capsys.readouterr() == (
-            "", f"error: {spath}, {tpath}: sum rule grid must exclude the origin\n"
-        )
+    def test_origin_in_grid_exits_4_naming_both_files(self, refused):
+        refused("sumrule-origin-in-grid")
 
 
 class TestWinding:
@@ -555,25 +497,14 @@ class TestWinding:
         w = self.run_rect(tmp_path, (2.0, 3.0, 0.02, 1.0), "empty.txt")
         assert w == pytest.approx(0.0, abs=1e-3)
 
-    def test_edge_through_zero_exits_4(self, tmp_path):
-        m = write_json(tmp_path / "m.json", BLASCHKE_DOC)
-        rc = main(["winding", m, "--rect", "0.0", "2.0", "0.1", "1.0"])
-        assert rc == 4
+    def test_edge_through_zero_exits_4(self, refused):
+        refused("winding-edge-through-zero")
 
-    def test_small_sample_count_exits_2(self, tmp_path, capsys):
-        m = write_json(tmp_path / "m.json", BLASCHKE_DOC)
-        rc = main(
-            ["winding", m, "--rect", "0.0", "2.0", "0.02", "1.0", "--samples", "8"]
-        )
-        assert rc == 2
-        assert capsys.readouterr() == ("", "error: --samples 8 is below the minimum of 16\n")
+    def test_small_sample_count_exits_2(self, refused):
+        refused("winding-few-samples")
 
-    def test_non_blaschke_model_exits_2(self, tmp_path):
-        m = write_json(
-            tmp_path / "m.json", {"type": "oscillator", "omega0": 1.0, "gamma": 0.2}
-        )
-        rc = main(["winding", m, "--rect", "0.0", "2.0", "0.02", "1.0"])
-        assert rc == 2
+    def test_non_blaschke_model_exits_2(self, refused):
+        refused("winding-kind")
 
 
 class TestBarrier:
@@ -595,25 +526,11 @@ class TestBarrier:
         below = energies < 0.95
         assert np.all(tau2[below] < 0.0)
 
-    def test_grid_node_at_barrier_top_exits_4(self, tmp_path):
-        m = write_json(tmp_path / "m.json", self.DOC)
-        out = str(tmp_path / "sweep.csv")
-        rc = main(
-            ["barrier", m, "--from", "0.1", "--to", "3.0", "--points", "30",
-             "-o", out]
-        )
-        assert rc == 4
-        assert not os.path.exists(out)
+    def test_grid_node_at_barrier_top_exits_4(self, refused):
+        refused("barrier-node-at-top")
 
-    def test_opaque_barrier_exits_3(self, tmp_path):
-        m = write_json(
-            tmp_path / "m.json", {"type": "barrier", "segments": [[80.0, 1.0]]}
-        )
-        rc = main(
-            ["barrier", m, "--from", "0.4", "--to", "0.6", "--points", "3",
-             "-o", str(tmp_path / "x.csv")]
-        )
-        assert rc == 3
+    def test_opaque_barrier_exits_3(self, refused):
+        refused("barrier-opaque")
 
 
 class TestReport:
@@ -659,10 +576,8 @@ class TestReport:
         assert main(["report", *inputs]) == 0
         assert capsys.readouterr().out.startswith("# tauspec:report v1")
 
-    def test_missing_input_named_in_error(self, tmp_path, capsys):
-        missing = str(tmp_path / "missing.csv")
-        assert main(["report", missing]) == 2
-        assert "missing.csv" in capsys.readouterr().err
+    def test_missing_input_named_in_error(self, refused):
+        refused("report-missing-input")
 
     def test_gnuplot_script(self, tmp_path):
         inputs = self.build_inputs(tmp_path)
@@ -675,200 +590,64 @@ class TestReport:
         assert "tau1" in text
 
 
-def bad_byte_table(tmp_path, rows):
-    """A spectrum header and ``rows`` rows, the third row from the end with
-    the byte 0xe9 after the '1.' of its re cell; returns the path and the
-    1-based file line of that byte."""
-    lines = [b"%d.0,1.0,0.0\n" % i for i in range(rows)]
-    lines[-3] = b"%d.0,1.\xe9,0.0\n" % (rows - 3)
-    path = tmp_path / "bad.csv"
-    path.write_bytes(fileio.SPECTRUM_HEADER.encode() + b"\n" + b"".join(lines))
-    return str(path), rows - 1
-
-
-VERB_ARGV = {
-    "extract": lambda inp, tmp_path: ["extract", inp, "-o", str(tmp_path / "t.csv")],
-    "kk": lambda inp, tmp_path: ["kk", inp],
-    "report": lambda inp, tmp_path: ["report", inp],
-}
-
-# Model documents whose fields have the wrong JSON type, a fractional
-# integer or one no float holds; each must exit 2 with one line naming the
-# file.  The pattern matches the rest of that line; where it starts with .*
-# the interpreter words the conversion error itself.
-WRONGLY_TYPED_MODELS = {
-    "type-list": ({"type": ["oscillator"], "omega0": 1.0, "gamma": 0.1},
-                  re.escape("unknown model type ['oscillator'] (known: ") + r".*\)"),
-    "omega0-list": ({"type": "oscillator", "omega0": [1], "gamma": 0.1}, r".*not 'list'"),
-    "omega0-null": ({"type": "oscillator", "omega0": None, "gamma": 0.1}, r".*not 'NoneType'"),
-    "resonances-number": ({"type": "blaschke", "resonances": 5},
-                          re.escape("'int' object is not iterable")),
-    "segment-nested": ({"type": "barrier", "segments": [[1, [2]]]}, r".*not 'list'"),
-    "p-fraction": ({**BLASCHKE_DOC, "p": 1.5},
-                   re.escape("p must be an integer of magnitude below 2**53, got 1.5")),
-    "prefactor_sign-fraction": (
-        {**BLASCHKE_DOC, "prefactor_sign": 1.5},
-        re.escape("prefactor_sign must be an integer of magnitude below 2**53, got 1.5"),
-    ),
-    "omega0-past-float-range": ({"type": "oscillator", "omega0": 10**400, "gamma": 0.1},
-                                re.escape("omega0: int too large to convert to float")),
-    "p-past-float-range": ({**BLASCHKE_DOC, "p": 10**400},
-                           re.escape("p: int too large to convert to float")),
-    "p-past-2**53": (
-        {**BLASCHKE_DOC, "p": 2**53 + 1},
-        re.escape("p must be an integer of magnitude below 2**53, got 9007199254740993"),
-    ),
-}
-
-
-OSCILLATOR_DOC = {"type": "oscillator", "omega0": 1.0, "gamma": 0.1}
-
-
-def model_argv(inp, tmp_path):
-    return ["model", inp, "--from", "0.5", "--to", "1.5", "--points", "11",
-            "-o", str(tmp_path / "m")]
-
-
-INFINITE_IM_TABLE = fileio.SPECTRUM_HEADER + "\n0,1,0\n1,1,0\n2,1,-Infinity\n3,1,0\n"
-
-# Inputs a verb refuses: (file name, content, argv, reason).  The one line
-# on stderr names the file and then gives the reason.
-REFUSED_INPUTS = {
-    "model-float-field": ("m.json", json.dumps({**OSCILLATOR_DOC, "omega0": "abc"}), model_argv,
-                          "omega0: could not convert string to float: 'abc'"),
-    "model-resonance-entry": ("m.json", json.dumps({"type": "blaschke",
-                                                    "resonances": [[1, 0.2], [2, "x"]]}),
-                              model_argv, "resonances[1]: could not convert string to float: 'x'"),
-    "model-scale-entry": ("m.json", json.dumps({**BLASCHKE_DOC, "scale": ["a", 0]}), model_argv,
-                          "scale: could not convert string to float: 'a'"),
-    "model-segment-entry": ("m.json", json.dumps({"type": "barrier", "segments": [[1, "w"]]}),
-                            model_argv, "segments[0]: could not convert string to float: 'w'"),
-    "model-segment-shape": ("m.json", json.dumps({"type": "barrier", "segments": [[1, 0.5], [2]]}),
-                            model_argv, "segments[1] must be a two-element list"),
-    "model-integer-field": ("m.json", json.dumps({**BLASCHKE_DOC, "p": "one"}), model_argv,
-                            "p: could not convert string to float: 'one'"),
-    "model-gamma-range": ("m.json", json.dumps({**OSCILLATOR_DOC, "gamma": 5}), model_argv,
-                          "gamma must satisfy 0 < gamma < 2 omega0"),
-    "model-unknown-field": ("m.json", json.dumps({**OSCILLATOR_DOC, "x": 1}), model_argv,
-                            "unknown field 'x' for model type 'oscillator'"),
-    "model-missing-field": ("m.json", json.dumps({"type": "oscillator", "omega0": 1.0}),
-                            model_argv, "missing field 'gamma' for model type 'oscillator'"),
-    "model-truncated-json": ("m.json", '{"type": "oscillator",\n', model_argv,
-                             "Expecting property name enclosed in double quotes: "
-                             "line 2 column 1 (char 23)"),
-    "model-large-p": ("m.json", json.dumps({**BLASCHKE_DOC, "p": 2000}), model_argv,
-                      "model is not finite on [0.5, 1.5]"),
-    "winding-kind": ("m.json", json.dumps(OSCILLATOR_DOC),
-                     lambda inp, tmp_path: ["winding", inp, "--rect", "0", "2", "-1", "1"],
-                     "winding needs a pole-zero model"),
-    "barrier-kind": ("m.json", json.dumps(OSCILLATOR_DOC),
-                     lambda inp, tmp_path: ["barrier", inp, "--from", "0.5", "--to", "1.5",
-                                            "--points", "11", "-o", str(tmp_path / "b.csv")],
-                     "barrier needs a potential-profile model"),
-    "report-nan-energy": ("b.csv", fileio.BARRIER_HEADER + "\nnan,1,0,1,2\n0.2,1,0,1,2\n"
-                          "0.3,1,0,1,2\n", lambda inp, tmp_path: ["report", inp],
-                          "grid contains non-finite values"),
-    "extract-repeated-omega": ("s.csv", fileio.SPECTRUM_HEADER + "\n0,1,0\n1,1,0\n1,1,0\n"
-                               "2,1,0\n", VERB_ARGV["extract"], "grid must be strictly increasing"),
-    **{f"{verb}-infinite-im": ("s.csv", INFINITE_IM_TABLE, argv,
-                               "spectrum contains non-finite values")
-       for verb, argv in VERB_ARGV.items()},
-}
-
-
 class TestInputErrors:
-    """Bad input bytes and values exit 2 with one message on stderr."""
+    """Every refused input, from the one table in scripts/refusals.py; the
+    tests after the first run the cases they name once more."""
 
-    @pytest.mark.parametrize("verb", sorted(VERB_ARGV))
-    def test_infinite_im_cell_raises_no_warning(self, tmp_path, capsys, verb):
-        inp = tmp_path / "inf.csv"
-        inp.write_text(fileio.SPECTRUM_HEADER + "\n0,1,0\n1,1,0\n2,1,-Infinity\n3,1,0\n")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert main(VERB_ARGV[verb](str(inp), tmp_path)) == 2
-        assert capsys.readouterr().err == f"error: {inp}: spectrum contains non-finite values\n"
+    @pytest.mark.parametrize("name", sorted(refusals.CASES))
+    def test_refused_input_named_once(self, refused, name):
+        refused(name)
 
-    @pytest.mark.parametrize("verb", sorted(VERB_ARGV))
-    @pytest.mark.parametrize("rows", [4, 3001])
-    def test_undecodable_byte_named_by_file_and_line(self, tmp_path, capsys, verb, rows):
-        """The position counts within the line, not within a decode chunk.
-        Four rows put the bad byte on line 3; 3001 rows, past the first 8 kB."""
-        inp, line = bad_byte_table(tmp_path, rows)
-        column = len(b"%d.0,1." % (rows - 3))
-        assert main(VERB_ARGV[verb](inp, tmp_path)) == 2
-        assert capsys.readouterr().err == (
-            f"error: {inp}: line {line}: 'utf-8' codec can't decode byte 0xe9 "
-            f"in position {column}: invalid continuation byte\n"
-        )
+    @pytest.mark.parametrize("verb", sorted(refusals.SPECTRUM_VERBS))
+    def test_infinite_im_cell_raises_no_warning(self, refused, verb):
+        refused(f"{verb}-infinite-im")
 
-    def test_undecodable_model_named_by_file_and_line(self, tmp_path, capsys):
-        inp = tmp_path / "m.json"
-        inp.write_bytes(b'{"type": "oscillator",\n "omega0": 1.0, "gamma": 0.2,\n "x": "\xe9"}\n')
-        argv = ["model", str(inp), "--from", "0.5", "--to", "1.5", "--points", "11",
-                "-o", str(tmp_path / "m")]
-        assert main(argv) == 2
-        assert capsys.readouterr().err == (
-            f"error: {inp}: line 3: 'utf-8' codec can't decode byte 0xe9 "
-            "in position 7: invalid continuation byte\n"
-        )
+    @pytest.mark.parametrize("verb", sorted(refusals.SPECTRUM_VERBS))
+    @pytest.mark.parametrize("rows", sorted(refusals.BAD_BYTE_LINE))
+    def test_undecodable_byte_named_by_file_and_line(self, refused, verb, rows):
+        refused(f"{verb}-bad-byte-{rows}")
+
+    def test_undecodable_model_named_by_file_and_line(self, refused):
+        refused("model-undecodable")
 
     @pytest.mark.parametrize("cell", ["nan", "inf"])
-    def test_non_finite_barrier_table_rejected_by_report(self, tmp_path, capsys, cell):
-        inp = tmp_path / "b.csv"
-        rows = [f"0.1,{cell},0,1,2", "0.2,0.5,0,1,2", "0.3,0.5,0,1,2"]
-        inp.write_text(fileio.BARRIER_HEADER + "\n" + "\n".join(rows) + "\n")
-        assert main(["report", str(inp)]) == 2
-        assert capsys.readouterr().err == (
-            f"error: {inp}: barrier table contains non-finite values\n"
-        )
+    def test_non_finite_barrier_table_rejected_by_report(self, refused, cell):
+        refused(f"report-{cell}-transmission")
 
-    @pytest.mark.parametrize("name", sorted(WRONGLY_TYPED_MODELS))
-    def test_wrongly_typed_model_field_exits_2(self, tmp_path, capsys, name):
-        doc, rest = WRONGLY_TYPED_MODELS[name]
-        inp = write_json(tmp_path / "m.json", doc)
-        argv = ["model", inp, "--from", "0.5", "--to", "1.5", "--points", "11",
-                "-o", str(tmp_path / "m")]
-        assert main(argv) == 2
-        assert re.fullmatch(f"error: {re.escape(inp)}: {rest}\n", capsys.readouterr().err)
+    @pytest.mark.parametrize("name", [
+        "type-list", "omega0-list", "omega0-null", "resonances-number", "segment-nested",
+        "p-fraction", "prefactor_sign-fraction", "omega0-past-float-range",
+        "p-past-float-range", "p-past-2**53"])
+    def test_wrongly_typed_model_field_exits_2(self, refused, name):
+        refused(f"model-{name}")
 
-    @pytest.mark.parametrize("name", sorted(REFUSED_INPUTS))
-    def test_refused_input_named_once(self, tmp_path, capsys, name):
-        filename, content, argv, reason = REFUSED_INPUTS[name]
-        inp = str(tmp_path / filename)
-        Path(inp).write_text(content)
-        assert main(argv(inp, tmp_path)) == 2
-        assert capsys.readouterr().err == f"error: {inp}: {reason}\n"
-
-    def test_undecodable_artifact_named_by_file_and_line(self, tmp_path, capsys):
-        inp = tmp_path / "a.txt"
-        inp.write_bytes(b"# tauspec:kk v1\r\nnodes=3\r\nname=\xff\r\n")
-        assert main(["report", str(inp)]) == 2
-        assert capsys.readouterr().err == (
-            f"error: {inp}: line 3: 'utf-8' codec can't decode byte 0xff "
-            "in position 5: invalid start byte\n"
-        )
+    def test_undecodable_artifact_named_by_file_and_line(self, refused):
+        refused("report-undecodable-artifact")
 
 
-# Sizes past a cap, refused before any allocation: (verb, model document,
-# argv after the model path, flag, cap).  Only cap + 1 is ever tried.
-CAPPED_FLAGS = {
-    "model-points": ("model", BLASCHKE_DOC, ["--from", "0.5", "--to", "1.5", "--points"],
-                     "--points", cli.MAX_POINTS),
-    "barrier-points": ("barrier", {"type": "barrier", "segments": [[1.0, 0.5]]},
-                       ["--from", "0.5", "--to", "1.5", "--points"], "--points", cli.MAX_POINTS),
-    "winding-samples": ("winding", BLASCHKE_DOC, ["--rect", "0", "2", "-1", "1", "--samples"],
-                        "--samples", cli.MAX_SAMPLES_PER_EDGE),
+@pytest.mark.parametrize("name", ["model-points", "barrier-points", "winding-samples"])
+def test_size_past_cap_exits_2_without_output(refused, name):
+    refused(f"{name}-past-cap")
+
+
+# More rows than MAX_POINTS, lowered to 4, on each parse path.  The line
+# parser, which a whitespace-only line sends the table to, stops at the row
+# past the cap: it never decodes the bad byte 17 kB on, past the 8 kB that
+# a text read decodes at once.
+ROWS_PAST_CAP = {
+    "numpy": refusals.rows(refusals.SPECTRUM, *(f"{k},1,0" for k in range(5))),
+    "lines": refusals.rows(refusals.SPECTRUM, "   ", *(f"{k},1,0" for k in range(2005))).encode()
+    + b"2005,1.\xe9,0\n",
 }
 
 
-@pytest.mark.parametrize("name", sorted(CAPPED_FLAGS))
-def test_size_past_cap_exits_2_without_output(tmp_path, capsys, name):
-    verb, doc, flags, flag, cap = CAPPED_FLAGS[name]
-    out = tmp_path / "out"
-    argv = [verb, write_json(tmp_path / "m.json", doc), *flags, str(cap + 1), "-o", str(out)]
-    assert main(argv) == 2
-    assert capsys.readouterr() == ("", f"error: {flag} {cap + 1} exceeds the cap of {cap}\n")
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json"]
+@pytest.mark.parametrize("path", sorted(ROWS_PAST_CAP))
+def test_rows_past_cap_exit_2(refused, monkeypatch, path):
+    monkeypatch.setattr(fileio, "MAX_POINTS", 4)
+    if path == "numpy":
+        monkeypatch.setattr(fileio, "_parse_rows", None)
+    refused(refusals.Refusal({"s.csv": ROWS_PAST_CAP[path]}, refusals.EXTRACT, 2,
+                             "error: s.csv: table has more than 4 rows"))
 
 
 class TestExitCodes:

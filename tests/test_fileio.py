@@ -179,6 +179,15 @@ class TestTables:
         with pytest.raises(ValueError, match=r"s\.csv: line 4: could not convert"):
             read_table(str(path))
 
+    @pytest.mark.parametrize("blank", ["", "   \n"], ids=["numpy", "lines"])
+    def test_table_at_the_row_cap_is_read(self, tmp_path, monkeypatch, blank):
+        """A whitespace-only line sends the table to the line parser."""
+        monkeypatch.setattr(fileio, "MAX_POINTS", 4)
+        path = tmp_path / "s.csv"
+        path.write_text(SPECTRUM_HEADER + "\n" + blank + "0,1,0\n1,1,0\n2,1,0\n3,1,0\n")
+        _, cols = read_table(str(path))
+        np.testing.assert_array_equal(cols[0], [0, 1, 2, 3])
+
     def test_read_barrier_table_round_trip(self, tmp_path):
         path = str(tmp_path / "b.csv")
         e = np.array([0.5, 1.5, 2.5])

@@ -4,6 +4,8 @@ import importlib.util
 import shutil
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 _SPEC = importlib.util.spec_from_file_location("identity", ROOT / "scripts" / "identity.py")
@@ -29,3 +31,16 @@ def test_changed_message_is_one_difference(tmp_path):
     cli.write_text(text.replace("winding needs a pole-zero model", "winding needs poles"))
     lines = identity.compare(SRC, changed, ["refused-winding-kind"], tmp_path / "runs")
     assert lines == ["refused-winding-kind: stderr differs at line 1"]
+
+
+def test_refused_cases_are_the_refusal_table():
+    refused = {name.removeprefix("refused-") for name in identity.CASES
+               if name.startswith("refused-")}
+    assert refused == identity.refusals.CASES.keys()
+
+
+def test_case_named_twice_is_an_error(monkeypatch):
+    # A kind "oscillator-fine" names its case as the fine oscillator's.
+    monkeypatch.setitem(identity.MODELS, "oscillator-fine", identity.MODELS["oscillator"])
+    with pytest.raises(ValueError, match="^case named more than once: model-oscillator-fine$"):
+        identity._cases()
