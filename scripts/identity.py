@@ -54,6 +54,12 @@ _X = np.linspace(-60.0, 60.0, 4001)
 POLE = _spectrum(_X, 1.0 / (_X - 1.0 + 0.1j))
 _P = 0.05 * np.arange(1, 401)
 TAU = _table(TEMPORAL, _P, 0.2 / ((_P - 1.0) ** 2 + 0.01), 0.1 / _P)
+# Past 16,384 complex nodes numpy reuses temporaries in place, which swaps
+# the operands of some complex products; the fine kk cases sit beyond it.
+_X_FINE = np.linspace(-60.0, 60.0, 20001)
+POLE_FINE = _spectrum(_X_FINE, 1.0 / (_X_FINE - 1.0 + 0.1j))
+_P_FINE = 0.0025 * np.arange(1, 20002)
+TAU_FINE = _table(TEMPORAL, _P_FINE, 0.2 / ((_P_FINE - 1.0) ** 2 + 0.01), 0.1 / _P_FINE)
 _H = np.linspace(0.5, 50.0, 992)
 _F = np.concatenate([-_H[::-1], _H])
 SUM_SPECTRUM = _spectrum(_F, (2.3 + 0.4j) / _F)
@@ -122,6 +128,9 @@ def _cases() -> dict:
         cases.append((f"kk-spectrum-{tail}", _verb({"s.csv": POLE}, "--tail", tail, "kk",
                                                    "s.csv", "-o", "kk.txt")))
         cases.append((f"kk-tau-{tail}", _verb({"t.csv": TAU}, "--tail", tail, "kk", "t.csv")))
+        cases.append((f"kk-spectrum-fine-{tail}", _verb({"s.csv": POLE_FINE}, "--tail", tail,
+                                                        "kk", "s.csv", "-o", "kk.txt")))
+    cases.append(("kk-tau-fine-w1", _verb({"t.csv": TAU_FINE}, "--tail", "w1", "kk", "t.csv")))
     cases += [(f"refused-{name}", _verb(case.files, *case.argv))
               for name, case in refusals.CASES.items()]
     twice = sorted(name for name, count in Counter(name for name, _ in cases).items()

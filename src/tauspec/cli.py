@@ -37,7 +37,7 @@ from .dispersion import (
 from .errors import TauspecError
 from .extract import ExtractionOptions, extract_temporal
 from .fileio import MAX_POINTS
-from .scatter1d import DIFFERENCE_STEP, complex_time, s_matrix
+from .scatter1d import complex_time, s_matrix, transmission_and_time
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -136,8 +136,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", dest="hi", type=float, required=True)
     p.add_argument("--points", type=int, required=True,
                    help=f"energy nodes, at most {MAX_POINTS}")
-    p.add_argument("--step", type=float, default=DIFFERENCE_STEP,
-                   help="energy step for delay differences")
+    p.add_argument("--step", type=float,
+                   help="take the delays by a central difference of this energy "
+                   "step (default: the exact derivative)")
     p.add_argument("-o", "--output", required=True)
     _global_flags(p)
     p.set_defaults(run=_cmd_barrier)
@@ -171,7 +172,7 @@ def _cmd_model(args) -> None:
     document = fileio.load_model(args.model)
     grid = FrequencyGrid.linspace(args.lo, args.hi, args.points)
     if document.kind == "barrier":
-        _write_barrier(document.params, grid, args.output, DIFFERENCE_STEP)
+        _write_barrier(document.params, grid, args.output)
         return
     with np.errstate(over="ignore", invalid="ignore"):
         values, tau1, tau2 = document.sample(grid)
@@ -240,9 +241,12 @@ def _cmd_winding(args) -> None:
     _emit_artifact("winding", mapping, args.output)
 
 
-def _write_barrier(profile, grid: FrequencyGrid, output: str, step: float) -> None:
-    t = s_matrix(profile, grid.values).t
-    tau = complex_time(profile, grid.values, step)
+def _write_barrier(profile, grid: FrequencyGrid, output: str, step=None) -> None:
+    if step is None:
+        t, tau = transmission_and_time(profile, grid.values)
+    else:
+        t = s_matrix(profile, grid.values).t
+        tau = complex_time(profile, grid.values, step)
     fileio.write_barrier_table(
         output, grid.values, np.hypot(t.real, t.imag) ** 2, np.angle(t),
         tau.real, tau.imag,

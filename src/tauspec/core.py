@@ -328,16 +328,33 @@ def reconstruct(
         )
     if anchor_value == 0:
         raise ValueError("anchor value must be nonzero")
-    dlog = 1j * temporal.tau1 - temporal.tau2
-    # scipy's cumulative_trapezoid(dlog, grid, initial=0.0), term for term,
-    # so the output bits match without importing scipy.integrate.
-    log_s = np.concatenate(
-        ([0.0], np.cumsum(np.diff(grid) * (dlog[1:] + dlog[:-1]) / 2.0))
+    # scipy's cumulative_trapezoid(1j * tau1 - tau2, grid, initial=0.0), with
+    # the real and imaginary parts summed apart: the same bits, without
+    # importing scipy.integrate.  Each sum starts from 0, so a zero running
+    # sum is +0, as the complex rounding makes it unless an increment
+    # underflows (|tau1| times the step below about 1e-308).
+    step = np.diff(grid)
+    log_s = np.empty(grid.size, dtype=complex)
+    increment = np.empty(grid.size)
+    increment[0] = 0.0
+    for part, rate, half in ((log_s.real, temporal.tau2, -0.5),
+                             (log_s.imag, temporal.tau1, 0.5)):
+        np.add(rate[1:], rate[:-1], out=increment[1:])
+        increment[1:] *= step
+        increment[1:] *= half
+        np.cumsum(increment, out=part)
+    # np.interp on the anchor's cell alone gives its bits on the whole grid,
+    # without a contiguous copy of each strided part.
+    right = int(np.searchsorted(grid, anchor_omega))
+    cell = slice(max(right - 1, 0), right + 1)
+    at_anchor = np.interp(anchor_omega, grid[cell], log_s.real[cell]) + 1j * np.interp(
+        anchor_omega, grid[cell], log_s.imag[cell]
     )
-    at_anchor = np.interp(anchor_omega, grid, log_s.real) + 1j * np.interp(
-        anchor_omega, grid, log_s.imag
-    )
-    values = anchor_value * np.exp(log_s - at_anchor)
+    log_s -= at_anchor
+    # One expression: numpy multiplies in place of the exp temporary above
+    # 256 KiB, which swaps the operands, and a complex product rounds by
+    # operand order.
+    values = anchor_value * np.exp(log_s)
     return ComplexSpectrum(temporal.grid, values)
 
 

@@ -133,7 +133,7 @@ def _skip_node_sums(values: np.ndarray) -> np.ndarray:
     spectrum = np.fft.fft(weighted, size)
     spectrum[: half.size] *= half
     spectrum[half.size :] *= np.conj(half[(size - 1) // 2 : 0 : -1])
-    return np.fft.ifft(spectrum)[:n]
+    return np.fft.ifft(spectrum, out=spectrum)[:n]
 
 
 def _pv_core(values: np.ndarray) -> np.ndarray:
@@ -158,29 +158,33 @@ def _pv_core(values: np.ndarray) -> np.ndarray:
     ones_sums = harmonic[1:-1] - harmonic[-2:0:-1] - 0.5 / idx + 0.5 / (n - 1 - idx)
     log_kernel = np.log(idx / (n - 1 - idx))
     centre = 0.5 * (values[2:] - values[:-2])
-    mid = slice(1, n - 1)
-    out[mid] = s1[mid] - values[mid] * ones_sums - centre + values[mid] * log_kernel
+    # out[mid] = s1[mid] - values[mid] * ones_sums - centre + values[mid] * log_kernel,
+    # in that order, with no temporaries beyond centre's buffer.
+    mid = out[1:-1]
+    np.multiply(values[1:-1], ones_sums, out=mid)
+    np.subtract(s1[1:-1], mid, out=mid)
+    mid -= centre
+    mid += np.multiply(values[1:-1], log_kernel, out=centre)
     return out
 
 
 def _log_ratio_over_omega(omega, edge):
     """log1p(-omega/edge) / omega with the removable singularity filled."""
-    out = np.empty(omega.shape, dtype=float)
-    small = np.abs(omega) <= 1e-8 * abs(edge)
+    small = np.flatnonzero(np.abs(omega) <= 1e-8 * abs(edge))
+    # The nodes in ``small`` may divide by zero or overflow; they are refilled.
+    with np.errstate(all="ignore"):
+        out = np.log1p(-omega / edge) / omega
     out[small] = -1.0 / edge - omega[small] / (2.0 * edge**2)
-    big = ~small
-    out[big] = np.log1p(-omega[big] / edge) / omega[big]
     return out
 
 
 def _log_ratio_balanced(omega, edge):
     """log1p(-omega/edge)/omega^2 + 1/(omega*edge), filled near zero."""
-    out = np.empty(omega.shape, dtype=float)
-    small = np.abs(omega) <= 1e-5 * abs(edge)
+    small = np.flatnonzero(np.abs(omega) <= 1e-5 * abs(edge))
+    # The nodes in ``small`` may divide by zero or overflow; they are refilled.
+    with np.errstate(all="ignore"):
+        out = np.log1p(-omega / edge) / omega**2 + 1.0 / (omega * edge)
     out[small] = -1.0 / (2.0 * edge**2) - omega[small] / (3.0 * edge**3)
-    big = ~small
-    om = omega[big]
-    out[big] = np.log1p(-om / edge) / om**2 + 1.0 / (om * edge)
     return out
 
 
@@ -232,8 +236,9 @@ def hilbert_transform(
     h = uniform_spacing(x, "hilbert_transform needs a uniform grid")
     out = _pv_core(f)
     if tail_model != "none":
-        out = out + _tail_correction(x, f, h, tail_model)
-    return out / np.pi
+        out += _tail_correction(x, f, h, tail_model)
+    out /= np.pi
+    return out
 
 
 def _interior(n: int, edge_fraction: float) -> slice:

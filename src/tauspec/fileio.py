@@ -275,9 +275,10 @@ def _loadtxt(rows, width: int):
 def read_table(path: str):
     """Read a csv table, returning (header, list of float columns).
 
-    numpy parses the rows straight from the file.  A table numpy refuses
-    is read again line by line by ``_parse_rows``, which skips
-    whitespace-only lines and names a bad row.  Either way a table of more
+    numpy parses the rows straight from the file, and once more without
+    its whitespace-only lines if it refuses them.  A table numpy still
+    refuses is read again line by line by ``_parse_rows``, which skips
+    those lines too and names a bad row.  Either way a table of more
     than ``MAX_POINTS`` rows is refused once the row past the cap is read.
     """
     with _naming(path), open(path, "r") as fh:
@@ -289,6 +290,11 @@ def read_table(path: str):
         header = header.strip()
         width = len(header.split(","))
         arr = _loadtxt(fh, width)
+        if arr is None:
+            # numpy reads a whitespace-only line as a one-column row.
+            fh.seek(0)
+            arr = _loadtxt((ln for ln in itertools.islice(fh, start + 1, None)
+                            if ln.strip()), width)
         if arr is None:
             fh.seek(0)
             arr = _parse_rows(fh, start, width)

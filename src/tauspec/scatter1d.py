@@ -4,7 +4,9 @@ Units: hbar = 1 and 2m = 1, so the lead wavenumber is k = sqrt(E).
 Profiles are ordered left to right; the leads on both sides are at zero
 potential.  Transfer matrices through classically forbidden segments are
 accumulated in scaled form, so deep tunnelling (kappa a of hundreds) stays
-finite; only the explicit full-scale matrix can overflow.
+finite; only the explicit full-scale matrix can overflow.  The energy
+derivative of the product rides through the same products, so one sweep
+gives the transmission and its exact complex time.
 """
 
 from __future__ import annotations
@@ -17,17 +19,15 @@ from .core import _pointwise
 from .errors import DegenerateEnergy, ZeroTransmission
 
 __all__ = [
-    "DIFFERENCE_STEP",
     "PotentialProfile",
     "ScatteringMatrix1D",
     "transfer_matrix",
     "s_matrix",
     "transmission_probability",
+    "transmission_and_time",
     "complex_time",
     "find_resonance",
 ]
-
-DIFFERENCE_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -76,46 +76,77 @@ class ScatteringMatrix1D:
         return float(np.max(np.abs(np.swapaxes(s.conj(), -1, -2) @ s - np.eye(2))))
 
 
-def _segment_matrix(energy: np.ndarray, width: float, height: float):
-    """Scaled wavefunction-basis transfer matrices (..., 2, 2) and log-scales.
+def _complex(re, im):
+    """One complex array from its real and imaginary parts, bit for bit."""
+    out = np.empty(np.broadcast(re, im).shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
 
-    Each node takes the propagating or the evanescent form by the sign of
-    energy - height; the log-scale is kappa * width on evanescent nodes.
+
+def _transfer(profile: PotentialProfile, energy, derivative: bool = False):
+    """Amplitude-basis transfer matrix as (T22, T21, log-scale L, dT22).
+
+    The wavefunction-basis product W = e^-L M_n ... M_1, acting on
+    (psi, psi'), is real, so it runs as closed-form 2x2 products on four
+    arrays.  Each node takes the propagating or the evanescent segment
+    matrix by the sign of energy - height; an evanescent one is scaled by
+    e^-(kappa width), which L collects.  In the lead plane waves (1, ik)
+    and (1, -ik), T = e^L Q^-1 W Q has
+    T22 = [(w00 + w11) + i (w10/k - k w01)] / 2 and
+    T21 = [(w00 - w11) + i (k w01 + w10/k)] / 2, with T11 = conj(T22) and
+    T12 = conj(T21).  With ``derivative``, G = e^-L d(e^L W)/dE rides
+    through the same products (forward mode), and dT22 = e^-L d(e^L T22)/dE
+    comes back in place of None.
     """
-    gap = energy - height
-    if np.any(np.abs(gap) < 1e-12):
-        raise DegenerateEnergy(
-            f"energy within 1e-12 of segment height {height:g}"
-        )
-    above = gap > 0
-    k = np.sqrt(np.abs(gap))
-    ka = k * width
-    cos, sin = np.cos(ka), np.sin(ka)
-    q = np.exp(-2.0 * k * width)
-    mat = np.empty(gap.shape + (2, 2), dtype=complex)
-    mat[..., 0, 0] = mat[..., 1, 1] = np.where(above, cos, 0.5 * (1.0 + q))
-    mat[..., 0, 1] = np.where(above, sin / k, 0.5 * ((1.0 - q) / k))
-    mat[..., 1, 0] = np.where(above, -k * sin, 0.5 * (k * (1.0 - q)))
-    return mat, np.where(above, 0.0, ka)
-
-
-def _scaled_transfer(profile: PotentialProfile, energy):
-    """Amplitude-basis transfer matrices as (scaled (..., 2, 2), log-scale (...))."""
     energy = np.asarray(energy, dtype=float)
     if np.any(energy <= 0):
         raise ValueError("energy must be positive")
-    wave = np.eye(2, dtype=complex)
+    w00, w01, w10, w11 = 1.0, 0.0, 0.0, 1.0
+    g00 = g01 = g10 = g11 = 0.0
     log_scale = np.zeros(energy.shape)
     for width, height in profile.segments:
-        mat, extra = _segment_matrix(energy, width, height)
-        wave = mat @ wave
-        log_scale += extra
+        gap = energy - height
+        if np.any(np.abs(gap) < 1e-12):
+            raise DegenerateEnergy(
+                f"energy within 1e-12 of segment height {height:g}"
+            )
+        above = gap > 0
+        k = np.sqrt(np.abs(gap))
+        ka = k * width
+        q_1 = np.expm1(-2.0 * ka)
+        # M = [[c, s/k], [-+k s, c]]: cos and sin, or the scaled cosh and sinh.
+        c = np.where(above, np.cos(ka), 1.0 + 0.5 * q_1)
+        s = np.where(above, np.sin(ka), -0.5 * q_1)
+        s_k = s / k
+        m10 = np.where(above, -k, k) * s
+        log_scale += np.where(above, 0.0, ka)
+        if derivative:
+            # e^-(kappa width) dM/dE, one form for both signs of the gap.
+            # (width c - s/k) / (2 gap) cancels as k width -> 0, so there it
+            # takes the series in u = gap width^2 of the same function.
+            u = gap * width**2
+            near = width**3 * (-1 / 6 + u * (1 / 60 + u * (-1 / 1680 + u / 90720)))
+            d00 = -0.5 * width * s_k
+            d01 = np.where(np.abs(u) < 1e-2, np.where(above, 1.0, np.sqrt(1.0 + q_1)) * near,
+                           (width * c - s_k) / (2.0 * gap))
+            d10 = -0.5 * (s_k + width * c)
+            g00, g01, g10, g11 = (
+                d00 * w00 + d01 * w10 + c * g00 + s_k * g10,
+                d00 * w01 + d01 * w11 + c * g01 + s_k * g11,
+                d10 * w00 + d00 * w10 + m10 * g00 + c * g10,
+                d10 * w01 + d00 * w11 + m10 * g01 + c * g11,
+            )
+        w00, w01, w10, w11 = (c * w00 + s_k * w10, c * w01 + s_k * w11,
+                              m10 * w00 + c * w10, m10 * w01 + c * w11)
     k0 = np.sqrt(energy)
-    q = np.ones(energy.shape + (2, 2), dtype=complex)
-    q[..., 1, 0], q[..., 1, 1] = 1j * k0, -1j * k0
-    q_inv = np.full_like(q, 0.5)
-    q_inv[..., 0, 1], q_inv[..., 1, 1] = 0.5 * (-1j / k0), 0.5 * (1j / k0)
-    return q_inv @ wave @ q, log_scale
+    t22 = _complex(0.5 * (w00 + w11), 0.5 * (w10 / k0 - k0 * w01))
+    t21 = _complex(0.5 * (w00 - w11), 0.5 * (k0 * w01 + w10 / k0))
+    if not derivative:
+        return t22, t21, log_scale, None
+    # The lead's k = sqrt(E) moves with E too: at fixed W it moves Im T22
+    # by -Im T21 / (2E) per unit energy.
+    dt22 = _complex(0.5 * (g00 + g11), 0.5 * (g10 / k0 - k0 * g01 - t21.imag / energy))
+    return t22, t21, log_scale, dt22
 
 
 def transfer_matrix(profile: PotentialProfile, energy) -> np.ndarray:
@@ -128,8 +159,9 @@ def transfer_matrix(profile: PotentialProfile, energy) -> np.ndarray:
     ``s_matrix`` when only amplitudes are needed.  An energy array of
     shape (...) gives matrices of shape (..., 2, 2).
     """
-    scaled, log_scale = _scaled_transfer(profile, energy)
-    return np.exp(log_scale)[..., None, None] * scaled
+    t22, t21, log_scale, _ = _transfer(profile, energy)
+    scaled = np.stack([np.conj(t22), np.conj(t21), t21, t22], axis=-1)
+    return np.exp(log_scale)[..., None, None] * scaled.reshape(t22.shape + (2, 2))
 
 
 def s_matrix(profile: PotentialProfile, energy) -> ScatteringMatrix1D:
@@ -138,11 +170,9 @@ def s_matrix(profile: PotentialProfile, energy) -> ScatteringMatrix1D:
     A scalar energy gives complex fields; an energy array gives complex
     arrays of its shape.
     """
-    scaled, log_scale = _scaled_transfer(profile, energy)
-    m22 = scaled[..., 1, 1]
-    t = np.exp(-log_scale) / m22
-    return ScatteringMatrix1D(
-        *_pointwise(energy, -scaled[..., 1, 0] / m22, t, scaled[..., 0, 1] / m22, t))
+    t22, t21, log_scale, _ = _transfer(profile, energy)
+    t = np.exp(-log_scale) / t22
+    return ScatteringMatrix1D(*_pointwise(energy, -t21 / t22, t, np.conj(t21) / t22, t))
 
 
 def transmission_probability(profile: PotentialProfile, energy):
@@ -151,20 +181,47 @@ def transmission_probability(profile: PotentialProfile, energy):
     return _pointwise(energy, np.hypot(t.real, t.imag) ** 2)
 
 
-def complex_time(profile: PotentialProfile, energy, step: float = DIFFERENCE_STEP):
-    """Complex time tau = -i d ln t / dE = tau1 + i tau2 by central difference.
+def transmission_and_time(profile: PotentialProfile, energy):
+    """Transmission amplitude t and its exact complex time, from one sweep.
 
-    tau1 is the energy derivative of the transmission phase, taken through
-    the complex product t(E + step) conj(t(E - step)), so it is insensitive
-    to branch cuts as long as the phase moves by less than pi across
-    2*step.  tau2 is minus the derivative of the log transmission modulus.
-    A scalar energy gives a complex, an energy array a complex array; both
-    are formed from real parts, which round as scalar complex arithmetic.
+    t = e^-L / T22, and with dT22 carried through the transfer product
+    tau = -i d ln t / dE = i dT22 / T22 = tau1 + i tau2: tau1 is the
+    derivative of the transmission phase, tau2 minus that of ln |t|.
+    A scalar energy gives two complex numbers, an energy array two
+    complex arrays.
 
     Raises:
-        ValueError: unless 0 < step < energy at every node.
-        ZeroTransmission: |t| below 1e-12 at a difference node.
+        ZeroTransmission: |t| below 1e-12 at a node.
     """
+    t22, _, log_scale, dt22 = _transfer(profile, energy, derivative=True)
+    t = np.exp(-log_scale) / t22
+    if np.any(np.hypot(t.real, t.imag) < 1e-12):
+        raise ZeroTransmission("transmission too small to differentiate")
+    ratio = dt22 / t22
+    return _pointwise(energy, t, _complex(-ratio.imag, ratio.real))
+
+
+def complex_time(profile: PotentialProfile, energy, step: float | None = None):
+    """Complex time tau = -i d ln t / dE = tau1 + i tau2.
+
+    Without ``step`` it is the exact derivative of
+    ``transmission_and_time``.  With a step it is a central difference:
+    tau1 is the energy derivative of the transmission phase, taken
+    through the complex product t(E + step) conj(t(E - step)), so it is
+    insensitive to branch cuts as long as the phase moves by less than pi
+    across 2*step; tau2 is minus the derivative of the log transmission
+    modulus.  The difference carries O(step^2) truncation and
+    O(1e-16 / step) cancellation.  A scalar energy gives a complex, an
+    energy array a complex array; both are formed from real parts, which
+    round as scalar complex arithmetic.
+
+    Raises:
+        ValueError: a step outside 0 < step < energy at some node.
+        ZeroTransmission: |t| below 1e-12 at a node, or with a step at a
+            difference node.
+    """
+    if step is None:
+        return transmission_and_time(profile, energy)[1]
     if step <= 0 or np.any(np.asarray(energy) - step <= 0):
         raise ValueError("need 0 < step < energy")
     t_hi = np.asarray(s_matrix(profile, np.add(energy, step)).t)
@@ -173,9 +230,8 @@ def complex_time(profile: PotentialProfile, energy, step: float = DIFFERENCE_STE
     mod_hi, mod_lo = np.hypot(hr, hi), np.hypot(lr, li)
     if np.any(mod_hi < 1e-12) or np.any(mod_lo < 1e-12):
         raise ZeroTransmission("transmission too small to differentiate")
-    tau = np.empty(t_hi.shape, dtype=complex)
-    tau.real = np.arctan2(hi * lr - hr * li, hr * lr + hi * li) / (2.0 * step)
-    tau.imag = -(np.log(mod_hi) - np.log(mod_lo)) / (2.0 * step)
+    tau = _complex(np.arctan2(hi * lr - hr * li, hr * lr + hi * li) / (2.0 * step),
+                   -(np.log(mod_hi) - np.log(mod_lo)) / (2.0 * step))
     return _pointwise(energy, tau)
 
 

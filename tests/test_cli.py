@@ -282,7 +282,7 @@ class TestModel:
         profile = PotentialProfile(tuple(map(tuple, segments)))
         energies = np.linspace(0.05, 2.95, 60)
         t = np.array([s_matrix(profile, e).t for e in energies])
-        tau = np.array([complex_time(profile, e, 1e-4) for e in energies])
+        tau = np.array([complex_time(profile, e) for e in energies])
         expected = [energies, np.abs(t) ** 2, np.angle(t), tau.real, tau.imag]
         assert len(cols) == 5
         for got, want in zip(cols, expected):
@@ -630,13 +630,16 @@ def test_size_past_cap_exits_2_without_output(refused, name):
     refused(f"{name}-past-cap")
 
 
-# More rows than MAX_POINTS, lowered to 4, on each parse path.  The line
-# parser, which a whitespace-only line sends the table to, stops at the row
-# past the cap: it never decodes the bad byte 17 kB on, past the 8 kB that
-# a text read decodes at once.
+# More rows than MAX_POINTS, lowered to 4, on each parse path: numpy, numpy
+# again without a whitespace-only line, and the line parser, which a cell
+# that Python's float() takes and numpy does not ("0_0") sends the table to.
+# The line parser stops at the row past the cap: it never decodes the bad
+# byte 17 kB on, past the 8 kB that a text read decodes at once.
 ROWS_PAST_CAP = {
     "numpy": refusals.rows(refusals.SPECTRUM, *(f"{k},1,0" for k in range(5))),
-    "lines": refusals.rows(refusals.SPECTRUM, "   ", *(f"{k},1,0" for k in range(2005))).encode()
+    "blank-line": refusals.rows(refusals.SPECTRUM, "   ", *(f"{k},1,0" for k in range(5))),
+    "lines": refusals.rows(refusals.SPECTRUM, "0_0,1,0",
+                           *(f"{k},1,0" for k in range(1, 2005))).encode()
     + b"2005,1.\xe9,0\n",
 }
 
@@ -644,7 +647,7 @@ ROWS_PAST_CAP = {
 @pytest.mark.parametrize("path", sorted(ROWS_PAST_CAP))
 def test_rows_past_cap_exit_2(refused, monkeypatch, path):
     monkeypatch.setattr(fileio, "MAX_POINTS", 4)
-    if path == "numpy":
+    if path != "lines":
         monkeypatch.setattr(fileio, "_parse_rows", None)
     refused(refusals.Refusal({"s.csv": ROWS_PAST_CAP[path]}, refusals.EXTRACT, 2,
                              "error: s.csv: table has more than 4 rows"))

@@ -34,6 +34,7 @@ from tauspec.scatter1d import (
     PotentialProfile,
     complex_time,
     s_matrix,
+    transmission_and_time,
     transmission_probability,
 )
 
@@ -284,6 +285,8 @@ POINTWISE = {
     "s_matrix": (lambda e: dataclasses.astuple(s_matrix(_BARRIER, e)), 0.9, (complex,) * 4),
     "transmission_probability": (lambda e: transmission_probability(_BARRIER, e), 0.9, float),
     "complex_time": (lambda e: complex_time(_BARRIER, e), 0.9, complex),
+    "transmission_and_time": (lambda e: transmission_and_time(_BARRIER, e), 0.9,
+                              (complex, complex)),
     "normal_response": (lambda t: normal_response(1.3, 2.0, 0.5 + 0.2j, 0.7, t), 2.5, complex),
     "anomalous_response": (lambda t: anomalous_response(1.3, 2.0, 0.5 + 0.2j, 0.7, t), 2.5,
                            complex),

@@ -173,6 +173,23 @@ class TestTables:
         assert header == SPECTRUM_HEADER
         np.testing.assert_array_equal(np.array(cols), [[0, 1, 2], [1, 3, 5], [2, 4, 6]])
 
+    def test_whitespace_line_keeps_a_large_table_on_numpy(self, tmp_path, monkeypatch):
+        """One whitespace-only line costs numpy a second pass, not a per-cell
+        parse: the table reads with the line parser made to fail."""
+        rows = "".join(f"{k},{k % 7}.5,-{k % 3}e-3\n" for k in range(120_001))
+        plain, spaced = tmp_path / "plain.csv", tmp_path / "spaced.csv"
+        plain.write_text(SPECTRUM_HEADER + "\n" + rows)
+        cut = rows.index("\n", len(rows) // 2) + 1
+        spaced.write_text(SPECTRUM_HEADER + "\n" + rows[:cut] + "   \n" + rows[cut:])
+
+        def refuse(*args):
+            raise AssertionError("table reached the line parser")
+
+        monkeypatch.setattr(fileio, "_parse_rows", refuse)
+        header, cols = read_table(str(spaced))
+        assert header == SPECTRUM_HEADER
+        np.testing.assert_array_equal(np.array(cols), np.array(read_table(str(plain))[1]))
+
     def test_bad_row_after_whitespace_line_keeps_its_line_number(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text(SPECTRUM_HEADER + "\n0,1,2\n   \n1,x,4\n")
@@ -181,7 +198,7 @@ class TestTables:
 
     @pytest.mark.parametrize("blank", ["", "   \n"], ids=["numpy", "lines"])
     def test_table_at_the_row_cap_is_read(self, tmp_path, monkeypatch, blank):
-        """A whitespace-only line sends the table to the line parser."""
+        """A whitespace-only line sends the table to numpy's second pass."""
         monkeypatch.setattr(fileio, "MAX_POINTS", 4)
         path = tmp_path / "s.csv"
         path.write_text(SPECTRUM_HEADER + "\n" + blank + "0,1,0\n1,1,0\n2,1,0\n3,1,0\n")

@@ -14,6 +14,7 @@ from tauspec.scatter1d import (
     find_resonance,
     s_matrix,
     transfer_matrix,
+    transmission_and_time,
     transmission_probability,
 )
 
@@ -176,6 +177,7 @@ class TestComplexTime:
         for profile in (BARRIER, self.DOUBLE):
             for func, args in (
                 (complex_time, (step,)),
+                (complex_time, ()),
                 (transmission_probability, ()),
                 (transfer_matrix, ()),
             ):
@@ -200,6 +202,10 @@ class TestComplexTime:
             transmission_probability(BARRIER, np.array([0.5, 0.0]))
         with pytest.raises(ValueError, match="0 < step < energy"):
             complex_time(BARRIER, np.array([0.5, 1e-4]), 1e-4)
+        with pytest.raises(ValueError, match="energy must be positive"):
+            complex_time(BARRIER, np.array([0.5, 0.0]))
+        with pytest.raises(DegenerateEnergy, match="segment height 1"):
+            transmission_and_time(self.DOUBLE, np.array([0.5, 1.0]))
 
     def test_opaque_barrier_raises_zero_transmission(self):
         opaque = PotentialProfile.single(width=80.0, height=1.0)
@@ -210,6 +216,55 @@ class TestComplexTime:
     def test_step_must_lie_below_energy(self, energy, step):
         with pytest.raises(ValueError, match="0 < step < energy"):
             complex_time(BARRIER, energy, step)
+
+    def test_exact_tau_matches_the_single_barrier_closed_form(self):
+        """t = 1/D with D = cosh(kappa a) + i (kappa^2 - k^2)/(2 k kappa)
+        sinh(kappa a), differentiated by hand: tau = i D'/D.  Above the
+        barrier kappa is imaginary and the same expression continues it."""
+        a, height = 2.0, 1.0
+        energies = np.array([0.05, 0.2, 0.5, 0.8, 0.95, 1.3, 2.0, 2.7, 4.0])
+        k, kappa = np.sqrt(energies + 0j), np.sqrt(height - energies + 0j)
+        dk, dkappa = 0.5 / k, -0.5 / kappa
+        f = (height - 2.0 * energies) / (2.0 * k * kappa)
+        df = -1.0 / (k * kappa) - f * (dk / k + dkappa / kappa)
+        ch, sh = np.cosh(kappa * a), np.sinh(kappa * a)
+        d = ch + 1j * f * sh
+        dd = a * dkappa * sh + 1j * (df * sh + f * a * dkappa * ch)
+        t, tau = transmission_and_time(PotentialProfile.single(a, height), energies)
+        np.testing.assert_allclose(t, 1.0 / d, rtol=1e-12)
+        np.testing.assert_allclose(tau, 1j * dd / d, rtol=1e-12)
+
+    def test_exact_tau_is_the_limit_of_the_difference(self):
+        """Richardson's (4 D(h/2) - D(h)) / 3 removes the h^2 term of the
+        central difference D, so it closes on the exact tau as h^4."""
+        energies = np.array([0.1, 0.3, 0.5, 0.7, 0.9, 1.2, 1.7, 2.5])
+        exact = complex_time(self.DOUBLE, energies)
+
+        def richardson_error(h):
+            fine, coarse = (complex_time(self.DOUBLE, energies, s) for s in (h / 2, h))
+            return np.max(np.abs((4.0 * fine - coarse) / 3.0 - exact) / np.abs(exact))
+
+        assert richardson_error(1e-3) < 1e-9
+        assert richardson_error(2e-3) > 8.0 * richardson_error(1e-3)
+
+    def test_exact_tau_holds_at_the_barrier_top(self):
+        """Where k width << 1 the segment derivative, a difference of
+        nearly equal terms, takes its series; the exact tau still meets the
+        Richardson difference taken across the top."""
+        energies = 1.0 + np.array([-1e-6, -1e-9, 1e-9, 1e-6])
+        fine, coarse = (complex_time(BARRIER, energies, h) for h in (5e-4, 1e-3))
+        np.testing.assert_allclose(complex_time(BARRIER, energies), (4.0 * fine - coarse) / 3.0,
+                                   rtol=1e-9)
+
+    def test_one_sweep_gives_the_s_matrix_transmission(self):
+        energies = np.array(self.ENERGIES)
+        for profile in (BARRIER, self.DOUBLE):
+            t, tau = transmission_and_time(profile, energies)
+            assert np.array_equal(t, s_matrix(profile, energies).t)
+            assert np.array_equal(tau, complex_time(profile, energies))
+            scalars = [transmission_and_time(profile, e) for e in self.ENERGIES]
+            assert all(type(x) is complex for pair in scalars for x in pair)
+            assert np.array_equal(np.array(scalars), np.stack([t, tau], axis=-1))
 
     def test_difference_node_on_segment_height_raises(self):
         with pytest.raises(DegenerateEnergy):
