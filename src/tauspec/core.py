@@ -318,6 +318,12 @@ def reconstruct(
     and pins the result so S(anchor_omega) = anchor_value.  The anchor may
     sit between nodes; its log offset is then linearly interpolated.
 
+    The output has the bits of the complex trapezoid sum of
+    1j * tau1 - tau2, with one exception: where an increment underflows
+    to zero (|tau| times the step below about 1e-308) it counts as +0,
+    where the complex sum may keep a -0, so with an anchor value that has
+    a zero part the sign of a zero part of the output may differ.
+
     Raises:
         AnchorOutOfRange: anchor frequency outside the grid span.
     """

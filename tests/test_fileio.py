@@ -196,14 +196,26 @@ class TestTables:
         with pytest.raises(ValueError, match=r"s\.csv: line 4: could not convert"):
             read_table(str(path))
 
-    @pytest.mark.parametrize("blank", ["", "   \n"], ids=["numpy", "lines"])
-    def test_table_at_the_row_cap_is_read(self, tmp_path, monkeypatch, blank):
-        """A whitespace-only line sends the table to numpy's second pass."""
+    # Each row set takes one parse path: numpy; numpy again without a
+    # whitespace-only line; and the line parser, which a cell that Python's
+    # float() takes and numpy does not ("0_0") sends the table to.
+    @pytest.mark.parametrize("rows, path", [
+        ("0,1,0\n", "numpy"), ("   \n0,1,0\n", "numpy"), ("0_0,1,0\n", "lines"),
+    ], ids=["numpy", "blank-line", "lines"])
+    def test_table_at_the_row_cap_is_read(self, tmp_path, monkeypatch, rows, path):
         monkeypatch.setattr(fileio, "MAX_POINTS", 4)
-        path = tmp_path / "s.csv"
-        path.write_text(SPECTRUM_HEADER + "\n" + blank + "0,1,0\n1,1,0\n2,1,0\n3,1,0\n")
-        _, cols = read_table(str(path))
+        parse_rows, calls = fileio._parse_rows, []
+
+        def spy(*args):
+            calls.append(args)
+            return parse_rows(*args)
+
+        monkeypatch.setattr(fileio, "_parse_rows", spy)
+        table = tmp_path / "s.csv"
+        table.write_text(SPECTRUM_HEADER + "\n" + rows + "1,1,0\n2,1,0\n3,1,0\n")
+        _, cols = read_table(str(table))
         np.testing.assert_array_equal(cols[0], [0, 1, 2, 3])
+        assert len(calls) == (path == "lines")
 
     def test_read_barrier_table_round_trip(self, tmp_path):
         path = str(tmp_path / "b.csv")
