@@ -7,14 +7,18 @@ OLD_SRC and NEW_SRC are directories that hold a ``tauspec`` package,
 such as the ``src`` of two checkouts. Each case writes its own inputs and
 runs one command in a fresh interpreter, once with PYTHONPATH set to each
 tree: a ``python -m tauspec`` verb, or a script beside this one. The
-cases ``refused-<name>`` are the refusal table of ``refusals.py``. The two
-runs of a case happen in two directories under the same relative file
-names, so messages that name a file compare as text.
+cases ``refused-<name>`` are the refusal table of ``refusals.py``; the
+cases ``help-<verb>`` and ``usage-<name>`` pin argparse's help and its
+refusals of a command line. The two runs of a case happen in two
+directories under the same relative file names, so messages that name a
+file compare as text.
 
 The exit code, stdout, stderr and the bytes of every file left in the
 case directory are compared, and each difference is printed on one line.
 The one field masked is the elapsed time the demo prints. The exit code
-is 1 if a case not named with --expect-diff differs, else 0.
+is 1 if a case not named with --expect-diff differs, else 0. A run that
+exits 1 is broken (a traceback: ``tauspec`` itself exits 0, 2, 3 or 4),
+and fails the check whether or not its case is named.
 """
 
 import argparse
@@ -88,6 +92,9 @@ MODELS = {
 # nodes rarely show one.
 FINE_MODELS = ("blaschke", "oscillator", "lorentz", "photon")
 
+# The verbs of the command, each with its case help-<verb>.
+VERBS = ("extract", "model", "kk", "sumrule", "winding", "barrier", "report")
+
 
 def _verb(files: dict, *argv) -> tuple:
     return files, ("-m", "tauspec", *argv)
@@ -116,7 +123,12 @@ def _cases() -> dict:
                          "kk.txt", "--gnuplot", "plot.gp")),
         ("report-to-file", _verb({"s.csv": RESONANCE, "kk.txt": KK_ARTIFACT}, "report",
                                  "kk.txt", "s.csv", "-o", "report.txt")),
+        ("help", _verb({}, "--help")),
+        ("usage-no-verb", _verb({})),
+        ("usage-unknown-verb", _verb({}, "teapot")),
+        ("usage-bad-choice", _verb({}, "--stencil", "3", "extract", "s.csv", "-o", "t.csv")),
     ]
+    cases += [(f"help-{verb}", _verb({}, verb, "--help")) for verb in VERBS]
     for kind, (doc, lo, hi) in MODELS.items():
         cases.append((f"model-{kind}", _verb(_doc(doc), "model", "m.json", "--from", lo,
                                              "--to", hi, "--points", "201", "-o", "m")))
@@ -167,9 +179,13 @@ def _first_line(a: bytes, b: bytes) -> int:
                 min(len(la), len(lb)) + 1)
 
 
+_BROKEN = "a traceback, never a tauspec exit code"
+
+
 def _differences(name: str, old, new) -> list:
     (old_code, old_out, old_err, old_tree), (new_code, new_out, new_err, new_tree) = old, new
-    lines = []
+    lines = [f"{name}: {side} run exited 1, {_BROKEN}"
+             for side, code in (("old", old_code), ("new", new_code)) if code == 1]
     if old_code != new_code:
         lines.append(f"{name}: exit {old_code} -> {new_code}")
     for stream, a, b in (("stdout", old_out, new_out), ("stderr", old_err, new_err)):
@@ -197,6 +213,12 @@ def compare(old_src: Path, new_src: Path, names, workdir: Path) -> list:
             for line in _differences(name, runs[2 * i], runs[2 * i + 1])]
 
 
+def expected(line: str, expect_diff) -> bool:
+    """Whether --expect-diff excuses a difference line: it names the line's
+    case, and the line reports no broken run."""
+    return line.split(":", 1)[0] in expect_diff and not line.endswith(_BROKEN)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Compare two tauspec source trees.")
     parser.add_argument("old_src", type=Path)
@@ -214,9 +236,9 @@ def main(argv=None) -> int:
         lines = compare(args.old_src, args.new_src, list(CASES), Path(workdir))
     unexpected = 0
     for line in lines:
-        expected = line.split(":", 1)[0] in args.expect_diff
-        unexpected += not expected
-        print(line + (" (expected)" if expected else ""))
+        excused = expected(line, args.expect_diff)
+        unexpected += not excused
+        print(line + (" (expected)" if excused else ""))
     print(f"identity: {len(CASES)} cases, {len(lines)} differences, "
           f"{unexpected} not expected")
     return 1 if unexpected else 0

@@ -10,10 +10,25 @@ data, evaluates them for closed-form models, and checks the dispersion
 and balance identities they satisfy.
 """
 
-from .core import *
-from .dispersion import *
-from .extract import *
-from .physics import *
-from .scatter1d import *
+import importlib
 
 __version__ = "0.1.0"
+
+_LIBRARY = ("core", "dispersion", "extract", "physics", "scatter1d")
+
+
+def __getattr__(name):
+    """``tauspec.<module>`` imports that module alone.  Any other name, and
+    ``__all__``, imports the library modules and binds their ``__all__`` here."""
+    if name.isidentifier():
+        try:
+            return importlib.import_module(f".{name}", __name__)
+        except ModuleNotFoundError as exc:
+            if exc.name != f"{__name__}.{name}":
+                raise
+    modules = [importlib.import_module(f".{m}", __name__) for m in _LIBRARY]
+    names = {n: getattr(m, n) for m in modules for n in m.__all__}
+    globals().update(names, __all__=list(names))
+    if name not in globals():
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return globals()[name]

@@ -12,39 +12,22 @@ Verbs:
 Exit codes: 0 success, 2 input contract violated, 3 numerical guard
 tripped, 4 domain guard (singularity or excluded region touched).  A
 package error names its own code in ``exit_code``.
+Each verb imports the modules it needs when it runs, and the parser
+needs none of them: ``--help`` and a refused command line load no numpy.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 
-import numpy as np
-
-from . import fileio
-from .core import ComplexSpectrum, FrequencyGrid, TemporalSpectrum
-from .dispersion import (
-    MIN_SAMPLES_PER_EDGE,
-    Contour,
-    frequency_sum_rule,
-    kk_residual,
-    sum_rule_scale,
-    tau_kk_residual,
-    winding_number,
-)
-from .errors import TauspecError
-from .extract import ExtractionOptions, extract_temporal
-from .fileio import MAX_POINTS
-from .scatter1d import complex_time, s_matrix, transmission_and_time
+# Caps on the sizes a flag asks for, checked before anything is allocated;
+# MAX_POINTS also caps the rows of a table read.
+from .errors import MAX_POINTS, MAX_SAMPLES_PER_EDGE, MIN_SAMPLES_PER_EDGE, TauspecError
 
 EXIT_OK = 0
 EXIT_INPUT = 2
-
-# Caps on the sizes a flag asks for, checked before anything is allocated;
-# MAX_POINTS also caps the rows of a table read.
-MAX_SAMPLES_PER_EDGE = 10**5
 
 _TAIL_BY_FLAG = {"none": "none", "w1": "one_over_omega", "w2": "one_over_omega2"}
 
@@ -160,6 +143,8 @@ def _check_cap(flag: str, value: int, cap: int, minimum: int | None = None) -> N
 
 
 def _cmd_extract(args) -> None:
+    from . import fileio
+    from .extract import ExtractionOptions, extract_temporal
     spectrum = fileio.read_spectrum(args.input)
     options = ExtractionOptions(stencil_order=args.stencil)
     with fileio._naming(args.input):
@@ -168,6 +153,9 @@ def _cmd_extract(args) -> None:
 
 
 def _cmd_model(args) -> None:
+    import numpy as np
+    from . import fileio
+    from .core import ComplexSpectrum, FrequencyGrid, TemporalSpectrum
     _check_cap("--points", args.points, MAX_POINTS)
     document = fileio.load_model(args.model)
     grid = FrequencyGrid.linspace(args.lo, args.hi, args.points)
@@ -184,12 +172,16 @@ def _cmd_model(args) -> None:
 
 def _emit_artifact(kind: str, mapping: dict, output) -> None:
     """Print an artifact, and also write it to ``output`` when one is given."""
+    from . import fileio
     sys.stdout.write(fileio.format_artifact(kind, mapping))
     if output:
         fileio.write_artifact(output, kind, mapping)
 
 
 def _cmd_kk(args) -> None:
+    import dataclasses
+    from . import fileio
+    from .dispersion import kk_residual, tau_kk_residual
     tail_model = _TAIL_BY_FLAG[args.tail]
     fmt = fileio.detect_format(args.input)
     if fmt == "spectrum":
@@ -206,6 +198,9 @@ def _cmd_kk(args) -> None:
 
 
 def _cmd_sumrule(args) -> None:
+    import numpy as np
+    from . import fileio
+    from .dispersion import frequency_sum_rule, sum_rule_scale
     spectrum = fileio.read_spectrum(args.spectrum)
     temporal = fileio.read_temporal(args.tau)
     # The grid checks compare the two tables, so a refusal names both.
@@ -223,6 +218,8 @@ def _cmd_sumrule(args) -> None:
 
 
 def _cmd_winding(args) -> None:
+    from . import fileio
+    from .dispersion import Contour, winding_number
     _check_cap("--samples", args.samples, MAX_SAMPLES_PER_EDGE, MIN_SAMPLES_PER_EDGE)
     document = fileio.load_model(args.model)
     if document.kind != "blaschke":
@@ -241,7 +238,10 @@ def _cmd_winding(args) -> None:
     _emit_artifact("winding", mapping, args.output)
 
 
-def _write_barrier(profile, grid: FrequencyGrid, output: str, step=None) -> None:
+def _write_barrier(profile, grid, output: str, step=None) -> None:
+    import numpy as np
+    from . import fileio
+    from .scatter1d import complex_time, s_matrix, transmission_and_time
     if step is None:
         t, tau = transmission_and_time(profile, grid.values)
     else:
@@ -254,6 +254,8 @@ def _write_barrier(profile, grid: FrequencyGrid, output: str, step=None) -> None
 
 
 def _cmd_barrier(args) -> None:
+    from . import fileio
+    from .core import FrequencyGrid
     _check_cap("--points", args.points, MAX_POINTS)
     document = fileio.load_model(args.model)
     if document.kind != "barrier":
@@ -264,6 +266,8 @@ def _cmd_barrier(args) -> None:
 
 def _summarise_table(fmt: str, path: str) -> dict:
     """Format, nodes, first and last abscissa and the extremes of a table."""
+    import numpy as np
+    from . import fileio
     if fmt == "spectrum":
         spectrum = fileio.read_spectrum(path)
         axis, grid = "omega", spectrum.grid
@@ -283,6 +287,7 @@ def _summarise_table(fmt: str, path: str) -> dict:
 
 
 def _cmd_report(args) -> None:
+    from . import fileio
     entries = sorted(args.inputs, key=lambda p: (os.path.basename(p), p))
     lines = []
     tables = []
@@ -320,6 +325,7 @@ _PLOT_COLUMNS = {
 
 
 def _write_gnuplot(path: str, tables) -> None:
+    from . import fileio
     lines = [
         "set datafile separator ','",
         "set key autotitle columnhead",

@@ -25,6 +25,7 @@ from .core import (
     uniform_spacing,
 )
 from .errors import (
+    MIN_SAMPLES_PER_EDGE,
     GridError,
     InsufficientDecay,
     NonPositiveGrid,
@@ -53,9 +54,6 @@ TAIL_MODELS = ("none", "one_over_omega", "one_over_omega2")
 # tau_kk_residual zero-fills k = omega_min / h nodes per side; past this many
 # per input node the padding, not the data, would set the cost.
 _MAX_ORIGIN_PAD_RATIO = 8
-
-# winding_number's fewest panels per contour edge, and its default.
-MIN_SAMPLES_PER_EDGE = 16
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,15 @@ carries the stable exit code the command line front end returns for it:
 * input contract violations (bad files, malformed grids)      -> exit 2
 * numerical contract violations (zero modulus, phase jumps)   -> exit 3
 * domain violations (pole on the grid, contour through a pole)-> exit 4
+
+The module also holds the size caps the command line prints in its help.
 """
+
+# The most rows a table may hold and the most nodes --points may ask for.
+MAX_POINTS = 10**7
+# Panels per contour edge: winding_number's fewest (and default), and the most --samples takes.
+MIN_SAMPLES_PER_EDGE = 16
+MAX_SAMPLES_PER_EDGE = 10**5
 
 
 class TauspecError(Exception):

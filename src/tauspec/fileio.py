@@ -26,16 +26,8 @@ from .core import (
     model_tau,
     reconstruct,
 )
-from .errors import TauspecError
-from .physics import (
-    LorentzMediumParams,
-    OscillatorParams,
-    PhotonParams,
-    TwoLevelParams,
-    breit_wigner_tau,
-    oscillator_tau,
-)
-from .scatter1d import PotentialProfile
+# MAX_POINTS is this module's global, which read_table reads at each call.
+from .errors import MAX_POINTS, TauspecError
 
 __all__ = [
     "SPECTRUM_HEADER",
@@ -63,8 +55,6 @@ ARTIFACT_PREFIX = "# tauspec:"
 _TABLE_FORMATS = {SPECTRUM_HEADER: "spectrum", TEMPORAL_HEADER: "temporal",
                   BARRIER_HEADER: "barrier"}
 ARTIFACT_VERSION = "v1"
-# The most rows a table may hold and the most nodes --points may ask for.
-MAX_POINTS = 10**7
 
 
 def _fmt(x: float) -> str:
@@ -425,24 +415,28 @@ def _sample_rational(document: ModelDocument, grid: FrequencyGrid):
     return values, tau.real, tau.imag
 
 
-def _load_oscillator(doc: dict) -> OscillatorParams:
+def _load_oscillator(doc: dict):
+    from .physics import OscillatorParams
     return OscillatorParams(_float(doc["omega0"], "omega0"), _float(doc["gamma"], "gamma"))
 
 
-def _load_lorentz(doc: dict) -> LorentzMediumParams:
+def _load_lorentz(doc: dict):
+    from .physics import LorentzMediumParams
     return LorentzMediumParams(_float(doc["plasma_frequency"], "plasma_frequency"),
                                _load_oscillator(doc))
 
 
-def _dump_lorentz(p: LorentzMediumParams) -> dict:
+def _dump_lorentz(p) -> dict:
     return {"plasma_frequency": p.plasma_frequency, **asdict(p.oscillator)}
 
 
 def _sample_lorentz(document: ModelDocument, grid: FrequencyGrid):
+    from .physics import oscillator_tau
     return _reconstructed(grid, *oscillator_tau(document.params.oscillator, grid.values))
 
 
-def _load_breit_wigner(doc: dict) -> TwoLevelParams:
+def _load_breit_wigner(doc: dict):
+    from .physics import TwoLevelParams
     # load_model reads the branch itself; it is only checked here.
     if doc.get("branch", "lower") not in ("upper", "lower"):
         raise ValueError("branch must be 'upper' or 'lower'")
@@ -451,15 +445,18 @@ def _load_breit_wigner(doc: dict) -> TwoLevelParams:
 
 
 def _sample_breit_wigner(document: ModelDocument, grid: FrequencyGrid):
+    from .physics import breit_wigner_tau
     tau1, tau2 = breit_wigner_tau(document.params, grid.values, document.branch)
     return _reconstructed(grid, tau1, tau2)
 
 
-def _load_photon(doc: dict) -> PhotonParams:
+def _load_photon(doc: dict):
+    from .physics import PhotonParams
     return PhotonParams(_float(doc["k_abs"], "k_abs"), _float(doc["eta"], "eta"))
 
 
-def _load_barrier(doc: dict) -> PotentialProfile:
+def _load_barrier(doc: dict):
+    from .scatter1d import PotentialProfile
     segments = doc["segments"]
     if not isinstance(segments, list):
         raise ValueError("segments must be a list of [width, height] pairs")
@@ -469,7 +466,9 @@ def _load_barrier(doc: dict) -> PotentialProfile:
 class _ModelKind(NamedTuple):
     """One model kind: its JSON fields besides ``type``, the conversions
     between JSON and parameter object, and its sampler (None: no spectrum).
-    A kind whose JSON fields are its parameter fields dumps with ``asdict``."""
+    A kind whose JSON fields are its parameter fields dumps with ``asdict``.
+    Loaders and samplers import ``physics`` or ``scatter1d`` themselves, so
+    only a kind that needs one of them loads it."""
 
     required: set
     optional: set

@@ -113,6 +113,13 @@ def expected_exit_code(name: str) -> int:
     return 3 if name in NUMERICAL_ERRORS else 4 if name in DOMAIN_ERRORS else 2
 
 
+def src_env() -> dict:
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return env
+
+
 def write_json(path, doc) -> str:
     path.write_text(json.dumps(doc))
     return str(path)
@@ -713,13 +720,9 @@ class TestImportPath:
     """Every verb runs on numpy alone: scipy is never imported."""
 
     def scipy_after(self, *argv):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(SRC), env.get("PYTHONPATH")) if p
-        )
         proc = subprocess.run(
             [sys.executable, "-c", SCIPY_PROBE, *argv],
-            env=env, capture_output=True, text=True, timeout=60, check=True,
+            env=src_env(), capture_output=True, text=True, timeout=60, check=True,
         )
         return json.loads(proc.stdout.splitlines()[-1])
 
@@ -742,3 +745,88 @@ class TestImportPath:
             inp, ComplexSpectrum(grid, 1.0 / (grid.values - 1.0 + 0.1j))
         )
         assert self.scipy_after("--tail", "w1", "kk", inp) == [0, []]
+
+
+# Runs what ``python -m tauspec ARGS`` runs (no ARGS: ``import tauspec``)
+# and prints last on stderr, even after a SystemExit, the numpy and tauspec
+# modules then loaded.
+MODULES_PROBE = """
+import atexit, json, runpy, sys
+atexit.register(lambda: print(json.dumps(sorted(
+    m for m in sys.modules if m.split(".")[0] in ("numpy", "tauspec"))), file=sys.stderr))
+if len(sys.argv) > 1:
+    runpy.run_module("tauspec", run_name="__main__", alter_sys=True)
+else:
+    import tauspec
+"""
+
+
+def loaded(cwd, *argv):
+    """Exit code and the numpy and tauspec modules loaded by a fresh
+    ``python -m tauspec *argv``, or by ``import tauspec`` alone."""
+    proc = subprocess.run([sys.executable, "-c", MODULES_PROBE, *argv], cwd=cwd,
+                          env=src_env(), capture_output=True, text=True, timeout=60)
+    return proc.returncode, set(json.loads(proc.stderr.splitlines()[-1]))
+
+
+# Command lines that import no numpy, with their exit codes.
+NO_NUMPY = {
+    "import": (0,),
+    "help": (0, "--help"),
+    "kk-help": (0, "kk", "--help"),
+    "bad-choice": (2, "--stencil", "3", "extract", "s.csv", "-o", "t.csv"),
+}
+
+# Verb argv on the table s.csv -> (tauspec modules it loads, those it leaves unloaded).
+VERB_MODULES = {
+    "report": (["report", "s.csv"], {"fileio", "core"},
+               {"dispersion", "extract", "physics", "scatter1d"}),
+    "kk": (["--tail", "w1", "kk", "s.csv"], {"fileio", "dispersion"}, {"extract"}),
+    "extract": (["extract", "s.csv", "-o", "t.csv"], {"fileio", "extract"}, {"dispersion"}),
+}
+
+# Binds the package's names by ``import *``, or by one name first, then
+# prints each name of the five ``__all__`` not bound to its module's object,
+# and whether the package has three names it must not have.
+STAR_PROBE = """
+import importlib, sys, tauspec
+if sys.argv[1] == "name":
+    tauspec.kk_residual
+names = {}
+exec("from tauspec import *", names)
+for m in ("core", "dispersion", "extract", "physics", "scatter1d"):
+    module = importlib.import_module("tauspec." + m)
+    print(*(n for n in module.__all__ if names.get(n) is not getattr(module, n)))
+print(*(hasattr(tauspec, name) for name in ("no_such_name", "core.x", "")))
+"""
+
+
+class TestLoading:
+    """A command line loads only what its verb needs, and no numpy for
+    ``import tauspec``, ``--help`` or an argparse refusal."""
+
+    @pytest.mark.parametrize("name", sorted(NO_NUMPY))
+    def test_loads_no_numpy(self, tmp_path, name):
+        code, *argv = NO_NUMPY[name]
+        exit_code, modules = loaded(tmp_path, *argv)
+        assert exit_code == code
+        assert "numpy" not in modules
+        if name == "import":
+            assert not [m for m in modules if m.startswith("tauspec.")]
+
+    @pytest.mark.parametrize("verb", sorted(VERB_MODULES))
+    def test_verb_loads_only_its_modules(self, tmp_path, verb):
+        grid = FrequencyGrid.linspace(-10.0, 10.0, 401)
+        fileio.write_spectrum(str(tmp_path / "s.csv"),
+                              ComplexSpectrum(grid, 1.0 / (grid.values - 1.0 + 0.1j)))
+        argv, used, unused = VERB_MODULES[verb]
+        code, modules = loaded(tmp_path, *argv)
+        assert code == 0
+        assert {"numpy", *(f"tauspec.{m}" for m in used)} <= modules
+        assert not {f"tauspec.{m}" for m in unused} & modules
+
+    @pytest.mark.parametrize("first", ["star", "name"])
+    def test_star_import_binds_every_public_name(self, first):
+        proc = subprocess.run([sys.executable, "-c", STAR_PROBE, first], env=src_env(),
+                              capture_output=True, text=True, timeout=60, check=True)
+        assert proc.stdout == "\n" * 5 + "False False False\n"
