@@ -22,7 +22,7 @@ except ModuleNotFoundError as exc:
     # Not installed: run from this checkout's src/, wherever the cwd is.
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from tauspec.scatter1d import PotentialProfile, complex_time, s_matrix
+from tauspec.scatter1d import PotentialProfile, transmission_and_time
 
 
 def main(argv) -> int:
@@ -36,9 +36,8 @@ def main(argv) -> int:
     print("width,opacity,transmission,delay,formation")
     for width in np.linspace(1.0, 22.0 / kappa, 36):
         profile = PotentialProfile.single(float(width), height)
-        amp = s_matrix(profile, energy)
-        tau = complex_time(profile, energy)
-        print(f"{width:.4f},{kappa * width:.4f},{abs(amp.t) ** 2:.6e},"
+        t, tau = transmission_and_time(profile, energy)
+        print(f"{width:.4f},{kappa * width:.4f},{abs(t) ** 2:.6e},"
               f"{tau.real:.9f},{tau.imag:.9f}")
     return 0
 

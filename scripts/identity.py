@@ -16,9 +16,10 @@ file compare as text.
 The exit code, stdout, stderr and the bytes of every file left in the
 case directory are compared, and each difference is printed on one line.
 The one field masked is the elapsed time the demo prints. The exit code
-is 1 if a case not named with --expect-diff differs, else 0. A run that
-exits 1 is broken (a traceback: ``tauspec`` itself exits 0, 2, 3 or 4),
-and fails the check whether or not its case is named.
+is 1 if a case not named with --expect-diff differs, or a case named with
+it does not, else 0. A run that exits 1 is broken (a traceback:
+``tauspec`` itself exits 0, 2, 3 or 4), and fails the check whether or
+not its case is named.
 """
 
 import argparse
@@ -239,9 +240,13 @@ def main(argv=None) -> int:
         excused = expected(line, args.expect_diff)
         unexpected += not excused
         print(line + (" (expected)" if excused else ""))
+    # A named case that did not differ makes the expected list inexact.
+    unseen = sorted(set(args.expect_diff) - {line.split(":", 1)[0] for line in lines})
+    for name in unseen:
+        print(f"{name}: expected a difference, none seen")
     print(f"identity: {len(CASES)} cases, {len(lines)} differences, "
           f"{unexpected} not expected")
-    return 1 if unexpected else 0
+    return 1 if unexpected or unseen else 0
 
 
 if __name__ == "__main__":

@@ -85,6 +85,9 @@ CASES = {
     "model-segment-shape": _model(
         {"type": "barrier", "segments": [[1, 0.5], [2]]},
         "error: m.json: segments[1] must be a two-element list"),
+    "model-segments-number": _model(
+        {"type": "barrier", "segments": 5},
+        "error: m.json: segments must be a list of [width, height] pairs"),
     "model-segment-nested": _model(
         {"type": "barrier", "segments": [[1, [2]]]},
         re.compile(r"error: m\.json: segments\[0\]: .*not 'list'")),
@@ -168,6 +171,15 @@ CASES = {
     "winding-edge-through-zero": Refusal(
         model_file(BLASCHKE), ("winding", "m.json", "--rect", "0", "2", "0.1", "1"), 4,
         "error: contour edge within 1e-6 of a zero or pole"),
+    "winding-bounds-unordered": Refusal(
+        model_file(BLASCHKE), ("winding", "m.json", "--rect", "2", "0", "0.02", "1"), 2,
+        "error: rectangle bounds must be ordered"),
+    "winding-bound-infinite": Refusal(
+        model_file(BLASCHKE), ("winding", "m.json", "--rect", "0", "2", "0.02", "inf"), 2,
+        "error: --rect bounds must be finite"),
+    "winding-area-overflows": Refusal(
+        model_file(BLASCHKE), ("winding", "m.json", "--rect", "0", "2", "0.02", "1e200"), 2,
+        "error: contour area overflows"),
     "winding-few-samples": Refusal(
         model_file(BLASCHKE),
         ("winding", "m.json", "--rect", "0", "2", "0.02", "1", "--samples", "8"), 2,

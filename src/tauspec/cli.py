@@ -19,6 +19,7 @@ needs none of them: ``--help`` and a refused command line load no numpy.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -56,25 +57,14 @@ def _build_parser() -> argparse.ArgumentParser:
         help="finite-difference order for extraction (default 2)",
     )
     parser.add_argument(
-        "--tail", choices=("none", "w1", "w2"), default="none",
+        "--tail", choices=tuple(_TAIL_BY_FLAG), default="none",
         help="tail model for dispersion integrals (default none)",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def _global_flags(sp):
-        # Accept the global flags after the verb as well; SUPPRESS keeps
-        # a pre-verb value from being clobbered by a subparser default.
-        sp.add_argument(
-            "--stencil", type=int, choices=(2, 4), default=argparse.SUPPRESS
-        )
-        sp.add_argument(
-            "--tail", choices=("none", "w1", "w2"), default=argparse.SUPPRESS
-        )
-
     p = sub.add_parser("extract", help="tau1/tau2 from a sampled spectrum")
     p.add_argument("input")
     p.add_argument("-o", "--output", required=True)
-    _global_flags(p)
     p.set_defaults(run=_cmd_extract)
 
     p = sub.add_parser("model", help="sample a model: spectrum and tau files")
@@ -84,20 +74,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, required=True,
                    help=f"grid nodes, at most {MAX_POINTS}")
     p.add_argument("-o", "--output", required=True, help="output path prefix")
-    _global_flags(p)
     p.set_defaults(run=_cmd_model)
 
     p = sub.add_parser("kk", help="causality residual report")
     p.add_argument("input")
     p.add_argument("-o", "--output", help="also write the report as an artifact")
-    _global_flags(p)
     p.set_defaults(run=_cmd_kk)
 
     p = sub.add_parser("sumrule", help="weighted balance integral")
     p.add_argument("--spectrum", required=True)
     p.add_argument("--tau", required=True)
     p.add_argument("-o", "--output")
-    _global_flags(p)
     p.set_defaults(run=_cmd_sumrule)
 
     p = sub.add_parser("winding", help="zeros minus poles inside a rectangle")
@@ -110,7 +97,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help=f"panels per edge, {MIN_SAMPLES_PER_EDGE} to "
                    f"{MAX_SAMPLES_PER_EDGE} (default {MIN_SAMPLES_PER_EDGE})")
     p.add_argument("-o", "--output")
-    _global_flags(p)
     p.set_defaults(run=_cmd_winding)
 
     p = sub.add_parser("barrier", help="transmission and delays of a potential")
@@ -119,19 +105,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", dest="hi", type=float, required=True)
     p.add_argument("--points", type=int, required=True,
                    help=f"energy nodes, at most {MAX_POINTS}")
-    p.add_argument("--step", type=float,
-                   help="take the delays by a central difference of this energy "
-                   "step (default: the exact derivative)")
     p.add_argument("-o", "--output", required=True)
-    _global_flags(p)
     p.set_defaults(run=_cmd_barrier)
 
     p = sub.add_parser("report", help="merge results into one document")
     p.add_argument("inputs", nargs="+")
     p.add_argument("-o", "--output")
     p.add_argument("--gnuplot", help="also write a plotting script")
-    _global_flags(p)
     p.set_defaults(run=_cmd_report)
+    for sp in sub.choices.values():
+        # Accept the global flags after the verb as well; SUPPRESS keeps
+        # a pre-verb value from being clobbered by a subparser default.
+        sp.add_argument("--stencil", type=int, choices=(2, 4), default=argparse.SUPPRESS)
+        sp.add_argument("--tail", choices=tuple(_TAIL_BY_FLAG), default=argparse.SUPPRESS)
     return parser
 
 
@@ -221,6 +207,8 @@ def _cmd_winding(args) -> None:
     from . import fileio
     from .dispersion import Contour, winding_number
     _check_cap("--samples", args.samples, MAX_SAMPLES_PER_EDGE, MIN_SAMPLES_PER_EDGE)
+    if not all(math.isfinite(bound) for bound in args.rect):
+        raise ValueError("--rect bounds must be finite")
     document = fileio.load_model(args.model)
     if document.kind != "blaschke":
         raise ValueError(f"{args.model}: winding needs a pole-zero model")
@@ -238,15 +226,11 @@ def _cmd_winding(args) -> None:
     _emit_artifact("winding", mapping, args.output)
 
 
-def _write_barrier(profile, grid, output: str, step=None) -> None:
+def _write_barrier(profile, grid, output: str) -> None:
     import numpy as np
     from . import fileio
-    from .scatter1d import complex_time, s_matrix, transmission_and_time
-    if step is None:
-        t, tau = transmission_and_time(profile, grid.values)
-    else:
-        t = s_matrix(profile, grid.values).t
-        tau = complex_time(profile, grid.values, step)
+    from .scatter1d import transmission_and_time
+    t, tau = transmission_and_time(profile, grid.values)
     fileio.write_barrier_table(
         output, grid.values, np.hypot(t.real, t.imag) ** 2, np.angle(t),
         tau.real, tau.imag,
@@ -261,7 +245,7 @@ def _cmd_barrier(args) -> None:
     if document.kind != "barrier":
         raise ValueError(f"{args.model}: barrier needs a potential-profile model")
     grid = FrequencyGrid.linspace(args.lo, args.hi, args.points)
-    _write_barrier(document.params, grid, args.output, args.step)
+    _write_barrier(document.params, grid, args.output)
 
 
 def _summarise_table(fmt: str, path: str) -> dict:

@@ -463,10 +463,19 @@ class Contour:
         v = np.asarray(self.vertices, dtype=complex)
         if v.ndim != 1 or v.size < 4:
             raise ValueError("contour needs at least three edges")
-        scale = float(np.max(np.abs(v)))
-        if abs(v[0] - v[-1]) > 1e-12 * max(1.0, scale):
+        if not np.isfinite(v).all():
+            raise ValueError("contour vertices must be finite")
+        # The shoelace products square the vertex sizes, as the quadrature's
+        # segment lengths do; where they overflow, so would the count.
+        with np.errstate(over="ignore", invalid="ignore"):
+            scale = float(np.max(np.abs(v)))
+            gap = abs(v[0] - v[-1])
+            products = np.conj(v[:-1]) * v[1:]
+            area = 0.5 * float(np.sum(products.imag))
+        if gap > 1e-12 * max(1.0, scale):
             raise ValueError("contour must be closed (first vertex repeated)")
-        area = 0.5 * float(np.sum(np.imag(np.conj(v[:-1]) * v[1:])))
+        if not (np.isfinite(products).all() and np.isfinite(area)):
+            raise ValueError("contour area overflows")
         if area == 0.0:
             raise ValueError("contour encloses zero area")
         if (area > 0) != self.counterclockwise:

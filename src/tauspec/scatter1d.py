@@ -201,38 +201,14 @@ def transmission_and_time(profile: PotentialProfile, energy):
     return _pointwise(energy, t, _complex(-ratio.imag, ratio.real))
 
 
-def complex_time(profile: PotentialProfile, energy, step: float | None = None):
-    """Complex time tau = -i d ln t / dE = tau1 + i tau2.
-
-    Without ``step`` it is the exact derivative of
-    ``transmission_and_time``.  With a step it is a central difference:
-    tau1 is the energy derivative of the transmission phase, taken
-    through the complex product t(E + step) conj(t(E - step)), so it is
-    insensitive to branch cuts as long as the phase moves by less than pi
-    across 2*step; tau2 is minus the derivative of the log transmission
-    modulus.  The difference carries O(step^2) truncation and
-    O(1e-16 / step) cancellation.  A scalar energy gives a complex, an
-    energy array a complex array; both are formed from real parts, which
-    round as scalar complex arithmetic.
+def complex_time(profile: PotentialProfile, energy):
+    """Complex time tau = -i d ln t / dE = tau1 + i tau2, the exact
+    derivative: ``transmission_and_time(profile, energy)[1]``.
 
     Raises:
-        ValueError: a step outside 0 < step < energy at some node.
-        ZeroTransmission: |t| below 1e-12 at a node, or with a step at a
-            difference node.
+        ZeroTransmission: |t| below 1e-12 at a node.
     """
-    if step is None:
-        return transmission_and_time(profile, energy)[1]
-    if step <= 0 or np.any(np.asarray(energy) - step <= 0):
-        raise ValueError("need 0 < step < energy")
-    t_hi = np.asarray(s_matrix(profile, np.add(energy, step)).t)
-    t_lo = np.asarray(s_matrix(profile, np.subtract(energy, step)).t)
-    hr, hi, lr, li = t_hi.real, t_hi.imag, t_lo.real, t_lo.imag
-    mod_hi, mod_lo = np.hypot(hr, hi), np.hypot(lr, li)
-    if np.any(mod_hi < 1e-12) or np.any(mod_lo < 1e-12):
-        raise ZeroTransmission("transmission too small to differentiate")
-    tau = _complex(np.arctan2(hi * lr - hr * li, hr * lr + hi * li) / (2.0 * step),
-                   -(np.log(mod_hi) - np.log(mod_lo)) / (2.0 * step))
-    return _pointwise(energy, tau)
+    return transmission_and_time(profile, energy)[1]
 
 
 def find_resonance(

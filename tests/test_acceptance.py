@@ -161,8 +161,9 @@ def test_c06_winding_counts():
 
 @pytest.mark.xfail(
     strict=True,
-    reason="residue series decay rate differs from the transformed model "
-    "by a factor of two; comparison cannot meet tolerance",
+    reason="residue series differs from the transformed model in sign, "
+    "amplitude and decay rate; what is left is a mirror term that the "
+    "positive-frequency samples miss; comparison cannot meet tolerance",
 )
 def test_c07a_residue_series_matches_inverse_transform():
     model = PoleZeroModel(resonances=((1.0, 0.2),))

@@ -533,20 +533,17 @@ class TestBarrier:
         below = energies < 0.95
         assert np.all(tau2[below] < 0.0)
 
-    @pytest.mark.parametrize("step", [None, 1e-4, 3e-3], ids=["exact", "1e-4", "3e-3"])
-    def test_step_selects_the_delays_written(self, tmp_path, step):
-        """Without --step the table holds the exact tau of one sweep; with
-        --step H, the central difference complex_time(profile, e, H), next
-        to the same transmission and phase columns."""
+    def test_table_holds_the_exact_delays(self, tmp_path):
+        """The delay columns are the exact tau of one sweep, next to the
+        s_matrix transmission and phase."""
         m = write_json(tmp_path / "m.json", self.DOC)
         out, want = str(tmp_path / "sweep.csv"), str(tmp_path / "want.csv")
-        flags = [] if step is None else ["--step", repr(step)]
         assert main(["barrier", m, "--from", "0.05", "--to", "2.95", "--points", "30",
-                     *flags, "-o", out]) == 0
+                     "-o", out]) == 0
         profile = PotentialProfile(tuple(map(tuple, self.DOC["segments"])))
         energies = np.linspace(0.05, 2.95, 30)
         t = s_matrix(profile, energies).t
-        tau = complex_time(profile, energies, step)
+        tau = complex_time(profile, energies)
         fileio.write_barrier_table(want, energies, np.hypot(t.real, t.imag) ** 2,
                                    np.angle(t), tau.real, tau.imag)
         assert Path(out).read_bytes() == Path(want).read_bytes()

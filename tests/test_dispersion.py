@@ -448,3 +448,10 @@ class TestWinding:
         clockwise = (0j, 1j, 1.0 + 1j, 1.0 + 0j, 0j)
         with pytest.raises(ValueError):
             Contour(vertices=clockwise)
+        for vertex in (complex(np.inf, 1.0), complex(1.0, np.nan)):
+            with pytest.raises(ValueError, match="^contour vertices must be finite$"):
+                Contour(vertices=(0j, 1.0 + 0j, vertex, 1j, 0j))
+        # The suite turns warnings into errors, so an overflow warning fails here.
+        for rect in ((0.0, 2.0, 0.02, 1e200), (-1e300, 1e300, -1.0, 1.0)):
+            with pytest.raises(ValueError, match="^contour area overflows$"):
+                Contour.rectangle(*rect)

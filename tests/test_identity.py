@@ -48,6 +48,17 @@ def test_broken_run_is_never_expected(tmp_path):
     assert lines[1:] and all(line.startswith("usage-no-verb: ") for line in lines[1:])
 
 
+def test_expected_difference_not_seen_fails(monkeypatch, capsys):
+    """--expect-diff names exactly the cases that differ: one that does not
+    is reported and fails the check."""
+    monkeypatch.setattr(identity, "CASES", {"help": identity.CASES["help"]})
+    assert identity.main([str(SRC), str(SRC), "--expect-diff", "help"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "help: expected a difference, none seen",
+        "identity: 1 cases, 0 differences, 0 not expected",
+    ]
+
+
 def test_run_broken_on_both_sides_is_a_difference():
     crash = (1, b"", b"Traceback\n", {})
     lines = identity._differences("demo", crash, crash)

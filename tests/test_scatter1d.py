@@ -22,6 +22,17 @@ BARRIER = PotentialProfile.single(width=2.0, height=1.0)
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
+def central_difference(profile, energy, h):
+    """The delay and formation time by a central difference of step h: the
+    phase derivative, taken through t(E + h) conj(t(E - h)), and minus the
+    derivative of ln |t|."""
+    t_hi = s_matrix(profile, np.add(energy, h)).t
+    t_lo = s_matrix(profile, np.subtract(energy, h)).t
+    delay = np.angle(t_hi * np.conj(t_lo)) / (2.0 * h)
+    formation = -(np.log(abs(t_hi)) - np.log(abs(t_lo))) / (2.0 * h)
+    return delay + 1j * formation
+
+
 def analytic_barrier_transmission(energy, height, width):
     kappa = np.sqrt(height - energy)
     s = np.sinh(kappa * width) ** 2
@@ -161,28 +172,20 @@ class TestComplexTime:
     @pytest.mark.parametrize("step", [1e-4, 1e-3])
     def test_parts_are_the_delay_and_formation_time(self, energy, step):
         """Real part: phase derivative; imaginary part: minus the derivative
-        of ln |t|; both equal to scalar complex arithmetic to the last bit."""
+        of ln |t|.  The central difference of step h misses them by its h^2
+        term, about a third of its own change from h to 2h."""
         for profile in (BARRIER, self.DOUBLE):
-            tau = complex_time(profile, energy, step)
+            tau = complex_time(profile, energy)
             assert type(tau) is complex
-            t_hi = s_matrix(profile, energy + step).t
-            t_lo = s_matrix(profile, energy - step).t
-            delay = np.angle(t_hi * np.conj(t_lo)) / (2.0 * step)
-            formation = -(np.log(abs(t_hi)) - np.log(abs(t_lo))) / (2.0 * step)
-            assert tau == complex(delay, formation)
+            fine, coarse = (central_difference(profile, energy, h) for h in (step, 2 * step))
+            assert abs(tau - fine) < 0.5 * abs(fine - coarse)
 
-    @pytest.mark.parametrize("step", [1e-4, 1e-3])
-    def test_array_matches_scalar(self, step):
+    def test_array_matches_scalar(self):
         energies = np.array(self.ENERGIES)
         for profile in (BARRIER, self.DOUBLE):
-            for func, args in (
-                (complex_time, (step,)),
-                (complex_time, ()),
-                (transmission_probability, ()),
-                (transfer_matrix, ()),
-            ):
-                batch = func(profile, energies, *args)
-                scalars = np.array([func(profile, e, *args) for e in self.ENERGIES])
+            for func in (complex_time, transmission_probability, transfer_matrix):
+                batch = func(profile, energies)
+                scalars = np.array([func(profile, e) for e in self.ENERGIES])
                 assert np.array_equal(batch, scalars), func.__name__
 
     def test_array_shape_is_kept(self):
@@ -200,8 +203,6 @@ class TestComplexTime:
             s_matrix(BARRIER, np.array([0.5, 1.0, 1.5]))
         with pytest.raises(ValueError, match="energy must be positive"):
             transmission_probability(BARRIER, np.array([0.5, 0.0]))
-        with pytest.raises(ValueError, match="0 < step < energy"):
-            complex_time(BARRIER, np.array([0.5, 1e-4]), 1e-4)
         with pytest.raises(ValueError, match="energy must be positive"):
             complex_time(BARRIER, np.array([0.5, 0.0]))
         with pytest.raises(DegenerateEnergy, match="segment height 1"):
@@ -211,11 +212,6 @@ class TestComplexTime:
         opaque = PotentialProfile.single(width=80.0, height=1.0)
         with pytest.raises(ZeroTransmission):
             complex_time(opaque, 0.5)
-
-    @pytest.mark.parametrize("energy,step", [(0.5, 0.0), (0.5, -1e-4), (1e-4, 1e-4)])
-    def test_step_must_lie_below_energy(self, energy, step):
-        with pytest.raises(ValueError, match="0 < step < energy"):
-            complex_time(BARRIER, energy, step)
 
     def test_exact_tau_matches_the_single_barrier_closed_form(self):
         """t = 1/D with D = cosh(kappa a) + i (kappa^2 - k^2)/(2 k kappa)
@@ -241,7 +237,7 @@ class TestComplexTime:
         exact = complex_time(self.DOUBLE, energies)
 
         def richardson_error(h):
-            fine, coarse = (complex_time(self.DOUBLE, energies, s) for s in (h / 2, h))
+            fine, coarse = (central_difference(self.DOUBLE, energies, s) for s in (h / 2, h))
             return np.max(np.abs((4.0 * fine - coarse) / 3.0 - exact) / np.abs(exact))
 
         assert richardson_error(1e-3) < 1e-9
@@ -252,7 +248,7 @@ class TestComplexTime:
         nearly equal terms, takes its series; the exact tau still meets the
         Richardson difference taken across the top."""
         energies = 1.0 + np.array([-1e-6, -1e-9, 1e-9, 1e-6])
-        fine, coarse = (complex_time(BARRIER, energies, h) for h in (5e-4, 1e-3))
+        fine, coarse = (central_difference(BARRIER, energies, h) for h in (5e-4, 1e-3))
         np.testing.assert_allclose(complex_time(BARRIER, energies), (4.0 * fine - coarse) / 3.0,
                                    rtol=1e-9)
 
@@ -265,10 +261,6 @@ class TestComplexTime:
             scalars = [transmission_and_time(profile, e) for e in self.ENERGIES]
             assert all(type(x) is complex for pair in scalars for x in pair)
             assert np.array_equal(np.array(scalars), np.stack([t, tau], axis=-1))
-
-    def test_difference_node_on_segment_height_raises(self):
-        with pytest.raises(DegenerateEnergy):
-            complex_time(BARRIER, 1.0 - 1e-3, 1e-3)
 
 
 class TestHartmanScan:
