@@ -180,13 +180,17 @@ class TestComplexTime:
             fine, coarse = (central_difference(profile, energy, h) for h in (step, 2 * step))
             assert abs(tau - fine) < 0.5 * abs(fine - coarse)
 
-    def test_array_matches_scalar(self):
-        energies = np.array(self.ENERGIES)
-        for profile in (BARRIER, self.DOUBLE):
-            for func in (complex_time, transmission_probability, transfer_matrix):
-                batch = func(profile, energies)
-                scalars = np.array([func(profile, e) for e in self.ENERGIES])
-                assert np.array_equal(batch, scalars), func.__name__
+    @pytest.mark.parametrize("step", [1e-4, 1e-3])
+    def test_array_matches_scalar(self, step):
+        """On the grid and on the nodes E -/+ step that a difference of that
+        step reads, the batch sweep equals the scalar one to the last bit."""
+        grid = np.array(self.ENERGIES)
+        for energies in (grid, grid - step, grid + step):
+            for profile in (BARRIER, self.DOUBLE):
+                for func in (complex_time, transmission_probability, transfer_matrix):
+                    batch = func(profile, energies)
+                    scalars = np.array([func(profile, float(e)) for e in energies])
+                    assert np.array_equal(batch, scalars), func.__name__
 
     def test_array_shape_is_kept(self):
         energies = np.array(self.ENERGIES[:4]).reshape(2, 2)
