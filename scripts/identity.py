@@ -53,6 +53,12 @@ def _spectrum(x, s) -> str:
     return _table(SPECTRUM, x, s.real, s.imag)
 
 
+def _crlf(table: str) -> bytes:
+    """``table`` after an empty and a whitespace-only line, every line
+    ending in CR LF."""
+    return ("\n \t\n" + table).replace("\n", "\r\n").encode()
+
+
 _W = np.linspace(0.25, 1.75, 401)
 RESONANCE = _spectrum(_W, (_W - 1.0 - 0.1j) / (_W - 1.0 + 0.1j))
 _X = np.linspace(-60.0, 60.0, 4001)
@@ -115,6 +121,13 @@ def _cases() -> dict:
         ("extract-whitespace-lines", _verb(
             {"s.csv": _rows(SPECTRUM, "0,1,2", "   ", "1,3,4", "\t", "2,5,6", "3,7,8")},
             "extract", "s.csv", "-o", "t.csv")),
+        # A plain table under a compressed file's name is read as text.
+        ("extract-gz-name", _verb({"s.csv.gz": RESONANCE}, "extract", "s.csv.gz", "-o",
+                                  "t.csv")),
+        ("report-gz-name", _verb({"s.csv.gz": RESONANCE}, "report", "s.csv.gz")),
+        ("extract-crlf", _verb({"s.csv": _crlf(RESONANCE)}, "extract", "s.csv", "-o",
+                               "t.csv")),
+        ("kk-crlf", _verb({"s.csv": _crlf(POLE)}, "kk", "s.csv", "-o", "kk.txt")),
         ("sumrule", _verb({"s.csv": SUM_SPECTRUM, "t.csv": SUM_TAU}, "sumrule", "--spectrum",
                           "s.csv", "--tau", "t.csv", "-o", "sumrule.txt")),
         ("winding", _verb(_doc(BLASCHKE), "winding", "m.json", "--rect", "0", "2", "0.02",

@@ -8,6 +8,7 @@ byte-identical files.
 from __future__ import annotations
 
 import contextlib
+import io
 import itertools
 import json
 import os
@@ -61,18 +62,21 @@ def _fmt(x: float) -> str:
     return "%.12e" % float(x)
 
 
-def _write_text(path: str, text: str) -> None:
-    """Replace ``path`` by ``text`` with LF newlines, all or nothing.
+def _write_text(path: str, data) -> None:
+    """Replace ``path`` by the bytes ``data``, or by a ``str`` encoded
+    once as ``open(path, "w")`` would, all or nothing.
 
-    The text goes to a temporary file beside ``path``, created with the
+    The bytes go to a temporary file beside ``path``, created with the
     mode a plain ``open(path, "w")`` gives, which is then renamed over
     ``path``; on any failure the temporary file is removed and ``path``
     keeps its old content.  A symbolic link is followed, and a target that
     exists but is no regular file (a device, a pipe) is written in place.
     """
+    if isinstance(data, str):  # as open(path, "w") would, with no import of locale
+        data = data.encode(io.TextIOWrapper(io.BytesIO()).encoding)
     if os.path.exists(path) and not os.path.isfile(path):
-        with open(path, "w", newline="\n") as fh:
-            fh.write(text)
+        with open(path, "wb") as fh:
+            fh.write(data)
         return
     target = os.path.realpath(path) if os.path.islink(path) else path
     head, tail = os.path.split(target)
@@ -86,8 +90,8 @@ def _write_text(path: str, text: str) -> None:
             raise OSError(exc.errno, exc.strerror, path) from None
         break
     try:
-        with open(fd, "w", newline="\n") as fh:
-            fh.write(text)
+        with open(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, target)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -142,13 +146,13 @@ def _decimal(x):
     return m, i + carry + _E_FIRST, decided
 
 
-def _format_cells(block) -> str:
-    """The rows of ``block`` as csv text, each cell exactly "%.12e" % cell.
+def _format_cells(block) -> bytes:
+    """The rows of ``block`` as csv bytes, each cell exactly "%.12e" % cell.
 
     Each cell fills six little-endian words: sign, lead digit and point;
     three groups of four digits; "e", exponent sign and hundreds digit; the
-    last two exponent digits and the separator.  Zero bytes pad, and are
-    dropped.  A cell ``_decimal`` cannot round is formatted by % instead.
+    last two exponent digits and the separator; ``bytes.translate`` drops
+    the zero bytes that pad.  A cell ``_decimal`` cannot round goes by %.
     """
     rows, cols = block.shape
     sep = np.full(cols, ord(","), "<u4")
@@ -174,15 +178,14 @@ def _format_cells(block) -> str:
             flat = words.reshape(-1, 6)
             flat[odd, :5] = np.frombuffer(b"".join(cells), "<u4").reshape(-1, 5)
             flat[odd, 5] = sep[odd % cols]
-        chunk = words.view(np.uint8).ravel()
-        text.append(chunk[chunk != 0].tobytes().decode("ascii"))
-    return "".join(text)
+        text.append(words.tobytes().translate(None, b"\0"))
+    return b"".join(text)
 
 
 def _write_rows(path: str, header: str, columns) -> None:
     # A table without rows is the header and one blank line.
     block = np.column_stack(columns).astype(float, copy=False)
-    _write_text(path, header + "\n" + (_format_cells(block) or "\n"))
+    _write_text(path, header.encode() + b"\n" + (_format_cells(block) or b"\n"))
 
 
 @contextlib.contextmanager
@@ -248,16 +251,16 @@ def _check_rows(count: int) -> None:
         raise ValueError(f"table has more than {MAX_POINTS} rows")
 
 
-def _loadtxt(rows, width: int):
-    """numpy's parse of csv ``rows``, at most one past the cap, or None
-    where numpy refuses them or finds no rows or a column count other than
-    ``width``."""
+def _loadtxt(rows, width: int, skiprows: int = 0):
+    """numpy's parse of csv ``rows`` after ``skiprows`` lines, at most one
+    past the cap, or None where numpy refuses them or finds no rows or a
+    column count other than ``width``."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             arr = np.loadtxt(rows, dtype=float, delimiter=",", comments=None, ndmin=2,
-                             max_rows=MAX_POINTS + 1)
-    except (ValueError, Warning):
+                             skiprows=skiprows, max_rows=MAX_POINTS + 1)
+    except (ValueError, Warning, OSError):  # OSError: a reopen failed, e.g. with no cwd
         return None
     return arr if len(arr) and arr.shape[1] == width else None
 
@@ -265,10 +268,13 @@ def _loadtxt(rows, width: int):
 def read_table(path: str):
     """Read a csv table, returning (header, list of float columns).
 
-    numpy parses the rows straight from the file, and once more without
-    its whitespace-only lines if it refuses them.  A table numpy still
-    refuses is read again line by line by ``_parse_rows``, which skips
-    those lines too and names a bad row.  Either way a table of more
+    numpy parses the rows straight from the file: a regular file by the
+    name ``/dev/fd/<n>`` of the descriptor that read the header, which
+    numpy reads in blocks and neither decompresses nor fetches, and a
+    pipe by its handle, one line at a time.  numpy parses once more
+    without the whitespace-only lines if it refuses them.  A table numpy
+    still refuses is read again line by line by ``_parse_rows``, which
+    skips those lines too and names a bad row.  Either way a table of more
     than ``MAX_POINTS`` rows is refused once the row past the cap is read.
     """
     with _naming(path), open(path, "r") as fh:
@@ -279,7 +285,11 @@ def read_table(path: str):
             start += 1
         header = header.strip()
         width = len(header.split(","))
-        arr = _loadtxt(fh, width)
+        if os.path.isfile(name := f"/dev/fd/{fh.fileno()}"):
+            fh.seek(0)  # where /dev/fd dups the descriptor, numpy reads from its offset
+            arr = _loadtxt(name, width, skiprows=start + 1)
+        else:
+            arr = _loadtxt(fh, width)
         if arr is None:
             # numpy reads a whitespace-only line as a one-column row.
             fh.seek(0)

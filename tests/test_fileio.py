@@ -5,6 +5,8 @@ import io
 import json
 import os
 import stat
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -46,6 +48,9 @@ from tauspec.physics import (
     TwoLevelParams,
 )
 from tauspec.scatter1d import PotentialProfile
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def sample_spectrum() -> ComplexSpectrum:
@@ -151,8 +156,15 @@ class TestTables:
         def streamed_open(file, mode="r", **kwargs):
             return Streamed(open(file, "rb")) if mode == "r" else open(file, mode, **kwargs)
 
+        loadtxt, sources = np.loadtxt, []
+
+        def spy(rows, *args, **kwargs):
+            sources.append(rows)
+            return loadtxt(rows, *args, **kwargs)
+
         monkeypatch.setattr(fileio, "_parse_rows", refuse)
         monkeypatch.setattr(fileio, "open", streamed_open, raising=False)
+        monkeypatch.setattr(fileio.np, "loadtxt", spy)
         spec, temp = sample_spectrum(), sample_temporal()
         write_spectrum(str(tmp_path / "s.csv"), spec)
         write_temporal(str(tmp_path / "t.csv"), temp)
@@ -165,6 +177,85 @@ class TestTables:
         header, cols = read_table(str(tmp_path / "b.csv"))
         assert header == BARRIER_HEADER
         np.testing.assert_allclose(np.array(cols), [e, e, -e, 2 * e, 3 * e], rtol=1e-12)
+        # A regular file reaches numpy as the name of the open descriptor, a
+        # pipe as the handle that read its header.
+        assert len(sources) == 3
+        assert all(isinstance(rows, str) and rows.startswith("/dev/fd/") for rows in sources)
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        feed = threading.Thread(target=fifo.write_bytes,
+                                args=((tmp_path / "s.csv").read_bytes(),), daemon=True)
+        feed.start()
+        np.testing.assert_array_equal(read_table(str(fifo))[1],
+                                      read_table(str(tmp_path / "s.csv"))[1])
+        feed.join(timeout=10)
+        assert not feed.is_alive()
+        assert isinstance(sources[3], Streamed)
+
+    @staticmethod
+    def large_spectrum(path):
+        grid = FrequencyGrid(np.linspace(0.5, 1.5, 20_001))
+        write_spectrum(str(path), ComplexSpectrum(grid, (grid.values - 1 - 0.1j)
+                                                  / (grid.values - 1 + 0.1j)))
+        return path.read_bytes()
+
+    def test_pipe_keeps_every_row(self, tmp_path, monkeypatch):
+        """The header read of a pipe buffers rows that a reopen of the pipe
+        would never see: a fed FIFO gives the regular file's columns, and
+        extract writes the same bytes from both."""
+        data = self.large_spectrum(tmp_path / "s.csv")
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+
+        def fed(run):
+            feed = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+            feed.start()
+            result = run(str(fifo))
+            feed.join(timeout=10)
+            assert not feed.is_alive()
+            return result
+
+        header, cols = fed(read_table)
+        assert header == SPECTRUM_HEADER
+        regular = np.array(read_table(str(tmp_path / "s.csv"))[1])
+        assert np.array_equal(np.array(cols).view(np.int64), regular.view(np.int64))
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["extract", "s.csv", "-o", "t_file.csv"]) == 0
+        assert fed(lambda p: cli.main(["extract", p, "-o", "t_pipe.csv"])) == 0
+        assert (tmp_path / "t_pipe.csv").read_bytes() == (tmp_path / "t_file.csv").read_bytes()
+
+    def test_names_numpy_would_interpret_are_read_as_plain_files(self, tmp_path, monkeypatch):
+        """A plain table named like a compressed file or a URL reads as the
+        same table named s.csv: nothing is decompressed or fetched."""
+        import urllib.request
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a table read reached urlopen")
+
+        monkeypatch.setattr(urllib.request, "urlopen", refuse)
+        data = self.large_spectrum(tmp_path / "s.csv")
+        (tmp_path / "s.csv.gz").write_bytes(data)
+        (tmp_path / "http:" / "host").mkdir(parents=True)
+        (tmp_path / "http:" / "host" / "s.csv").write_bytes(data)
+        monkeypatch.chdir(tmp_path)
+        header, cols = read_table("s.csv")
+        for name in ("s.csv.gz", "http://host/s.csv"):
+            found, same = read_table(name)
+            assert found == header
+            assert np.array_equal(np.array(same).view(np.int64), np.array(cols).view(np.int64))
+
+    def test_table_reads_where_the_working_directory_is_gone(self, tmp_path, monkeypatch):
+        """numpy's DataSource asks for the working directory; without one the
+        table still reads, by its handle."""
+        path = tmp_path / "s.csv"
+        path.write_text(SPECTRUM_HEADER + "\n0,1,2\n1,3,4\n")
+        gone = tmp_path / "gone"
+        gone.mkdir()
+        monkeypatch.chdir(gone)
+        gone.rmdir()
+        header, cols = read_table(str(path))
+        assert header == SPECTRUM_HEADER
+        np.testing.assert_array_equal(np.array(cols), [[0, 1], [1, 3], [2, 4]])
 
     def test_whitespace_only_lines_are_skipped(self, tmp_path):
         path = tmp_path / "s.csv"
@@ -468,6 +559,43 @@ class TestAtomicWrites:
         assert not reader.is_alive()
         assert stat.S_ISFIFO(os.stat(fifo).st_mode)
         assert received == [b"through\n"]
+        # A table reaches the pipe byte for byte as it reaches a regular file.
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()),
+                                  daemon=True)
+        reader.start()
+        write_spectrum(str(fifo), sample_spectrum())
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        write_spectrum(str(tmp_path / "s.csv"), sample_spectrum())
+        assert received[1] == (tmp_path / "s.csv").read_bytes()
+
+    # Under an ASCII locale open(path, "w") refuses the text, and so must
+    # _write_text, leaving no file; under UTF-8 mode both write UTF-8.
+    @pytest.mark.parametrize("env", [
+        {"PYTHONUTF8": "1"},
+        {"PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C", "LANG": "C"},
+    ], ids=["utf8-mode", "ascii-locale"])
+    def test_text_is_encoded_as_open_would(self, tmp_path, env):
+        code = ("import sys\n"
+                "from tauspec import fileio\n"
+                "writers = (fileio._write_text, lambda p, t: open(p, 'w').write(t))\n"
+                "for path, write in zip(sys.argv[1:], writers):\n"
+                "    try:\n"
+                "        write(path, 'h\\xe9llo\\n')\n"
+                "    except UnicodeEncodeError as exc:\n"
+                "        print(exc.encoding)\n")
+        ours, plain = tmp_path / "ours", tmp_path / "plain"
+        proc = subprocess.run([sys.executable, "-c", code, str(ours), str(plain)],
+                              env={**os.environ, "PYTHONPATH": str(SRC), **env},
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        refused = proc.stdout.split()
+        if env["PYTHONUTF8"] == "1":
+            assert refused == []
+            assert ours.read_bytes() == plain.read_bytes() == "h\xe9llo\n".encode()
+        else:
+            assert len(refused) == 2 and refused[0] == refused[1]
+            assert not ours.exists()
 
     def test_errors_name_the_target(self, tmp_path):
         missing = str(tmp_path / "no-such-dir" / "out")
