@@ -180,6 +180,11 @@ CASES = {
     "winding-area-overflows": Refusal(
         model_file(BLASCHKE), ("winding", "m.json", "--rect", "0", "2", "0.02", "1e200"), 2,
         "error: contour area overflows"),
+    "winding-unresolved": Refusal(
+        model_file(BLASCHKE),
+        ("winding", "m.json", "--rect", "0", "2", "0.02", "1e3", "-o", "w.txt"), 3,
+        "error: winding count 1.016202604786e+00 is 1.620e-02 from an integer, past 0.001; "
+        "raise --samples (at most 100000)"),
     "winding-few-samples": Refusal(
         model_file(BLASCHKE),
         ("winding", "m.json", "--rect", "0", "2", "0.02", "1", "--samples", "8"), 2,

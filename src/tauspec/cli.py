@@ -25,12 +25,16 @@ import sys
 
 # Caps on the sizes a flag asks for, checked before anything is allocated;
 # MAX_POINTS also caps the rows of a table read.
-from .errors import MAX_POINTS, MAX_SAMPLES_PER_EDGE, MIN_SAMPLES_PER_EDGE, TauspecError
+from .errors import (MAX_POINTS, MAX_SAMPLES_PER_EDGE, MIN_SAMPLES_PER_EDGE, TauspecError,
+                     UnresolvedWinding)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 
 _TAIL_BY_FLAG = {"none": "none", "w1": "one_over_omega", "w2": "one_over_omega2"}
+
+# The farthest a printed winding count may lie from an integer.
+WINDING_ABS = 1.0e-3
 
 _TOLERANCES = (
     ("extract_closed_form_abs", 1.0e-3, "interior concordance with closed forms"),
@@ -39,7 +43,7 @@ _TOLERANCES = (
     ("kk_causal_max", 2.0e-2, "retarded response residual with tails"),
     ("kk_acausal_ratio_min", 1.0e1, "advanced over retarded residual"),
     ("sum_rule_ratio", 1.0e-2, "vanishing rule against integrand L1 scale"),
-    ("winding_abs", 1.0e-3, "integer count from contour quadrature"),
+    ("winding_abs", WINDING_ABS, "integer count from contour quadrature"),
     ("uncertainty_gaussian_abs", 1.0e-2, "spread product of a plain Gaussian"),
     ("unitarity_abs", 1.0e-10, "flux conservation of scattering amplitudes"),
     ("hartman_drift_rel", 1.0e-2, "delay change under opaque-width doubling"),
@@ -215,6 +219,12 @@ def _cmd_winding(args) -> None:
     re_min, re_max, im_min, im_max = args.rect
     contour = Contour.rectangle(re_min, re_max, im_min, im_max)
     value = winding_number(document.params, contour, args.samples)
+    distance = abs(math.remainder(value, 1.0))
+    if not distance <= WINDING_ABS:
+        raise UnresolvedWinding(
+            f"winding count {value:.12e} is {distance:.3e} from an integer, past "
+            f"{WINDING_ABS:g}; raise --samples (at most {MAX_SAMPLES_PER_EDGE})"
+        )
     mapping = {
         "im_max": im_max,
         "im_min": im_min,

@@ -73,17 +73,11 @@ class PhaseJump(TauspecError):
 
 
 class NonPositiveSigma(TauspecError):
-    """Broadening parameter must have positive (real part of) variance."""
+    """Front-response width sigma must have positive (real part of) variance."""
 
 
 class ZeroNorm(TauspecError):
     """Spectrum has zero L2 norm; moments are undefined."""
-
-    exit_code = 3
-
-
-class InsufficientSupport(TauspecError):
-    """Signal does not decay at the grid ends and is not flagged periodic."""
 
     exit_code = 3
 
@@ -106,8 +100,10 @@ class SingularityOnContour(TauspecError):
     exit_code = 4
 
 
-class NonPositiveFrequency(TauspecError):
-    """Operation requires omega > 0."""
+class UnresolvedWinding(TauspecError):
+    """Contour quadrature gave a count too far from an integer."""
+
+    exit_code = 3
 
 
 class NonPositiveEta(TauspecError):
@@ -116,20 +112,6 @@ class NonPositiveEta(TauspecError):
 
 class NonPositiveCrossSection(TauspecError):
     """Cross-section samples must be strictly positive for the log slope."""
-
-
-class EnergyMismatch(TauspecError):
-    """Energy bookkeeping violated (initial != final + emitted)."""
-
-
-class BelowMassShell(TauspecError):
-    """Particle energy below its rest mass."""
-
-
-class DegenerateFrequency(TauspecError):
-    """Emitted frequency vanishes; formation scales are undefined."""
-
-    exit_code = 4
 
 
 class DegenerateEnergy(TauspecError):

@@ -1,10 +1,8 @@
 """Extraction of temporal functions from sampled spectra, plus diagnostics.
 
 The extractor differentiates the unwrapped phase and the log-modulus of a
-sampled response.  The other operations here are consumers of the same
-log-spectrum machinery: curvature (broadening), saturated-front response
-shapes, the energy-time uncertainty budget, and a half-line Wigner
-transform for time-frequency structure.
+sampled response.  Beside it sit the saturated-front response shapes and
+the energy-time uncertainty budget, which weighs the same unwrapped phase.
 """
 
 from __future__ import annotations
@@ -14,28 +12,18 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._stencils import differentiate, second_difference
-from .core import (ComplexSpectrum, FrequencyGrid, TemporalSpectrum, _pointwise,
-                   uniform_spacing)
-from .errors import (
-    InsufficientSupport,
-    NonPositiveSigma,
-    PhaseJump,
-    ZeroModulus,
-    ZeroNorm,
-)
+from ._stencils import differentiate
+from .core import ComplexSpectrum, TemporalSpectrum, _pointwise, uniform_spacing
+from .errors import NonPositiveSigma, PhaseJump, ZeroModulus, ZeroNorm
 
 __all__ = [
     "ExtractionOptions",
-    "BroadeningSpectrum",
     "UncertaintyBudget",
     "extract_temporal",
-    "broadening",
     "normal_response",
     "anomalous_response",
     "combined_response",
     "uncertainty_product",
-    "temporal_wigner",
 ]
 
 
@@ -61,20 +49,6 @@ class ExtractionOptions:
             raise ValueError("stencil_order must be 2 or 4")
         if self.unwrap_tolerance <= 0 or self.min_modulus <= 0:
             raise ValueError("tolerances must be positive")
-
-
-@dataclass(frozen=True)
-class BroadeningSpectrum:
-    """Complex curvature sigma(omega) of the log-response."""
-
-    grid: FrequencyGrid
-    sigma: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.sigma, dtype=complex)
-        if arr.shape != (len(self.grid),):
-            raise ValueError("sigma must match the grid length")
-        object.__setattr__(self, "sigma", arr)
 
 
 class UncertaintyBudget(NamedTuple):
@@ -146,21 +120,6 @@ def extract_temporal(
     return TemporalSpectrum(
         spectrum.grid, tau1, tau2, edge_nodes=opts.stencil_order // 2
     )
-
-
-def broadening(
-    spectrum: ComplexSpectrum, options: ExtractionOptions | None = None
-) -> BroadeningSpectrum:
-    """Second log-derivative diagnostic sigma = -(d/domega)^2 ln R.
-
-    Equals -i times the derivative of the complex time, so a flat tau
-    means no pulse reshaping along the path.
-    """
-    opts = options if options is not None else ExtractionOptions()
-    log_mod, phase = _log_spectrum(spectrum, opts)
-    x = spectrum.grid.values
-    sigma = -second_difference(x, log_mod + 1j * phase, opts.stencil_order)
-    return BroadeningSpectrum(spectrum.grid, sigma)
 
 
 def _erf_any(z):
@@ -265,73 +224,3 @@ def uncertainty_product(spectrum: ComplexSpectrum) -> UncertaintyBudget:
     covariance = 2.0 * (float(np.sum(weight * e * tau1)) - mean_e * mean_tau)
     return UncertaintyBudget(delta_e, delta_t, covariance)
 
-
-def temporal_wigner(
-    psi: np.ndarray,
-    times: np.ndarray,
-    omega: float,
-    t: float,
-    branch: str = "+",
-    periodic: bool = False,
-    taper: float = 0.0,
-) -> complex:
-    """Half-line Wigner transform of a sampled signal.
-
-    w(omega, t) = (1/2 pi) int_0^inf dtau e^{i omega tau}
-                  psi(t + tau/2) psi*(t - tau/2)
-
-    evaluated by trapezoid on the lag axis with linear interpolation of
-    psi at half steps.  The "-" branch returns the "+" branch at -omega.
-
-    Args:
-        psi: complex samples on a uniform time grid.
-        times: the grid itself.
-        omega: analysis frequency.
-        t: analysis time, strictly inside the grid.
-        branch: "+" or "-".
-        periodic: wrap the signal instead of requiring decay at the ends.
-        taper: optional exponential damping rate e^{-taper * tau} applied
-            to the lag integrand, for signals that do not decay.
-
-    Raises:
-        InsufficientSupport: signal not decayed at the ends and neither
-            ``periodic`` nor a positive ``taper`` was given.
-    """
-    psi = np.asarray(psi, dtype=complex)
-    times = np.asarray(times, dtype=float)
-    if psi.shape != times.shape or psi.ndim != 1 or psi.size < 3:
-        raise ValueError("psi and times must be matching 1-d arrays")
-    h = uniform_spacing(times, "temporal_wigner needs a uniform time grid")
-    if branch not in ("+", "-"):
-        raise ValueError("branch must be '+' or '-'")
-    if not (times[0] < t < times[-1]):
-        raise ValueError("t must lie strictly inside the time grid")
-    peak = float(np.max(np.abs(psi)))
-    if peak == 0.0:
-        return 0.0 + 0.0j
-    if not periodic and taper <= 0.0:
-        edge = max(abs(psi[0]), abs(psi[-1]))
-        if edge > 1e-6 * peak:
-            raise InsufficientSupport(
-                "signal has not decayed at the grid ends; pass periodic=True "
-                "or a positive taper"
-            )
-
-    span = float(times[-1] - times[0])
-    if periodic:
-        lag_max = span
-    else:
-        lag_max = 2.0 * min(t - times[0], times[-1] - t)
-    n_lag = int(np.floor(lag_max / h))
-    lags = h * np.arange(n_lag + 1)
-
-    def sample(points):
-        return np.interp(points, times, psi, period=span if periodic else None)
-
-    om = omega if branch == "+" else -omega
-    integrand = (
-        np.exp((1j * om - taper) * lags)
-        * sample(t + 0.5 * lags)
-        * np.conj(sample(t - 0.5 * lags))
-    )
-    return complex(np.trapezoid(integrand, dx=h) / (2.0 * np.pi))

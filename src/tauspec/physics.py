@@ -1,28 +1,20 @@
 """Closed-form temporal functions for standard physical systems.
 
-Damped oscillator response, Lorentz medium observables, Breit-Wigner
-resonances, resolvent-difference delays, kinetic estimates for a dilute
-medium, the driven photon mode, and radiation formation lengths.  All
-formulas are analytic; no grids or transforms are involved.
+Damped oscillator response, Breit-Wigner resonances, kinetic estimates
+for a dilute medium, the driven photon mode, and the formation time of a
+measured cross-section.  All formulas are analytic, save the log slope
+of cross-section samples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from ._stencils import differentiate
 from .core import FrequencyGrid, RationalResponse, _pointwise
-from .errors import (
-    BelowMassShell,
-    DegenerateFrequency,
-    EnergyMismatch,
-    NonPositiveCrossSection,
-    NonPositiveEta,
-    NonPositiveFrequency,
-)
+from .errors import NonPositiveCrossSection, NonPositiveEta
 
 __all__ = [
     "CLASSICAL_ELECTRON_RADIUS_CM",
@@ -32,22 +24,14 @@ __all__ = [
     "TwoLevelParams",
     "KineticMediumParams",
     "PhotonParams",
-    "MediumInequalityResult",
-    "FormationSummary",
     "oscillator_green",
     "oscillator_tau",
-    "lorentz_medium",
-    "medium_inequality",
     "breit_wigner_tau",
-    "resolvent_delay",
-    "resolvent_delay_sum",
     "mean_delay",
-    "group_index",
     "group_index_coefficient",
     "photon_response",
     "photon_tau",
     "cross_section_tau2",
-    "bremsstrahlung_formation",
 ]
 
 CLASSICAL_ELECTRON_RADIUS_CM = 2.81794e-13
@@ -141,21 +125,6 @@ class PhotonParams:
         return RationalResponse(4.0 * np.pi, ((self.k_abs**2 - 1j * self.eta, 2, -1),))
 
 
-@dataclass(frozen=True)
-class MediumInequalityResult:
-    lhs: float
-    rhs: float
-    satisfied: bool
-    in_regime: bool
-
-
-class FormationSummary(NamedTuple):
-    tau2: float
-    rho2: float
-    rho_perp: float
-    regime: str
-
-
 def oscillator_green(params: OscillatorParams, omega):
     """Frequency response of the damped oscillator.
 
@@ -171,47 +140,6 @@ def oscillator_tau(params: OscillatorParams, omega):
     Lorentzian delay and an antisymmetric formation term."""
     tau = params.response().tau(np.asarray(omega, dtype=float))
     return tau.real, tau.imag
-
-
-def lorentz_medium(params: LorentzMediumParams, omega):
-    """Dispersive permittivity offset and elastic cross-section.
-
-    eps1 - 1 = wp^2 (omega0 - omega) / (2 omega [(omega0-omega)^2 + gamma^2/4])
-    sigma_el = wp^2 / (8 pi gamma [(omega0-omega)^2 + gamma^2/4])
-
-    Raises:
-        NonPositiveFrequency: omega <= 0 somewhere.
-    """
-    om = np.asarray(omega, dtype=float)
-    if np.any(om <= 0):
-        raise NonPositiveFrequency("lorentz_medium needs omega > 0")
-    osc = params.oscillator
-    wp2 = params.plasma_frequency**2
-    detune = osc.omega0 - om
-    den = detune**2 + 0.25 * osc.gamma**2
-    eps1_minus_1 = wp2 * detune / (2.0 * om * den)
-    sigma_el = wp2 / (8.0 * np.pi * osc.gamma * den)
-    return _pointwise(omega, eps1_minus_1, sigma_el)
-
-
-def medium_inequality(params: LorentzMediumParams, omega: float) -> MediumInequalityResult:
-    """Below-resonance bound tau1 + tau2 < 1/omega for the dilute medium.
-
-    Only the oscillator block of ``params`` enters; the bound is
-    meaningful well below resonance and ``in_regime`` records whether
-    omega < omega0 - 5 gamma.  No exception is raised outside the
-    window, the flags just say so.
-    """
-    if omega <= 0:
-        raise NonPositiveFrequency("medium_inequality needs omega > 0")
-    osc = params.oscillator
-    tau1, tau2 = oscillator_tau(osc, omega)
-    lhs = tau1 + tau2
-    rhs = 1.0 / omega
-    in_regime = omega < osc.omega0 - 5.0 * osc.gamma
-    return MediumInequalityResult(
-        lhs=float(lhs), rhs=float(rhs), satisfied=bool(lhs < rhs), in_regime=in_regime
-    )
 
 
 def breit_wigner_tau(params: TwoLevelParams, omega, branch: str = "lower"):
@@ -236,32 +164,6 @@ def breit_wigner_tau(params: TwoLevelParams, omega, branch: str = "lower"):
     return _pointwise(omega, tau1, tau2)
 
 
-def resolvent_delay(params: TwoLevelParams, energy):
-    """Delay shift from swapping the total width for the partial one.
-
-    Delta tau(E) = i [ 1/(E - E0 - i gamma/2) - 1/(E - E0 - i gamma0/2) ]
-
-    Positive at resonance: the broader level is traversed faster.
-    """
-    if params.gamma0 <= 0:
-        raise ValueError("resolvent_delay needs a positive gamma0")
-    e = np.asarray(energy, dtype=complex)
-    out = 1j * (
-        1.0 / (e - params.omega0 - 0.5j * params.gamma)
-        - 1.0 / (e - params.omega0 - 0.5j * params.gamma0)
-    )
-    return _pointwise(energy, out)
-
-
-def resolvent_delay_sum(params_seq, energy):
-    """Sum of resolvent delay shifts over independent levels; zeros of the
-    shape of ``energy`` when there are none."""
-    total = np.zeros(np.shape(energy), complex)
-    for params in params_seq:
-        total += resolvent_delay(params, energy)
-    return _pointwise(energy, total)
-
-
 def mean_delay(params: KineticMediumParams) -> float:
     """Resonant dwell estimate 2 k r0 / Gamma in seconds."""
     return 2.0 * params.wavenumber * CLASSICAL_ELECTRON_RADIUS_CM / params.width
@@ -276,11 +178,6 @@ def group_index_coefficient(params: KineticMediumParams) -> float:
         * CLASSICAL_ELECTRON_RADIUS_CM**2
         / params.width
     )
-
-
-def group_index(params: KineticMediumParams) -> float:
-    """Group index 1 + c N 4 pi r0^2 / Gamma of the dilute medium."""
-    return 1.0 + group_index_coefficient(params) * params.electron_density
 
 
 def photon_response(omega, k_abs: float, eta: float):
@@ -317,52 +214,3 @@ def cross_section_tau2(sigma_samples: np.ndarray, grid: FrequencyGrid) -> np.nda
         raise NonPositiveCrossSection("cross-section must be finite and positive")
     return -0.5 * differentiate(grid.values, np.log(sigma), order=2)
 
-
-def bremsstrahlung_formation(
-    epsilon: float,
-    epsilon_prime: float,
-    omega: float,
-    mass: float,
-    theta: float = 0.0,
-) -> FormationSummary:
-    """Formation time and lengths for radiating a photon of energy omega.
-
-    Energies must balance: epsilon = epsilon_prime + omega.  In the
-    moderate regime the formation time is the photon period scale 1/omega
-    and the length follows the momentum balance
-
-        rho2 = k'/(epsilon omega) + (k' - k) / (2 (epsilon epsilon' + m^2))
-
-    with k = sqrt(epsilon^2 - m^2).  In the ultrarelativistic regime
-    (both energies at least 10 m) time and length collapse onto
-
-        tau2 = rho2 = 2 epsilon (epsilon' + omega) / (m^2 omega)
-
-    and the transverse displacement rho_perp = 2 epsilon theta / m^2 is
-    reported for the emission angle theta in both regimes.
-
-    Raises:
-        EnergyMismatch: energies do not balance to 1e-9.
-        BelowMassShell: a lepton energy is below its mass.
-        DegenerateFrequency: omega <= 0.
-    """
-    if mass <= 0:
-        raise ValueError("mass must be positive")
-    if abs(epsilon - epsilon_prime - omega) > 1e-9:
-        raise EnergyMismatch("epsilon must equal epsilon_prime + omega")
-    if omega <= 0:
-        raise DegenerateFrequency("omega must be positive")
-    if epsilon < mass or epsilon_prime < mass:
-        raise BelowMassShell("lepton energies must be at least the mass")
-    rho_perp = 2.0 * epsilon * theta / mass**2
-    ultra = (epsilon / mass >= 10.0) and (epsilon_prime / mass >= 10.0)
-    if ultra:
-        tau2 = 2.0 * epsilon * (epsilon_prime + omega) / (mass**2 * omega)
-        return FormationSummary(tau2, tau2, rho_perp, "ultra")
-    k = float(np.sqrt(epsilon**2 - mass**2))
-    k_prime = float(np.sqrt(epsilon_prime**2 - mass**2))
-    tau2 = 1.0 / omega
-    rho2 = k_prime / (epsilon * omega) + 0.5 * (k_prime - k) / (
-        epsilon * epsilon_prime + mass**2
-    )
-    return FormationSummary(tau2, rho2, rho_perp, "moderate")

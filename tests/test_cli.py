@@ -96,12 +96,11 @@ MODEL_KIND_CASES = {
 
 # The error classes of each non-input exit code; every other one exits 2.
 NUMERICAL_ERRORS = {
-    "ZeroModulus", "PhaseJump", "InsufficientDecay", "InsufficientSupport",
+    "ZeroModulus", "PhaseJump", "InsufficientDecay", "UnresolvedWinding",
     "ZeroTransmission", "ZeroNorm",
 }
 DOMAIN_ERRORS = {
     "PoleProximity", "SingularityOnContour", "OriginInGrid", "DegenerateEnergy",
-    "DegenerateFrequency",
 }
 ERROR_CLASSES = sorted(
     name for name, obj in vars(errors).items()
@@ -484,10 +483,10 @@ class TestSumrule:
 
 
 class TestWinding:
-    def run_rect(self, tmp_path, rect, name):
+    def run_rect(self, tmp_path, rect, name, *flags):
         m = write_json(tmp_path / "m.json", BLASCHKE_DOC)
         art = str(tmp_path / name)
-        rc = main(["winding", m, "--rect", *[str(v) for v in rect], "-o", art])
+        rc = main(["winding", m, "--rect", *[str(v) for v in rect], "-o", art, *flags])
         assert rc == 0
         _, mapping = fileio.read_artifact(art)
         return float(mapping["winding"])
@@ -506,6 +505,13 @@ class TestWinding:
 
     def test_edge_through_zero_exits_4(self, refused):
         refused("winding-edge-through-zero")
+
+    def test_unresolved_count_exits_3_until_samples_resolve_it(self, refused, tmp_path):
+        """The default 16 panels leave the tall rectangle's count 0.016 from
+        1: exit 3 and no -o file.  100,000 panels resolve it."""
+        refused("winding-unresolved")
+        w = self.run_rect(tmp_path, (0.0, 2.0, 0.02, 1e3), "w.txt", "--samples", "100000")
+        assert w == pytest.approx(1.0, abs=1e-9)
 
     def test_small_sample_count_exits_2(self, refused):
         refused("winding-few-samples")

@@ -264,7 +264,6 @@ class TestNegativeExtension:
 _MODEL = PoleZeroModel(scale=0.5 + 0.25j, p=1, resonances=((1.0, 0.2), (2.5, 0.05)))
 _OSC = physics.OscillatorParams(1.0, 0.2)
 _LEVEL = physics.TwoLevelParams(2.0, 0.3, 0.1)
-_MEDIUM = physics.LorentzMediumParams(2.0, _OSC)
 _BARRIER = PotentialProfile(((1.0, 1.2), (0.5, -0.3)))
 
 # Every pointwise function: (call at one argument, argument, result types);
@@ -274,12 +273,8 @@ POINTWISE = {
     "model_tau": (lambda w: model_tau(_MODEL, w), 0.7 - 0.1j, complex),
     "oscillator_green": (lambda w: physics.oscillator_green(_OSC, w), 0.7, complex),
     "oscillator_tau": (lambda w: physics.oscillator_tau(_OSC, w), 0.7, (float, float)),
-    "lorentz_medium": (lambda w: physics.lorentz_medium(_MEDIUM, w), 0.7, (float, float)),
     "breit_wigner_tau": (lambda w: physics.breit_wigner_tau(_LEVEL, w, "upper"), 1.9,
                          (float, float)),
-    "resolvent_delay": (lambda e: physics.resolvent_delay(_LEVEL, e), 1.9, complex),
-    "resolvent_delay_sum": (lambda e: physics.resolvent_delay_sum([_LEVEL, _LEVEL], e), 1.9,
-                            complex),
     "photon_response": (lambda w: physics.photon_response(w, 1.0, 0.01), 0.7, complex),
     "photon_tau": (lambda w: physics.photon_tau(w, 1.0, 0.01), 0.7, (float, float)),
     "s_matrix": (lambda e: dataclasses.astuple(s_matrix(_BARRIER, e)), 0.9, (complex,) * 4),

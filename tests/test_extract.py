@@ -1,4 +1,4 @@
-"""Finite-difference extraction, broadening, responses, wigner density."""
+"""Finite-difference extraction, front responses, uncertainty budget."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from scipy.special import erf
 
 from tauspec.core import ComplexSpectrum, FrequencyGrid, PoleZeroModel, evaluate_model, model_tau
 from tauspec.errors import (
-    InsufficientSupport,
     NonPositiveSigma,
     NonUniformGrid,
     PhaseJump,
@@ -19,11 +18,9 @@ from tauspec.extract import (
     ExtractionOptions,
     _unwrap,
     anomalous_response,
-    broadening,
     combined_response,
     extract_temporal,
     normal_response,
-    temporal_wigner,
     uncertainty_product,
 )
 
@@ -139,63 +136,6 @@ class TestExtraction:
             ExtractionOptions(min_modulus=0.0)
 
 
-class TestBroadening:
-    def test_gaussian_log_modulus(self):
-        """ln|S| = -w^2/(2 s0) has constant curvature, sigma = 1/s0."""
-        g = FrequencyGrid.linspace(-5.0, 5.0, 2001)
-        spec = ComplexSpectrum(g, np.exp(-g.values**2 / 20.0 + 0j))
-        out = broadening(spec)
-        inner = slice(4, -4)
-        np.testing.assert_allclose(out.sigma.real[inner], 0.1, rtol=1e-9)
-        np.testing.assert_allclose(out.sigma.imag[inner], 0.0, atol=1e-12)
-
-    def test_linear_phase_is_flat(self):
-        g = FrequencyGrid.linspace(-5.0, 5.0, 2001)
-        spec = ComplexSpectrum(g, np.exp(3j * g.values))
-        out = broadening(spec)
-        assert np.max(np.abs(out.sigma[4:-4])) < 1e-8
-
-    def test_order2_nonuniform_quadratic_exact_at_every_node(self):
-        """ln S = c w^2 + i w has curvature 2c at every node, ends included."""
-        x = np.cumsum(np.r_[-2.0, 0.01 + 0.04 * np.random.default_rng(7).random(120)])
-        c = -0.05 + 0.3j
-        spec = ComplexSpectrum(FrequencyGrid(x), np.exp(c * x**2 + 1j * x))
-        assert not spec.grid.is_uniform
-        out = broadening(spec)
-        np.testing.assert_allclose(out.sigma, -2.0 * c, rtol=0, atol=1e-9)
-
-    def test_order2_ends_take_the_one_sided_three_point_rule(self):
-        """On a cubic each end gets the curvature of the parabola through
-        the three nodes nearest it."""
-        x = np.array([0.0, 0.03, 0.05, 0.11, 0.16, 0.2, 0.28, 0.31])
-        log_s = (0.4 - 0.2j) * x**3 + 0.5j * x**2 + 1j * x
-        out = broadening(ComplexSpectrum(FrequencyGrid(x), np.exp(log_s)))
-        for ends, node in ((slice(0, 3), 0), (slice(-3, None), -1)):
-            fit = 2.0 * np.polyfit(x[ends], log_s[ends], 2)[0]
-            assert abs(out.sigma[node] + fit) < 1e-9
-
-    def test_order4_uniform_quintic_exact_at_every_node(self):
-        """The 5-point stencil and its 6-point closures are exact on quintics."""
-        g = FrequencyGrid.linspace(-1.0, 1.0, 41)
-        w = g.values
-        coeffs = [0.2, 0.5j, -0.3 + 0.1j, 0.15, -0.1j, 0.05 + 0.02j]
-        log_s = np.polynomial.polynomial.polyval(w, coeffs)
-        exact = np.polynomial.polynomial.polyval(
-            w, np.polynomial.polynomial.polyder(coeffs, 2)
-        )
-        out = broadening(ComplexSpectrum(g, np.exp(log_s)), ExtractionOptions(stencil_order=4))
-        np.testing.assert_allclose(out.sigma, -exact, rtol=0, atol=1e-9)
-
-    def test_order4_needs_six_nodes(self):
-        opts = ExtractionOptions(stencil_order=4)
-        five = FrequencyGrid.linspace(0.0, 1.0, 5)
-        with pytest.raises(ValueError, match="needs >= 6 nodes"):
-            broadening(ComplexSpectrum(five, np.exp(1j * five.values)), opts)
-        six = FrequencyGrid.linspace(0.0, 1.0, 6)
-        out = broadening(ComplexSpectrum(six, np.exp(0.5 * six.values**2 + 0j)), opts)
-        np.testing.assert_allclose(out.sigma, -1.0, rtol=0, atol=1e-9)
-
-
 class TestResponses:
     def test_normal_amplitude_oracle(self):
         r = normal_response(1.0, 2.0, 0.5, 1.0, np.array([3.0]))
@@ -295,64 +235,3 @@ class TestUncertainty:
         with pytest.raises(ZeroNorm):
             uncertainty_product(ComplexSpectrum(g, np.zeros(33, dtype=complex)))
 
-
-class TestTemporalWigner:
-    def test_damped_wave_matches_lorentzian(self):
-        """exp(-i w0 t - lam |t|) has Re w+ = lam / (2 pi (lam^2 + (w-w0)^2))."""
-        times = np.linspace(-150.0, 150.0, 12001)
-        psi = np.exp(-2j * times - 0.1 * np.abs(times))
-        omegas = np.linspace(1.6, 2.4, 81)
-        vals = np.array([temporal_wigner(psi, times, w, 0.0) for w in omegas])
-        closed = 0.1 / (2.0 * np.pi * (0.01 + (omegas - 2.0) ** 2))
-        assert np.max(np.abs(vals.real - closed)) < 2e-3
-        peak = omegas[np.argmax(vals.real)]
-        assert peak == pytest.approx(2.0, abs=0.011)
-
-    def test_half_width_within_twenty_percent(self):
-        times = np.linspace(-150.0, 150.0, 12001)
-        psi = np.exp(-2j * times - 0.1 * np.abs(times))
-        omegas = np.linspace(1.7, 2.3, 241)
-        vals = np.array([temporal_wigner(psi, times, w, 0.0).real for w in omegas])
-        above = omegas[vals >= 0.5 * vals.max()]
-        hwhm = 0.5 * (above[-1] - above[0])
-        assert abs(hwhm - 0.1) / 0.1 < 0.2
-
-    def test_taper_localises_monochromatic_peak(self):
-        times = np.linspace(-60.0, 60.0, 4801)
-        psi = np.exp(-2j * times)
-        omegas = np.linspace(1.0, 3.0, 41)
-        vals = [temporal_wigner(psi, times, w, 0.0, taper=0.05).real for w in omegas]
-        assert omegas[int(np.argmax(vals))] == pytest.approx(2.0, abs=0.06)
-
-    def test_insufficient_support_raised(self):
-        times = np.linspace(-50.0, 50.0, 2001)
-        psi = np.exp(-2j * times - 0.05 * np.abs(times))
-        with pytest.raises(InsufficientSupport):
-            temporal_wigner(psi, times, 2.0, 0.0)
-
-    @pytest.mark.parametrize(
-        "times",
-        [np.linspace(10.0, -10.0, 201), np.linspace(-10.0, 10.0, 201) ** 3],
-        ids=["decreasing", "non-uniform"],
-    )
-    def test_non_uniform_time_grid_rejected(self, times):
-        psi = np.exp(-np.abs(times))
-        with pytest.raises(NonUniformGrid, match="temporal_wigner"):
-            temporal_wigner(psi, times, 1.0, 0.0)
-
-    def test_zero_signal_returns_zero(self):
-        times = np.linspace(-10.0, 10.0, 201)
-        assert temporal_wigner(np.zeros(201, dtype=complex), times, 1.0, 0.0) == 0j
-
-    def test_minus_branch_mirrors_frequency(self):
-        times = np.linspace(-150.0, 150.0, 6001)
-        psi = np.exp(-2j * times - 0.1 * np.abs(times))
-        a = temporal_wigner(psi, times, -2.0, 0.0, branch="-")
-        b = temporal_wigner(psi, times, 2.0, 0.0, branch="+")
-        assert a == pytest.approx(b)
-
-    def test_periodic_signal_accepted(self):
-        times = np.linspace(0.0, 20.0 * np.pi, 4001)
-        psi = np.exp(-2j * times)
-        out = temporal_wigner(psi, times, 2.0, 10.0, periodic=True)
-        assert out.real > 0

@@ -1,40 +1,26 @@
-"""Oscillator, dilute medium, two-level, kinetic, photon, radiation ops."""
+"""Oscillator, two-level, kinetic, photon and cross-section ops."""
 
 import numpy as np
 import pytest
 
 from tauspec import fileio
 from tauspec.core import FrequencyGrid
-from tauspec.errors import (
-    BelowMassShell,
-    DegenerateFrequency,
-    EnergyMismatch,
-    NonPositiveCrossSection,
-    NonPositiveEta,
-    NonPositiveFrequency,
-)
+from tauspec.errors import NonPositiveCrossSection, NonPositiveEta
 from tauspec.physics import (
     CLASSICAL_ELECTRON_RADIUS_CM,
     SPEED_OF_LIGHT_CM_PER_S,
     KineticMediumParams,
-    LorentzMediumParams,
     OscillatorParams,
     PhotonParams,
     TwoLevelParams,
     breit_wigner_tau,
-    bremsstrahlung_formation,
     cross_section_tau2,
-    group_index,
     group_index_coefficient,
-    lorentz_medium,
     mean_delay,
-    medium_inequality,
     oscillator_green,
     oscillator_tau,
     photon_response,
     photon_tau,
-    resolvent_delay,
-    resolvent_delay_sum,
 )
 
 OSC = OscillatorParams(omega0=1.0, gamma=0.2)
@@ -119,73 +105,6 @@ class TestOscillator:
         assert abs(tau2 - 100.0) / 100.0 < 5e-3
 
 
-class TestLorentzMedium:
-    PARAMS = LorentzMediumParams(plasma_frequency=1.0, oscillator=OSC)
-
-    def test_dispersion_vanishes_on_resonance(self):
-        eps1_minus_1, _ = lorentz_medium(self.PARAMS, 1.0)
-        assert eps1_minus_1 == 0.0
-
-    def test_resonant_cross_section(self):
-        _, sigma = lorentz_medium(self.PARAMS, 1.0)
-        assert sigma == pytest.approx(1.0 / (2.0 * np.pi * 0.2**3), rel=1e-12)
-        assert sigma == pytest.approx(19.894368, abs=1e-6)
-
-    def test_far_wing_ratios(self):
-        """Far above resonance the medium quantities track the sharp factor.
-
-        Dropping the antiresonant term of oscillator_tau leaves
-        (eps1 - 1)/tau2 ~ -wp^2/(2w) and sigma_el/tau1 ~ wp^2/(4 pi gamma^2),
-        both within ten percent at w = 2 w0.
-        """
-        om = 2.0
-        eps1_minus_1, sigma = lorentz_medium(self.PARAMS, om)
-        tau1, tau2 = oscillator_tau(OSC, om)
-        d_plus = (om + OSC.omega1) ** 2 + 0.25 * OSC.gamma**2
-        tau1_near = tau1 - 0.5 * OSC.gamma / d_plus
-        tau2_near = tau2 - (om + OSC.omega1) / d_plus
-        assert abs(eps1_minus_1 / tau2_near) == pytest.approx(
-            1.0 / (2.0 * om), rel=0.1
-        )
-        assert sigma / tau1_near == pytest.approx(
-            1.0 / (4.0 * np.pi * 0.2**2), rel=0.1
-        )
-
-    def test_needs_positive_frequency(self):
-        with pytest.raises(NonPositiveFrequency):
-            lorentz_medium(self.PARAMS, 0.0)
-
-    def test_inequality_below_resonance(self):
-        params = LorentzMediumParams(
-            plasma_frequency=1.0,
-            oscillator=OscillatorParams(omega0=1.0, gamma=0.05),
-        )
-        res = medium_inequality(params, 0.2)
-        assert res.satisfied
-        assert res.in_regime
-        assert res.rhs == pytest.approx(5.0)
-        assert res.lhs < res.rhs
-
-    def test_inequality_flags_anomalous_window(self):
-        params = LorentzMediumParams(
-            plasma_frequency=1.0,
-            oscillator=OscillatorParams(omega0=1.0, gamma=0.05),
-        )
-        res = medium_inequality(params, 0.97)
-        assert not res.in_regime
-
-    def test_inequality_scan_in_window(self):
-        params = LorentzMediumParams(plasma_frequency=1.0, oscillator=OSC)
-        for om in np.linspace(0.05, 0.95, 19):
-            res = medium_inequality(params, float(om))
-            if res.in_regime:
-                assert res.satisfied
-
-    def test_inequality_needs_positive_frequency(self):
-        with pytest.raises(NonPositiveFrequency):
-            medium_inequality(self.PARAMS, -1.0)
-
-
 class TestBreitWigner:
     def test_resonance_peak(self):
         params = TwoLevelParams(omega0=5.0, gamma=0.2)
@@ -219,36 +138,6 @@ class TestBreitWigner:
             TwoLevelParams(omega0=5.0, gamma=0.2, gamma0=0.5)
 
 
-class TestResolvent:
-    PARAMS = TwoLevelParams(omega0=5.0, gamma=0.2, gamma0=0.1)
-
-    def test_peak_value(self):
-        assert resolvent_delay(self.PARAMS, 5.0) == pytest.approx(10.0 + 0j)
-
-    def test_far_tail_sign_and_scale(self):
-        x = 45.0
-        out = resolvent_delay(self.PARAMS, 5.0 + x)
-        assert out.real == pytest.approx(-(0.2 - 0.1) / (2.0 * x**2), rel=1e-2)
-
-    def test_requires_partial_width(self):
-        with pytest.raises(ValueError):
-            resolvent_delay(TwoLevelParams(5.0, 0.2), 5.0)
-
-    def test_sum_is_additive(self):
-        other = TwoLevelParams(omega0=7.0, gamma=0.4, gamma0=0.2)
-        total = resolvent_delay_sum([self.PARAMS, other], 6.0)
-        parts = resolvent_delay(self.PARAMS, 6.0) + resolvent_delay(other, 6.0)
-        assert total == pytest.approx(parts)
-
-    @pytest.mark.parametrize("energy", [6.0, np.array([5.0, 6.0])])
-    def test_sum_of_no_levels_is_zeros_of_the_energy_shape(self, energy):
-        total = resolvent_delay_sum([], energy)
-        if np.ndim(energy):
-            assert total.dtype == complex and np.array_equal(total, np.zeros(2))
-        else:
-            assert type(total) is complex and total == 0
-
-
 class TestKinetics:
     PARAMS = KineticMediumParams(
         electron_density=2.69e19, wavenumber=6.3e4, width=1e8
@@ -272,9 +161,6 @@ class TestKinetics:
         )
         assert coeff == pytest.approx(expected, rel=1e-12)
         assert coeff == pytest.approx(3e-22, rel=0.2)
-
-    def test_group_index_excess(self):
-        assert group_index(self.PARAMS) - 1.0 == pytest.approx(8.047e-3, rel=1e-3)
 
     def test_parameter_guards(self):
         with pytest.raises(ValueError):
@@ -390,33 +276,3 @@ class TestCrossSectionRule:
         with pytest.raises(NonPositiveCrossSection):
             cross_section_tau2(bad, grid)
 
-
-class TestBremsstrahlung:
-    def test_ultrarelativistic_collapse(self):
-        out = bremsstrahlung_formation(50.0, 49.0, 1.0, 1.0)
-        assert out.regime == "ultra"
-        assert out.tau2 == pytest.approx(5000.0)
-        assert out.rho2 == pytest.approx(5000.0)
-
-    def test_transverse_displacement(self):
-        out = bremsstrahlung_formation(50.0, 49.0, 1.0, 1.0, theta=0.01)
-        assert out.rho_perp == pytest.approx(1.0)
-
-    def test_moderate_regime(self):
-        out = bremsstrahlung_formation(3.0, 2.0, 1.0, 1.0)
-        assert out.regime == "moderate"
-        assert out.tau2 == pytest.approx(1.0)
-        k = np.sqrt(8.0)
-        k_prime = np.sqrt(3.0)
-        expected = k_prime / 3.0 + 0.5 * (k_prime - k) / 7.0
-        assert out.rho2 == pytest.approx(expected)
-
-    def test_energy_balance_enforced(self):
-        with pytest.raises(EnergyMismatch):
-            bremsstrahlung_formation(50.0, 49.0, 1.5, 1.0)
-
-    def test_frequency_and_shell_guards(self):
-        with pytest.raises(DegenerateFrequency):
-            bremsstrahlung_formation(50.0, 50.0, 0.0, 1.0)
-        with pytest.raises(BelowMassShell):
-            bremsstrahlung_formation(1.2, 0.2, 1.0, 1.0)
