@@ -132,6 +132,12 @@ def _cases() -> dict:
                           "s.csv", "--tau", "t.csv", "-o", "sumrule.txt")),
         ("winding", _verb(_doc(BLASCHKE), "winding", "m.json", "--rect", "0", "2", "0.02",
                           "1", "-o", "w.txt")),
+        # Negative bounds written with an exponent.
+        ("winding-negative-exponent", _verb(_doc(BLASCHKE), "winding", "m.json", "--rect",
+                                            "-1e6", "1e6", "-1", "1", "-o", "w.txt")),
+        ("model-negative-exponent", _verb(_doc(MODELS["lorentz"][0]), "model", "m.json",
+                                          "--from", "-1e3", "--to", "1e3", "--points", "201",
+                                          "-o", "m")),
         ("report", _verb({"s.csv": RESONANCE, "t.csv": TAU, "b.csv": BARRIER_TABLE,
                           "kk.txt": KK_ARTIFACT}, "report", "s.csv", "t.csv", "b.csv",
                          "kk.txt", "--gnuplot", "plot.gp")),

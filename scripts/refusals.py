@@ -148,6 +148,11 @@ CASES = {
         model_file(BLASCHKE), ("model", "m.json", "--from", "0", "--to", "1"), 2,
         re.compile(r"usage: tauspec model .*\ntauspec model: error: the following arguments "
                    r"are required: --points, -o/--output", re.DOTALL)),
+    # A negative number with an exponent is a value; any other dash word is an option.
+    "model-unknown-option": Refusal(
+        model_file(BLASCHKE), (*MODEL, "-x"), 2,
+        re.compile(r"usage: tauspec .*\ntauspec: error: unrecognized arguments: -x",
+                   re.DOTALL)),
     "barrier-kind": Refusal(
         model_file(OSCILLATOR), ("barrier", *MODEL[1:-1], "b.csv"), 2,
         "error: m.json: barrier needs a potential-profile model"),
@@ -185,6 +190,11 @@ CASES = {
         ("winding", "m.json", "--rect", "0", "2", "0.02", "1e3", "-o", "w.txt"), 3,
         "error: winding count 1.016202604786e+00 is 1.620e-02 from an integer, past 0.001; "
         "raise --samples (at most 100000)"),
+    "winding-unresolved-at-cap": Refusal(
+        model_file(BLASCHKE),
+        ("winding", "m.json", "--rect", "0", "2", "0.02", "1e7", "--samples", "100000"), 3,
+        "error: winding count 9.894621346535e-01 is 1.054e-02 from an integer, past 0.001; "
+        "--samples is at its cap"),
     "winding-few-samples": Refusal(
         model_file(BLASCHKE),
         ("winding", "m.json", "--rect", "0", "2", "0.02", "1", "--samples", "8"), 2,

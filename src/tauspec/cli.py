@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 
 # Caps on the sizes a flag asks for, checked before anything is allocated;
@@ -35,6 +36,10 @@ _TAIL_BY_FLAG = {"none": "none", "w1": "one_over_omega", "w2": "one_over_omega2"
 
 # The farthest a printed winding count may lie from an integer.
 WINDING_ABS = 1.0e-3
+
+# A negative number argparse takes as a value, not an option: argparse's own
+# pattern has no exponent, so "--from -1e3" would be an unknown option.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
 _TOLERANCES = (
     ("extract_closed_form_abs", 1.0e-3, "interior concordance with closed forms"),
@@ -117,6 +122,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output")
     p.add_argument("--gnuplot", help="also write a plotting script")
     p.set_defaults(run=_cmd_report)
+    for sp in (parser, *sub.choices.values()):
+        sp._negative_number_matcher = _NEGATIVE_NUMBER
     for sp in sub.choices.values():
         # Accept the global flags after the verb as well; SUPPRESS keeps
         # a pre-verb value from being clobbered by a subparser default.
@@ -153,11 +160,11 @@ def _cmd_model(args) -> None:
         _write_barrier(document.params, grid, args.output)
         return
     with np.errstate(over="ignore", invalid="ignore"):
-        values, tau1, tau2 = document.sample(grid)
-    if not all(np.isfinite(a).all() for a in (values, tau1, tau2)):
+        values, tau = document.sample(grid)
+    if not (np.isfinite(values).all() and np.isfinite(tau).all()):
         raise ValueError(f"{args.model}: model is not finite on [{args.lo:g}, {args.hi:g}]")
     fileio.write_spectrum(args.output + ".spectrum.csv", ComplexSpectrum(grid, values))
-    fileio.write_temporal(args.output + ".tau.csv", TemporalSpectrum(grid, tau1, tau2))
+    fileio.write_temporal(args.output + ".tau.csv", TemporalSpectrum(grid, tau.real, tau.imag))
 
 
 def _emit_artifact(kind: str, mapping: dict, output) -> None:
@@ -221,10 +228,10 @@ def _cmd_winding(args) -> None:
     value = winding_number(document.params, contour, args.samples)
     distance = abs(math.remainder(value, 1.0))
     if not distance <= WINDING_ABS:
-        raise UnresolvedWinding(
-            f"winding count {value:.12e} is {distance:.3e} from an integer, past "
-            f"{WINDING_ABS:g}; raise --samples (at most {MAX_SAMPLES_PER_EDGE})"
-        )
+        advice = (f"raise --samples (at most {MAX_SAMPLES_PER_EDGE})"
+                  if args.samples < MAX_SAMPLES_PER_EDGE else "--samples is at its cap")
+        raise UnresolvedWinding(f"winding count {value:.12e} is {distance:.3e} from an "
+                                f"integer, past {WINDING_ABS:g}; {advice}")
     mapping = {
         "im_max": im_max,
         "im_min": im_min,

@@ -55,6 +55,14 @@ def _pointwise(arg, *results):
     return results[0] if len(results) == 1 else results
 
 
+def _complex(re, im):
+    """One complex array from its real and imaginary parts, bit for bit:
+    ``re + 1j * im`` would turn a -0 imaginary part into +0."""
+    out = np.empty(np.broadcast(re, im).shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
 def uniform_spacing(x, message: str) -> float:
     """Mean step of ``x``; raises NonUniformGrid(message) unless ``x`` has
     two or more nodes, a mean step > 0 and every step within _UNIFORM_RTOL
@@ -196,6 +204,16 @@ class RationalResponse:
         for root, degree, power in self.factors:
             base = om**degree - root
             # A simple pole divides: one rounding, where base**-1 takes two.
+            out = out / base if power == -1 else out * base**power
+        return _pointwise(omega, out)
+
+    def ratio(self, omega, anchor: float):
+        """S(omega) / S(anchor), taken one factor at a time: no partial
+        product under- or overflows where every factor's ratio is finite."""
+        om = np.asarray(omega, dtype=complex)
+        out = np.ones(om.shape, dtype=complex)
+        for root, degree, power in self.factors:
+            base = (om**degree - root) / (anchor**degree - root)
             out = out / base if power == -1 else out * base**power
         return _pointwise(omega, out)
 

@@ -360,14 +360,13 @@ class ModelDocument:
 
     kind: str
     params: object
-    branch: str = "lower"
 
     def sample(self, grid: FrequencyGrid):
-        """Spectrum and temporal samples (S, tau1, tau2) on ``grid``."""
+        """Spectrum S and complex time tau on ``grid``."""
         entry = _MODEL_KINDS.get(self.kind)
         if entry is None or entry.sample is None:
             raise ValueError(f"model kind {self.kind!r} is not a spectral model")
-        return entry.sample(self, grid)
+        return entry.sample(self.params, grid)
 
 
 def _float(value, name: str) -> float:
@@ -383,13 +382,6 @@ def _pair(value, name: str):
     if not (isinstance(value, (list, tuple)) and len(value) == 2):
         raise ValueError(f"{name} must be a two-element list")
     return _float(value[0], name), _float(value[1], name)
-
-
-def _reconstructed(grid: FrequencyGrid, tau1, tau2):
-    """(S, tau1, tau2) for a model known through tau alone, with S = 1 at
-    the first node."""
-    temporal = TemporalSpectrum(grid, tau1, tau2)
-    return reconstruct(temporal, float(grid.values[0]), 1.0 + 0.0j).values, tau1, tau2
 
 
 def _integer(value, name: str) -> int:
@@ -419,10 +411,8 @@ def _dump_blaschke(p: PoleZeroModel) -> dict:
     }
 
 
-def _sample_rational(document: ModelDocument, grid: FrequencyGrid):
-    values = evaluate_model(document.params, grid.values)
-    tau = model_tau(document.params, grid.values)
-    return values, tau.real, tau.imag
+def _sample_rational(params, grid: FrequencyGrid):
+    return evaluate_model(params, grid.values), model_tau(params, grid.values)
 
 
 def _load_oscillator(doc: dict):
@@ -440,24 +430,25 @@ def _dump_lorentz(p) -> dict:
     return {"plasma_frequency": p.plasma_frequency, **asdict(p.oscillator)}
 
 
-def _sample_lorentz(document: ModelDocument, grid: FrequencyGrid):
-    from .physics import oscillator_tau
-    return _reconstructed(grid, *oscillator_tau(document.params.oscillator, grid.values))
+def _sample_lorentz(params, grid: FrequencyGrid):
+    """chi(omega) / chi(omega_first), in which plasma_frequency cancels, and
+    the oscillator's tau."""
+    response, om = params.oscillator.response(), grid.values
+    return response.ratio(om, om[0]), response.tau(om)
 
 
 def _load_breit_wigner(doc: dict):
     from .physics import TwoLevelParams
-    # load_model reads the branch itself; it is only checked here.
-    if doc.get("branch", "lower") not in ("upper", "lower"):
-        raise ValueError("branch must be 'upper' or 'lower'")
     return TwoLevelParams(_float(doc["omega0"], "omega0"), _float(doc["gamma"], "gamma"),
-                          _float(doc.get("gamma0", 0.0), "gamma0"))
+                          _float(doc.get("gamma0", 0.0), "gamma0"), doc.get("branch", "lower"))
 
 
-def _sample_breit_wigner(document: ModelDocument, grid: FrequencyGrid):
+def _sample_breit_wigner(params, grid: FrequencyGrid):
+    """The model's tau, and S rebuilt from it with S = 1 at the first node."""
     from .physics import breit_wigner_tau
-    tau1, tau2 = breit_wigner_tau(document.params, grid.values, document.branch)
-    return _reconstructed(grid, tau1, tau2)
+    tau = breit_wigner_tau(params, grid.values)
+    temporal = TemporalSpectrum(grid, tau.real, tau.imag)
+    return reconstruct(temporal, float(grid.values[0]), 1.0 + 0.0j).values, tau
 
 
 def _load_photon(doc: dict):
@@ -475,7 +466,8 @@ def _load_barrier(doc: dict):
 
 class _ModelKind(NamedTuple):
     """One model kind: its JSON fields besides ``type``, the conversions
-    between JSON and parameter object, and its sampler (None: no spectrum).
+    between JSON and parameter object, and its sampler from parameters and
+    grid to S and the complex time tau (None: no spectrum).
     A kind whose JSON fields are its parameter fields dumps with ``asdict``.
     Loaders and samplers import ``physics`` or ``scatter1d`` themselves, so
     only a kind that needs one of them loads it."""
@@ -484,7 +476,7 @@ class _ModelKind(NamedTuple):
     optional: set
     load: Callable[[dict], object]
     dump: Callable[[object], dict]
-    sample: Callable[[ModelDocument, FrequencyGrid], tuple] | None
+    sample: Callable[[object, FrequencyGrid], tuple] | None
 
 
 _MODEL_KINDS = {
@@ -528,8 +520,7 @@ def load_model(path: str) -> ModelDocument:
             params = entry.load(doc)
         except (TypeError, OverflowError) as exc:  # a field of the wrong JSON type or size
             raise ValueError(str(exc)) from None
-        # The branch belongs to the document; only a kind that lists it may set it.
-        return ModelDocument(kind, params, doc.get("branch", "lower"))
+        return ModelDocument(kind, params)
 
 
 def save_model(path: str, document: ModelDocument) -> None:
@@ -538,8 +529,6 @@ def save_model(path: str, document: ModelDocument) -> None:
     if entry is None:
         raise ValueError(f"unknown model kind {document.kind!r}")
     doc = {"type": document.kind, **entry.dump(document.params)}
-    if "branch" in entry.optional:
-        doc["branch"] = document.branch
     _write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 

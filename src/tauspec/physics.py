@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._stencils import differentiate
-from .core import FrequencyGrid, RationalResponse, _pointwise
+from .core import FrequencyGrid, RationalResponse, _complex, _pointwise
 from .errors import NonPositiveCrossSection, NonPositiveEta
 
 __all__ = [
@@ -24,13 +24,9 @@ __all__ = [
     "TwoLevelParams",
     "KineticMediumParams",
     "PhotonParams",
-    "oscillator_green",
-    "oscillator_tau",
     "breit_wigner_tau",
     "mean_delay",
     "group_index_coefficient",
-    "photon_response",
-    "photon_tau",
     "cross_section_tau2",
 ]
 
@@ -74,13 +70,17 @@ class LorentzMediumParams:
 
 @dataclass(frozen=True)
 class TwoLevelParams:
-    """Resonance with total width gamma and partial width gamma0."""
+    """Resonance with total width gamma and partial width gamma0, on the
+    "lower" (retarded) or "upper" (advanced) branch."""
 
     omega0: float
     gamma: float
     gamma0: float = 0.0
+    branch: str = "lower"
 
     def __post_init__(self):
+        if self.branch not in ("upper", "lower"):
+            raise ValueError("branch must be 'upper' or 'lower'")
         if not (self.omega0 > 0 and np.isfinite(self.omega0)):
             raise ValueError("omega0 must be positive and finite")
         if not (self.gamma > 0 and np.isfinite(self.gamma)):
@@ -125,25 +125,8 @@ class PhotonParams:
         return RationalResponse(4.0 * np.pi, ((self.k_abs**2 - 1j * self.eta, 2, -1),))
 
 
-def oscillator_green(params: OscillatorParams, omega):
-    """Frequency response of the damped oscillator.
-
-    G(omega) = -1 / [2 pi (omega - omega1 + i gamma/2)
-                        (omega + omega1 + i gamma/2)]
-    """
-    return params.response().values(omega)
-
-
-def oscillator_tau(params: OscillatorParams, omega):
-    """Delay and formation times (tau1, tau2) of the damped oscillator
-    response, floats or arrays matching ``omega``: each pole gives a
-    Lorentzian delay and an antisymmetric formation term."""
-    tau = params.response().tau(np.asarray(omega, dtype=float))
-    return tau.real, tau.imag
-
-
-def breit_wigner_tau(params: TwoLevelParams, omega, branch: str = "lower"):
-    """Temporal functions of a single Breit-Wigner resonance factor.
+def breit_wigner_tau(params: TwoLevelParams, omega):
+    """Complex time tau1 + i tau2 of a single Breit-Wigner resonance factor.
 
     The response 1/[pi (gamma/2 +- i(omega - omega0))] gives
 
@@ -152,16 +135,13 @@ def breit_wigner_tau(params: TwoLevelParams, omega, branch: str = "lower"):
 
     where D = (omega - omega0)^2 + gamma^2/4.  The "upper" branch puts
     the pole in the upper half-plane (advanced), the "lower" branch is
-    the retarded one.
+    the retarded one.  tau2 keeps its sign of zero at omega0.
     """
-    if branch not in ("upper", "lower"):
-        raise ValueError("branch must be 'upper' or 'lower'")
     om = np.asarray(omega, dtype=float)
     detune = om - params.omega0
     den = np.pi * (detune**2 + 0.25 * params.gamma**2)
-    tau1 = 0.5 * params.gamma / den
-    tau2 = -detune / den if branch == "upper" else detune / den
-    return _pointwise(omega, tau1, tau2)
+    tau2 = -detune / den if params.branch == "upper" else detune / den
+    return _pointwise(omega, _complex(0.5 * params.gamma / den, tau2))
 
 
 def mean_delay(params: KineticMediumParams) -> float:
@@ -178,24 +158,6 @@ def group_index_coefficient(params: KineticMediumParams) -> float:
         * CLASSICAL_ELECTRON_RADIUS_CM**2
         / params.width
     )
-
-
-def photon_response(omega, k_abs: float, eta: float):
-    """Driven-mode response 4 pi / (omega^2 - k^2 + i eta); only k^2 enters."""
-    return PhotonParams(abs(k_abs), eta).response().values(omega)
-
-
-def photon_tau(omega, k_abs: float, eta: float):
-    """Temporal functions (tau1, tau2) of the driven photon mode.
-
-    tau2 changes sign where omega crosses |k| and is exactly zero there;
-    as eta -> 0 the tau1 peak narrows onto the mass shell.
-
-    Raises:
-        NonPositiveEta: eta <= 0.
-    """
-    tau = PhotonParams(abs(k_abs), eta).response().tau(np.asarray(omega, dtype=float))
-    return tau.real, tau.imag
 
 
 def cross_section_tau2(sigma_samples: np.ndarray, grid: FrequencyGrid) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _pointwise
+from .core import _complex, _pointwise
 from .errors import DegenerateEnergy, ZeroTransmission
 
 __all__ = [
@@ -74,13 +74,6 @@ class ScatteringMatrix1D:
         s = np.array([[self.r, self.t_prime], [self.t, self.r_prime]])
         s = np.moveaxis(s, (0, 1), (-2, -1))
         return float(np.max(np.abs(np.swapaxes(s.conj(), -1, -2) @ s - np.eye(2))))
-
-
-def _complex(re, im):
-    """One complex array from its real and imaginary parts, bit for bit."""
-    out = np.empty(np.broadcast(re, im).shape, dtype=complex)
-    out.real, out.imag = re, im
-    return out
 
 
 def _transfer(profile: PotentialProfile, energy, derivative: bool = False):

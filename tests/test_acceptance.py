@@ -37,12 +37,10 @@ from tauspec.physics import (
     CLASSICAL_ELECTRON_RADIUS_CM,
     KineticMediumParams,
     OscillatorParams,
+    PhotonParams,
     cross_section_tau2,
     group_index_coefficient,
     mean_delay,
-    oscillator_green,
-    oscillator_tau,
-    photon_tau,
 )
 from tauspec.scatter1d import PotentialProfile, complex_time, s_matrix
 
@@ -71,9 +69,10 @@ def test_c01_extraction_accuracy_and_speed():
 def test_c02_oscillator_concordance():
     params = OscillatorParams(1.0, 0.2)
     grid = FrequencyGrid.linspace(0.5, 1.5, 8001)
-    spectrum = ComplexSpectrum(grid, oscillator_green(params, grid.values))
+    spectrum = ComplexSpectrum(grid, params.response().values(grid.values))
     temporal = extract_temporal(spectrum, ORDER4)
-    tau1_ref, tau2_ref = oscillator_tau(params, grid.values)
+    tau_ref = params.response().tau(grid.values)
+    tau1_ref, tau2_ref = tau_ref.real, tau_ref.imag
     sl = temporal.interior
     dev1 = np.max(np.abs(temporal.tau1[sl] - tau1_ref[sl]))
     dev2 = np.max(np.abs(temporal.tau2[sl] - tau2_ref[sl]))
@@ -90,7 +89,7 @@ def test_c03_round_trip():
     cases.append(("blaschke", grid_b, evaluate_model(model, grid_b.values)))
     params = OscillatorParams(1.0, 0.2)
     grid_o = FrequencyGrid.linspace(0.5, 1.5, 8001)
-    cases.append(("oscillator", grid_o, oscillator_green(params, grid_o.values)))
+    cases.append(("oscillator", grid_o, params.response().values(grid_o.values)))
     worst = {}
     for name, grid, values in cases:
         spectrum = ComplexSpectrum(grid, values)
@@ -228,9 +227,8 @@ def test_c08_kinetic_anchors():
 
 def test_c09_photon_formation_times():
     eta = 1e-8
-    _, above = photon_tau(2.0, 1.0, eta)
-    _, below = photon_tau(0.5, 1.0, eta)
-    _, at_k = photon_tau(1.0, 1.0, eta)
+    photon = PhotonParams(1.0, eta).response()
+    above, below, at_k = (photon.tau(omega).imag for omega in (2.0, 0.5, 1.0))
     dev_above = abs(above - 4.0 / 3.0)
     dev_below = abs(below + 4.0 / 3.0)
     print(f"[C9] PASS photon tau2(2,1) dev {dev_above:.1e}, tau2(0.5,1) dev "
@@ -238,8 +236,7 @@ def test_c09_photon_formation_times():
     assert dev_above < 1e-6
     assert dev_below < 1e-6
     assert at_k == 0.0
-    _, just_below = photon_tau(1.0 - 1e-9, 1.0, eta)
-    _, just_above = photon_tau(1.0 + 1e-9, 1.0, eta)
+    just_below, just_above = (photon.tau(omega).imag for omega in (1.0 - 1e-9, 1.0 + 1e-9))
     assert just_below < 0.0 < just_above
 
 
@@ -298,7 +295,7 @@ def test_c11_uncertainty_floor_and_narrow_resonance():
         )
     params = OscillatorParams(omega0=1.0, gamma=1e-3)
     omega = params.omega1 + 0.01
-    _, tau2 = oscillator_tau(params, omega)
+    tau2 = params.response().tau(omega).imag
     narrow_dev = abs(tau2 - 1.0 / (omega - params.omega1)) * (omega - params.omega1)
     print(f"[C11] PASS Gaussian product {product:.5f} (0.5 +- 1e-2), floor "
           f"margin {floor_margin:+.2e} (>= -1e-6 over {len(tested)} spectra), "

@@ -22,15 +22,7 @@ from tauspec.core import (
     model_tau,
     reconstruct,
 )
-from tauspec.physics import (
-    OscillatorParams,
-    TwoLevelParams,
-    breit_wigner_tau,
-    oscillator_green,
-    oscillator_tau,
-    photon_response,
-    photon_tau,
-)
+from tauspec.physics import OscillatorParams, PhotonParams, TwoLevelParams, breit_wigner_tau
 from tauspec.scatter1d import PotentialProfile, complex_time, s_matrix
 
 BLASCHKE_DOC = {"type": "blaschke", "resonances": [[1.0, 0.2]]}
@@ -63,6 +55,23 @@ def _blaschke_tables(x):
     return evaluate_model(model, x), tau.real, tau.imag
 
 
+def _response_tables(params, normalised=False):
+    """The closed form of ``params.response()``; ``normalised`` divides S by
+    its value at the first node, as the Lorentz medium's chi(omega)/chi(omega_first)."""
+    def tables(x):
+        response = params.response()
+        values, tau = response.values(x), response.tau(x)
+        return (values / values[0] if normalised else values), tau.real, tau.imag
+    return tables
+
+
+def _breit_wigner_tables(params):
+    def tables(x):
+        tau = breit_wigner_tau(params, x)
+        return None, tau.real, tau.imag
+    return tables
+
+
 MODEL_KIND_CASES = {
     "blaschke": (
         {"type": "blaschke", "resonances": [[1.0, 0.2], [2.5, 0.05]],
@@ -71,26 +80,25 @@ MODEL_KIND_CASES = {
     ),
     "oscillator": (
         {"type": "oscillator", "omega0": 1.0, "gamma": 0.2}, (0.5, 1.5),
-        lambda x: (oscillator_green(OscillatorParams(1.0, 0.2), x),
-                   *oscillator_tau(OscillatorParams(1.0, 0.2), x)),
+        _response_tables(OscillatorParams(1.0, 0.2)),
     ),
     "lorentz": (
         {"type": "lorentz", "plasma_frequency": 2.0, "omega0": 1.5, "gamma": 0.3},
-        (0.5, 2.5), lambda x: (None, *oscillator_tau(OscillatorParams(1.5, 0.3), x)),
+        (0.5, 2.5), _response_tables(OscillatorParams(1.5, 0.3), normalised=True),
     ),
     "breit_wigner-lower": (
         {"type": "breit_wigner", "omega0": 10.0, "gamma": 0.2, "gamma0": 0.1},
         (9.5, 10.5),
-        lambda x: (None, *breit_wigner_tau(TwoLevelParams(10.0, 0.2, 0.1), x)),
+        _breit_wigner_tables(TwoLevelParams(10.0, 0.2, 0.1)),
     ),
     "breit_wigner-upper": (
         {"type": "breit_wigner", "omega0": 10.0, "gamma": 0.2, "branch": "upper"},
         (9.5, 10.5),
-        lambda x: (None, *breit_wigner_tau(TwoLevelParams(10.0, 0.2), x, "upper")),
+        _breit_wigner_tables(TwoLevelParams(10.0, 0.2, branch="upper")),
     ),
     "photon": (
         {"type": "photon", "k_abs": 1.0, "eta": 1e-2}, (0.5, 1.5),
-        lambda x: (photon_response(x, 1.0, 1e-2), *photon_tau(x, 1.0, 1e-2)),
+        _response_tables(PhotonParams(1.0, 1e-2)),
     ),
 }
 
@@ -233,12 +241,12 @@ class TestModel:
         assert rc == 0
         spec = fileio.read_spectrum(stem + ".spectrum.csv")
         temporal = fileio.read_temporal(stem + ".tau.csv")
-        params = OscillatorParams(1.0, 0.2)
+        response = OscillatorParams(1.0, 0.2).response()
         x = spec.grid.values
-        np.testing.assert_allclose(spec.values, oscillator_green(params, x), rtol=1e-10)
-        t1, t2 = oscillator_tau(params, x)
-        np.testing.assert_allclose(temporal.tau1, t1, rtol=1e-10)
-        np.testing.assert_allclose(temporal.tau2, t2, rtol=1e-10, atol=1e-14)
+        np.testing.assert_allclose(spec.values, response.values(x), rtol=1e-10)
+        tau = response.tau(x)
+        np.testing.assert_allclose(temporal.tau1, tau.real, rtol=1e-10)
+        np.testing.assert_allclose(temporal.tau2, tau.imag, rtol=1e-10, atol=1e-14)
 
     def test_photon_formation_changes_sign_at_k(self, tmp_path):
         m = write_json(
@@ -293,6 +301,26 @@ class TestModel:
         assert len(cols) == 5
         for got, want in zip(cols, expected):
             np.testing.assert_allclose(got, want, rtol=1e-11, atol=1e-13)
+
+    def test_lorentz_far_from_origin_is_finite(self, tmp_path):
+        """chi(omega)/chi(omega_first) taken a factor at a time stays finite
+        where chi itself underflows."""
+        doc = {"type": "lorentz", "plasma_frequency": 2.0, "omega0": 1.5, "gamma": 0.3}
+        stem = str(tmp_path / "m")
+        assert main(["model", write_json(tmp_path / "m.json", doc), "--from", "1e200",
+                     "--to", "2e200", "--points", "11", "-o", stem]) == 0
+        for suffix in (".spectrum.csv", ".tau.csv"):
+            _, columns = fileio.read_table(stem + suffix)
+            assert np.isfinite(columns).all()
+        assert fileio.read_spectrum(stem + ".spectrum.csv").values[0] == 1.0
+
+    def test_negative_bound_with_exponent(self, tmp_path):
+        doc = {"type": "oscillator", "omega0": 1.0, "gamma": 0.2}
+        stem = str(tmp_path / "m")
+        assert main(["model", write_json(tmp_path / "m.json", doc), "--from", "-1e3",
+                     "--to", "1e3", "--points", "11", "-o", stem]) == 0
+        grid = fileio.read_spectrum(stem + ".spectrum.csv").grid.values
+        assert (grid[0], grid[-1]) == (-1000.0, 1000.0)
 
     def test_two_points_exits_2(self, refused):
         refused("model-two-points")
@@ -512,6 +540,14 @@ class TestWinding:
         refused("winding-unresolved")
         w = self.run_rect(tmp_path, (0.0, 2.0, 0.02, 1e3), "w.txt", "--samples", "100000")
         assert w == pytest.approx(1.0, abs=1e-9)
+
+    def test_negative_bounds_with_exponent(self, tmp_path):
+        """Refused as unknown options before argparse took an exponent; an
+        unknown dash word is still refused (refusal case model-unknown-option)."""
+        w = self.run_rect(tmp_path, ("-1e6", "1e6", "-1", "1"), "w.txt")
+        assert w == pytest.approx(0.0, abs=1e-3)
+        _, mapping = fileio.read_artifact(str(tmp_path / "w.txt"))
+        assert mapping["re_min"] == "-1.000000000000e+06"
 
     def test_small_sample_count_exits_2(self, refused):
         refused("winding-few-samples")
@@ -734,10 +770,9 @@ class TestImportPath:
 
     def test_model_through_reconstruct_loads_no_scipy(self, tmp_path):
         m = write_json(
-            tmp_path / "m.json",
-            {"type": "lorentz", "plasma_frequency": 1.0, "omega0": 1.0, "gamma": 0.2},
+            tmp_path / "m.json", {"type": "breit_wigner", "omega0": 1.0, "gamma": 0.2}
         )
-        stem = str(tmp_path / "lor")
+        stem = str(tmp_path / "bw")
         argv = ["model", m, "--from", "0.5", "--to", "1.5", "--points", "101", "-o", stem]
         assert self.scipy_after(*argv) == [0, []]
 

@@ -263,7 +263,7 @@ class TestNegativeExtension:
 
 _MODEL = PoleZeroModel(scale=0.5 + 0.25j, p=1, resonances=((1.0, 0.2), (2.5, 0.05)))
 _OSC = physics.OscillatorParams(1.0, 0.2)
-_LEVEL = physics.TwoLevelParams(2.0, 0.3, 0.1)
+_LEVEL = physics.TwoLevelParams(2.0, 0.3, 0.1, "upper")
 _BARRIER = PotentialProfile(((1.0, 1.2), (0.5, -0.3)))
 
 # Every pointwise function: (call at one argument, argument, result types);
@@ -271,12 +271,10 @@ _BARRIER = PotentialProfile(((1.0, 1.2), (0.5, -0.3)))
 POINTWISE = {
     "evaluate_model": (lambda w: evaluate_model(_MODEL, w), 0.7, complex),
     "model_tau": (lambda w: model_tau(_MODEL, w), 0.7 - 0.1j, complex),
-    "oscillator_green": (lambda w: physics.oscillator_green(_OSC, w), 0.7, complex),
-    "oscillator_tau": (lambda w: physics.oscillator_tau(_OSC, w), 0.7, (float, float)),
-    "breit_wigner_tau": (lambda w: physics.breit_wigner_tau(_LEVEL, w, "upper"), 1.9,
-                         (float, float)),
-    "photon_response": (lambda w: physics.photon_response(w, 1.0, 0.01), 0.7, complex),
-    "photon_tau": (lambda w: physics.photon_tau(w, 1.0, 0.01), 0.7, (float, float)),
+    "RationalResponse.values": (lambda w: _OSC.response().values(w), 0.7, complex),
+    "RationalResponse.ratio": (lambda w: _OSC.response().ratio(w, 0.5), 0.7, complex),
+    "RationalResponse.tau": (lambda w: _OSC.response().tau(w), 0.7, complex),
+    "breit_wigner_tau": (lambda w: physics.breit_wigner_tau(_LEVEL, w), 1.9, complex),
     "s_matrix": (lambda e: dataclasses.astuple(s_matrix(_BARRIER, e)), 0.9, (complex,) * 4),
     "transmission_probability": (lambda e: transmission_probability(_BARRIER, e), 0.9, float),
     "complex_time": (lambda e: complex_time(_BARRIER, e), 0.9, complex),

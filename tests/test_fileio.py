@@ -358,7 +358,7 @@ def document_cases():
     lorentz = ModelDocument(
         "lorentz", LorentzMediumParams(1.0, OscillatorParams(1.0, 0.2))
     )
-    bw = ModelDocument("breit_wigner", TwoLevelParams(10.0, 0.2, 0.1), "upper")
+    bw = ModelDocument("breit_wigner", TwoLevelParams(10.0, 0.2, 0.1, "upper"))
     photon = ModelDocument("photon", PhotonParams(1.0, 1e-6))
     barrier = ModelDocument(
         "barrier", PotentialProfile(((2.0, 1.0), (1.0, 0.0), (2.0, 1.0)))
@@ -618,9 +618,7 @@ class TestModelDocuments:
         path = str(tmp_path / "m.json")
         save_model(path, doc)
         back = load_model(path)
-        assert back.kind == doc.kind
-        assert back.branch == doc.branch
-        assert back.params == doc.params
+        assert back == doc
 
     @pytest.mark.parametrize("kind", ["barrier", "teapot"])
     def test_sample_needs_a_spectral_kind(self, kind):
@@ -647,7 +645,7 @@ class TestModelDocuments:
         path = tmp_path / "m.json"
         path.write_text('{"type": "breit_wigner", "omega0": 10.0, "gamma": 0.2}')
         doc = load_model(str(path))
-        assert doc.branch == "lower"
+        assert doc.params.branch == "lower"
         assert doc.params.gamma0 == 0.0
 
     def test_invalid_branch_rejected(self, tmp_path):

@@ -1,4 +1,4 @@
-"""Oscillator, two-level, kinetic, photon and cross-section ops."""
+"""Oscillator, Lorentz medium, two-level, kinetic, photon and cross-section ops."""
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ from tauspec.physics import (
     CLASSICAL_ELECTRON_RADIUS_CM,
     SPEED_OF_LIGHT_CM_PER_S,
     KineticMediumParams,
+    LorentzMediumParams,
     OscillatorParams,
     PhotonParams,
     TwoLevelParams,
@@ -17,10 +18,6 @@ from tauspec.physics import (
     cross_section_tau2,
     group_index_coefficient,
     mean_delay,
-    oscillator_green,
-    oscillator_tau,
-    photon_response,
-    photon_tau,
 )
 
 OSC = OscillatorParams(omega0=1.0, gamma=0.2)
@@ -59,23 +56,31 @@ def assert_matches_reference(got, want):
 
 
 def sample(kind, params, grid):
-    """(S, tau1, tau2) of a model kind's sampler, as the model verb takes it."""
-    return fileio.ModelDocument(kind, params).sample(grid)
+    """(S, tau1, tau2) of a model kind's sampler, as the model verb splits it."""
+    values, tau = fileio.ModelDocument(kind, params).sample(grid)
+    return values, tau.real, tau.imag
+
+
+def response_tables(params, x):
+    """(S, tau1, tau2) of ``params.response()`` at ``x``."""
+    response = params.response()
+    tau = response.tau(x)
+    return response.values(x), tau.real, tau.imag
 
 
 class TestOscillator:
     def test_static_limit(self):
-        assert oscillator_green(OSC, 0.0) == pytest.approx(1.0 / (2.0 * np.pi))
+        assert OSC.response().values(0.0) == pytest.approx(1.0 / (2.0 * np.pi))
 
     def test_resonant_magnitude(self):
-        g = oscillator_green(OSC, OSC.omega1)
+        g = OSC.response().values(OSC.omega1)
         assert abs(g) == pytest.approx(0.798776, abs=1e-6)
         assert abs(g) == pytest.approx(0.79893, abs=1e-3)
 
     def test_tau_at_resonance(self):
-        tau1, tau2 = oscillator_tau(OSC, OSC.omega1)
-        assert tau1 == pytest.approx(10.0251889, abs=1e-6)
-        assert tau2 == pytest.approx(0.50125312, abs=1e-7)
+        tau = OSC.response().tau(OSC.omega1)
+        assert tau.real == pytest.approx(10.0251889, abs=1e-6)
+        assert tau.imag == pytest.approx(0.50125312, abs=1e-7)
 
     def test_shifted_center(self):
         assert OSC.omega1 == pytest.approx(np.sqrt(1.0 - 0.01))
@@ -92,7 +97,7 @@ class TestOscillator:
         params = OscillatorParams(omega0=1.0, gamma=gamma)
         x = WIDE.values
         if path == "functions":
-            got = (oscillator_green(params, x), *oscillator_tau(params, x))
+            got = response_tables(params, x)
         else:
             got = sample("oscillator", params, WIDE)
         assert_matches_reference(got, oscillator_reference(params, x))
@@ -101,35 +106,71 @@ class TestOscillator:
         """At gamma = 1e-3 the sharp factor dominates: tau2 ~ 1/(w - w1)."""
         params = OscillatorParams(omega0=1.0, gamma=1e-3)
         om = params.omega1 + 0.01
-        _, tau2 = oscillator_tau(params, om)
+        tau2 = params.response().tau(om).imag
         assert abs(tau2 - 100.0) / 100.0 < 5e-3
+
+
+class TestLorentz:
+    def test_sampler_matches_normalised_closed_form(self):
+        """S is chi(omega)/chi(omega_first) = G/G[0] to 1e-13 at 120,001
+        nodes, and tau is the oscillator's, bit for bit."""
+        params = LorentzMediumParams(2.0, OscillatorParams(1.5, 0.3))
+        values, tau1, tau2 = sample("lorentz", params, WIDE)
+        green = oscillator_reference(params.oscillator, WIDE.values)[0]
+        assert np.max(np.abs(values / (green / green[0]) - 1.0)) <= 1e-13
+        tau = params.oscillator.response().tau(WIDE.values)
+        assert np.array_equal(tau1, tau.real) and np.array_equal(tau2, tau.imag)
+
+    def test_plasma_frequency_cancels(self):
+        grid = FrequencyGrid.linspace(0.5, 2.5, 201)
+        one, three = (sample("lorentz", LorentzMediumParams(wp, OSC), grid) for wp in (1.0, 3.0))
+        assert all(np.array_equal(a, b) for a, b in zip(one, three))
+
+    def test_far_grid_is_finite(self):
+        """Each factor's ratio is near 1 at 1e200, where chi underflows."""
+        grid = FrequencyGrid.linspace(1e200, 2e200, 11)
+        values, tau1, tau2 = sample("lorentz", LorentzMediumParams(1.0, OSC), grid)
+        assert all(np.isfinite(a).all() for a in (values, tau1, tau2))
+        assert values[0] == 1.0 and values[-1] == pytest.approx(0.25, rel=1e-15)
 
 
 class TestBreitWigner:
     def test_resonance_peak(self):
         params = TwoLevelParams(omega0=5.0, gamma=0.2)
-        tau1, tau2 = breit_wigner_tau(params, 5.0)
-        assert tau1 == pytest.approx(2.0 / (np.pi * 0.2))
-        assert tau1 == pytest.approx(3.18310, abs=1e-5)
-        assert tau2 == 0.0
+        tau = breit_wigner_tau(params, 5.0)
+        assert tau.real == pytest.approx(2.0 / (np.pi * 0.2))
+        assert tau.real == pytest.approx(3.18310, abs=1e-5)
+        assert tau.imag == 0.0
 
     def test_branch_flips_formation_sign(self):
-        params = TwoLevelParams(omega0=5.0, gamma=0.2)
-        _, lower = breit_wigner_tau(params, 5.3, branch="lower")
-        _, upper = breit_wigner_tau(params, 5.3, branch="upper")
+        lower = breit_wigner_tau(TwoLevelParams(5.0, 0.2, branch="lower"), 5.3).imag
+        upper = breit_wigner_tau(TwoLevelParams(5.0, 0.2, branch="upper"), 5.3).imag
         assert lower == pytest.approx(-upper)
         assert lower > 0
 
+    @pytest.mark.parametrize("path", ["function", "sampler"])
+    def test_upper_branch_keeps_negative_zero_at_omega0(self, path):
+        """tau2 = -(omega - omega0)/(pi D) is -0 at omega0 on the upper branch,
+        which the csv writes as -0.000000000000e+00, and +0 on the lower."""
+        om = np.array([9.9, 10.0, 10.1])
+        for branch, negative in (("upper", True), ("lower", False)):
+            params = TwoLevelParams(10.0, 0.2, branch=branch)
+            if path == "function":
+                tau2 = breit_wigner_tau(params, om).imag
+            else:
+                tau2 = sample("breit_wigner", params, FrequencyGrid(om))[2]
+            assert tau2[1] == 0.0 and np.signbit(tau2[1]) == negative
+        assert np.signbit(breit_wigner_tau(TwoLevelParams(10.0, 0.2, branch="upper"), 10.0).imag)
+
     def test_unknown_branch_rejected(self):
-        with pytest.raises(ValueError):
-            breit_wigner_tau(TwoLevelParams(5.0, 0.2), 5.0, branch="middle")
+        with pytest.raises(ValueError, match="branch"):
+            TwoLevelParams(5.0, 0.2, branch="middle")
 
     def test_delay_integral_normalisation(self):
         """Both branch delays together integrate to 2 over a wide window."""
-        params = TwoLevelParams(omega0=5.0, gamma=0.5)
         om = np.linspace(5.0 - 25.0, 5.0 + 25.0, 200001)
-        t_lo, _ = breit_wigner_tau(params, om, branch="lower")
-        t_up, _ = breit_wigner_tau(params, om, branch="upper")
+        t_lo, t_up = (breit_wigner_tau(TwoLevelParams(5.0, 0.5, branch=branch), om).real
+                      for branch in ("lower", "upper"))
         total = np.trapezoid(t_lo + t_up, om)
         assert total == pytest.approx(2.0, rel=0.02)
 
@@ -173,17 +214,16 @@ class TestPhoton:
     def test_mass_shell_limits(self):
         """Both sides of the shell give 2 omega / (omega^2 - k^2) -> +-4/3."""
         eta = 1e-8
-        _, above = photon_tau(2.0, 1.0, eta)
-        _, below = photon_tau(0.5, 1.0, eta)
+        response = PhotonParams(1.0, eta).response()
+        above, below = response.tau(2.0).imag, response.tau(0.5).imag
         assert abs(above - 4.0 / 3.0) < 1e-6
         assert abs(below + 4.0 / 3.0) < 1e-6
 
     def test_sign_flips_on_shell(self):
         eta = 1e-3
-        _, on_shell = photon_tau(1.0, 1.0, eta)
-        assert on_shell == 0.0
-        _, lo = photon_tau(1.0 - 1e-9, 1.0, eta)
-        _, hi = photon_tau(1.0 + 1e-9, 1.0, eta)
+        response = PhotonParams(1.0, eta).response()
+        assert response.tau(1.0).imag == 0.0
+        lo, hi = response.tau(1.0 - 1e-9).imag, response.tau(1.0 + 1e-9).imag
         assert lo < 0 < hi
 
     @pytest.mark.parametrize("path", ["functions", "sampler"])
@@ -191,7 +231,7 @@ class TestPhoton:
     def test_generic_response_matches_closed_form(self, path, eta):
         x = WIDE.values
         if path == "functions":
-            got = (photon_response(x, 1.3, eta), *photon_tau(x, 1.3, eta))
+            got = response_tables(PhotonParams(1.3, eta), x)
         else:
             got = sample("photon", PhotonParams(1.3, eta), WIDE)
         assert_matches_reference(got, photon_reference(x, 1.3, eta))
@@ -203,23 +243,20 @@ class TestPhoton:
         and changes sign 1e-9 to either side."""
         om = np.array([1.0 - 1e-9, 1.0, 1.0 + 1e-9])
         if path == "functions":
-            _, tau2 = photon_tau(om, 1.0, eta)
+            tau2 = PhotonParams(1.0, eta).response().tau(om).imag
         else:
             _, _, tau2 = sample("photon", PhotonParams(1.0, eta), FrequencyGrid(om))
         assert tau2[1] == 0.0 and not np.signbit(tau2[1])
         assert tau2[0] < 0.0 < tau2[2]
 
     def test_response_pole_structure(self):
-        out = photon_response(2.0, 1.0, 1e-2)
+        out = PhotonParams(1.0, 1e-2).response().values(2.0)
         assert out == pytest.approx(4.0 * np.pi / (3.0 + 1e-2j))
 
     def test_positive_eta_required(self):
-        with pytest.raises(NonPositiveEta):
-            photon_tau(1.0, 1.0, 0.0)
-        with pytest.raises(NonPositiveEta):
-            photon_response(1.0, 1.0, -1e-3)
-        with pytest.raises(NonPositiveEta):
-            PhotonParams(k_abs=1.0, eta=0.0)
+        for eta in (0.0, -1e-3):
+            with pytest.raises(NonPositiveEta):
+                PhotonParams(k_abs=1.0, eta=eta)
 
     def test_delay_integral_approaches_half_circle(self):
         """Integral of tau1 over all omega > 0 tends to pi/2 + atan(k^2/eta)."""
@@ -231,7 +268,7 @@ class TestPhoton:
             np.arange(1.1, 20.0 + 1e-9, 1e-3),
         ]
         om = np.unique(np.concatenate(pieces))
-        tau1, _ = photon_tau(om, k, eta)
+        tau1 = PhotonParams(k, eta).response().tau(om).real
         total = np.trapezoid(tau1, om)
         expected = 0.5 * np.pi + np.arctan(k**2 / eta)
         assert total == pytest.approx(expected, rel=1e-5)

@@ -22,12 +22,7 @@ from tauspec.dispersion import Contour, residue_time_domain, winding_number
 from tauspec.errors import GridError
 from tauspec.extract import ExtractionOptions, extract_temporal, uncertainty_product
 from tauspec.fileio import format_artifact, read_table
-from tauspec.physics import (
-    TwoLevelParams,
-    breit_wigner_tau,
-    cross_section_tau2,
-    photon_tau,
-)
+from tauspec.physics import PhotonParams, TwoLevelParams, breit_wigner_tau, cross_section_tau2
 from tauspec.scatter1d import PotentialProfile, s_matrix
 
 COMMON = dict(max_examples=25, deadline=None)
@@ -167,14 +162,13 @@ class TestTwoLevel:
         detune=st.floats(min_value=-3.0, max_value=3.0),
     )
     def test_branch_identities(self, omega0, gamma, detune):
-        params = TwoLevelParams(omega0, gamma)
         omega = omega0 + detune * gamma
         denom = (omega - omega0) ** 2 + gamma**2 / 4
-        t1_up, t2_up = breit_wigner_tau(params, omega, "upper")
-        t1_dn, t2_dn = breit_wigner_tau(params, omega, "lower")
-        assert t1_up == pytest.approx(gamma / (2 * np.pi * denom), rel=1e-12)
-        assert t1_up == t1_dn
-        assert t2_up == pytest.approx(-t2_dn, rel=1e-12, abs=1e-15)
+        up = breit_wigner_tau(TwoLevelParams(omega0, gamma, branch="upper"), omega)
+        down = breit_wigner_tau(TwoLevelParams(omega0, gamma), omega)
+        assert up.real == pytest.approx(gamma / (2 * np.pi * denom), rel=1e-12)
+        assert up.real == down.real
+        assert up.imag == pytest.approx(-down.imag, rel=1e-12, abs=1e-15)
 
 
 class TestCrossSection:
@@ -206,8 +200,9 @@ class TestPhoton:
         above=st.floats(min_value=1.1, max_value=3.0),
     )
     def test_formation_sign_flips_across_k(self, k_abs, below, above):
-        _, tau2_below = photon_tau(below * k_abs, k_abs, 1e-6)
-        _, tau2_above = photon_tau(above * k_abs, k_abs, 1e-6)
+        response = PhotonParams(k_abs, 1e-6).response()
+        tau2_below = response.tau(below * k_abs).imag
+        tau2_above = response.tau(above * k_abs).imag
         assert tau2_below * tau2_above < 0.0
 
 

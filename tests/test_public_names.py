@@ -33,8 +33,6 @@ ALLOWED = {
     "with it",
     "combined_response": "the step-weighted sum of the two front branches; kept with "
     "them",
-    "photon_response": "the photon kind's closed-form S, the oracle of the model "
-    "verb's photon tables in test_cli",
     "transfer_matrix": "the amplitude-basis transfer matrix that test_scatter1d "
     "composes to check the real-basis sweep",
     "save_model": "the writer of model documents, the other half of the load_model "
