@@ -97,7 +97,8 @@ MODELS = {
 # Kinds also sampled at 40,001 nodes: a change in the last bit of S or tau
 # moves the %.12e text of a cell about once in 10**3 to 10**4 cells, so 201
 # nodes rarely show one.
-FINE_MODELS = ("blaschke", "oscillator", "lorentz", "photon")
+FINE_MODELS = ("blaschke", "oscillator", "lorentz", "breit_wigner", "breit_wigner-upper",
+               "photon")
 
 # The verbs of the command, each with its case help-<verb>.
 VERBS = ("extract", "model", "kk", "sumrule", "winding", "barrier", "report")

@@ -153,6 +153,21 @@ CASES = {
         model_file(BLASCHKE), (*MODEL, "-x"), 2,
         re.compile(r"usage: tauspec .*\ntauspec: error: unrecognized arguments: -x",
                    re.DOTALL)),
+    # A bound that is no finite number, with or without a sign, is refused
+    # before the grid is built.
+    "model-from-inf": Refusal(
+        model_file(BLASCHKE), ("model", "m.json", "--from", "inf", *MODEL[4:]), 2,
+        "error: --from/--to bounds must be finite"),
+    "model-from-negative-inf": Refusal(
+        model_file(BLASCHKE), ("model", "m.json", "--from", "-inf", *MODEL[4:]), 2,
+        "error: --from/--to bounds must be finite"),
+    "model-to-negative-nan": Refusal(
+        model_file(BLASCHKE), ("model", "m.json", "--from", "0.5", "--to", "-NaN", *MODEL[6:]),
+        2, "error: --from/--to bounds must be finite"),
+    "barrier-to-inf": Refusal(
+        model_file(BARRIER_DOC),
+        ("barrier", "m.json", "--from", "0.5", "--to", "inf", "--points", "11", "-o", "b.csv"),
+        2, "error: --from/--to bounds must be finite"),
     "barrier-kind": Refusal(
         model_file(OSCILLATOR), ("barrier", *MODEL[1:-1], "b.csv"), 2,
         "error: m.json: barrier needs a potential-profile model"),
@@ -181,6 +196,9 @@ CASES = {
         "error: rectangle bounds must be ordered"),
     "winding-bound-infinite": Refusal(
         model_file(BLASCHKE), ("winding", "m.json", "--rect", "0", "2", "0.02", "inf"), 2,
+        "error: --rect bounds must be finite"),
+    "winding-bound-negative-inf": Refusal(
+        model_file(BLASCHKE), ("winding", "m.json", "--rect", "0", "2", "-inf", "1"), 2,
         "error: --rect bounds must be finite"),
     "winding-area-overflows": Refusal(
         model_file(BLASCHKE), ("winding", "m.json", "--rect", "0", "2", "0.02", "1e200"), 2,

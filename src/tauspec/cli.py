@@ -19,6 +19,7 @@ needs none of them: ``--help`` and a refused command line load no numpy.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import re
@@ -38,8 +39,9 @@ _TAIL_BY_FLAG = {"none": "none", "w1": "one_over_omega", "w2": "one_over_omega2"
 WINDING_ABS = 1.0e-3
 
 # A negative number argparse takes as a value, not an option: argparse's own
-# pattern has no exponent, so "--from -1e3" would be an unknown option.
-_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+# pattern has no exponent, inf or nan, so "--from -1e3" would be an unknown
+# option.  float() reads inf, infinity and nan in any case.
+_NEGATIVE_NUMBER = re.compile(r"^-((\d+\.?\d*|\.\d+)([eE][+-]?\d+)?|(?i:inf|infinity|nan))$")
 
 _TOLERANCES = (
     ("extract_closed_form_abs", 1.0e-3, "interior concordance with closed forms"),
@@ -55,6 +57,7 @@ _TOLERANCES = (
 )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tauspec",
@@ -74,7 +77,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extract", help="tau1/tau2 from a sampled spectrum")
     p.add_argument("input")
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(run=_cmd_extract)
 
     p = sub.add_parser("model", help="sample a model: spectrum and tau files")
     p.add_argument("model")
@@ -83,18 +85,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, required=True,
                    help=f"grid nodes, at most {MAX_POINTS}")
     p.add_argument("-o", "--output", required=True, help="output path prefix")
-    p.set_defaults(run=_cmd_model)
 
     p = sub.add_parser("kk", help="causality residual report")
     p.add_argument("input")
     p.add_argument("-o", "--output", help="also write the report as an artifact")
-    p.set_defaults(run=_cmd_kk)
 
     p = sub.add_parser("sumrule", help="weighted balance integral")
     p.add_argument("--spectrum", required=True)
     p.add_argument("--tau", required=True)
     p.add_argument("-o", "--output")
-    p.set_defaults(run=_cmd_sumrule)
 
     p = sub.add_parser("winding", help="zeros minus poles inside a rectangle")
     p.add_argument("model")
@@ -106,7 +105,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help=f"panels per edge, {MIN_SAMPLES_PER_EDGE} to "
                    f"{MAX_SAMPLES_PER_EDGE} (default {MIN_SAMPLES_PER_EDGE})")
     p.add_argument("-o", "--output")
-    p.set_defaults(run=_cmd_winding)
 
     p = sub.add_parser("barrier", help="transmission and delays of a potential")
     p.add_argument("model")
@@ -115,13 +113,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, required=True,
                    help=f"energy nodes, at most {MAX_POINTS}")
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(run=_cmd_barrier)
 
     p = sub.add_parser("report", help="merge results into one document")
     p.add_argument("inputs", nargs="+")
     p.add_argument("-o", "--output")
     p.add_argument("--gnuplot", help="also write a plotting script")
-    p.set_defaults(run=_cmd_report)
     for sp in (parser, *sub.choices.values()):
         sp._negative_number_matcher = _NEGATIVE_NUMBER
     for sp in sub.choices.values():
@@ -139,6 +135,11 @@ def _check_cap(flag: str, value: int, cap: int, minimum: int | None = None) -> N
         raise ValueError(f"{flag} {value} exceeds the cap of {cap}")
 
 
+def _check_finite(flag: str, bounds) -> None:
+    if not all(math.isfinite(bound) for bound in bounds):
+        raise ValueError(f"{flag} bounds must be finite")
+
+
 def _cmd_extract(args) -> None:
     from . import fileio
     from .extract import ExtractionOptions, extract_temporal
@@ -154,6 +155,7 @@ def _cmd_model(args) -> None:
     from . import fileio
     from .core import ComplexSpectrum, FrequencyGrid, TemporalSpectrum
     _check_cap("--points", args.points, MAX_POINTS)
+    _check_finite("--from/--to", (args.lo, args.hi))
     document = fileio.load_model(args.model)
     grid = FrequencyGrid.linspace(args.lo, args.hi, args.points)
     if document.kind == "barrier":
@@ -218,8 +220,7 @@ def _cmd_winding(args) -> None:
     from . import fileio
     from .dispersion import Contour, winding_number
     _check_cap("--samples", args.samples, MAX_SAMPLES_PER_EDGE, MIN_SAMPLES_PER_EDGE)
-    if not all(math.isfinite(bound) for bound in args.rect):
-        raise ValueError("--rect bounds must be finite")
+    _check_finite("--rect", args.rect)
     document = fileio.load_model(args.model)
     if document.kind != "blaschke":
         raise ValueError(f"{args.model}: winding needs a pole-zero model")
@@ -258,6 +259,7 @@ def _cmd_barrier(args) -> None:
     from . import fileio
     from .core import FrequencyGrid
     _check_cap("--points", args.points, MAX_POINTS)
+    _check_finite("--from/--to", (args.lo, args.hi))
     document = fileio.load_model(args.model)
     if document.kind != "barrier":
         raise ValueError(f"{args.model}: barrier needs a potential-profile model")
@@ -343,9 +345,11 @@ def _write_gnuplot(path: str, tables) -> None:
 
 
 def main(argv=None) -> int:
+    # The parser, built once per process, binds no function: each call
+    # finds its verb's by name.
     args = _build_parser().parse_args(argv)
     try:
-        args.run(args)
+        globals()[f"_cmd_{args.verb}"](args)
     except (TauspecError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", EXIT_INPUT)

@@ -171,8 +171,8 @@ class TemporalSpectrum:
 
     @property
     def tau(self) -> np.ndarray:
-        """Combined complex time tau1 + i tau2."""
-        return self.tau1 + 1j * self.tau2
+        """Combined complex time tau1 + i tau2, each part bit for bit."""
+        return _complex(self.tau1, self.tau2)
 
     @property
     def interior(self) -> slice:

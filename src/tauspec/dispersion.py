@@ -27,7 +27,6 @@ from .core import (
 from .errors import (
     MIN_SAMPLES_PER_EDGE,
     GridError,
-    InsufficientDecay,
     NonPositiveGrid,
     NonUniformGrid,
     OriginGapTooWide,
@@ -44,7 +43,6 @@ __all__ = [
     "tau_kk_residual",
     "frequency_sum_rule",
     "sum_rule_scale",
-    "time_sum_rule",
     "residue_time_domain",
     "winding_number",
 ]
@@ -388,41 +386,6 @@ def sum_rule_scale(spectrum: ComplexSpectrum, temporal: TemporalSpectrum) -> flo
     for block in _sum_rule_blocks(g):
         total += float(np.trapezoid(np.abs(integrand[block]), g[block]))
     return total
-
-
-def time_sum_rule(
-    spectrum_time: np.ndarray, tau_time: np.ndarray, times: np.ndarray
-) -> complex:
-    """Time-domain balance integral int_0^inf S(t) tau(-t) dt.
-
-    The negative-time values of tau come from the conjugate-symmetric
-    extension tau(-t) = conj(tau(t)), so the integrand is formed from
-    the supplied samples directly.
-
-    Raises:
-        NonPositiveGrid: the time grid must start at t >= 0.
-        InsufficientDecay: the integrand has not fallen below 1e-6 of its
-            peak by the end of the grid.
-    """
-    s = np.asarray(spectrum_time, dtype=complex)
-    tau = np.asarray(tau_time, dtype=complex)
-    times = np.asarray(times, dtype=float)
-    if s.shape != times.shape or tau.shape != times.shape or times.ndim != 1:
-        raise ValueError("samples and time grid must be matching 1-d arrays")
-    if times.size < 2:
-        raise ValueError("time grid needs at least two nodes")
-    if times[0] < 0:
-        raise NonPositiveGrid("time grid must start at t >= 0")
-    uniform_spacing(times, "time_sum_rule needs a uniform grid")
-    integrand = s * np.conj(tau)
-    peak = float(np.max(np.abs(integrand)))
-    if peak == 0.0:
-        return 0.0 + 0.0j
-    if abs(integrand[-1]) > 1e-6 * peak:
-        raise InsufficientDecay(
-            "integrand has not decayed below 1e-6 of its peak at the grid end"
-        )
-    return complex(np.trapezoid(integrand, times))
 
 
 def residue_time_domain(model: PoleZeroModel, t):

@@ -82,12 +82,6 @@ class ZeroNorm(TauspecError):
     exit_code = 3
 
 
-class InsufficientDecay(TauspecError):
-    """Time-domain integrand has not decayed at the end of the grid."""
-
-    exit_code = 3
-
-
 class OriginInGrid(TauspecError):
     """Grid contains the origin where a 1/omega weight is singular."""
 

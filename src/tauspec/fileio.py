@@ -13,7 +13,7 @@ import itertools
 import json
 import os
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -25,7 +25,6 @@ from .core import (
     TemporalSpectrum,
     evaluate_model,
     model_tau,
-    reconstruct,
 )
 # MAX_POINTS is this module's global, which read_table reads at each call.
 from .errors import MAX_POINTS, TauspecError
@@ -43,7 +42,6 @@ __all__ = [
     "read_barrier_table",
     "read_table",
     "load_model",
-    "save_model",
     "write_artifact",
     "read_artifact",
     "detect_format",
@@ -63,8 +61,8 @@ def _fmt(x: float) -> str:
 
 
 def _write_text(path: str, data) -> None:
-    """Replace ``path`` by the bytes ``data``, or by a ``str`` encoded
-    once as ``open(path, "w")`` would, all or nothing.
+    """Replace ``path`` by ``data``, a list of byte chunks or a ``str``
+    encoded once as ``open(path, "w")`` would, all or nothing.
 
     The bytes go to a temporary file beside ``path``, created with the
     mode a plain ``open(path, "w")`` gives, which is then renamed over
@@ -73,10 +71,10 @@ def _write_text(path: str, data) -> None:
     exists but is no regular file (a device, a pipe) is written in place.
     """
     if isinstance(data, str):  # as open(path, "w") would, with no import of locale
-        data = data.encode(io.TextIOWrapper(io.BytesIO()).encoding)
+        data = [data.encode(io.TextIOWrapper(io.BytesIO()).encoding)]
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "wb") as fh:
-            fh.write(data)
+            fh.writelines(data)
         return
     target = os.path.realpath(path) if os.path.islink(path) else path
     head, tail = os.path.split(target)
@@ -91,7 +89,7 @@ def _write_text(path: str, data) -> None:
         break
     try:
         with open(fd, "wb") as fh:
-            fh.write(data)
+            fh.writelines(data)
         os.replace(tmp, target)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -146,8 +144,9 @@ def _decimal(x):
     return m, i + carry + _E_FIRST, decided
 
 
-def _format_cells(block) -> bytes:
-    """The rows of ``block`` as csv bytes, each cell exactly "%.12e" % cell.
+def _format_cells(block) -> list:
+    """The rows of ``block`` as chunks of csv bytes, each cell exactly
+    "%.12e" % cell.
 
     Each cell fills six little-endian words: sign, lead digit and point;
     three groups of four digits; "e", exponent sign and hundreds digit; the
@@ -179,13 +178,13 @@ def _format_cells(block) -> bytes:
             flat[odd, :5] = np.frombuffer(b"".join(cells), "<u4").reshape(-1, 5)
             flat[odd, 5] = sep[odd % cols]
         text.append(words.tobytes().translate(None, b"\0"))
-    return b"".join(text)
+    return text
 
 
 def _write_rows(path: str, header: str, columns) -> None:
     # A table without rows is the header and one blank line.
     block = np.column_stack(columns).astype(float, copy=False)
-    _write_text(path, header.encode() + b"\n" + (_format_cells(block) or b"\n"))
+    _write_text(path, [header.encode() + b"\n", *(_format_cells(block) or [b"\n"])])
 
 
 @contextlib.contextmanager
@@ -362,11 +361,18 @@ class ModelDocument:
     params: object
 
     def sample(self, grid: FrequencyGrid):
-        """Spectrum S and complex time tau on ``grid``."""
+        """Spectrum S and complex time tau on ``grid``.  An anchored kind
+        gives S(omega) / S(omega_first), one factor at a time, so a scale
+        such as the Lorentz medium's plasma_frequency cancels; the others
+        give S itself, through the proximity guards of a PoleZeroModel."""
         entry = _MODEL_KINDS.get(self.kind)
-        if entry is None or entry.sample is None:
+        if entry is None or entry.anchored is None:
             raise ValueError(f"model kind {self.kind!r} is not a spectral model")
-        return entry.sample(self.params, grid)
+        om = grid.values
+        if entry.anchored:
+            response = self.params.response()
+            return response.ratio(om, om[0]), response.tau(om)
+        return evaluate_model(self.params, om), model_tau(self.params, om)
 
 
 def _float(value, name: str) -> float:
@@ -402,19 +408,6 @@ def _load_blaschke(doc: dict) -> PoleZeroModel:
     )
 
 
-def _dump_blaschke(p: PoleZeroModel) -> dict:
-    return {
-        "scale": [p.scale.real, p.scale.imag],
-        "p": p.p,
-        "resonances": [[w, g] for w, g in p.resonances],
-        "prefactor_sign": p.prefactor_sign,
-    }
-
-
-def _sample_rational(params, grid: FrequencyGrid):
-    return evaluate_model(params, grid.values), model_tau(params, grid.values)
-
-
 def _load_oscillator(doc: dict):
     from .physics import OscillatorParams
     return OscillatorParams(_float(doc["omega0"], "omega0"), _float(doc["gamma"], "gamma"))
@@ -426,29 +419,10 @@ def _load_lorentz(doc: dict):
                                _load_oscillator(doc))
 
 
-def _dump_lorentz(p) -> dict:
-    return {"plasma_frequency": p.plasma_frequency, **asdict(p.oscillator)}
-
-
-def _sample_lorentz(params, grid: FrequencyGrid):
-    """chi(omega) / chi(omega_first), in which plasma_frequency cancels, and
-    the oscillator's tau."""
-    response, om = params.oscillator.response(), grid.values
-    return response.ratio(om, om[0]), response.tau(om)
-
-
 def _load_breit_wigner(doc: dict):
     from .physics import TwoLevelParams
     return TwoLevelParams(_float(doc["omega0"], "omega0"), _float(doc["gamma"], "gamma"),
                           _float(doc.get("gamma0", 0.0), "gamma0"), doc.get("branch", "lower"))
-
-
-def _sample_breit_wigner(params, grid: FrequencyGrid):
-    """The model's tau, and S rebuilt from it with S = 1 at the first node."""
-    from .physics import breit_wigner_tau
-    tau = breit_wigner_tau(params, grid.values)
-    temporal = TemporalSpectrum(grid, tau.real, tau.imag)
-    return reconstruct(temporal, float(grid.values[0]), 1.0 + 0.0j).values, tau
 
 
 def _load_photon(doc: dict):
@@ -465,32 +439,26 @@ def _load_barrier(doc: dict):
 
 
 class _ModelKind(NamedTuple):
-    """One model kind: its JSON fields besides ``type``, the conversions
-    between JSON and parameter object, and its sampler from parameters and
-    grid to S and the complex time tau (None: no spectrum).
-    A kind whose JSON fields are its parameter fields dumps with ``asdict``.
-    Loaders and samplers import ``physics`` or ``scatter1d`` themselves, so
-    only a kind that needs one of them loads it."""
+    """One model kind: its JSON fields besides ``type``, its loader from
+    JSON to parameter object, and whether its spectrum is normalised at the
+    first node (None: no spectrum).  Loaders import ``physics`` or
+    ``scatter1d`` themselves, so only a kind that needs one of them loads it."""
 
     required: set
     optional: set
     load: Callable[[dict], object]
-    dump: Callable[[object], dict]
-    sample: Callable[[object, FrequencyGrid], tuple] | None
+    anchored: bool | None
 
 
 _MODEL_KINDS = {
     "blaschke": _ModelKind({"resonances"}, {"scale", "p", "prefactor_sign"},
-                           _load_blaschke, _dump_blaschke, _sample_rational),
-    "oscillator": _ModelKind({"omega0", "gamma"}, set(),
-                             _load_oscillator, asdict, _sample_rational),
-    "lorentz": _ModelKind({"plasma_frequency", "omega0", "gamma"}, set(),
-                          _load_lorentz, _dump_lorentz, _sample_lorentz),
+                           _load_blaschke, False),
+    "oscillator": _ModelKind({"omega0", "gamma"}, set(), _load_oscillator, False),
+    "lorentz": _ModelKind({"plasma_frequency", "omega0", "gamma"}, set(), _load_lorentz, True),
     "breit_wigner": _ModelKind({"omega0", "gamma"}, {"gamma0", "branch"},
-                               _load_breit_wigner, asdict, _sample_breit_wigner),
-    "photon": _ModelKind({"k_abs", "eta"}, set(),
-                         _load_photon, asdict, _sample_rational),
-    "barrier": _ModelKind({"segments"}, set(), _load_barrier, asdict, None),
+                               _load_breit_wigner, True),
+    "photon": _ModelKind({"k_abs", "eta"}, set(), _load_photon, False),
+    "barrier": _ModelKind({"segments"}, set(), _load_barrier, None),
 }
 
 
@@ -521,15 +489,6 @@ def load_model(path: str) -> ModelDocument:
         except (TypeError, OverflowError) as exc:  # a field of the wrong JSON type or size
             raise ValueError(str(exc)) from None
         return ModelDocument(kind, params)
-
-
-def save_model(path: str, document: ModelDocument) -> None:
-    """Write a model document back to JSON (canonical key order)."""
-    entry = _MODEL_KINDS.get(document.kind)
-    if entry is None:
-        raise ValueError(f"unknown model kind {document.kind!r}")
-    doc = {"type": document.kind, **entry.dump(document.params)}
-    _write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def format_fields(mapping: dict) -> list:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._stencils import differentiate
-from .core import FrequencyGrid, RationalResponse, _complex, _pointwise
+from .core import FrequencyGrid, RationalResponse
 from .errors import NonPositiveCrossSection, NonPositiveEta
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "TwoLevelParams",
     "KineticMediumParams",
     "PhotonParams",
-    "breit_wigner_tau",
     "mean_delay",
     "group_index_coefficient",
     "cross_section_tau2",
@@ -67,6 +66,11 @@ class LorentzMediumParams:
         if not (self.plasma_frequency > 0 and np.isfinite(self.plasma_frequency)):
             raise ValueError("plasma_frequency must be positive and finite")
 
+    def response(self) -> RationalResponse:
+        """The oscillator's response: chi(omega) up to a constant factor,
+        which S(omega) / S(omega_first) cancels."""
+        return self.oscillator.response()
+
 
 @dataclass(frozen=True)
 class TwoLevelParams:
@@ -87,6 +91,12 @@ class TwoLevelParams:
             raise ValueError("gamma must be positive and finite")
         if not (0 <= self.gamma0 <= self.gamma):
             raise ValueError("gamma0 must satisfy 0 <= gamma0 <= gamma")
+
+    def response(self) -> RationalResponse:
+        """(omega - omega0 - +i gamma/2)**(+-1/pi), upper sign on the "upper"
+        branch: its tau is the propagator 1/[pi (gamma/2 +- i(omega - omega0))]."""
+        sign = 1.0 if self.branch == "upper" else -1.0
+        return RationalResponse(1.0, ((self.omega0 + 0.5j * sign * self.gamma, 1, sign / np.pi),))
 
 
 @dataclass(frozen=True)
@@ -123,25 +133,6 @@ class PhotonParams:
         at the rounded roots +-sqrt(k^2 - i eta) would leave tau2 far from
         zero on the shell omega = k when eta is small."""
         return RationalResponse(4.0 * np.pi, ((self.k_abs**2 - 1j * self.eta, 2, -1),))
-
-
-def breit_wigner_tau(params: TwoLevelParams, omega):
-    """Complex time tau1 + i tau2 of a single Breit-Wigner resonance factor.
-
-    The response 1/[pi (gamma/2 +- i(omega - omega0))] gives
-
-        tau1 = (gamma/2) / (pi D)          (both branches)
-        tau2 = -+ (omega - omega0) / (pi D)
-
-    where D = (omega - omega0)^2 + gamma^2/4.  The "upper" branch puts
-    the pole in the upper half-plane (advanced), the "lower" branch is
-    the retarded one.  tau2 keeps its sign of zero at omega0.
-    """
-    om = np.asarray(omega, dtype=float)
-    detune = om - params.omega0
-    den = np.pi * (detune**2 + 0.25 * params.gamma**2)
-    tau2 = -detune / den if params.branch == "upper" else detune / den
-    return _pointwise(omega, _complex(0.5 * params.gamma / den, tau2))
 
 
 def mean_delay(params: KineticMediumParams) -> float:

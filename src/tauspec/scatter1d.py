@@ -4,9 +4,8 @@ Units: hbar = 1 and 2m = 1, so the lead wavenumber is k = sqrt(E).
 Profiles are ordered left to right; the leads on both sides are at zero
 potential.  Transfer matrices through classically forbidden segments are
 accumulated in scaled form, so deep tunnelling (kappa a of hundreds) stays
-finite; only the explicit full-scale matrix can overflow.  The energy
-derivative of the product rides through the same products, so one sweep
-gives the transmission and its exact complex time.
+finite.  The energy derivative of the product rides through the same
+products, so one sweep gives the transmission and its exact complex time.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from .errors import DegenerateEnergy, ZeroTransmission
 __all__ = [
     "PotentialProfile",
     "ScatteringMatrix1D",
-    "transfer_matrix",
     "s_matrix",
     "transmission_probability",
     "transmission_and_time",
@@ -140,21 +138,6 @@ def _transfer(profile: PotentialProfile, energy, derivative: bool = False):
     # by -Im T21 / (2E) per unit energy.
     dt22 = _complex(0.5 * (g00 + g11), 0.5 * (g10 / k0 - k0 * g01 - t21.imag / energy))
     return t22, t21, log_scale, dt22
-
-
-def transfer_matrix(profile: PotentialProfile, energy) -> np.ndarray:
-    """Full amplitude-basis transfer matrix across the profile.
-
-    Maps (rightward, leftward) amplitudes on the left lead to those on the
-    right lead, with phases referenced to the structure edges.  A free
-    stretch of width a gives diag(e^{ika}, e^{-ika}).  For strongly
-    forbidden profiles the entries grow like e^{kappa a}; use
-    ``s_matrix`` when only amplitudes are needed.  An energy array of
-    shape (...) gives matrices of shape (..., 2, 2).
-    """
-    t22, t21, log_scale, _ = _transfer(profile, energy)
-    scaled = np.stack([np.conj(t22), np.conj(t21), t21, t22], axis=-1)
-    return np.exp(log_scale)[..., None, None] * scaled.reshape(t22.shape + (2, 2))
 
 
 def s_matrix(profile: PotentialProfile, energy) -> ScatteringMatrix1D:

@@ -124,6 +124,12 @@ class TestContainers:
         t = TemporalSpectrum(g, np.arange(5.0), -np.arange(5.0))
         np.testing.assert_allclose(t.tau, np.arange(5.0) * (1 - 1j))
 
+    def test_temporal_tau_keeps_negative_zero(self):
+        """tau2 = -0 stays -0 in tau: tau1 + 1j * tau2 would make it +0."""
+        t = TemporalSpectrum(FrequencyGrid([1.0, 2.0, 3.0]), np.ones(3), [-0.0, 1.0, -0.0])
+        assert np.array_equal(np.signbit(t.tau.imag), [True, False, True])
+        assert np.array_equal(t.tau.real, t.tau1) and np.array_equal(t.tau.imag, t.tau2)
+
     def test_interior_drops_edge_nodes(self):
         g = FrequencyGrid.linspace(0.0, 1.0, 9)
         t = TemporalSpectrum(g, np.ones(9), np.zeros(9), edge_nodes=2)
@@ -274,7 +280,7 @@ POINTWISE = {
     "RationalResponse.values": (lambda w: _OSC.response().values(w), 0.7, complex),
     "RationalResponse.ratio": (lambda w: _OSC.response().ratio(w, 0.5), 0.7, complex),
     "RationalResponse.tau": (lambda w: _OSC.response().tau(w), 0.7, complex),
-    "breit_wigner_tau": (lambda w: physics.breit_wigner_tau(_LEVEL, w), 1.9, complex),
+    "breit_wigner_tau": (lambda w: _LEVEL.response().tau(w), 1.9, complex),
     "s_matrix": (lambda e: dataclasses.astuple(s_matrix(_BARRIER, e)), 0.9, (complex,) * 4),
     "transmission_probability": (lambda e: transmission_probability(_BARRIER, e), 0.9, float),
     "complex_time": (lambda e: complex_time(_BARRIER, e), 0.9, complex),

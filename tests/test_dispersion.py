@@ -24,12 +24,10 @@ from tauspec.dispersion import (
     residue_time_domain,
     sum_rule_scale,
     tau_kk_residual,
-    time_sum_rule,
     winding_number,
 )
 from tauspec.errors import (
     GridError,
-    InsufficientDecay,
     NonPositiveGrid,
     NonUniformGrid,
     OriginGapTooWide,
@@ -330,26 +328,6 @@ class TestFrequencySumRule:
         temp = TemporalSpectrum(g2, np.ones(22), np.zeros(22))
         with pytest.raises(GridError):
             frequency_sum_rule(spec, temp)
-
-
-class TestTimeSumRule:
-    def test_decaying_wave_balances_to_inverse_width(self):
-        times = np.arange(0.0, 14000.0, 0.05)
-        s_t = -1j * np.exp((-1j - 0.001) * times)
-        tau_t = np.exp((-1j - 0.001) * times)
-        value = time_sum_rule(s_t, tau_t, times)
-        assert value == pytest.approx(-500j, rel=1e-3)
-
-    def test_insufficient_decay_raises(self):
-        times = np.arange(0.0, 10.0, 0.01)
-        s_t = np.exp(-1j * times)
-        with pytest.raises(InsufficientDecay):
-            time_sum_rule(s_t, s_t, times)
-
-    def test_zero_signal_is_zero(self):
-        times = np.arange(0.0, 10.0, 0.01)
-        zero = np.zeros_like(times, dtype=complex)
-        assert time_sum_rule(zero, zero, times) == 0j
 
 
 class TestResidueSeries:

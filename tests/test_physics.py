@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from tauspec import fileio
-from tauspec.core import FrequencyGrid
+from tauspec import cli, fileio
+from tauspec.core import FrequencyGrid, reconstruct
 from tauspec.errors import NonPositiveCrossSection, NonPositiveEta
 from tauspec.physics import (
     CLASSICAL_ELECTRON_RADIUS_CM,
@@ -14,7 +14,6 @@ from tauspec.physics import (
     OscillatorParams,
     PhotonParams,
     TwoLevelParams,
-    breit_wigner_tau,
     cross_section_tau2,
     group_index_coefficient,
     mean_delay,
@@ -44,6 +43,17 @@ def photon_reference(om, k_abs, eta):
     u = om**2 - k_abs**2
     den = u**2 + eta**2
     return 4.0 * np.pi / (u + 1j * eta), 2.0 * om * eta / den, 2.0 * om * u / den
+
+
+def breit_wigner_reference(params, om):
+    """(S normalised at om[0], tau) of one Breit-Wigner level, written out:
+    S = ((omega - r) / (omega_first - r))**p with r = omega0 +- i gamma/2
+    and p = +-1/pi, and the propagator tau = 1/(pi (gamma/2 +- i Delta)),
+    Delta = omega - omega0, the upper sign on the "upper" branch."""
+    sign = 1.0 if params.branch == "upper" else -1.0
+    root = complex(params.omega0, sign * 0.5 * params.gamma)
+    values = ((om - root) / (om[0] - root)) ** (sign / np.pi)
+    return values, 1.0 / (np.pi * (0.5 * params.gamma + 1j * sign * (om - params.omega0)))
 
 
 def assert_matches_reference(got, want):
@@ -137,30 +147,69 @@ class TestLorentz:
 class TestBreitWigner:
     def test_resonance_peak(self):
         params = TwoLevelParams(omega0=5.0, gamma=0.2)
-        tau = breit_wigner_tau(params, 5.0)
+        tau = params.response().tau(5.0)
         assert tau.real == pytest.approx(2.0 / (np.pi * 0.2))
         assert tau.real == pytest.approx(3.18310, abs=1e-5)
         assert tau.imag == 0.0
 
     def test_branch_flips_formation_sign(self):
-        lower = breit_wigner_tau(TwoLevelParams(5.0, 0.2, branch="lower"), 5.3).imag
-        upper = breit_wigner_tau(TwoLevelParams(5.0, 0.2, branch="upper"), 5.3).imag
+        lower = TwoLevelParams(5.0, 0.2, branch="lower").response().tau(5.3).imag
+        upper = TwoLevelParams(5.0, 0.2, branch="upper").response().tau(5.3).imag
         assert lower == pytest.approx(-upper)
         assert lower > 0
 
+    @pytest.mark.parametrize("branch", ["lower", "upper"])
+    @pytest.mark.parametrize("gamma", [1e-3, 0.2])
+    def test_tau_is_the_propagator(self, branch, gamma):
+        """The 1/pi-power factor's tau is 1/(pi (gamma/2 +- i Delta)) to 1e-15."""
+        params = TwoLevelParams(1.5, gamma, branch=branch)
+        want = breit_wigner_reference(params, WIDE.values)[1]
+        np.testing.assert_allclose(params.response().tau(WIDE.values), want, rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("branch", ["lower", "upper"])
+    def test_sampler_matches_normalised_closed_form(self, branch):
+        """S is ((omega - r)/(omega_first - r))**p to 1e-13 at 120,001 nodes,
+        and tau is the response's, bit for bit."""
+        params = TwoLevelParams(1.5, 0.2, 0.1, branch)
+        values, tau1, tau2 = sample("breit_wigner", params, WIDE)
+        want = breit_wigner_reference(params, WIDE.values)[0]
+        np.testing.assert_allclose(values, want, rtol=1e-13, atol=0)
+        tau = params.response().tau(WIDE.values)
+        assert np.array_equal(tau1, tau.real) and np.array_equal(tau2, tau.imag)
+
     @pytest.mark.parametrize("path", ["function", "sampler"])
-    def test_upper_branch_keeps_negative_zero_at_omega0(self, path):
-        """tau2 = -(omega - omega0)/(pi D) is -0 at omega0 on the upper branch,
-        which the csv writes as -0.000000000000e+00, and +0 on the lower."""
+    def test_tau2_vanishes_at_omega0(self, path):
+        """tau2 = -+(omega - omega0)/(pi D) is zero at omega0 on both branches."""
         om = np.array([9.9, 10.0, 10.1])
-        for branch, negative in (("upper", True), ("lower", False)):
+        for branch in ("upper", "lower"):
             params = TwoLevelParams(10.0, 0.2, branch=branch)
             if path == "function":
-                tau2 = breit_wigner_tau(params, om).imag
+                tau2 = params.response().tau(om).imag
             else:
                 tau2 = sample("breit_wigner", params, FrequencyGrid(om))[2]
-            assert tau2[1] == 0.0 and np.signbit(tau2[1]) == negative
-        assert np.signbit(breit_wigner_tau(TwoLevelParams(10.0, 0.2, branch="upper"), 10.0).imag)
+            assert tau2[1] == 0.0 and tau2[0] * tau2[2] < 0
+        assert TwoLevelParams(10.0, 0.2, branch="upper").response().tau(10.0).imag == 0.0
+
+    @pytest.mark.parametrize("branch", ["lower", "upper"])
+    def test_reconstruct_of_written_tau_gives_written_spectrum(self, tmp_path, branch):
+        """The trapezoid rebuild of m.tau.csv from S = 1 at the first node
+        gives m.spectrum.csv within the trapezoid's error bound,
+        (b - a) h^2 max|tau''| / 12 with max|tau''| = 2 / (pi (gamma/2)^3),
+        and the error falls as h^2."""
+        doc = tmp_path / "m.json"
+        doc.write_text(f'{{"type": "breit_wigner", "omega0": 10.0, "gamma": 0.2, '
+                       f'"branch": "{branch}"}}')
+        errors = []
+        for points in (201, 401):
+            stem = str(tmp_path / "m")
+            assert cli.main(["model", str(doc), "--from", "9.5", "--to", "10.5",
+                             "--points", str(points), "-o", stem]) == 0
+            written = fileio.read_spectrum(stem + ".spectrum.csv").values
+            rebuilt = reconstruct(fileio.read_temporal(stem + ".tau.csv"), 9.5, 1.0 + 0.0j)
+            errors.append(np.max(np.abs(rebuilt.values / written - 1.0)))
+            h = 1.0 / (points - 1)
+            assert errors[-1] <= h**2 / 12 * 2 / (np.pi * 0.1**3)
+        assert errors[0] / errors[1] == pytest.approx(4.0, rel=0.01)
 
     def test_unknown_branch_rejected(self):
         with pytest.raises(ValueError, match="branch"):
@@ -169,7 +218,7 @@ class TestBreitWigner:
     def test_delay_integral_normalisation(self):
         """Both branch delays together integrate to 2 over a wide window."""
         om = np.linspace(5.0 - 25.0, 5.0 + 25.0, 200001)
-        t_lo, t_up = (breit_wigner_tau(TwoLevelParams(5.0, 0.5, branch=branch), om).real
+        t_lo, t_up = (TwoLevelParams(5.0, 0.5, branch=branch).response().tau(om).real
                       for branch in ("lower", "upper"))
         total = np.trapezoid(t_lo + t_up, om)
         assert total == pytest.approx(2.0, rel=0.02)

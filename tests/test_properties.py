@@ -22,7 +22,7 @@ from tauspec.dispersion import Contour, residue_time_domain, winding_number
 from tauspec.errors import GridError
 from tauspec.extract import ExtractionOptions, extract_temporal, uncertainty_product
 from tauspec.fileio import format_artifact, read_table
-from tauspec.physics import PhotonParams, TwoLevelParams, breit_wigner_tau, cross_section_tau2
+from tauspec.physics import PhotonParams, TwoLevelParams, cross_section_tau2
 from tauspec.scatter1d import PotentialProfile, s_matrix
 
 COMMON = dict(max_examples=25, deadline=None)
@@ -164,8 +164,8 @@ class TestTwoLevel:
     def test_branch_identities(self, omega0, gamma, detune):
         omega = omega0 + detune * gamma
         denom = (omega - omega0) ** 2 + gamma**2 / 4
-        up = breit_wigner_tau(TwoLevelParams(omega0, gamma, branch="upper"), omega)
-        down = breit_wigner_tau(TwoLevelParams(omega0, gamma), omega)
+        up = TwoLevelParams(omega0, gamma, branch="upper").response().tau(omega)
+        down = TwoLevelParams(omega0, gamma).response().tau(omega)
         assert up.real == pytest.approx(gamma / (2 * np.pi * denom), rel=1e-12)
         assert up.real == down.real
         assert up.imag == pytest.approx(-down.imag, rel=1e-12, abs=1e-15)

@@ -33,12 +33,6 @@ ALLOWED = {
     "with it",
     "combined_response": "the step-weighted sum of the two front branches; kept with "
     "them",
-    "transfer_matrix": "the amplitude-basis transfer matrix that test_scatter1d "
-    "composes to check the real-basis sweep",
-    "save_model": "the writer of model documents, the other half of the load_model "
-    "round-trip tests",
-    "time_sum_rule": "the time-domain form of the balance that the sumrule verb "
-    "takes in frequency",
 }
 
 

@@ -7,19 +7,31 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tauspec import scatter1d
 from tauspec.errors import DegenerateEnergy, ZeroTransmission
 from tauspec.scatter1d import (
     PotentialProfile,
     complex_time,
     find_resonance,
     s_matrix,
-    transfer_matrix,
     transmission_and_time,
     transmission_probability,
 )
 
 BARRIER = PotentialProfile.single(width=2.0, height=1.0)
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def transfer_matrix(profile, energy):
+    """The full amplitude-basis transfer matrix e^L [[conj T22, conj T21],
+    [T21, T22]] of the scaled sweep, of shape (..., 2, 2) over an energy
+    array of shape (...).  It maps (rightward, leftward) amplitudes on the
+    left lead to those on the right lead, with phases referenced to the
+    structure edges, so a free stretch of width a gives
+    diag(e^{ika}, e^{-ika})."""
+    t22, t21, log_scale, _ = scatter1d._transfer(profile, energy)
+    scaled = np.stack([np.conj(t22), np.conj(t21), t21, t22], axis=-1)
+    return np.exp(log_scale)[..., None, None] * scaled.reshape(t22.shape + (2, 2))
 
 
 def central_difference(profile, energy, h):
