@@ -139,6 +139,20 @@ def _cases() -> dict:
         ("model-negative-exponent", _verb(_doc(MODELS["lorentz"][0]), "model", "m.json",
                                           "--from", "-1e3", "--to", "1e3", "--points", "201",
                                           "-o", "m")),
+        # Negative bounds written with digit underscores.
+        ("model-negative-underscore", _verb(_doc(MODELS["lorentz"][0]), "model", "m.json",
+                                            "--from", "-1_0", "--to", "1_0.0_5", "--points",
+                                            "201", "-o", "m")),
+        # S is exactly 1 at the first node, where the anchored ratio of a
+        # factor once rounded to 1 plus a few 1e-18j.
+        ("model-anchor-breit_wigner", _verb(_doc({"type": "breit_wigner", "omega0": 1.5,
+                                                  "gamma": 0.2, "gamma0": 0.1}),
+                                            "model", "m.json", "--from", "0.05", "--to",
+                                            "3.0", "--points", "201", "-o", "m")),
+        ("model-anchor-lorentz", _verb(_doc({"type": "lorentz", "plasma_frequency": 2.0,
+                                             "omega0": 1.0, "gamma": 0.1}),
+                                       "model", "m.json", "--from", "0.3", "--to", "3.0",
+                                       "--points", "201", "-o", "m")),
         ("report", _verb({"s.csv": RESONANCE, "t.csv": TAU, "b.csv": BARRIER_TABLE,
                           "kk.txt": KK_ARTIFACT}, "report", "s.csv", "t.csv", "b.csv",
                          "kk.txt", "--gnuplot", "plot.gp")),

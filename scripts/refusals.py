@@ -25,6 +25,15 @@ BARRIER = "energy,transmission,phase,tau1,tau2"
 BLASCHKE = {"type": "blaschke", "resonances": [[1.0, 0.2]]}
 OSCILLATOR = {"type": "oscillator", "omega0": 1.0, "gamma": 0.1}
 BARRIER_DOC = {"type": "barrier", "segments": [[2.0, 1.0]]}
+# One document of each kind, by kind.
+KINDS = {
+    "blaschke": BLASCHKE,
+    "oscillator": OSCILLATOR,
+    "lorentz": {"type": "lorentz", "plasma_frequency": 2.0, "omega0": 1.0, "gamma": 0.1},
+    "breit_wigner": {"type": "breit_wigner", "omega0": 1.0, "gamma": 0.1},
+    "photon": {"type": "photon", "k_abs": 1.0, "eta": 1e-2},
+    "barrier": BARRIER_DOC,
+}
 
 
 class Refusal(NamedTuple):
@@ -171,6 +180,11 @@ CASES = {
     "barrier-kind": Refusal(
         model_file(OSCILLATOR), ("barrier", *MODEL[1:-1], "b.csv"), 2,
         "error: m.json: barrier needs a potential-profile model"),
+    # barrier on each other kind; "barrier-kind" is the oscillator's case.
+    **{f"barrier-kind-{kind}": Refusal(
+        model_file(doc), ("barrier", *MODEL[1:-1], "b.csv"), 2,
+        "error: m.json: barrier needs a potential-profile model")
+       for kind, doc in KINDS.items() if kind not in ("oscillator", "barrier")},
     "barrier-points-past-cap": Refusal(
         model_file(BARRIER_DOC),
         ("barrier", "m.json", "--from", "0.5", "--to", "1.5", "--points", "10000001",
@@ -188,6 +202,11 @@ CASES = {
     "winding-kind": Refusal(
         model_file(OSCILLATOR), ("winding", "m.json", "--rect", "0", "2", "-1", "1"), 2,
         "error: m.json: winding needs a pole-zero model"),
+    # winding on each other kind; "winding-kind" is the oscillator's case.
+    **{f"winding-kind-{kind}": Refusal(
+        model_file(doc), ("winding", "m.json", "--rect", "0", "2", "-1", "1"), 2,
+        "error: m.json: winding needs a pole-zero model")
+       for kind, doc in KINDS.items() if kind not in ("oscillator", "blaschke")},
     "winding-edge-through-zero": Refusal(
         model_file(BLASCHKE), ("winding", "m.json", "--rect", "0", "2", "0.1", "1"), 4,
         "error: contour edge within 1e-6 of a zero or pole"),

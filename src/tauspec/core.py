@@ -209,13 +209,15 @@ class RationalResponse:
 
     def ratio(self, omega, anchor: float):
         """S(omega) / S(anchor), taken one factor at a time: no partial
-        product under- or overflows where every factor's ratio is finite."""
+        product under- or overflows where every factor's ratio is finite.
+        It is exactly 1 at the anchor itself, where the complex division of
+        a factor by itself may round to 1 + 3e-18j."""
         om = np.asarray(omega, dtype=complex)
         out = np.ones(om.shape, dtype=complex)
         for root, degree, power in self.factors:
             base = (om**degree - root) / (anchor**degree - root)
             out = out / base if power == -1 else out * base**power
-        return _pointwise(omega, out)
+        return _pointwise(omega, np.where(om == anchor, 1, out))
 
     def tau(self, omega):
         """Complex time tau1 + i tau2 at real or complex frequencies."""

@@ -12,6 +12,7 @@ import io
 import itertools
 import json
 import os
+import stat
 import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -51,8 +52,6 @@ SPECTRUM_HEADER = "omega,re,im"
 TEMPORAL_HEADER = "omega,tau1,tau2"
 BARRIER_HEADER = "energy,transmission,phase,tau1,tau2"
 ARTIFACT_PREFIX = "# tauspec:"
-_TABLE_FORMATS = {SPECTRUM_HEADER: "spectrum", TEMPORAL_HEADER: "temporal",
-                  BARRIER_HEADER: "barrier"}
 ARTIFACT_VERSION = "v1"
 
 
@@ -250,15 +249,15 @@ def _check_rows(count: int) -> None:
         raise ValueError(f"table has more than {MAX_POINTS} rows")
 
 
-def _loadtxt(rows, width: int, skiprows: int = 0):
-    """numpy's parse of csv ``rows`` after ``skiprows`` lines, at most one
-    past the cap, or None where numpy refuses them or finds no rows or a
-    column count other than ``width``."""
+def _loadtxt(rows, width: int, max_rows: int, skiprows: int = 0):
+    """numpy's parse of at most ``max_rows`` csv ``rows`` after ``skiprows``
+    lines, or None where numpy refuses them or finds no rows or a column
+    count other than ``width``.  numpy reserves room for ``max_rows`` rows."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             arr = np.loadtxt(rows, dtype=float, delimiter=",", comments=None, ndmin=2,
-                             skiprows=skiprows, max_rows=MAX_POINTS + 1)
+                             skiprows=skiprows, max_rows=max_rows)
     except (ValueError, Warning, OSError):  # OSError: a reopen failed, e.g. with no cwd
         return None
     return arr if len(arr) and arr.shape[1] == width else None
@@ -275,6 +274,8 @@ def read_table(path: str):
     still refuses is read again line by line by ``_parse_rows``, which
     skips those lines too and names a bad row.  Either way a table of more
     than ``MAX_POINTS`` rows is refused once the row past the cap is read.
+    numpy reserves room for every row it may read: for a regular file as
+    many as its size holds at 2 bytes a cell, for a pipe one past the cap.
     """
     with _naming(path), open(path, "r") as fh:
         start = 0
@@ -284,16 +285,20 @@ def read_table(path: str):
             start += 1
         header = header.strip()
         width = len(header.split(","))
+        max_rows = MAX_POINTS + 1
+        info = os.fstat(fh.fileno())
+        if stat.S_ISREG(info.st_mode):  # a row of width cells takes 2 * width bytes or more
+            max_rows = min(max_rows, info.st_size // (2 * width) + 1)
         if os.path.isfile(name := f"/dev/fd/{fh.fileno()}"):
             fh.seek(0)  # where /dev/fd dups the descriptor, numpy reads from its offset
-            arr = _loadtxt(name, width, skiprows=start + 1)
+            arr = _loadtxt(name, width, max_rows, skiprows=start + 1)
         else:
-            arr = _loadtxt(fh, width)
+            arr = _loadtxt(fh, width, max_rows)
         if arr is None:
             # numpy reads a whitespace-only line as a one-column row.
             fh.seek(0)
             arr = _loadtxt((ln for ln in itertools.islice(fh, start + 1, None)
-                            if ln.strip()), width)
+                            if ln.strip()), width, max_rows)
         if arr is None:
             fh.seek(0)
             arr = _parse_rows(fh, start, width)
@@ -353,6 +358,30 @@ def read_barrier_table(path: str):
         return (grid, *cols)
 
 
+class _TableFormat(NamedTuple):
+    """A csv table format: its header, its reader, the grid and extremes
+    that ``report`` prints of what the reader returns, and the header
+    columns a plot draws."""
+
+    header: str
+    read: Callable[[str], object]
+    summary: Callable[[object], tuple]
+    plotted: tuple
+
+
+# Each csv table format, by the name detect_format gives it.
+TABLE_FORMATS = {
+    "spectrum": _TableFormat(SPECTRUM_HEADER, read_spectrum, lambda s: (
+        s.grid, {"max_abs": np.max(np.abs(s.values))}), ("re", "im")),
+    "temporal": _TableFormat(TEMPORAL_HEADER, read_temporal, lambda t: (
+        t.grid, {"max_abs_tau1": np.max(np.abs(t.tau1)),
+                 "max_abs_tau2": np.max(np.abs(t.tau2))}), ("tau1", "tau2")),
+    "barrier": _TableFormat(BARRIER_HEADER, read_barrier_table, lambda b: (
+        b[0], {"transmission_max": np.max(b[1]), "transmission_min": np.min(b[1])}),
+        ("transmission", "tau1", "tau2")),
+}
+
+
 @dataclass(frozen=True)
 class ModelDocument:
     """A typed model loaded from JSON: kind tag plus parameter object."""
@@ -360,16 +389,22 @@ class ModelDocument:
     kind: str
     params: object
 
+    def serves(self, *capabilities: str) -> bool:
+        """Whether this kind serves any of ``capabilities``: "spectrum" (a
+        spectral sample), "contour" (a pole-zero contour count) or
+        "profile" (a potential profile)."""
+        entry = _MODEL_KINDS.get(self.kind)
+        return entry is not None and not entry.serves.isdisjoint(capabilities)
+
     def sample(self, grid: FrequencyGrid):
         """Spectrum S and complex time tau on ``grid``.  An anchored kind
         gives S(omega) / S(omega_first), one factor at a time, so a scale
         such as the Lorentz medium's plasma_frequency cancels; the others
         give S itself, through the proximity guards of a PoleZeroModel."""
-        entry = _MODEL_KINDS.get(self.kind)
-        if entry is None or entry.anchored is None:
+        if not self.serves("spectrum"):
             raise ValueError(f"model kind {self.kind!r} is not a spectral model")
         om = grid.values
-        if entry.anchored:
+        if _MODEL_KINDS[self.kind].anchored:
             response = self.params.response()
             return response.ratio(om, om[0]), response.tau(om)
         return evaluate_model(self.params, om), model_tau(self.params, om)
@@ -440,25 +475,28 @@ def _load_barrier(doc: dict):
 
 class _ModelKind(NamedTuple):
     """One model kind: its JSON fields besides ``type``, its loader from
-    JSON to parameter object, and whether its spectrum is normalised at the
-    first node (None: no spectrum).  Loaders import ``physics`` or
-    ``scatter1d`` themselves, so only a kind that needs one of them loads it."""
+    JSON to parameter object, the capabilities it serves (see
+    ``ModelDocument.serves``), and whether its spectrum is normalised at the
+    first node.  Loaders import ``physics`` or ``scatter1d`` themselves, so
+    only a kind that needs one of them loads it."""
 
     required: set
     optional: set
     load: Callable[[dict], object]
-    anchored: bool | None
+    serves: frozenset = frozenset({"spectrum"})
+    anchored: bool = False
 
 
 _MODEL_KINDS = {
     "blaschke": _ModelKind({"resonances"}, {"scale", "p", "prefactor_sign"},
-                           _load_blaschke, False),
-    "oscillator": _ModelKind({"omega0", "gamma"}, set(), _load_oscillator, False),
-    "lorentz": _ModelKind({"plasma_frequency", "omega0", "gamma"}, set(), _load_lorentz, True),
+                           _load_blaschke, frozenset({"spectrum", "contour"})),
+    "oscillator": _ModelKind({"omega0", "gamma"}, set(), _load_oscillator),
+    "lorentz": _ModelKind({"plasma_frequency", "omega0", "gamma"}, set(), _load_lorentz,
+                          anchored=True),
     "breit_wigner": _ModelKind({"omega0", "gamma"}, {"gamma0", "branch"},
-                               _load_breit_wigner, True),
-    "photon": _ModelKind({"k_abs", "eta"}, set(), _load_photon, False),
-    "barrier": _ModelKind({"segments"}, set(), _load_barrier, None),
+                               _load_breit_wigner, anchored=True),
+    "photon": _ModelKind({"k_abs", "eta"}, set(), _load_photon),
+    "barrier": _ModelKind({"segments"}, set(), _load_barrier, frozenset({"profile"})),
 }
 
 
@@ -546,6 +584,7 @@ def detect_format(path: str) -> str:
             return "artifact"
         if first.startswith("{"):
             return "model"
-        if first not in _TABLE_FORMATS:
-            raise ValueError("unrecognised file format")
-        return _TABLE_FORMATS[first]
+        for name, table in TABLE_FORMATS.items():
+            if table.header == first:
+                return name
+        raise ValueError("unrecognised file format")

@@ -318,6 +318,15 @@ class TestModel:
         grid = fileio.read_spectrum(stem + ".spectrum.csv").grid.values
         assert (grid[0], grid[-1]) == (-1000.0, 1000.0)
 
+    def test_negative_bound_with_underscores(self, tmp_path):
+        """A bound takes digit underscores as float() does, with or without a sign."""
+        doc = {"type": "oscillator", "omega0": 1.0, "gamma": 0.2}
+        stem = str(tmp_path / "m")
+        assert main(["model", write_json(tmp_path / "m.json", doc), "--from", "-1_0.2_5",
+                     "--to", "1_0e0_0", "--points", "11", "-o", stem]) == 0
+        grid = fileio.read_spectrum(stem + ".spectrum.csv").grid.values
+        assert (grid[0], grid[-1]) == (-10.25, 10.0)
+
     def test_two_points_exits_2(self, refused):
         refused("model-two-points")
 
@@ -718,10 +727,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("name", ERROR_CLASSES)
     def test_main_returns_the_class_exit_code(self, monkeypatch, capsys, name):
-        def fail(args):
+        def fail(args, document):
             raise getattr(errors, name)("boom")
 
-        monkeypatch.setattr(cli, "_cmd_extract", fail)
+        monkeypatch.setitem(cli._VERBS, "extract", cli._VERBS["extract"]._replace(run=fail))
         assert main(["extract", "in.csv", "-o", "out.csv"]) == expected_exit_code(name)
         assert capsys.readouterr().err == "error: boom\n"
 
@@ -833,6 +842,32 @@ for m in ("core", "dispersion", "extract", "physics", "scatter1d"):
     print(*(n for n in module.__all__ if names.get(n) is not getattr(module, n)))
 print(*(hasattr(tauspec, name) for name in ("no_such_name", "core.x", "")))
 """
+
+
+# Imports what kk needs, then caps the address space at what the process
+# maps plus 64 MiB, and runs cli.main on its arguments.
+ADDRESS_SPACE_PROBE = """
+import resource, sys
+from tauspec import cli, dispersion, fileio
+with open("/proc/self/status") as fh:
+    size = next(int(ln.split()[1]) for ln in fh if ln.startswith("VmSize:")) * 1024
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+limit = size + 64 * 2**20
+resource.setrlimit(resource.RLIMIT_AS, (limit if hard < 0 else min(limit, hard), hard))
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
+def test_small_table_reads_in_a_small_address_space(tmp_path):
+    """numpy reserves room for every row it may read: a 5-row table takes
+    what its size can hold, not the rows of the cap (229 MiB at 3 columns)."""
+    path = tmp_path / "s.csv"
+    path.write_text(refusals.rows(refusals.SPECTRUM, *(f"{k},1,0.5" for k in range(5))))
+    proc = subprocess.run([sys.executable, "-c", ADDRESS_SPACE_PROBE, "kk", str(path)],
+                          env=src_env(), capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("# tauspec:kk v1\n")
 
 
 class TestLoading:

@@ -13,6 +13,7 @@ from tauspec.core import (
     ComplexSpectrum,
     FrequencyGrid,
     PoleZeroModel,
+    RationalResponse,
     TemporalSpectrum,
     evaluate_model,
     extend_negative_frequencies,
@@ -69,6 +70,31 @@ class TestPoleZeroFamily:
         np.testing.assert_array_equal(tau1_pos, tau1_neg)
         np.testing.assert_array_equal(tau2_pos, -tau2_neg)
         np.testing.assert_array_equal(tau2_pos, -1j * np.sign(t) * tau1_pos)
+
+
+# A factor (root, degree, power) of a RationalResponse, its root off the real axis.
+factors = st.lists(st.tuples(
+    st.builds(complex, st.floats(min_value=-5.0, max_value=5.0),
+              st.floats(min_value=0.05, max_value=2.0) | st.floats(min_value=-2.0,
+                                                                   max_value=-0.05)),
+    st.sampled_from((1, 2)),
+    st.sampled_from((-1.0, 1.0, 2.0, 1.0 / np.pi, -1.0 / np.pi)),
+), min_size=1, max_size=4).map(tuple)
+
+
+class TestAnchoredRatio:
+    @settings(**COMMON)
+    @given(factors=factors, anchor=st.floats(min_value=-5.0, max_value=5.0))
+    def test_exactly_one_at_the_anchor(self, factors, anchor):
+        """S(omega)/S(anchor) is 1 + 0j bit for bit where omega is the anchor,
+        and the quotient of the two values elsewhere."""
+        response = RationalResponse(2.0 - 1.0j, factors)
+        omega = np.array([anchor, anchor + 0.5, anchor - 0.25, anchor])
+        ratio = response.ratio(omega, anchor)
+        assert [(z.real, z.imag) for z in ratio[[0, 3]]] == [(1.0, 0.0)] * 2
+        assert response.ratio(anchor, anchor) == 1.0
+        np.testing.assert_allclose(
+            ratio[1:3], response.values(omega[1:3]) / response.values(anchor), rtol=1e-12)
 
 
 class TestWindingCount:
