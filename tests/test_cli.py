@@ -853,7 +853,8 @@ with open("/proc/self/status") as fh:
     size = next(int(ln.split()[1]) for ln in fh if ln.startswith("VmSize:")) * 1024
 hard = resource.getrlimit(resource.RLIMIT_AS)[1]
 limit = size + 64 * 2**20
-resource.setrlimit(resource.RLIMIT_AS, (limit if hard < 0 else min(limit, hard), hard))
+resource.setrlimit(resource.RLIMIT_AS,
+                   (limit if hard == resource.RLIM_INFINITY else min(limit, hard), hard))
 sys.exit(cli.main(sys.argv[1:]))
 """
 
