@@ -1,20 +1,24 @@
 #!/usr/bin/env python3
 """Write one benchmark snapshot, BENCH_<N>.json, at the root of this checkout.
 
-Usage: bench_snapshot.py N [--checkout DIR] [--seeds S ...] [--seconds T]
+Usage: bench_snapshot.py N [--checkout DIR]
 
 Runs ``bench/run.py --trace 0`` of the checkout DIR (default: this one)
-once per workload and seed, workload by workload, and writes:
+once per workload and seed, over seeds 1 to 5 and for the
+``run_seconds`` of BENCHMARK.json, workload by workload, and writes:
 
 - the commit of DIR and the ``src_digest`` its runs report;
 - the environment of its first run, less the fields of one run;
 - per workload, each run's seed, ``correct``, ``attempted`` and
   ``failed``, and the median and quartiles of each end-to-end metric
   over the runs (``statistics.quantiles``, inclusive method);
-- two calibration timings, the best of seven, taken before the runs: a
-  complex FFT of 2**20 points and a pure-Python loop of 10**6 additions.
-  Snapshots from different machines or sessions compare as ratios to
-  these.
+- three calibration timings, the best of seven, taken before the runs:
+  a complex FFT of 2**20 points, a pure-Python loop of 10**6 additions,
+  and a 4 KiB file written and renamed over an existing one in DIR's
+  ``.bench_work``, as each output of a verb is.  Snapshots from
+  different machines or sessions compare as ratios to these; the rename
+  shows a file system that flushes on such a rename, which slows
+  ``bulk_tables`` and no CPU timing.
 
 A run that prints no result stops the snapshot with exit code 1 and
 writes nothing.
@@ -22,6 +26,7 @@ writes nothing.
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -30,6 +35,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("cli_session", "bulk_tables", "kernel_sweep")
+SEEDS = (1, 2, 3, 4, 5)
 # Fields of the environment that belong to one run, not to the snapshot.
 RUN_FIELDS = {"workload", "seed", "seconds", "trace", "tauspec_file"}
 
@@ -43,11 +49,23 @@ def _best_of(func, repeats: int = 7) -> float:
     return min(times)
 
 
-def calibrate() -> dict:
+def _replace_existing(directory: Path) -> None:
+    new, target = directory / ".calibration.new", directory / ".calibration"
+    new.write_bytes(b"0" * 4096)
+    os.replace(new, target)
+
+
+def calibrate(checkout: Path) -> dict:
     import numpy as np
     x = np.random.default_rng(0).standard_normal(1 << 20) * (1 + 1j)
-    return {"fft_2e20_complex_s": _best_of(lambda: np.fft.fft(x)),
-            "python_loop_1e6_s": _best_of(lambda: sum(range(10**6)))}
+    work = checkout / ".bench_work"
+    work.mkdir(exist_ok=True)
+    _replace_existing(work)  # so that each timed rename replaces a file
+    timings = {"fft_2e20_complex_s": _best_of(lambda: np.fft.fft(x)),
+               "python_loop_1e6_s": _best_of(lambda: sum(range(10**6))),
+               "replace_existing_4k_s": _best_of(lambda: _replace_existing(work))}
+    (work / ".calibration").unlink()
+    return timings
 
 
 def quartiles(values) -> dict:
@@ -92,19 +110,18 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Write BENCH_<N>.json.")
     parser.add_argument("number", type=int)
     parser.add_argument("--checkout", type=Path, default=ROOT)
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3, 4, 5])
-    parser.add_argument("--seconds", type=float, default=20.0)
     args = parser.parse_args(argv)
+    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
     commit = subprocess.run(["git", "-C", str(args.checkout), "rev-parse", "HEAD"],
                             capture_output=True, text=True, check=True).stdout.strip()
-    snapshot = {"commit": commit, "seeds": args.seeds, "seconds": args.seconds,
-                "calibration": calibrate(), "workloads": {}}
+    snapshot = {"commit": commit, "seeds": list(SEEDS), "seconds": seconds,
+                "calibration": calibrate(args.checkout), "workloads": {}}
     digests = set()
     try:
         for workload in WORKLOADS:
             runs = []
-            for seed in args.seeds:
-                env, run = bench_run(args.checkout, workload, seed, args.seconds)
+            for seed in SEEDS:
+                env, run = bench_run(args.checkout, workload, seed, seconds)
                 digests.add(env["src_digest"])
                 snapshot.setdefault("environment", {k: v for k, v in env.items()
                                                     if k not in RUN_FIELDS | {"src_digest"}})

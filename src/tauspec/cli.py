@@ -215,20 +215,20 @@ def _grid_arguments(nodes: str, output_help: str | None) -> tuple:
 
 
 # A verb: its help line; its arguments, each (flags, add_argument keywords);
-# its run step, which takes the parsed arguments and the model document and
-# returns the (kind, mapping) of the artifact it prints, if any; the check of
-# its sizes and bounds, run before anything is read; and the capabilities of
-# which its model must serve one (see fileio.ModelDocument.serves), with the
-# refusal of one that serves none.  A verb with no capabilities reads no model.
-_Verb = collections.namedtuple("_Verb", "help arguments run check needs refusal",
-                               defaults=(None, (), None))
+# its run step, which takes the parsed arguments and the model document (of
+# a verb with a model argument) and returns the (kind, mapping) of the
+# artifact it prints, if any; the check of its sizes and bounds, run before
+# anything is read; and, where its model must serve a capability (see
+# fileio.ModelDocument.serves), that capability and the refusal of a model
+# that does not serve it.
+_Verb = collections.namedtuple("_Verb", "help arguments run check needs",
+                               defaults=(None, None))
 
 _VERBS = {
     "extract": _Verb("tau1/tau2 from a sampled spectrum",
                      (_arg("input"), _arg("-o", "--output", required=True)), _extract),
     "model": _Verb("sample a model: spectrum and tau files",
-                   _grid_arguments("grid", "output path prefix"), _sample, _check_grid,
-                   ("spectrum", "profile"), "model needs a spectral or potential-profile model"),
+                   _grid_arguments("grid", "output path prefix"), _sample, _check_grid),
     "kk": _Verb("causality residual report",
                 (_arg("input"),
                  _arg("-o", "--output", help="also write the report as an artifact")), _kk),
@@ -242,10 +242,9 @@ _VERBS = {
                            help=f"panels per edge, {MIN_SAMPLES_PER_EDGE} to "
                            f"{MAX_SAMPLES_PER_EDGE} (default {MIN_SAMPLES_PER_EDGE})"),
                       _arg("-o", "--output")),
-                     _winding, _check_contour, ("contour",), "winding needs a pole-zero model"),
+                     _winding, _check_contour, ("contour", "winding needs a pole-zero model")),
     "barrier": _Verb("transmission and delays of a potential", _grid_arguments("energy", None),
-                     _sample, _check_grid, ("profile",),
-                     "barrier needs a potential-profile model"),
+                     _sample, _check_grid, ("profile", "barrier needs a potential-profile model")),
     "report": _Verb("merge results into one document",
                     (_arg("inputs", nargs="+"), _arg("-o", "--output"),
                      _arg("--gnuplot", help="also write a plotting script")), _report),
@@ -290,11 +289,11 @@ def main(argv=None) -> int:
         if verb.check:
             verb.check(args)
         document = None
-        if verb.needs:
+        if "model" in vars(args):
             from . import fileio
             document = fileio.load_model(args.model)
-            if not document.serves(*verb.needs):
-                raise ValueError(f"{args.model}: {verb.refusal}")
+            if verb.needs and not document.serves(verb.needs[0]):
+                raise ValueError(f"{args.model}: {verb.needs[1]}")
         artifact = verb.run(args, document)
         if artifact:
             from . import fileio

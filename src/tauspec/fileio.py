@@ -276,6 +276,8 @@ def read_table(path: str):
     than ``MAX_POINTS`` rows is refused once the row past the cap is read.
     numpy reserves room for every row it may read: for a regular file as
     many as its size holds at 2 bytes a cell, for a pipe one past the cap.
+    A file with more rows than its size can hold (a procfs file, one that
+    grows while read) reaches that bound and is read by ``_parse_rows``.
     """
     with _naming(path), open(path, "r") as fh:
         start = 0
@@ -299,6 +301,8 @@ def read_table(path: str):
             fh.seek(0)
             arr = _loadtxt((ln for ln in itertools.islice(fh, start + 1, None)
                             if ln.strip()), width, max_rows)
+        if arr is not None and len(arr) == max_rows <= MAX_POINTS:
+            arr = None  # more rows than the file's size can hold
         if arr is None:
             fh.seek(0)
             arr = _parse_rows(fh, start, width)
@@ -369,14 +373,16 @@ class _TableFormat(NamedTuple):
     plotted: tuple
 
 
-# Each csv table format, by the name detect_format gives it.
+# Each csv table format, by the name detect_format gives it.  A reader is
+# found by its name at each call, so a wrapper set on this module's
+# attribute (the benchmark's tracer) is the one called.
 TABLE_FORMATS = {
-    "spectrum": _TableFormat(SPECTRUM_HEADER, read_spectrum, lambda s: (
+    "spectrum": _TableFormat(SPECTRUM_HEADER, lambda path: read_spectrum(path), lambda s: (
         s.grid, {"max_abs": np.max(np.abs(s.values))}), ("re", "im")),
-    "temporal": _TableFormat(TEMPORAL_HEADER, read_temporal, lambda t: (
+    "temporal": _TableFormat(TEMPORAL_HEADER, lambda path: read_temporal(path), lambda t: (
         t.grid, {"max_abs_tau1": np.max(np.abs(t.tau1)),
                  "max_abs_tau2": np.max(np.abs(t.tau2))}), ("tau1", "tau2")),
-    "barrier": _TableFormat(BARRIER_HEADER, read_barrier_table, lambda b: (
+    "barrier": _TableFormat(BARRIER_HEADER, lambda path: read_barrier_table(path), lambda b: (
         b[0], {"transmission_max": np.max(b[1]), "transmission_min": np.min(b[1])}),
         ("transmission", "tau1", "tau2")),
 }
@@ -389,12 +395,12 @@ class ModelDocument:
     kind: str
     params: object
 
-    def serves(self, *capabilities: str) -> bool:
-        """Whether this kind serves any of ``capabilities``: "spectrum" (a
-        spectral sample), "contour" (a pole-zero contour count) or
-        "profile" (a potential profile)."""
+    def serves(self, capability: str) -> bool:
+        """Whether this kind serves ``capability``: "spectrum" (a spectral
+        sample), "contour" (a pole-zero contour count) or "profile" (a
+        potential profile)."""
         entry = _MODEL_KINDS.get(self.kind)
-        return entry is not None and not entry.serves.isdisjoint(capabilities)
+        return entry is not None and capability in entry.serves
 
     def sample(self, grid: FrequencyGrid):
         """Spectrum S and complex time tau on ``grid``.  An anchored kind

@@ -39,3 +39,11 @@ def test_failed_runs_are_kept_and_a_missing_metric_is_skipped():
     assert record["runs"][1] == {"seed": 2, "correct": False, "attempted": 10, "failed": 1}
     assert record["metrics"]["ops_per_s"]["median"] == 3.0
     assert record["metrics"]["rows_per_s"] == {"q1": 10.0, "median": 10.0, "q3": 10.0}
+
+
+def test_calibration_times_a_rename_over_an_existing_file(tmp_path):
+    timings = bench_snapshot.calibrate(tmp_path)
+    assert set(timings) == {"fft_2e20_complex_s", "python_loop_1e6_s",
+                            "replace_existing_4k_s"}
+    assert all(value > 0 for value in timings.values())
+    assert list((tmp_path / ".bench_work").iterdir()) == []

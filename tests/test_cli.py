@@ -659,6 +659,29 @@ class TestReport:
         assert "tau1" in text
 
 
+def test_traced_readers_are_the_ones_kk_and_report_call(tmp_path, capsys):
+    """The benchmark's tracer wraps fileio's readers on the module: kk and
+    report, which choose a reader by table format, call the wrapped ones."""
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    paths = golden_inputs(tmp_path)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert main(["kk", paths[0]]) == 0
+        kk_spans = len(tracer.spans)
+        assert main(["report", *paths]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    names = [span[0] for span in tracer.spans]
+    assert names[:kk_spans].count("read_spectrum") == 1
+    assert [name for name in names[kk_spans:] if name.startswith("read_")] == [
+        "read_barrier_table", "read_table", "read_artifact", "read_spectrum", "read_table",
+        "read_temporal", "read_table"]
+
+
 class TestInputErrors:
     """Every refused input, from the one table in scripts/refusals.py; the
     tests after the first run the cases they name once more."""

@@ -306,6 +306,25 @@ class TestTables:
         np.testing.assert_array_equal(cols[0], [0, 1, 2, 3])
         assert len(calls) == (path == "lines")
 
+    # A regular file whose size says less than it holds: a procfs file
+    # reports 0, one that grows after its size is read its old size.
+    @pytest.mark.parametrize("size", [0, 40])
+    def test_table_larger_than_its_size_reads_every_row(self, tmp_path, monkeypatch, size):
+        table = tmp_path / "s.csv"
+        table.write_text(SPECTRUM_HEADER + "\n" + "".join(f"{k},1,0\n" for k in range(50)))
+        fstat = os.fstat
+
+        def understated(fd):
+            info = fstat(fd)
+            return os.stat_result((*info[:6], size, *info[7:]))
+
+        monkeypatch.setattr(fileio.os, "fstat", understated)
+        _, cols = read_table(str(table))
+        np.testing.assert_array_equal(cols[0], np.arange(50))
+        monkeypatch.setattr(fileio, "MAX_POINTS", 49)
+        with pytest.raises(ValueError, match="more than 49 rows"):
+            read_table(str(table))
+
     def test_read_barrier_table_round_trip(self, tmp_path):
         path = str(tmp_path / "b.csv")
         e = np.array([0.5, 1.5, 2.5])
