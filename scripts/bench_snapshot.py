@@ -12,13 +12,15 @@ once per workload and seed, over seeds 1 to 5 and for the
 - per workload, each run's seed, ``correct``, ``attempted`` and
   ``failed``, and the median and quartiles of each end-to-end metric
   over the runs (``statistics.quantiles``, inclusive method);
-- three calibration timings, the best of seven, taken before the runs:
-  a complex FFT of 2**20 points, a pure-Python loop of 10**6 additions,
-  and a 4 KiB file written and renamed over an existing one in DIR's
-  ``.bench_work``, as each output of a verb is.  Snapshots from
-  different machines or sessions compare as ratios to these; the rename
-  shows a file system that flushes on such a rename, which slows
-  ``bulk_tables`` and no CPU timing.
+- three calibration timings of seven repeats, taken before the runs:
+  the best time of a complex FFT of 2**20 points and of a pure-Python
+  loop of 10**6 additions, and the median time of a 4 KiB file written
+  and renamed over an existing one in DIR's ``.bench_work``, as each
+  output of a verb is.  Snapshots from different machines or sessions
+  compare as ratios to these; the rename shows a file system that
+  flushes on such a rename, which slows ``bulk_tables`` and no CPU
+  timing, and it takes the median because a rename over a file that was
+  itself just written can skip the flush.
 
 A run that prints no result stops the snapshot with exit code 1 and
 writes nothing.
@@ -40,13 +42,13 @@ SEEDS = (1, 2, 3, 4, 5)
 RUN_FIELDS = {"workload", "seed", "seconds", "trace", "tauspec_file"}
 
 
-def _best_of(func, repeats: int = 7) -> float:
+def _times(func, repeats: int = 7) -> list:
     times = []
     for _ in range(repeats):
         t0 = time.perf_counter()
         func()
         times.append(time.perf_counter() - t0)
-    return min(times)
+    return times
 
 
 def _replace_existing(directory: Path) -> None:
@@ -61,9 +63,10 @@ def calibrate(checkout: Path) -> dict:
     work = checkout / ".bench_work"
     work.mkdir(exist_ok=True)
     _replace_existing(work)  # so that each timed rename replaces a file
-    timings = {"fft_2e20_complex_s": _best_of(lambda: np.fft.fft(x)),
-               "python_loop_1e6_s": _best_of(lambda: sum(range(10**6))),
-               "replace_existing_4k_s": _best_of(lambda: _replace_existing(work))}
+    timings = {"fft_2e20_complex_s": min(_times(lambda: np.fft.fft(x))),
+               "python_loop_1e6_s": min(_times(lambda: sum(range(10**6)))),
+               "replace_existing_4k_s": statistics.median(
+                   _times(lambda: _replace_existing(work)))}
     (work / ".calibration").unlink()
     return timings
 
