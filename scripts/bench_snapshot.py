@@ -9,18 +9,21 @@ once per workload and seed, over seeds 1 to 5 and for the
 
 - the commit of DIR and the ``src_digest`` its runs report;
 - the environment of its first run, less the fields of one run;
-- per workload, each run's seed, ``correct``, ``attempted`` and
-  ``failed``, and the median and quartiles of each end-to-end metric
-  over the runs (``statistics.quantiles``, inclusive method);
+- per workload, each run's seed, ``correct``, ``attempted``,
+  ``failed`` and the rename time taken just before it (below), and the
+  median and quartiles of each end-to-end metric over the runs
+  (``statistics.quantiles``, inclusive method);
 - three calibration timings of seven repeats, taken before the runs:
   the best time of a complex FFT of 2**20 points and of a pure-Python
-  loop of 10**6 additions, and the median time of a 4 KiB file written
-  and renamed over an existing one in DIR's ``.bench_work``, as each
-  output of a verb is.  Snapshots from different machines or sessions
-  compare as ratios to these; the rename shows a file system that
-  flushes on such a rename, which slows ``bulk_tables`` and no CPU
-  timing, and it takes the median because a rename over a file that was
-  itself just written can skip the flush.
+  loop of 10**6 additions, and the rename time: the median time of a
+  4 KiB file written and renamed over an existing one in DIR's
+  ``.bench_work``, as each output of a verb is.  Snapshots from
+  different machines or sessions compare as ratios to these.  The
+  rename shows a file system that flushes on such a rename, which slows
+  ``bulk_tables`` and no CPU timing; a host can move in and out of that
+  state within minutes, hence a rename time per run.  It is a median
+  because a rename over a file that was itself just written can skip
+  the flush.
 
 A run that prints no result stops the snapshot with exit code 1 and
 writes nothing.
@@ -57,18 +60,21 @@ def _replace_existing(directory: Path) -> None:
     os.replace(new, target)
 
 
-def calibrate(checkout: Path) -> dict:
-    import numpy as np
-    x = np.random.default_rng(0).standard_normal(1 << 20) * (1 + 1j)
+def replace_time(checkout: Path) -> float:
     work = checkout / ".bench_work"
     work.mkdir(exist_ok=True)
     _replace_existing(work)  # so that each timed rename replaces a file
-    timings = {"fft_2e20_complex_s": min(_times(lambda: np.fft.fft(x))),
-               "python_loop_1e6_s": min(_times(lambda: sum(range(10**6)))),
-               "replace_existing_4k_s": statistics.median(
-                   _times(lambda: _replace_existing(work)))}
+    median = statistics.median(_times(lambda: _replace_existing(work)))
     (work / ".calibration").unlink()
-    return timings
+    return median
+
+
+def calibrate(checkout: Path) -> dict:
+    import numpy as np
+    x = np.random.default_rng(0).standard_normal(1 << 20) * (1 + 1j)
+    return {"fft_2e20_complex_s": min(_times(lambda: np.fft.fft(x))),
+            "python_loop_1e6_s": min(_times(lambda: sum(range(10**6)))),
+            "replace_existing_4k_s": replace_time(checkout)}
 
 
 def quartiles(values) -> dict:
@@ -81,11 +87,12 @@ def quartiles(values) -> dict:
 
 def summarise(runs) -> dict:
     """The record of one workload from its runs, each a dict of ``seed``,
-    ``correct``, ``attempted``, ``failed`` and ``metrics`` (name -> value)."""
+    ``correct``, ``attempted``, ``failed``, ``replace_existing_4k_s`` and
+    ``metrics`` (name -> value)."""
     names = list(dict.fromkeys(name for run in runs for name in run["metrics"]))
     return {
-        "runs": [{key: run[key] for key in ("seed", "correct", "attempted", "failed")}
-                 for run in runs],
+        "runs": [{key: run[key] for key in ("seed", "correct", "attempted", "failed",
+                                            "replace_existing_4k_s")} for run in runs],
         "metrics": {name: quartiles([run["metrics"][name] for run in runs
                                      if name in run["metrics"]]) for name in names},
     }
@@ -93,7 +100,8 @@ def summarise(runs) -> dict:
 
 def bench_run(checkout: Path, workload: str, seed: int, seconds: float):
     """(environment, run) of one ``bench/run.py`` run, from its printed
-    ``env`` line and its last line."""
+    ``env`` line and its last line, with the rename time just before it."""
+    replace_s = replace_time(checkout)
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
@@ -105,7 +113,7 @@ def bench_run(checkout: Path, workload: str, seed: int, seconds: float):
                            f"{proc.stderr.strip()}")
     result = json.loads(lines[-1])
     return env, {"seed": seed, "correct": result["correct"], "attempted": result["attempted"],
-                 "failed": result["failed"],
+                 "failed": result["failed"], "replace_existing_4k_s": replace_s,
                  "metrics": {name: m["value"] for name, m in result["metrics"].items()}}
 
 
