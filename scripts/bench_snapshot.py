@@ -16,14 +16,14 @@ once per workload and seed, over seeds 1 to 5 and for the
 - three calibration timings of seven repeats, taken before the runs:
   the best time of a complex FFT of 2**20 points and of a pure-Python
   loop of 10**6 additions, and the rename time: the median time of a
-  4 KiB file written and renamed over an existing one in DIR's
+  4 MiB file written and renamed over an existing one in DIR's
   ``.bench_work``, as each output of a verb is.  Snapshots from
   different machines or sessions compare as ratios to these.  The
-  rename shows a file system that flushes on such a rename, which slows
-  ``bulk_tables`` and no CPU timing; a host can move in and out of that
-  state within minutes, hence a rename time per run.  It is a median
-  because a rename over a file that was itself just written can skip
-  the flush.
+  rename time shows a file system that flushes on such a rename and how
+  fast the flush is, which sets the pace of ``bulk_tables`` and moves no
+  CPU timing; a host's flush can halve its speed and recover within
+  minutes, hence a rename time per run.  It is a median because a rename
+  over a file that was itself just written can skip the flush.
 
 A run that prints no result stops the snapshot with exit code 1 and
 writes nothing.
@@ -56,7 +56,7 @@ def _times(func, repeats: int = 7) -> list:
 
 def _replace_existing(directory: Path) -> None:
     new, target = directory / ".calibration.new", directory / ".calibration"
-    new.write_bytes(b"0" * 4096)
+    new.write_bytes(bytes(4 << 20))  # about the size of a bulk_tables output
     os.replace(new, target)
 
 
@@ -74,7 +74,7 @@ def calibrate(checkout: Path) -> dict:
     x = np.random.default_rng(0).standard_normal(1 << 20) * (1 + 1j)
     return {"fft_2e20_complex_s": min(_times(lambda: np.fft.fft(x))),
             "python_loop_1e6_s": min(_times(lambda: sum(range(10**6)))),
-            "replace_existing_4k_s": replace_time(checkout)}
+            "replace_existing_4m_s": replace_time(checkout)}
 
 
 def quartiles(values) -> dict:
@@ -87,12 +87,12 @@ def quartiles(values) -> dict:
 
 def summarise(runs) -> dict:
     """The record of one workload from its runs, each a dict of ``seed``,
-    ``correct``, ``attempted``, ``failed``, ``replace_existing_4k_s`` and
+    ``correct``, ``attempted``, ``failed``, ``replace_existing_4m_s`` and
     ``metrics`` (name -> value)."""
     names = list(dict.fromkeys(name for run in runs for name in run["metrics"]))
     return {
         "runs": [{key: run[key] for key in ("seed", "correct", "attempted", "failed",
-                                            "replace_existing_4k_s")} for run in runs],
+                                            "replace_existing_4m_s")} for run in runs],
         "metrics": {name: quartiles([run["metrics"][name] for run in runs
                                      if name in run["metrics"]]) for name in names},
     }
@@ -113,7 +113,7 @@ def bench_run(checkout: Path, workload: str, seed: int, seconds: float):
                            f"{proc.stderr.strip()}")
     result = json.loads(lines[-1])
     return env, {"seed": seed, "correct": result["correct"], "attempted": result["attempted"],
-                 "failed": result["failed"], "replace_existing_4k_s": replace_s,
+                 "failed": result["failed"], "replace_existing_4m_s": replace_s,
                  "metrics": {name: m["value"] for name, m in result["metrics"].items()}}
 
 

@@ -14,7 +14,7 @@ _SPEC.loader.exec_module(bench_snapshot)
 
 def run(seed, ops, correct=True, **extra):
     return {"seed": seed, "correct": correct, "attempted": 10, "failed": 0 if correct else 1,
-            "replace_existing_4k_s": 1e-3 * seed, "metrics": {"ops_per_s": ops, **extra}}
+            "replace_existing_4m_s": 1e-3 * seed, "metrics": {"ops_per_s": ops, **extra}}
 
 
 def test_median_and_quartiles_over_the_runs():
@@ -37,7 +37,7 @@ def test_failed_runs_are_kept_and_a_missing_metric_is_skipped():
     runs = [run(1, 2.0, rows_per_s=10.0), run(2, 4.0, correct=False)]
     record = bench_snapshot.summarise(runs)
     assert record["runs"][1] == {"seed": 2, "correct": False, "attempted": 10, "failed": 1,
-                                 "replace_existing_4k_s": 2e-3}
+                                 "replace_existing_4m_s": 2e-3}
     assert record["metrics"]["ops_per_s"]["median"] == 3.0
     assert record["metrics"]["rows_per_s"] == {"q1": 10.0, "median": 10.0, "q3": 10.0}
 
@@ -45,6 +45,6 @@ def test_failed_runs_are_kept_and_a_missing_metric_is_skipped():
 def test_calibration_times_a_rename_over_an_existing_file(tmp_path):
     timings = bench_snapshot.calibrate(tmp_path)
     assert set(timings) == {"fft_2e20_complex_s", "python_loop_1e6_s",
-                            "replace_existing_4k_s"}
+                            "replace_existing_4m_s"}
     assert all(value > 0 for value in timings.values())
     assert list((tmp_path / ".bench_work").iterdir()) == []
