@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Write one benchmark snapshot, BENCH_<N>.json, at the root of this checkout.
 
-Usage: bench_snapshot.py N [--checkout DIR]
+Usage: bench_snapshot.py N [--checkout DIR] [--against OTHER [--seeds S ...]]
 
 Runs ``bench/run.py --trace 0`` of the checkout DIR (default: this one)
 once per workload and seed, over seeds 1 to 5 and for the
-``run_seconds`` of BENCHMARK.json, workload by workload, and writes:
+``run_seconds`` of BENCHMARK.json, workload by workload, with DIR's
+``src/tauspec/__pycache__`` removed before each run, and writes:
 
 - the commit of DIR and the ``src_digest`` its runs report;
 - the environment of its first run, less the fields of one run;
@@ -17,13 +18,26 @@ once per workload and seed, over seeds 1 to 5 and for the
   the best time of a complex FFT of 2**20 points and of a pure-Python
   loop of 10**6 additions, and the rename time: the median time of a
   4 MiB file written and renamed over an existing one in DIR's
-  ``.bench_work``, as each output of a verb is.  Snapshots from
+  ``.bench_work``, as each output of a verb once was.  Snapshots from
   different machines or sessions compare as ratios to these.  The
-  rename time shows a file system that flushes on such a rename and how
-  fast the flush is, which sets the pace of ``bulk_tables`` and moves no
-  CPU timing; a host's flush can halve its speed and recover within
-  minutes, hence a rename time per run.  It is a median because a rename
-  over a file that was itself just written can skip the flush.
+  rename time describes the host: a file system that flushes a file's
+  data on such a rename, and how fast the flush is, which moves no CPU
+  timing and can halve or recover within minutes, hence a rename time
+  per run.  tauspec swaps its outputs into place and pays no such flush.
+  It is a median because a rename over a file that was itself just
+  written can skip the flush.
+
+With ``--against OTHER``, the checkout OTHER (the parent of a change, say)
+runs each seed too, alternating with DIR: OTHER first on the first seed,
+DIR first on the next, and so on.  The snapshot then also holds, under
+``against``, OTHER's commit, ``src_digest``, runs and quartiles, and per
+end-to-end metric the pairs (runs of one seed) in which DIR did better
+than OTHER, ties counting for neither.  The script prints the table
+OTHER -> DIR of each metric: OTHER's median and quartiles, DIR's median,
+the change in per cent and the pairs won, then each pair's ``ops_per_s``
+and rename times.  ``--seeds`` runs other seeds than 1 to 5, so that a
+claimed gain can be shown on seeds not used while the change was built;
+only a comparison takes it.
 
 A run that prints no result stops the snapshot with exit code 1 and
 writes nothing.
@@ -32,6 +46,7 @@ writes nothing.
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -98,9 +113,49 @@ def summarise(runs) -> dict:
     }
 
 
+def pairs_won(runs, against, better: dict) -> dict:
+    """Per metric of ``better`` (name -> "higher" or "lower"), the number of
+    runs in ``runs`` better than the run of ``against`` at the same place;
+    a tie or a metric missing from either run counts for neither."""
+    won = {}
+    for name, direction in better.items():
+        sign = 1 if direction == "higher" else -1
+        won[name] = sum(sign * (run["metrics"][name] - other["metrics"][name]) > 0
+                        for run, other in zip(runs, against)
+                        if name in run["metrics"] and name in other["metrics"])
+    return won
+
+
+def table(workload: str, runs, against, better: dict) -> list:
+    """The lines OTHER -> DIR of one workload, from the runs of DIR and of
+    OTHER (``against``) in pairs: per metric of ``better``, OTHER's median
+    and quartiles, DIR's median, the change and the pairs DIR won; then per
+    pair, each side's ops_per_s and rename time."""
+    new, old = summarise(runs)["metrics"], summarise(against)["metrics"]
+    both = runs + against
+    lines = [f"{workload} ({len(runs)} pairs, all correct: "
+             f"{all(run['correct'] for run in both)}, failed ops: "
+             f"{sum(run['failed'] for run in both)})"]
+    for name, won in pairs_won(runs, against, better).items():
+        if name not in new or name not in old:
+            continue
+        base, median = old[name]["median"], new[name]["median"]
+        change = f"{100 * (median / base - 1):+.1f}%" if base else "n/a"
+        lines.append(f"  {name}: {base:.4g} [{old[name]['q1']:.4g}, {old[name]['q3']:.4g}]"
+                     f" -> {median:.4g} ({change}, {won}/{len(runs)})")
+    for run, other in zip(runs, against):
+        lines.append(f"  seed {run['seed']}: ops_per_s {other['metrics']['ops_per_s']:.4g} -> "
+                     f"{run['metrics']['ops_per_s']:.4g}, replace_existing_4m_s "
+                     f"{other['replace_existing_4m_s']:.4g} -> "
+                     f"{run['replace_existing_4m_s']:.4g}")
+    return lines
+
+
 def bench_run(checkout: Path, workload: str, seed: int, seconds: float):
     """(environment, run) of one ``bench/run.py`` run, from its printed
-    ``env`` line and its last line, with the rename time just before it."""
+    ``env`` line and its last line, with no bytecode cache of ``tauspec``
+    left from an earlier run, and the rename time just before it."""
+    shutil.rmtree(checkout / "src" / "tauspec" / "__pycache__", ignore_errors=True)
     replace_s = replace_time(checkout)
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
@@ -117,33 +172,67 @@ def bench_run(checkout: Path, workload: str, seed: int, seconds: float):
                  "metrics": {name: m["value"] for name, m in result["metrics"].items()}}
 
 
+def commit_of(checkout: Path) -> str:
+    return subprocess.run(["git", "-C", str(checkout), "rev-parse", "HEAD"],
+                          capture_output=True, text=True, check=True).stdout.strip()
+
+
+def one_digest(digests: set):
+    return digests.pop() if len(digests) == 1 else sorted(digests)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Write BENCH_<N>.json.")
     parser.add_argument("number", type=int)
     parser.add_argument("--checkout", type=Path, default=ROOT)
+    parser.add_argument("--against", type=Path,
+                        help="another checkout, run in pairs with --checkout")
+    parser.add_argument("--seeds", type=int, nargs="+",
+                        help="the seeds of a comparison (default 1 to 5)")
     args = parser.parse_args(argv)
-    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
-    commit = subprocess.run(["git", "-C", str(args.checkout), "rev-parse", "HEAD"],
-                            capture_output=True, text=True, check=True).stdout.strip()
-    snapshot = {"commit": commit, "seeds": list(SEEDS), "seconds": seconds,
+    if args.seeds and not args.against:
+        parser.error("--seeds needs --against: a snapshot runs seeds 1 to 5")
+    seeds = args.seeds or list(SEEDS)
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = benchmark["run_seconds"]
+    better = {metric["name"]: metric["better"] for metric in benchmark["end_to_end"]}
+    # The trees in the order of the first pair: OTHER, then DIR.
+    trees = {"against": args.against, "checkout": args.checkout} if args.against else {
+        "checkout": args.checkout}
+    snapshot = {"commit": commit_of(args.checkout), "seeds": seeds, "seconds": seconds,
                 "calibration": calibrate(args.checkout), "workloads": {}}
-    digests = set()
+    if args.against:
+        snapshot["against"] = {"commit": commit_of(args.against), "workloads": {}}
+    digests = {side: set() for side in trees}
+    lines = []
     try:
         for workload in WORKLOADS:
-            runs = []
-            for seed in SEEDS:
-                env, run = bench_run(args.checkout, workload, seed, seconds)
-                digests.add(env["src_digest"])
-                snapshot.setdefault("environment", {k: v for k, v in env.items()
-                                                    if k not in RUN_FIELDS | {"src_digest"}})
-                runs.append(run)
-                print(f"{workload} seed {seed}: ops_per_s {run['metrics']['ops_per_s']:.4g}",
-                      flush=True)
-            snapshot["workloads"][workload] = summarise(runs)
+            runs = {side: [] for side in trees}
+            for pair, seed in enumerate(seeds):
+                for side in list(trees)[::-1] if pair % 2 else trees:
+                    env, run = bench_run(trees[side], workload, seed, seconds)
+                    digests[side].add(env["src_digest"])
+                    if side == "checkout":
+                        snapshot.setdefault("environment", {
+                            k: v for k, v in env.items() if k not in RUN_FIELDS | {"src_digest"}})
+                    runs[side].append(run)
+                    label = f" ({side})" if args.against else ""
+                    print(f"{workload} seed {seed}{label}: ops_per_s "
+                          f"{run['metrics']['ops_per_s']:.4g}", flush=True)
+            snapshot["workloads"][workload] = summarise(runs["checkout"])
+            if args.against:
+                snapshot["against"]["workloads"][workload] = {
+                    **summarise(runs["against"]),
+                    "pairs_won": pairs_won(runs["checkout"], runs["against"], better)}
+                lines += table(workload, runs["checkout"], runs["against"], better)
     except RuntimeError as exc:
         print(f"bench_snapshot: {exc}", file=sys.stderr)
         return 1
-    snapshot["src_digest"] = digests.pop() if len(digests) == 1 else sorted(digests)
+    snapshot["src_digest"] = one_digest(digests["checkout"])
+    if args.against:
+        snapshot["against"]["src_digest"] = one_digest(digests["against"])
+        print(f"{args.against} -> {args.checkout}: median [quartiles] -> median "
+              "(change, pairs won)", *lines, sep="\n")
     out = ROOT / f"BENCH_{args.number}.json"
     out.write_text(json.dumps(snapshot, indent=1, sort_keys=True) + "\n")
     print(f"wrote {out.name}")

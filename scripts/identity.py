@@ -11,7 +11,8 @@ cases ``refused-<name>`` are the refusal table of ``refusals.py``; the
 cases ``help-<verb>`` and ``usage-<name>`` pin argparse's help and its
 refusals of a command line. The two runs of a case happen in two
 directories under the same relative file names, so messages that name a
-file compare as text.
+file compare as text. A case may pipe one input to the command's stdin,
+which it then reads as ``/dev/stdin``.
 
 The exit code, stdout, stderr and the bytes of every file left in the
 case directory are compared, and each difference is printed on one line.
@@ -104,13 +105,18 @@ FINE_MODELS = ("blaschke", "oscillator", "lorentz", "breit_wigner", "breit_wigne
 VERBS = ("extract", "model", "kk", "sumrule", "winding", "barrier", "report")
 
 
+# The name in a case's input files of the text piped to its stdin.
+STDIN = "<stdin>"
+
+
 def _verb(files: dict, *argv) -> tuple:
     return files, ("-m", "tauspec", *argv)
 
 
 def _cases() -> dict:
-    """Each case's input files (name -> text or bytes) and interpreter argv;
-    a name given twice is an error, not a silent replacement."""
+    """Each case's input files (name -> text or bytes; STDIN -> its piped
+    stdin) and interpreter argv; a name given twice is an error, not a
+    silent replacement."""
     cases = [
         ("demo", ({}, (str(SCRIPTS / "run_demo.py"), "demo"))),
         ("hartman_scan", ({}, (str(SCRIPTS / "hartman_scan.py"),))),
@@ -158,6 +164,12 @@ def _cases() -> dict:
                          "kk.txt", "--gnuplot", "plot.gp")),
         ("report-to-file", _verb({"s.csv": RESONANCE, "kk.txt": KK_ARTIFACT}, "report",
                                  "kk.txt", "s.csv", "-o", "report.txt")),
+        # A table piped in, read as /dev/stdin: kk and report detect its
+        # format and read its rows through one handle.
+        ("extract-pipe", _verb({STDIN: RESONANCE}, "extract", "/dev/stdin", "-o", "t.csv")),
+        ("kk-pipe", _verb({STDIN: POLE}, "kk", "/dev/stdin", "-o", "kk.txt")),
+        ("report-pipe", _verb({STDIN: TAU, "s.csv": RESONANCE}, "report", "/dev/stdin",
+                              "s.csv")),
         ("help", _verb({}, "--help")),
         ("usage-no-verb", _verb({})),
         ("usage-unknown-verb", _verb({}, "teapot")),
@@ -196,11 +208,14 @@ def _run(workdir: Path, name: str, side: str, src: Path):
     files, argv = CASES[name]
     cwd = workdir / side / name
     cwd.mkdir(parents=True)
+    files = {filename: content if isinstance(content, bytes) else content.encode()
+             for filename, content in files.items()}
+    stdin = files.pop(STDIN, None)
     for filename, content in files.items():
-        (cwd / filename).write_bytes(content if isinstance(content, bytes) else content.encode())
+        (cwd / filename).write_bytes(content)
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run([sys.executable, *argv], cwd=cwd, env=env, capture_output=True,
-                          timeout=600)
+                          input=stdin, timeout=600)
     tree = {p.relative_to(cwd).as_posix(): p.read_bytes()
             for p in sorted(cwd.rglob("*")) if p.is_file()}
     stdout = _ELAPSED.sub(b"demo finished in - s", proc.stdout)

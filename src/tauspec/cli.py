@@ -122,10 +122,10 @@ def _kk(args, document):
     import dataclasses
     from . import dispersion, fileio
     residuals = {"spectrum": dispersion.kk_residual, "temporal": dispersion.tau_kk_residual}
-    fmt = fileio.detect_format(args.input)
-    if fmt not in residuals:
-        raise ValueError(f"{args.input}: kk needs a spectrum or tau table")
-    table = fileio.TABLE_FORMATS[fmt].read(args.input)
+    with fileio.detected(args.input) as (fmt, read):
+        if fmt not in residuals:
+            raise ValueError(f"{args.input}: kk needs a spectrum or tau table")
+        table = read()
     with fileio._naming(args.input):
         report = residuals[fmt](table, _TAIL_BY_FLAG[args.tail])
     return "kk", {"input": os.path.basename(args.input), "kind": fmt,
@@ -169,20 +169,21 @@ def _report(args, document) -> None:
     lines = []
     tables = []
     for path in sorted(args.inputs, key=lambda p: (os.path.basename(p), p)):
-        fmt = fileio.detect_format(path)
+        with fileio.detected(path) as (fmt, read):
+            if read is None:
+                raise ValueError(f"{path}: report cannot summarise this format")
+            content = read()
         lines += ["", f"[file {os.path.basename(path)}]"]
         if fmt == "artifact":
-            kind, fields = fileio.read_artifact(path)
+            kind, fields = content
             lines.append(f"format=artifact:{kind}")
-        elif fmt in fileio.TABLE_FORMATS:
+        else:
             table = fileio.TABLE_FORMATS[fmt]
             tables.append((path, table))
-            grid, extremes = table.summary(table.read(path))
+            grid, extremes = table.summary(content)
             axis = table.header.split(",")[0]
             fields = {"format": fmt, "nodes": len(grid), f"{axis}_max": grid.values[-1],
                       f"{axis}_min": grid.values[0], **extremes}
-        else:
-            raise ValueError(f"{path}: report cannot summarise this format")
         lines.extend(fileio.format_fields(fields))
     lines += ["", "[tolerances]"]
     lines.extend(f"{name}={value:.12e}  # {why}" for name, value, why in _TOLERANCES)

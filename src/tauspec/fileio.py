@@ -8,6 +8,8 @@ byte-identical files.
 from __future__ import annotations
 
 import contextlib
+import errno
+import functools
 import io
 import itertools
 import json
@@ -45,7 +47,7 @@ __all__ = [
     "load_model",
     "write_artifact",
     "read_artifact",
-    "detect_format",
+    "detected",
 ]
 
 SPECTRUM_HEADER = "omega,re,im"
@@ -59,15 +61,52 @@ def _fmt(x: float) -> str:
     return "%.12e" % float(x)
 
 
+# renameat2's flag that swaps two names, and the directory descriptor
+# that makes its paths relative to the working directory (linux/fcntl.h).
+_RENAME_EXCHANGE = 2
+_AT_FDCWD = -100
+
+
+@functools.cache
+def _renameat2():
+    """libc's ``renameat2``, looked up once per process, or None where
+    there is none.  ctypes is loaded here, on the write path only."""
+    try:
+        import ctypes
+        func = ctypes.CDLL(None, use_errno=True).renameat2
+    except (ImportError, AttributeError, OSError, TypeError):  # no ctypes, libc or symbol
+        return None
+    func.argtypes = (ctypes.c_int, ctypes.c_char_p, ctypes.c_int, ctypes.c_char_p,
+                     ctypes.c_uint)
+    func.restype = ctypes.c_int
+    return func
+
+
+def _exchange(a: str, b: str) -> None:
+    """Swap the files named ``a`` and ``b`` in one atomic step.  OSError
+    where they cannot be swapped: ``b`` does not exist (ENOENT), the file
+    system has no exchange (EINVAL), or libc has no renameat2 (ENOSYS)."""
+    renameat2 = _renameat2()
+    if renameat2 is None:
+        raise OSError(errno.ENOSYS, "renameat2 is not available", a, None, b)
+    if renameat2(_AT_FDCWD, os.fsencode(a), _AT_FDCWD, os.fsencode(b), _RENAME_EXCHANGE):
+        import ctypes
+        code = ctypes.get_errno()
+        raise OSError(code, os.strerror(code), a, None, b)
+
+
 def _write_text(path: str, data) -> None:
     """Replace ``path`` by ``data``, a list of byte chunks or a ``str``
     encoded once as ``open(path, "w")`` would, all or nothing.
 
     The bytes go to a temporary file beside ``path``, created with the
-    mode a plain ``open(path, "w")`` gives, which is then renamed over
-    ``path``; on any failure the temporary file is removed and ``path``
-    keeps its old content.  A symbolic link is followed, and a target that
-    exists but is no regular file (a device, a pipe) is written in place.
+    mode a plain ``open(path, "w")`` gives, which is then swapped with
+    ``path``, and the old file, now under the temporary name, unlinked;
+    where there is no ``path`` yet or no swap, it is renamed over ``path``.
+    Unlike that rename, the swap makes ext4 flush nothing (auto_da_alloc).
+    On any failure the temporary file is removed and ``path`` keeps its
+    old content.  A symbolic link is followed, and a target that exists
+    but is no regular file (a device, a pipe) is written in place.
     """
     if isinstance(data, str):  # as open(path, "w") would, with no import of locale
         data = [data.encode(io.TextIOWrapper(io.BytesIO()).encoding)]
@@ -89,7 +128,16 @@ def _write_text(path: str, data) -> None:
     try:
         with open(fd, "wb") as fh:
             fh.writelines(data)
-        os.replace(tmp, target)
+        try:
+            _exchange(tmp, target)
+        except OSError:
+            os.replace(tmp, target)
+        else:
+            try:
+                os.unlink(tmp)
+            except OSError:  # a directory took the target's place after the check
+                _exchange(tmp, target)  # put it back, and remove the new file below
+                raise
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
@@ -263,8 +311,29 @@ def _loadtxt(rows, width: int, max_rows: int, skiprows: int = 0):
     return arr if len(arr) and arr.shape[1] == width else None
 
 
-def read_table(path: str):
-    """Read a csv table, returning (header, list of float columns).
+def _head(fh) -> tuple:
+    """(fh, blank, line): the text handle ``fh`` read up to and including
+    its first non-blank ``line`` ("" where it holds none), after ``blank``
+    blank lines."""
+    blank = 0
+    while (line := fh.readline()) and not line.strip():
+        blank += 1
+    return fh, blank, line
+
+
+@contextlib.contextmanager
+def _opened(path: str, head: tuple | None):
+    """``head``, or the head of ``path`` opened for the block."""
+    if head is not None:
+        yield head
+        return
+    with open(path, "r") as fh:
+        yield _head(fh)
+
+
+def read_table(path: str, head: tuple | None = None):
+    """Read a csv table, returning (header, list of float columns); given
+    the ``head`` of a handle open on ``path``, read on through it.
 
     numpy parses the rows straight from the file: a regular file by the
     name ``/dev/fd/<n>`` of the descriptor that read the header, which
@@ -279,12 +348,9 @@ def read_table(path: str):
     A file with more rows than its size can hold (a procfs file, one that
     grows while read) reaches that bound and is read by ``_parse_rows``.
     """
-    with _naming(path), open(path, "r") as fh:
-        start = 0
-        while not (header := fh.readline()).strip():
-            if not header:
-                raise ValueError("empty file")
-            start += 1
+    with _naming(path), _opened(path, head) as (fh, start, header):
+        if not header:
+            raise ValueError("empty file")
         header = header.strip()
         width = len(header.split(","))
         max_rows = MAX_POINTS + 1
@@ -311,18 +377,19 @@ def read_table(path: str):
 
 
 @contextlib.contextmanager
-def _columns(path: str, header: str):
-    """The columns of the csv table at ``path``, whose header must be
-    ``header``; the block builds its container inside ``_naming(path)``."""
-    found, cols = read_table(path)
+def _columns(path: str, header: str, head: tuple | None):
+    """The columns of the csv table at ``path`` (read on from ``head``,
+    where given), whose header must be ``header``; the block builds its
+    container inside ``_naming(path)``."""
+    found, cols = read_table(path, head)
     with _naming(path):
         if found != header:
             raise ValueError(f"expected header {header!r}, got {found!r}")
         yield cols
 
 
-def read_spectrum(path: str) -> ComplexSpectrum:
-    with _columns(path, SPECTRUM_HEADER) as (omega, re, im):
+def read_spectrum(path: str, head: tuple | None = None) -> ComplexSpectrum:
+    with _columns(path, SPECTRUM_HEADER, head) as (omega, re, im):
         values = re.astype(complex)
         values.imag = im  # not 1j * im: an inf would warn before the check
         return ComplexSpectrum(FrequencyGrid(omega), values)
@@ -336,8 +403,8 @@ def write_spectrum(path: str, spectrum: ComplexSpectrum) -> None:
     )
 
 
-def read_temporal(path: str) -> TemporalSpectrum:
-    with _columns(path, TEMPORAL_HEADER) as (omega, tau1, tau2):
+def read_temporal(path: str, head: tuple | None = None) -> TemporalSpectrum:
+    with _columns(path, TEMPORAL_HEADER, head) as (omega, tau1, tau2):
         return TemporalSpectrum(FrequencyGrid(omega), tau1, tau2)
 
 
@@ -353,9 +420,9 @@ def write_barrier_table(path, energies, transmission, phase, tau1, tau2) -> None
     _write_rows(path, BARRIER_HEADER, [energies, transmission, phase, tau1, tau2])
 
 
-def read_barrier_table(path: str):
+def read_barrier_table(path: str, head: tuple | None = None):
     """(energy grid, transmission, phase, tau1, tau2) of a barrier table."""
-    with _columns(path, BARRIER_HEADER) as (energies, *cols):
+    with _columns(path, BARRIER_HEADER, head) as (energies, *cols):
         grid = FrequencyGrid(energies)
         if not np.all(np.isfinite(cols)):
             raise ValueError("barrier table contains non-finite values")
@@ -368,21 +435,21 @@ class _TableFormat(NamedTuple):
     columns a plot draws."""
 
     header: str
-    read: Callable[[str], object]
+    read: Callable[[str, tuple], object]
     summary: Callable[[object], tuple]
     plotted: tuple
 
 
-# Each csv table format, by the name detect_format gives it.  A reader is
+# Each csv table format, by the name detected gives it.  A reader is
 # found by its name at each call, so a wrapper set on this module's
 # attribute (the benchmark's tracer) is the one called.
 TABLE_FORMATS = {
-    "spectrum": _TableFormat(SPECTRUM_HEADER, lambda path: read_spectrum(path), lambda s: (
+    "spectrum": _TableFormat(SPECTRUM_HEADER, lambda *args: read_spectrum(*args), lambda s: (
         s.grid, {"max_abs": np.max(np.abs(s.values))}), ("re", "im")),
-    "temporal": _TableFormat(TEMPORAL_HEADER, lambda path: read_temporal(path), lambda t: (
+    "temporal": _TableFormat(TEMPORAL_HEADER, lambda *args: read_temporal(*args), lambda t: (
         t.grid, {"max_abs_tau1": np.max(np.abs(t.tau1)),
                  "max_abs_tau2": np.max(np.abs(t.tau2))}), ("tau1", "tau2")),
-    "barrier": _TableFormat(BARRIER_HEADER, lambda path: read_barrier_table(path), lambda b: (
+    "barrier": _TableFormat(BARRIER_HEADER, lambda *args: read_barrier_table(*args), lambda b: (
         b[0], {"transmission_max": np.max(b[1]), "transmission_min": np.min(b[1])}),
         ("transmission", "tau1", "tau2")),
 }
@@ -563,14 +630,15 @@ def write_artifact(path: str, kind: str, mapping: dict) -> None:
     _write_text(path, format_artifact(kind, mapping))
 
 
-def read_artifact(path: str):
-    """Read an artifact file, returning (kind, ordered key/value dict)."""
-    with _naming(path), open(path, "r") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-        head = lines[0][len(ARTIFACT_PREFIX) :].split() if lines else []
-        if not (head and lines[0].startswith(ARTIFACT_PREFIX)):  # no kind, no artifact
+def read_artifact(path: str, head: tuple | None = None):
+    """Read an artifact file, returning (kind, ordered key/value dict);
+    given the ``head`` of a handle open on ``path``, read on through it."""
+    with _naming(path), _opened(path, head) as (fh, _, first):
+        lines = [ln.rstrip("\n") for ln in itertools.chain([first], fh) if ln.strip()]
+        words = lines[0][len(ARTIFACT_PREFIX) :].split() if lines else []
+        if not (words and lines[0].startswith(ARTIFACT_PREFIX)):  # no kind, no artifact
             raise ValueError("not an artifact file")
-        kind = head[0]
+        kind = words[0]
         mapping = {}
         for ln in lines[1:]:
             if "=" not in ln:
@@ -580,17 +648,37 @@ def read_artifact(path: str):
         return kind, mapping
 
 
-def detect_format(path: str) -> str:
-    """Classify a file by its first non-empty line."""
-    with _naming(path), open(path, "r") as fh:
-        first = next((ln.strip() for ln in fh if ln.strip()), "")
-        if not first:
-            raise ValueError("empty file")
-        if first.startswith(ARTIFACT_PREFIX):
-            return "artifact"
-        if first.startswith("{"):
-            return "model"
-        for name, table in TABLE_FORMATS.items():
-            if table.header == first:
-                return name
-        raise ValueError("unrecognised file format")
+def _format(first: str) -> str:
+    """The format of a file whose first non-blank line is ``first``."""
+    first = first.strip()
+    if not first:
+        raise ValueError("empty file")
+    if first.startswith(ARTIFACT_PREFIX):
+        return "artifact"
+    if first.startswith("{"):
+        return "model"
+    for name, table in TABLE_FORMATS.items():
+        if table.header == first:
+            return name
+    raise ValueError("unrecognised file format")
+
+
+@contextlib.contextmanager
+def detected(path: str):
+    """The format of the file at ``path`` by its first non-blank line (a
+    name of TABLE_FORMATS, "artifact" or "model"), and for the block a
+    function that reads the file as that format's reader does, None for a
+    model document.  Both go through one handle, so a table or artifact
+    piped in is read once."""
+    with _naming(path):
+        fh = open(path, "r")
+    with fh:
+        with _naming(path):
+            head = _head(fh)
+            fmt = _format(head[2])
+        if fmt == "artifact":
+            yield fmt, lambda: read_artifact(path, head)
+        elif fmt in TABLE_FORMATS:
+            yield fmt, lambda: TABLE_FORMATS[fmt].read(path, head)
+        else:
+            yield fmt, None

@@ -1,6 +1,8 @@
 """The aggregation of scripts/bench_snapshot.py, on synthetic run records."""
 
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -48,3 +50,82 @@ def test_calibration_times_a_rename_over_an_existing_file(tmp_path):
                             "replace_existing_4m_s"}
     assert all(value > 0 for value in timings.values())
     assert list((tmp_path / ".bench_work").iterdir()) == []
+
+
+BETTER = {"ops_per_s": "higher", "op_p50_s": "lower"}
+
+
+def test_pairs_won_count_the_better_side_and_no_ties():
+    change = [run(1, 5.0, op_p50_s=0.1), run(2, 3.0, op_p50_s=0.3), run(3, 4.0)]
+    parent = [run(1, 4.0, op_p50_s=0.2), run(2, 3.0, op_p50_s=0.2), run(3, 5.0, op_p50_s=0.1)]
+    assert bench_snapshot.pairs_won(change, parent, BETTER) == {"ops_per_s": 1, "op_p50_s": 1}
+
+
+def test_table_reads_parent_to_change():
+    change = [run(seed, ops) for seed, ops in zip((11, 12, 13), [30.0, 33.0, 32.0])]
+    parent = [run(seed, ops) for seed, ops in zip((11, 12, 13), [6.0, 5.0, 7.0])]
+    lines = bench_snapshot.table("bulk_tables", change, parent, BETTER)
+    assert lines == [
+        "bulk_tables (3 pairs, all correct: True, failed ops: 0)",
+        "  ops_per_s: 6 [5.5, 6.5] -> 32 (+433.3%, 3/3)",
+        "  seed 11: ops_per_s 6 -> 30, replace_existing_4m_s 0.011 -> 0.011",
+        "  seed 12: ops_per_s 5 -> 33, replace_existing_4m_s 0.012 -> 0.012",
+        "  seed 13: ops_per_s 7 -> 32, replace_existing_4m_s 0.013 -> 0.013",
+    ]
+
+
+def test_against_alternates_the_trees_and_records_both(tmp_path, monkeypatch, capsys):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 1, "end_to_end": [{"name": name, "better": better}
+                                          for name, better in BETTER.items()]}))
+    order = []
+
+    def fake_run(checkout, workload, seed, seconds):
+        order.append((workload, seed, checkout.name))
+        ops = {"new": 2.0, "old": 1.0}[checkout.name] * seed
+        return {"python": "3", "src_digest": checkout.name}, run(seed, ops)
+
+    monkeypatch.setattr(bench_snapshot, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_snapshot, "WORKLOADS", ("w",))
+    monkeypatch.setattr(bench_snapshot, "bench_run", fake_run)
+    monkeypatch.setattr(bench_snapshot, "calibrate", lambda checkout: {})
+    monkeypatch.setattr(bench_snapshot, "commit_of", lambda checkout: checkout.name * 2)
+    assert bench_snapshot.main(["9", "--checkout", str(tmp_path / "new"), "--against",
+                                str(tmp_path / "old"), "--seeds", "21", "22", "23"]) == 0
+    assert order == [("w", 21, "old"), ("w", 21, "new"), ("w", 22, "new"),
+                     ("w", 22, "old"), ("w", 23, "old"), ("w", 23, "new")]
+    snapshot = json.loads((tmp_path / "BENCH_9.json").read_text())
+    assert (snapshot["commit"], snapshot["src_digest"], snapshot["seeds"]) == (
+        "newnew", "new", [21, 22, 23])
+    against = snapshot["against"]
+    assert (against["commit"], against["src_digest"]) == ("oldold", "old")
+    assert against["workloads"]["w"]["pairs_won"] == {"ops_per_s": 3, "op_p50_s": 0}
+    assert against["workloads"]["w"]["metrics"]["ops_per_s"]["median"] == 22.0
+    assert snapshot["workloads"]["w"]["metrics"]["ops_per_s"]["median"] == 44.0
+    assert "  ops_per_s: 22 [21.5, 22.5] -> 44 (+100.0%, 3/3)" in capsys.readouterr().out
+
+
+def test_seeds_need_a_comparison(capsys):
+    with pytest.raises(SystemExit) as info:
+        bench_snapshot.main(["9", "--seeds", "21"])
+    assert info.value.code == 2
+    assert "--seeds needs --against" in capsys.readouterr().err
+
+
+def test_each_run_starts_without_a_bytecode_cache(tmp_path, monkeypatch):
+    cache = tmp_path / "src" / "tauspec" / "__pycache__"
+    cache.mkdir(parents=True)
+    (cache / "cli.cpython-311.pyc").write_bytes(b"")
+    result = {"correct": True, "attempted": 1, "failed": 0,
+              "metrics": {"ops_per_s": {"value": 1.0}}}
+
+    def fake_subprocess(argv, cwd, **options):
+        assert not cache.exists()
+        return subprocess.CompletedProcess(argv, 0, 'env {"src_digest": "x"}\n'
+                                           + json.dumps(result) + "\n", "")
+
+    monkeypatch.setattr(bench_snapshot, "replace_time", lambda checkout: 0.1)
+    monkeypatch.setattr(bench_snapshot.subprocess, "run", fake_subprocess)
+    env, record = bench_snapshot.bench_run(tmp_path, "w", 1, 1.0)
+    assert env == {"src_digest": "x"}
+    assert record["metrics"] == {"ops_per_s": 1.0}

@@ -682,6 +682,23 @@ def test_traced_readers_are_the_ones_kk_and_report_call(tmp_path, capsys):
         "read_temporal", "read_table"]
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+@pytest.mark.parametrize("verb, table", [("kk", 0), ("report", 1)])
+def test_table_piped_to_stdin(tmp_path, verb, table):
+    """A table piped to ``/dev/stdin`` gives what the same table gives as a
+    file named stdin: the verb detects its format and reads its rows
+    through one handle."""
+    text = Path(golden_inputs(tmp_path)[table]).read_bytes()
+    (tmp_path / "stdin").write_bytes(text)
+    piped, named = (subprocess.run([sys.executable, "-m", "tauspec", verb, path],
+                                   cwd=tmp_path, env=src_env(), input=text,
+                                   capture_output=True, timeout=60)
+                    for path in ("/dev/stdin", "stdin"))
+    assert piped.returncode == 0, piped.stderr
+    assert (piped.stdout, piped.stderr) == (named.stdout, named.stderr)
+    assert b"[file stdin]" in piped.stdout or b"input=stdin" in piped.stdout
+
+
 class TestInputErrors:
     """Every refused input, from the one table in scripts/refusals.py; the
     tests after the first run the cases they name once more."""
@@ -814,12 +831,13 @@ class TestImportPath:
 
 
 # Runs what ``python -m tauspec ARGS`` runs (no ARGS: ``import tauspec``)
-# and prints last on stderr, even after a SystemExit, the numpy and tauspec
-# modules then loaded.
+# and prints last on stderr, even after a SystemExit, the numpy, ctypes and
+# tauspec modules then loaded.
 MODULES_PROBE = """
 import atexit, json, runpy, sys
 atexit.register(lambda: print(json.dumps(sorted(
-    m for m in sys.modules if m.split(".")[0] in ("numpy", "tauspec"))), file=sys.stderr))
+    m for m in sys.modules if m.split(".")[0] in ("numpy", "ctypes", "tauspec"))),
+    file=sys.stderr))
 if len(sys.argv) > 1:
     runpy.run_module("tauspec", run_name="__main__", alter_sys=True)
 else:
@@ -828,7 +846,7 @@ else:
 
 
 def loaded(cwd, *argv):
-    """Exit code and the numpy and tauspec modules loaded by a fresh
+    """Exit code and the numpy, ctypes and tauspec modules loaded by a fresh
     ``python -m tauspec *argv``, or by ``import tauspec`` alone."""
     proc = subprocess.run([sys.executable, "-c", MODULES_PROBE, *argv], cwd=cwd,
                           env=src_env(), capture_output=True, text=True, timeout=60)
@@ -895,15 +913,16 @@ def test_small_table_reads_in_a_small_address_space(tmp_path):
 
 
 class TestLoading:
-    """A command line loads only what its verb needs, and no numpy for
-    ``import tauspec``, ``--help`` or an argparse refusal."""
+    """A command line loads only what its verb needs, and no numpy (nor
+    ctypes, which only a write loads) for ``import tauspec``, ``--help`` or
+    an argparse refusal."""
 
     @pytest.mark.parametrize("name", sorted(NO_NUMPY))
     def test_loads_no_numpy(self, tmp_path, name):
         code, *argv = NO_NUMPY[name]
         exit_code, modules = loaded(tmp_path, *argv)
         assert exit_code == code
-        assert "numpy" not in modules
+        assert not {"numpy", "ctypes"} & modules
         if name == "import":
             assert not [m for m in modules if m.startswith("tauspec.")]
 

@@ -1,5 +1,6 @@
 """Round-trip and validation tests for the on-disk formats."""
 
+import errno
 import io
 import json
 import os
@@ -28,7 +29,6 @@ from tauspec.fileio import (
     SPECTRUM_HEADER,
     TEMPORAL_HEADER,
     ModelDocument,
-    detect_format,
     load_model,
     read_artifact,
     read_spectrum,
@@ -49,6 +49,12 @@ from tauspec.scatter1d import PotentialProfile
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def detect_format(path: str) -> str:
+    """The format ``fileio.detected`` gives the file at ``path``."""
+    with fileio.detected(path) as (fmt, _):
+        return fmt
 
 
 def sample_spectrum() -> ComplexSpectrum:
@@ -518,18 +524,74 @@ class TestAtomicWrites:
         assert path.read_bytes() == self.OLD
         assert os.listdir(tmp_path) == ["out"]
 
+    @staticmethod
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
     def test_failed_rename_leaves_no_temporary_file(self, tmp_path, monkeypatch):
         path = tmp_path / "out"
         path.write_bytes(self.OLD)
-
-        def refuse(src, dst):
-            raise OSError("rename refused")
-
-        monkeypatch.setattr(fileio.os, "replace", refuse)
+        # Neither the swap nor the rename it falls back to.
+        monkeypatch.setattr(fileio, "_exchange", self.refuse)
+        monkeypatch.setattr(fileio.os, "replace", self.refuse)
         with pytest.raises(OSError, match="rename refused"):
             write_spectrum(str(path), sample_spectrum())
         assert path.read_bytes() == self.OLD
         assert os.listdir(tmp_path) == ["out"]
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="renameat2 is Linux's")
+    def test_overwrite_is_a_swap_not_a_rename(self, tmp_path, monkeypatch):
+        write_spectrum(str(tmp_path / "expected"), sample_spectrum())
+        path = tmp_path / "out"
+        path.write_bytes(self.OLD)
+        monkeypatch.setattr(fileio.os, "replace", self.refuse)
+        write_spectrum(str(path), sample_spectrum())
+        assert path.read_bytes() == (tmp_path / "expected").read_bytes()
+        assert sorted(os.listdir(tmp_path)) == ["expected", "out"]
+
+    def no_swap(self, how, monkeypatch):
+        if how == "einval":  # a file system without the exchange
+            def einval(a, b):
+                raise OSError(errno.EINVAL, os.strerror(errno.EINVAL), a, None, b)
+            monkeypatch.setattr(fileio, "_exchange", einval)
+        else:
+            monkeypatch.setattr(fileio, "_renameat2", lambda: None)
+
+    @pytest.mark.parametrize("how", ["einval", "no-renameat2"])
+    def test_without_a_swap_the_rename_writes_the_same(self, tmp_path, monkeypatch, how):
+        trees = {}
+        for side in ("swap", how):
+            if side == how:
+                self.no_swap(how, monkeypatch)
+            (tmp_path / side).mkdir()
+            path = tmp_path / side / "out"
+            path.write_bytes(self.OLD)
+            write_spectrum(str(path), sample_spectrum())
+            trees[side] = (os.listdir(tmp_path / side), path.read_bytes(),
+                           stat.S_IMODE(os.stat(path).st_mode))
+        assert trees["swap"] == trees[how]
+        assert trees["swap"][0] == ["out"]
+
+    def test_hard_link_keeps_the_old_bytes(self, tmp_path):
+        path = tmp_path / "out"
+        path.write_bytes(self.OLD)
+        os.link(path, tmp_path / "link")
+        fileio._write_text(str(path), "new\n")
+        assert path.read_bytes() == b"new\n"
+        assert (tmp_path / "link").read_bytes() == self.OLD
+        assert sorted(os.listdir(tmp_path)) == ["link", "out"]
+
+    def test_directory_in_the_targets_place_is_left_there(self, tmp_path, monkeypatch):
+        """A directory that takes the target's name after the regular-file
+        check is neither replaced nor moved, swap or no swap."""
+        path = tmp_path / "out"
+        path.mkdir()
+        (path / "inside").write_bytes(self.OLD)
+        monkeypatch.setattr(fileio.os.path, "isfile", lambda p: True)
+        with pytest.raises(OSError):
+            fileio._write_text(str(path), "new\n")
+        assert os.listdir(tmp_path) == ["out"]
+        assert (path / "inside").read_bytes() == self.OLD
 
     @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=oct)
     def test_new_file_mode_matches_plain_open(self, tmp_path, umask):
@@ -777,6 +839,28 @@ class TestArtifacts:
 
 
 class TestDetectFormat:
+    @pytest.mark.parametrize("fmt", ["spectrum", "artifact"])
+    def test_pipe_is_detected_and_read_through_one_handle(self, tmp_path, fmt):
+        path = tmp_path / "data"
+        if fmt == "spectrum":
+            write_spectrum(str(path), sample_spectrum())
+        else:
+            write_artifact(str(path), "kk", {"nodes": 11, "kind": "spectrum"})
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=lambda: fifo.write_bytes(b"\n" + path.read_bytes()),
+                                  daemon=True)
+        writer.start()
+        with fileio.detected(str(fifo)) as (found, read):
+            content = read()
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert found == fmt
+        if fmt == "spectrum":
+            assert np.array_equal(content.values, read_spectrum(str(path)).values)
+        else:
+            assert content == read_artifact(str(path))
+
     def test_each_kind(self, tmp_path):
         spec_path = str(tmp_path / "s.csv")
         write_spectrum(spec_path, sample_spectrum())
