@@ -35,7 +35,8 @@ end-to-end metric the pairs (runs of one seed) in which DIR did better
 than OTHER, ties counting for neither.  The script prints the table
 OTHER -> DIR of each metric: OTHER's median and quartiles, DIR's median,
 the change in per cent and the pairs won, then each pair's ``ops_per_s``
-and rename times.  ``--seeds`` runs other seeds than 1 to 5, so that a
+and rename times, and last a verdict per metric, also kept under
+``against`` (see ``verdict``).  ``--seeds`` runs other seeds than 1 to 5, so that a
 claimed gain can be shown on seeds not used while the change was built;
 only a comparison takes it.
 
@@ -126,6 +127,40 @@ def pairs_won(runs, against, better: dict) -> dict:
     return won
 
 
+def verdict(new: dict, old: dict, won: int, pairs: int, better: str, bound: float) -> str:
+    """The verdict on one metric, from DIR's and OTHER's median and
+    quartiles (``new``, ``old``), the pairs DIR won of ``pairs``, the
+    direction that is better and the metric's bound in BENCHMARK.json:
+
+    - "gain": DIR won 9 pairs in 10 or more, and its median is better than
+      OTHER's by more than OTHER's quartile spread;
+    - "unresolved": OTHER's spread is wider than the bound, and the
+      medians are no further apart than that spread;
+    - "worse": DIR's median is worse than OTHER's by more than the bound;
+    - "within bound": anything else.
+    """
+    spread = old["q3"] - old["q1"]
+    gained = (new["median"] - old["median"]) * (1 if better == "higher" else -1)
+    separate = abs(gained) > spread
+    if gained > 0 and separate and won >= 0.9 * pairs:
+        return "gain"
+    if spread > bound * abs(old["median"]) and not separate:
+        return "unresolved"
+    if -gained > bound * abs(old["median"]):
+        return "worse"
+    return "within bound"
+
+
+def verdicts(runs, against, metrics: dict) -> dict:
+    """Per end-to-end metric of ``metrics`` (name -> its BENCHMARK.json
+    entry) that both sides report, the verdict on DIR's ``runs`` against
+    OTHER's (``against``)."""
+    new, old = summarise(runs)["metrics"], summarise(against)["metrics"]
+    won = pairs_won(runs, against, {name: m["better"] for name, m in metrics.items()})
+    return {name: verdict(new[name], old[name], won[name], len(runs), m["better"], m["bound"])
+            for name, m in metrics.items() if name in new and name in old}
+
+
 def table(workload: str, runs, against, better: dict) -> list:
     """The lines OTHER -> DIR of one workload, from the runs of DIR and of
     OTHER (``against``) in pairs: per metric of ``better``, OTHER's median
@@ -195,7 +230,8 @@ def main(argv=None) -> int:
     seeds = args.seeds or list(SEEDS)
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = benchmark["run_seconds"]
-    better = {metric["name"]: metric["better"] for metric in benchmark["end_to_end"]}
+    metrics = {metric["name"]: metric for metric in benchmark["end_to_end"]}
+    better = {name: metric["better"] for name, metric in metrics.items()}
     # The trees in the order of the first pair: OTHER, then DIR.
     trees = {"against": args.against, "checkout": args.checkout} if args.against else {
         "checkout": args.checkout}
@@ -221,10 +257,14 @@ def main(argv=None) -> int:
                           f"{run['metrics']['ops_per_s']:.4g}", flush=True)
             snapshot["workloads"][workload] = summarise(runs["checkout"])
             if args.against:
+                judged = verdicts(runs["checkout"], runs["against"], metrics)
                 snapshot["against"]["workloads"][workload] = {
                     **summarise(runs["against"]),
-                    "pairs_won": pairs_won(runs["checkout"], runs["against"], better)}
+                    "pairs_won": pairs_won(runs["checkout"], runs["against"], better),
+                    "verdicts": judged}
                 lines += table(workload, runs["checkout"], runs["against"], better)
+                lines.append("  verdicts: " + "; ".join(f"{name} {said}"
+                                                        for name, said in judged.items()))
     except RuntimeError as exc:
         print(f"bench_snapshot: {exc}", file=sys.stderr)
         return 1

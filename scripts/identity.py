@@ -170,6 +170,15 @@ def _cases() -> dict:
         ("kk-pipe", _verb({STDIN: POLE}, "kk", "/dev/stdin", "-o", "kk.txt")),
         ("report-pipe", _verb({STDIN: TAU, "s.csv": RESONANCE}, "report", "/dev/stdin",
                               "s.csv")),
+        # A piped table numpy refuses is read again from its copy in memory,
+        # and a byte that does not decode is named at its line.
+        ("extract-pipe-blank-line", _verb({STDIN: _rows(SPECTRUM, "0,1,2", "   ", "1,3,4",
+                                                        "2,5,6")},
+                                          "extract", "/dev/stdin", "-o", "t.csv")),
+        ("extract-pipe-ragged-row", _verb({STDIN: _rows(SPECTRUM, "0,1,2", "1,3", "2,5,6")},
+                                          "extract", "/dev/stdin", "-o", "t.csv")),
+        ("kk-pipe-undecodable", _verb({STDIN: b"omega,re,im\n1,\xe9,2\n2,3,4\n"}, "kk",
+                                      "/dev/stdin")),
         ("help", _verb({}, "--help")),
         ("usage-no-verb", _verb({})),
         ("usage-unknown-verb", _verb({}, "teapot")),

@@ -66,11 +66,13 @@ def _complex(re, im):
 def uniform_spacing(x, message: str) -> float:
     """Mean step of ``x``; raises NonUniformGrid(message) unless ``x`` has
     two or more nodes, a mean step > 0 and every step within _UNIFORM_RTOL
-    times the mean of it plus the csv round-off of the largest |node|."""
+    times the mean of it plus the csv round-off of the largest |node|.
+    Rounding is monotone, so the extreme steps and nodes give the largest
+    |step - h| and |node|; np.maximum keeps a NaN, which refuses."""
     steps = np.diff(x)
     h = float(np.mean(steps)) if steps.size else 0.0
-    if not (h > 0 and np.max(np.abs(steps - h))
-            <= _UNIFORM_RTOL * h + _CSV_ROUNDOFF * np.max(np.abs(x))):
+    if not (h > 0 and np.maximum(np.max(steps) - h, h - np.min(steps))
+            <= _UNIFORM_RTOL * h + _CSV_ROUNDOFF * np.maximum(np.max(x), -np.min(x))):
         raise NonUniformGrid(message)
     return h
 
@@ -91,9 +93,10 @@ class FrequencyGrid:
             raise GridError("grid must be one-dimensional")
         if arr.size < 3:
             raise GridError("grid needs at least 3 nodes")
-        if not np.all(np.isfinite(arr)):
-            raise GridError("grid contains non-finite values")
-        if not np.all(np.diff(arr) > 0):
+        # Increasing between finite ends means finite; isfinite picks the message.
+        if not (np.isfinite(arr[[0, -1]]).all() and np.all(arr[1:] > arr[:-1])):
+            if not np.all(np.isfinite(arr)):
+                raise GridError("grid contains non-finite values")
             raise GridError("grid must be strictly increasing")
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)

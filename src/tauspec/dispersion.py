@@ -149,10 +149,15 @@ def _pv_core(values: np.ndarray) -> np.ndarray:
     out = np.empty(n, dtype=complex)
     out[0] = s1[0]
     out[-1] = s1[-1]
-    idx = np.arange(1, n - 1, dtype=float)
-    harmonic = np.concatenate(([0.0], np.cumsum(1.0 / np.arange(1, n))))
-    ones_sums = harmonic[1:-1] - harmonic[-2:0:-1] - 0.5 / idx + 0.5 / (n - 1 - idx)
-    log_kernel = np.log(idx / (n - 1 - idx))
+    # ones_sums = H[1:-1] - H[-2:0:-1] - 0.5 / idx + 0.5 / (n - 1 - idx) and
+    # log(idx / (n - 1 - idx)) in four arrays, as n - 1 - idx is idx reversed
+    counts = np.arange(1, n, dtype=float)
+    idx, scratch, harmonic = counts[:-1], np.divide(1.0, counts), np.zeros(n)
+    np.cumsum(scratch, out=harmonic[1:])
+    ones_sums = np.subtract(harmonic[1:-1], harmonic[-2:0:-1])
+    ones_sums -= (q := np.divide(0.5, idx, out=scratch[:-1]))
+    ones_sums += q[::-1]
+    log_kernel = np.log(np.divide(idx, idx[::-1], out=q), out=q)
     centre = 0.5 * (values[2:] - values[:-2])
     # out[mid] = s1[mid] - values[mid] * ones_sums - centre + values[mid] * log_kernel,
     # in that order, with no temporaries beyond centre's buffer.
@@ -169,7 +174,8 @@ def _log_ratio_over_omega(omega, edge):
     small = np.flatnonzero(np.abs(omega) <= 1e-8 * abs(edge))
     # The nodes in ``small`` may divide by zero or overflow; they are refilled.
     with np.errstate(all="ignore"):
-        out = np.log1p(-omega / edge) / omega
+        out = -omega / edge
+        np.divide(np.log1p(out, out=out), omega, out=out)
     out[small] = -1.0 / edge - omega[small] / (2.0 * edge**2)
     return out
 
@@ -179,7 +185,9 @@ def _log_ratio_balanced(omega, edge):
     small = np.flatnonzero(np.abs(omega) <= 1e-5 * abs(edge))
     # The nodes in ``small`` may divide by zero or overflow; they are refilled.
     with np.errstate(all="ignore"):
-        out = np.log1p(-omega / edge) / omega**2 + 1.0 / (omega * edge)
+        out = -omega / edge
+        np.divide(np.log1p(out, out=out), (scratch := np.square(omega)), out=out)
+        out += np.divide(1.0, np.multiply(omega, edge, out=scratch), out=scratch)
     out[small] = -1.0 / (2.0 * edge**2) - omega[small] / (3.0 * edge**3)
     return out
 
@@ -247,11 +255,12 @@ def _interior(n: int, edge_fraction: float) -> slice:
 
 def _kk_report(values, grid, tail_model, keep, origin_gap=0.0) -> KKReport:
     """Statistics of the residual |S - i H[S]| over the nodes ``keep`` picks."""
-    transformed = hilbert_transform(values, grid, tail_model)
-    inner = np.abs(values - 1j * transformed)[keep]
+    residual = hilbert_transform(values, grid, tail_model)  # values - 1j * it, in place
+    np.subtract(values, np.multiply(1j, residual, out=residual), out=residual)
+    inner = np.abs(residual)[keep]
     return KKReport(
         residual_max=float(np.max(inner)),
-        residual_l2=float(np.sqrt(np.mean(inner**2))),
+        residual_l2=float(np.sqrt(np.mean(np.square(inner, out=inner)))),
         tail_model=tail_model,
         nodes=int(inner.size),
         origin_gap=origin_gap,
@@ -322,10 +331,11 @@ def tau_kk_residual(
         )
     m_max = k + n - 1
     super_x = h * np.arange(-m_max, m_max + 1)
+    # tau on the right, conj(tau) mirrored on the left, part by part
     values = np.zeros(super_x.size, dtype=complex)
-    tau_pos = temporal.tau
-    values[m_max + k :] = tau_pos
-    values[: m_max - k + 1] = np.conj(tau_pos)[::-1]
+    right, left = values[m_max + k :], values[m_max - k :: -1]
+    right.real, right.imag, left.real = temporal.tau1, temporal.tau2, temporal.tau1
+    np.negative(temporal.tau2, out=left.imag)
     mask = np.zeros(super_x.size, dtype=bool)
     mask[_interior(super_x.size, edge_fraction)] = True
     mask &= np.abs(super_x) > g[0] - 0.5 * h

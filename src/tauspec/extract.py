@@ -63,39 +63,41 @@ def _unwrap(phase: np.ndarray) -> np.ndarray:
     numpy wraps every step into [-pi, pi) and then zeroes the correction
     of each step below pi.  Here the same formula, boundary fix included,
     runs only on the steps of pi or more (and NaN steps, which numpy's
-    mask keeps too); the corrections are scattered into zeros and summed
-    as numpy sums them, so every addition is the one numpy makes.
+    mask keeps too).  numpy's running sum of the corrections adds +0 between
+    jumps, which changes no sum (none is -0): summed over the jumps alone
+    and spread over the nodes by np.repeat, every addition is numpy's.
     """
     steps = np.diff(phase)
-    jumps = np.nonzero(~(np.abs(steps) < np.pi))[0]
+    jumps = np.flatnonzero(~(np.abs(steps) < np.pi))
     d = steps[jumps]
     wrapped = np.mod(d + np.pi, 2.0 * np.pi) - np.pi
     np.copyto(wrapped, np.pi, where=(wrapped == -np.pi) & (d > 0))
-    correction = np.zeros(steps.shape)
-    correction[jumps] = wrapped - d
-    out = np.array(phase, dtype=float)
-    out[1:] = phase[1:] + np.cumsum(correction)
+    sums = np.zeros(jumps.size + 1)
+    np.cumsum(wrapped - d, out=sums[1:])
+    out = np.empty(phase.shape)
+    out[:1] = phase[:1]
+    np.add(phase[1:], np.repeat(sums, np.diff(jumps, prepend=0, append=steps.size)),
+           out=out[1:])
     return out
 
 
 def _log_spectrum(spectrum: ComplexSpectrum, options: ExtractionOptions):
-    """Split samples into log-modulus and unwrapped phase, with guards."""
+    """Split samples into log-modulus and unwrapped phase, with guards,
+    each one reduction; the node it names is looked for when it trips."""
     moduli = np.abs(spectrum.values)
-    low = np.nonzero(moduli < options.min_modulus)[0]
-    if low.size:
-        raise ZeroModulus(
-            f"|S| below {options.min_modulus:g} at node {low[0]}",
-            node=int(low[0]),
-        )
+    if np.min(moduli) < options.min_modulus:
+        low = int(np.argmax(moduli < options.min_modulus))
+        raise ZeroModulus(f"|S| below {options.min_modulus:g} at node {low}", node=low)
     phase = _unwrap(np.angle(spectrum.values))
-    steps = np.abs(np.diff(phase))
-    bad = np.nonzero(steps > options.unwrap_tolerance)[0]
-    if bad.size:
+    steps = np.diff(phase)
+    if np.maximum(np.max(steps), -np.min(steps)) > options.unwrap_tolerance:
+        steps = np.abs(steps)
+        bad = int(np.argmax(steps > options.unwrap_tolerance))
         raise PhaseJump(
-            f"phase step {steps[bad[0]]:.3g} exceeds tolerance at node {bad[0] + 1}",
-            node=int(bad[0] + 1),
+            f"phase step {steps[bad]:.3g} exceeds tolerance at node {bad + 1}",
+            node=bad + 1,
         )
-    return np.log(moduli), phase
+    return np.log(moduli, out=moduli), phase
 
 
 def extract_temporal(
@@ -115,8 +117,8 @@ def extract_temporal(
     opts = options if options is not None else ExtractionOptions()
     log_mod, phase = _log_spectrum(spectrum, opts)
     x = spectrum.grid.values
-    tau1 = differentiate(x, phase, opts.stencil_order)
-    tau2 = -differentiate(x, log_mod, opts.stencil_order)
+    tau1, tau2 = differentiate(x, phase, log_mod, order=opts.stencil_order)
+    np.negative(tau2, out=tau2)
     return TemporalSpectrum(
         spectrum.grid, tau1, tau2, edge_nodes=opts.stencil_order // 2
     )

@@ -248,23 +248,47 @@ def _naming(path: str):
     except UnicodeDecodeError as exc:
         # Its positions count from the decoder's chunk: decode the file whole.
         with open(path, "rb") as fh:
-            data = fh.read()
-        try:
-            data.decode(exc.encoding)
-        except UnicodeDecodeError as whole:
-            exc = whole
-        # Lines end as in text mode: at LF, CR LF or CR.
-        head = data[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        cut = exc.start - (len(head) - head.rfind(b"\n") - 1)
-        in_line = UnicodeDecodeError(exc.encoding, data[cut : exc.end],
-                                     exc.start - cut, exc.end - cut, exc.reason)
-        line = head.count(b"\n") + 1
-        raise ValueError(f"{path}: line {line}: {in_line}") from None
+            raise ValueError(f"{path}: {_undecodable(fh.read(), exc)}") from None
     except TauspecError as exc:
         exc.args = (f"{path}: {exc}",)
         raise
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+
+
+def _undecodable(data: bytes, exc: UnicodeDecodeError) -> ValueError:
+    """The error naming the first byte of ``data`` that does not decode."""
+    try:
+        data.decode(exc.encoding)
+    except UnicodeDecodeError as whole:
+        exc = whole
+    # Lines end as in text mode: at LF, CR LF or CR.
+    head = data[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    cut = exc.start - (len(head) - head.rfind(b"\n") - 1)
+    in_line = UnicodeDecodeError(exc.encoding, data[cut : exc.end],
+                                 exc.start - cut, exc.end - cut, exc.reason)
+    line = head.count(b"\n") + 1
+    return ValueError(f"line {line}: {in_line}")
+
+
+def _open(path: str):
+    """``open(path, "r")``, but a stream that cannot seek (a pipe) is read
+    into memory first, up to its line with a table's row past the cap (the
+    header is one more), so a table read can go over it again; a byte that
+    does not decode is named by its line, as in a file."""
+    fh = open(path, "r")
+    if fh.seekable():
+        return fh
+    with fh:
+        copy, kept = io.BytesIO(), 0
+        while kept <= MAX_POINTS + 1 and (chunk := fh.buffer.readline()):
+            copy.write(chunk)
+            try:  # a chunk ends at LF and holds one text line or more: kept runs behind
+                kept += bool(chunk.decode(fh.encoding).strip())
+            except UnicodeDecodeError as exc:
+                raise _undecodable(copy.getvalue(), exc) from None
+    copy.seek(0)
+    return io.TextIOWrapper(copy, fh.encoding)
 
 
 def _parse_rows(lines, start: int, width: int):
@@ -327,7 +351,7 @@ def _opened(path: str, head: tuple | None):
     if head is not None:
         yield head
         return
-    with open(path, "r") as fh:
+    with _open(path) as fh:
         yield _head(fh)
 
 
@@ -338,13 +362,14 @@ def read_table(path: str, head: tuple | None = None):
     numpy parses the rows straight from the file: a regular file by the
     name ``/dev/fd/<n>`` of the descriptor that read the header, which
     numpy reads in blocks and neither decompresses nor fetches, and a
-    pipe by its handle, one line at a time.  numpy parses once more
+    pipe by a handle on the copy ``_open`` made of it.  numpy parses once more
     without the whitespace-only lines if it refuses them.  A table numpy
     still refuses is read again line by line by ``_parse_rows``, which
     skips those lines too and names a bad row.  Either way a table of more
     than ``MAX_POINTS`` rows is refused once the row past the cap is read.
-    numpy reserves room for every row it may read: for a regular file as
-    many as its size holds at 2 bytes a cell, for a pipe one past the cap.
+    numpy reserves room for every row it may read: for a regular file or
+    a pipe's copy as many as its size holds at 2 bytes a cell, else one
+    past the cap.
     A file with more rows than its size can hold (a procfs file, one that
     grows while read) reaches that bound and is read by ``_parse_rows``.
     """
@@ -353,11 +378,16 @@ def read_table(path: str, head: tuple | None = None):
             raise ValueError("empty file")
         header = header.strip()
         width = len(header.split(","))
+        if isinstance(fh.buffer, io.BytesIO):  # the copy _open made of a pipe
+            size, name = fh.buffer.getbuffer().nbytes, None
+        else:
+            info = os.fstat(fh.fileno())
+            size = info.st_size if stat.S_ISREG(info.st_mode) else None
+            name = f"/dev/fd/{fh.fileno()}"
         max_rows = MAX_POINTS + 1
-        info = os.fstat(fh.fileno())
-        if stat.S_ISREG(info.st_mode):  # a row of width cells takes 2 * width bytes or more
-            max_rows = min(max_rows, info.st_size // (2 * width) + 1)
-        if os.path.isfile(name := f"/dev/fd/{fh.fileno()}"):
+        if size is not None:  # a row of width cells takes 2 * width bytes or more
+            max_rows = min(max_rows, size // (2 * width) + 1)
+        if name and os.path.isfile(name):
             fh.seek(0)  # where /dev/fd dups the descriptor, numpy reads from its offset
             arr = _loadtxt(name, width, max_rows, skiprows=start + 1)
         else:
@@ -579,7 +609,7 @@ def load_model(path: str) -> ModelDocument:
     Every parameter invariant is re-checked on load by constructing the
     corresponding parameter object; unknown fields are rejected.
     """
-    with _naming(path), open(path, "r") as fh:
+    with _naming(path), _open(path) as fh:
         doc = json.load(fh)
         if not isinstance(doc, dict):
             raise ValueError("model document must be a JSON object")
@@ -671,7 +701,7 @@ def detected(path: str):
     model document.  Both go through one handle, so a table or artifact
     piped in is read once."""
     with _naming(path):
-        fh = open(path, "r")
+        fh = _open(path)
     with fh:
         with _naming(path):
             head = _head(fh)

@@ -76,7 +76,7 @@ def test_table_reads_parent_to_change():
 
 def test_against_alternates_the_trees_and_records_both(tmp_path, monkeypatch, capsys):
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(
-        {"run_seconds": 1, "end_to_end": [{"name": name, "better": better}
+        {"run_seconds": 1, "end_to_end": [{"name": name, "better": better, "bound": 0.25}
                                           for name, better in BETTER.items()]}))
     order = []
 
@@ -102,7 +102,12 @@ def test_against_alternates_the_trees_and_records_both(tmp_path, monkeypatch, ca
     assert against["workloads"]["w"]["pairs_won"] == {"ops_per_s": 3, "op_p50_s": 0}
     assert against["workloads"]["w"]["metrics"]["ops_per_s"]["median"] == 22.0
     assert snapshot["workloads"]["w"]["metrics"]["ops_per_s"]["median"] == 44.0
-    assert "  ops_per_s: 22 [21.5, 22.5] -> 44 (+100.0%, 3/3)" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "  ops_per_s: 22 [21.5, 22.5] -> 44 (+100.0%, 3/3)" in out
+    # 3 pairs won of 3, medians apart by more than [21.5, 22.5]; op_p50_s
+    # is in no run, so it gets no verdict
+    assert "  verdicts: ops_per_s gain\n" in out
+    assert against["workloads"]["w"]["verdicts"] == {"ops_per_s": "gain"}
 
 
 def test_seeds_need_a_comparison(capsys):
@@ -129,3 +134,39 @@ def test_each_run_starts_without_a_bytecode_cache(tmp_path, monkeypatch):
     env, record = bench_snapshot.bench_run(tmp_path, "w", 1, 1.0)
     assert env == {"src_digest": "x"}
     assert record["metrics"] == {"ops_per_s": 1.0}
+
+
+def quart(q1, median, q3):
+    return {"q1": q1, "median": median, "q3": q3}
+
+
+@pytest.mark.parametrize("new, old, won, better, said", [
+    # 9 pairs of 10 and medians apart by more than the parent's spread
+    (quart(0, 85.0, 0), quart(78.0, 80.0, 81.0), 9, "higher", "gain"),
+    (quart(0, 0.09, 0), quart(0.095, 0.1, 0.102), 10, "lower", "gain"),
+    # 8 pairs of 10 are not enough, nor is a gap inside the spread
+    (quart(0, 85.0, 0), quart(78.0, 80.0, 81.0), 8, "higher", "within bound"),
+    (quart(0, 85.0, 0), quart(75.0, 80.0, 86.0), 10, "higher", "within bound"),
+    # beyond the bound of 0.25, in the worse direction
+    (quart(0, 59.0, 0), quart(79.0, 80.0, 81.0), 0, "higher", "worse"),
+    (quart(0, 0.13, 0), quart(0.099, 0.1, 0.101), 0, "lower", "worse"),
+    (quart(0, 61.0, 0), quart(79.0, 80.0, 81.0), 0, "higher", "within bound"),
+    # a parent spread wider than the bound, and runs that do not separate
+    (quart(0, 4.0, 0), quart(3.5, 4.5, 6.1), 4, "higher", "unresolved"),
+    (quart(0, 3.2, 0), quart(3.5, 4.5, 6.1), 2, "higher", "unresolved"),
+    # ... while runs that do separate are judged
+    (quart(0, 1.5, 0), quart(3.5, 4.5, 6.1), 0, "higher", "worse"),
+    (quart(0, 9.0, 0), quart(3.5, 4.5, 6.1), 10, "higher", "gain"),
+])
+def test_verdict_per_metric(new, old, won, better, said):
+    assert bench_snapshot.verdict(new, old, won, 10, better, 0.25) == said
+
+
+def test_verdicts_judge_each_metric_both_sides_report():
+    metrics = {"ops_per_s": {"better": "higher", "bound": 0.25},
+               "op_p50_s": {"better": "lower", "bound": 0.25},
+               "rows_per_s": {"better": "higher", "bound": 0.25}}
+    change = [run(seed, 90.0 + seed, op_p50_s=0.1) for seed in range(10)]
+    parent = [run(seed, 80.0 + seed % 2, op_p50_s=0.1) for seed in range(10)]
+    assert bench_snapshot.verdicts(change, parent, metrics) == {
+        "ops_per_s": "gain", "op_p50_s": "within bound"}

@@ -699,6 +699,38 @@ def test_table_piped_to_stdin(tmp_path, verb, table):
     assert b"[file stdin]" in piped.stdout or b"input=stdin" in piped.stdout
 
 
+# A table numpy refuses on its first pass, and one that does not decode:
+# the whitespace-only line is skipped, the ragged row and the byte 0xe9 are
+# named at their lines.
+RETRIED_TABLES = {
+    "blank-line": (b"omega,re,im\n0,1,2\n   \n1,3,4\n2,5,6\n", 0),
+    "ragged-row": (b"omega,re,im\n0,1,2\n1,3\n2,5,6\n", 2),
+    "undecodable": (b"omega,re,im\n1,\xe9,2\n2,3,4\n", 2),
+}
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+@pytest.mark.parametrize("verb", ["extract", "kk"])
+@pytest.mark.parametrize("table", sorted(RETRIED_TABLES))
+def test_piped_table_is_read_again_from_its_copy(tmp_path, verb, table):
+    """A piped table that numpy refuses goes through the whitespace retry
+    and the line-by-line parser as the same file does, and a byte that
+    does not decode is named at its line: the pipe is read once into
+    memory, and every later pass reads that copy."""
+    text, code = RETRIED_TABLES[table]
+    (tmp_path / "stdin").write_bytes(text)
+    piped, named = (subprocess.run([sys.executable, "-m", "tauspec", verb, path,
+                                    *(["-o", "t.csv"] if verb == "extract" else [])],
+                                   cwd=tmp_path, env=src_env(), input=text,
+                                   capture_output=True, timeout=60)
+                    for path in ("/dev/stdin", "stdin"))
+    assert named.returncode == piped.returncode == code, piped.stderr
+    assert piped.stdout == named.stdout
+    assert piped.stderr == named.stderr.replace(b"stdin: ", b"/dev/stdin: ")
+    if table == "undecodable":
+        assert b": line 2: 'utf-8' codec can't decode byte 0xe9 in position 2" in piped.stderr
+
+
 class TestInputErrors:
     """Every refused input, from the one table in scripts/refusals.py; the
     tests after the first run the cases they name once more."""
@@ -908,6 +940,19 @@ def test_small_table_reads_in_a_small_address_space(tmp_path):
     path.write_text(refusals.rows(refusals.SPECTRUM, *(f"{k},1,0.5" for k in range(5))))
     proc = subprocess.run([sys.executable, "-c", ADDRESS_SPACE_PROBE, "kk", str(path)],
                           env=src_env(), capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("# tauspec:kk v1\n")
+
+
+@pytest.mark.skipif(not (os.path.exists("/proc/self/status") and os.path.exists("/dev/stdin")),
+                    reason="needs /proc and /dev/stdin")
+def test_small_piped_table_reads_in_a_small_address_space(tmp_path):
+    """A pipe's copy in memory bounds the rows numpy reserves as a regular
+    file's size does: 5 piped rows, not the rows of the cap."""
+    text = refusals.rows(refusals.SPECTRUM, *(f"{k},1,0.5" for k in range(5)))
+    proc = subprocess.run([sys.executable, "-c", ADDRESS_SPACE_PROBE, "kk", "/dev/stdin"],
+                          env=src_env(), input=text, capture_output=True, text=True,
+                          timeout=60)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.startswith("# tauspec:kk v1\n")
 

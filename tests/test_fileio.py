@@ -182,7 +182,7 @@ class TestTables:
         assert header == BARRIER_HEADER
         np.testing.assert_allclose(np.array(cols), [e, e, -e, 2 * e, 3 * e], rtol=1e-12)
         # A regular file reaches numpy as the name of the open descriptor, a
-        # pipe as the handle that read its header.
+        # pipe as a handle on the copy of it read into memory.
         assert len(sources) == 3
         assert all(isinstance(rows, str) and rows.startswith("/dev/fd/") for rows in sources)
         fifo = tmp_path / "pipe"
@@ -194,7 +194,8 @@ class TestTables:
                                       read_table(str(tmp_path / "s.csv"))[1])
         feed.join(timeout=10)
         assert not feed.is_alive()
-        assert isinstance(sources[3], Streamed)
+        assert isinstance(sources[3], io.TextIOWrapper)
+        assert isinstance(sources[3].buffer, io.BytesIO)
 
     @staticmethod
     def large_spectrum(path):
@@ -860,6 +861,32 @@ class TestDetectFormat:
             assert np.array_equal(content.values, read_spectrum(str(path)).values)
         else:
             assert content == read_artifact(str(path))
+
+    def test_pipe_is_read_up_to_the_row_past_the_cap(self, tmp_path, monkeypatch):
+        """The copy of a pipe stops at the row past the cap, as numpy's read
+        does, so a pipe that goes on is refused and closed, not held."""
+        monkeypatch.setattr(fileio, "MAX_POINTS", 5)
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        closed = []
+
+        def feed():
+            row = -1
+            with open(fifo, "wb", buffering=0) as fh:
+                try:
+                    fh.write(b"omega,re,im\n\n")
+                    for row in range(10**6):
+                        fh.write(b"%d,1,2\n" % row)
+                except BrokenPipeError:
+                    closed.append(row)
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        with pytest.raises(ValueError, match="more than 5 rows"):
+            read_spectrum(str(fifo))
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert closed and closed[0] < 10**6 - 1
 
     def test_each_kind(self, tmp_path):
         spec_path = str(tmp_path / "s.csv")

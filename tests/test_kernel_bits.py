@@ -1,13 +1,13 @@
-"""The Hilbert transform, its tail models and reconstruct, bit for bit.
+"""The kernels rewritten to skip passes and temporaries, bit for bit.
 
 Each kernel is compared, through ``.view(np.int64)`` so that the sign of
 zero counts, with a verbatim copy of the arithmetic it had before it was
-rewritten to skip temporaries and masked gathers (its input guards left
-out).  The sizes straddle
-16,384 complex nodes (256 KiB), where numpy starts to reuse temporaries
-in place and so swaps the operands of a product such as
-``anchor_value * np.exp(...)``; complex products are not bitwise
-commutative there.
+rewritten (its input guards left out, except where the guards are what
+was rewritten: the grid checks and the extraction's guards, whose
+refusals must match too).  The sizes straddle 16,384 complex nodes
+(256 KiB), where numpy starts to reuse temporaries in place and so swaps
+the operands of a product such as ``anchor_value * np.exp(...)``;
+complex products are not bitwise commutative there.
 
 The drawn values keep every trapezoid increment of reconstruct above the
 underflow threshold.  Below it the reference's sign of a zero increment
@@ -19,13 +19,25 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tauspec.core import FrequencyGrid, TemporalSpectrum, reconstruct, uniform_spacing
+from tauspec._stencils import differentiate
+from tauspec.core import (
+    ComplexSpectrum,
+    FrequencyGrid,
+    TemporalSpectrum,
+    reconstruct,
+    uniform_spacing,
+)
 from tauspec.dispersion import (
+    _interior,
     _kernel_spectrum,
     _log_ratio_balanced,
     _log_ratio_over_omega,
     hilbert_transform,
+    kk_residual,
+    tau_kk_residual,
 )
+from tauspec.errors import GridError, NonUniformGrid, PhaseJump, ZeroModulus
+from tauspec.extract import ExtractionOptions, _log_spectrum, extract_temporal
 
 BITS = dict(deadline=None, derandomize=True)
 # Node counts below and above the 16,384 complex nodes of numpy's elision.
@@ -198,3 +210,284 @@ def test_reconstruct_matches_reference(n, seed, lo, kind, where, at_node, value)
         anchor = grid[int(where * (n - 1))]
     _same_bits(reconstruct(temporal, anchor, value).values,
                _ref_reconstruct(temporal, anchor, value))
+
+
+# -- grid checks -------------------------------------------------------------------
+def _ref_uniform_spacing(x, message):
+    steps = np.diff(x)
+    h = float(np.mean(steps)) if steps.size else 0.0
+    if not (h > 0 and np.max(np.abs(steps - h))
+            <= 1e-9 * h + 1e-12 * np.max(np.abs(x))):
+        raise NonUniformGrid(message)
+    return h
+
+
+def _ref_grid_refusal(values):
+    """The message FrequencyGrid refused ``values`` with, or None."""
+    arr = np.array(values, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        return "grid contains non-finite values"
+    if not np.all(np.diff(arr) > 0):
+        return "grid must be strictly increasing"
+    return None
+
+
+def _outcome(call, *args):
+    """What ``call(*args)`` returned, or the class and message it raised."""
+    try:
+        return call(*args)
+    except (GridError, NonUniformGrid) as exc:
+        return type(exc), str(exc)
+
+
+SPECIALS = (np.nan, np.inf, -np.inf, -0.0, 0.0)
+
+
+@st.composite
+def grids(draw):
+    """Uniform, jittered or stepped grids, some with a special value at an
+    end or inside, some with a signed zero next to +0."""
+    n = draw(SIZES)
+    lo = draw(st.floats(-1e3, 1e3))
+    x = np.linspace(lo, lo + draw(st.floats(1e-6, 1e4)), n)
+    shape = draw(st.sampled_from(("uniform", "jitter", "step", "special", "zeros",
+                                  "reversed")))
+    if shape == "jitter":
+        x += draw(st.sampled_from((1e-15, 1e-12, 1e-9, 1e-6))) * (x[1] - x[0]) * (
+            np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(n))
+    elif shape == "step":
+        x[draw(st.integers(1, n - 1)):] += draw(st.floats(-1.0, 1.0)) * (x[1] - x[0])
+    elif shape == "special":
+        for _ in range(draw(st.integers(1, 3))):
+            where = draw(st.one_of(st.sampled_from((0, n - 1)), st.integers(0, n - 1)))
+            x[where] = draw(st.sampled_from(SPECIALS))
+    elif shape == "zeros":
+        x = np.linspace(-1.0, 1.0, n)
+        x[n // 2 : n // 2 + 2] = draw(st.sampled_from(((-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0))))
+    elif shape == "reversed":
+        x = x[::-1].copy()
+    return x
+
+
+@settings(max_examples=300, **BITS)
+@given(x=grids())
+@example(x=np.array([np.nan, 1.0, 2.0]))
+@example(x=np.array([0.0, np.nan, 2.0]))
+@example(x=np.array([0.0, 1.0, np.inf]))
+@example(x=np.array([-np.inf, 1.0, 0.5]))
+@example(x=np.array([2.0, 1.0, np.nan]))
+@example(x=np.array([-0.0, 0.0, 1.0]))
+def test_uniform_spacing_and_grid_checks_match_reference(x):
+    """The step, or the refusal, of uniform_spacing; the grid FrequencyGrid
+    keeps, or the first of its messages that applies."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        got, want = (_outcome(check, x, "not uniform")
+                     for check in (uniform_spacing, _ref_uniform_spacing))
+    assert type(got) is type(want)
+    if isinstance(want, float):
+        assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64)
+    else:
+        assert got == want
+    refusal = _ref_grid_refusal(x)
+    made = _outcome(FrequencyGrid, x)
+    if refusal is None:
+        _same_bits(made.values, x)
+    else:
+        assert made == (GridError, refusal)
+
+
+# -- extraction --------------------------------------------------------------------
+def _ref_unwrap(phase):
+    steps = np.diff(phase)
+    jumps = np.nonzero(~(np.abs(steps) < np.pi))[0]
+    d = steps[jumps]
+    wrapped = np.mod(d + np.pi, 2.0 * np.pi) - np.pi
+    np.copyto(wrapped, np.pi, where=(wrapped == -np.pi) & (d > 0))
+    correction = np.zeros(steps.shape)
+    correction[jumps] = wrapped - d
+    out = np.array(phase, dtype=float)
+    out[1:] = phase[1:] + np.cumsum(correction)
+    return out
+
+
+def _ref_log_spectrum(spectrum, options):
+    moduli = np.abs(spectrum.values)
+    low = np.nonzero(moduli < options.min_modulus)[0]
+    if low.size:
+        raise ZeroModulus(
+            f"|S| below {options.min_modulus:g} at node {low[0]}",
+            node=int(low[0]),
+        )
+    phase = _ref_unwrap(np.angle(spectrum.values))
+    steps = np.abs(np.diff(phase))
+    bad = np.nonzero(steps > options.unwrap_tolerance)[0]
+    if bad.size:
+        raise PhaseJump(
+            f"phase step {steps[bad[0]]:.3g} exceeds tolerance at node {bad[0] + 1}",
+            node=int(bad[0] + 1),
+        )
+    return np.log(moduli), phase
+
+
+def _ref_differentiate(x, f, order=2):
+    x = np.asarray(x, dtype=float)
+    f = np.asarray(f)
+    if order == 2:
+        if x.size < 3:
+            raise ValueError("order-2 derivative needs at least 3 nodes")
+        return np.gradient(f, x, edge_order=2)
+    if order != 4:
+        raise ValueError("stencil order must be 2 or 4")
+    if x.size < 5:
+        raise ValueError("order-4 derivative needs at least 5 nodes")
+    h = _ref_uniform_spacing(x, "order-4 derivative requires a uniform grid")
+    out = np.empty_like(f, dtype=np.result_type(f, float))
+    out[2:-2] = (f[:-4] - 8.0 * f[1:-3] + 8.0 * f[3:-1] - f[4:]) / (12.0 * h)
+    w_edge = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
+    w_off = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0
+    out[0] = np.dot(w_edge, f[:5]) / h
+    out[1] = np.dot(w_off, f[:5]) / h
+    out[-1] = -np.dot(w_edge, f[-5:][::-1]) / h
+    out[-2] = -np.dot(w_off, f[-5:][::-1]) / h
+    return out
+
+
+def _ref_extract_temporal(spectrum, options):
+    log_mod, phase = _ref_log_spectrum(spectrum, options)
+    x = spectrum.grid.values
+    tau1 = _ref_differentiate(x, phase, options.stencil_order)
+    tau2 = -_ref_differentiate(x, log_mod, options.stencil_order)
+    return tau1, tau2
+
+
+def _refusal(call, *args):
+    """The arrays ``call(*args)`` returned, or what it raised: the class,
+    the message and the node it named."""
+    try:
+        return call(*args)
+    except (ZeroModulus, PhaseJump, NonUniformGrid, ValueError) as exc:
+        return type(exc), str(exc), getattr(exc, "node", None)
+
+
+@settings(max_examples=60, **BITS)
+@given(n=SIZES, seed=st.integers(0, 2**32 - 1),
+       shape=st.sampled_from(("resonances", "noise", "wrapping", "small", "negative-zero")),
+       grid=st.sampled_from(("uniform", "jitter", "step")),
+       order=st.sampled_from((2, 4)),
+       tolerance=st.sampled_from((float(np.pi), float(np.pi), 1.0, 0.05)),
+       min_modulus=st.sampled_from((1e-12, 1e-12, 1e-3, 0.5)))
+@example(n=16_385, seed=0, shape="resonances", grid="uniform", order=4,
+         tolerance=float(np.pi), min_modulus=1e-12)
+@example(n=16_383, seed=1, shape="wrapping", grid="uniform", order=2,
+         tolerance=float(np.pi), min_modulus=1e-12)
+@example(n=300, seed=2, shape="noise", grid="uniform", order=4, tolerance=0.05,
+         min_modulus=1e-12)
+@example(n=300, seed=3, shape="small", grid="uniform", order=4, tolerance=float(np.pi),
+         min_modulus=1e-3)
+def test_extraction_matches_reference(n, seed, shape, grid, order, tolerance, min_modulus):
+    """extract_temporal, _log_spectrum and differentiate: the same bits, or
+    the same refusal naming the same node."""
+    rng = np.random.default_rng(seed)
+    x = np.linspace(0.1, 0.1 + rng.uniform(0.5, 5.0), n)
+    if grid == "jitter":
+        x += 1e-7 * (x[1] - x[0]) * rng.standard_normal(n)
+    elif grid == "step":
+        x[rng.integers(1, n):] += 0.5 * (x[1] - x[0])
+    if shape == "resonances":
+        values = np.ones(n, dtype=complex)
+        for _ in range(rng.integers(1, 4)):
+            zero = rng.uniform(x[0], x[-1]) + 0.5j * rng.uniform(1e-3, 0.3)
+            values *= (x - zero) / (x - np.conj(zero))
+    elif shape == "noise":
+        values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    elif shape == "wrapping":
+        values = np.exp(1j * rng.uniform(50.0, 500.0) * x) * (1.0 + 0.5 * np.sin(x))
+    elif shape == "small":
+        values = (x - rng.uniform(x[0], x[-1]) + 1e-4j).astype(complex)
+    else:
+        values = np.exp(1j * x) * (1.0 + 0.1 * x)
+        values.imag[rng.random(n) < 0.3] = -0.0
+    spectrum = ComplexSpectrum(FrequencyGrid(x), values)
+    options = ExtractionOptions(stencil_order=order, unwrap_tolerance=tolerance,
+                                min_modulus=min_modulus)
+    want = _refusal(_ref_extract_temporal, spectrum, options)
+    got = _refusal(extract_temporal, spectrum, options)
+    if isinstance(want, tuple) and isinstance(want[0], type):
+        assert got == want
+    else:
+        _same_bits(got.tau1, want[0])
+        _same_bits(got.tau2, want[1])
+        assert got.edge_nodes == order // 2
+    logs = _refusal(_log_spectrum, spectrum, options)
+    ref_logs = _refusal(_ref_log_spectrum, spectrum, options)
+    if isinstance(ref_logs[0], type):
+        assert logs == ref_logs
+    else:
+        for part, ref in zip(logs, ref_logs):
+            _same_bits(part, ref)
+        # order 4 on a real and on a complex f, or the same refusal
+        for f in (ref_logs[1], values):
+            derivative = _refusal(lambda *args: differentiate(*args, order=4), x, f)
+            ref_derivative = _refusal(_ref_differentiate, x, f, 4)
+            if isinstance(ref_derivative, tuple):
+                assert derivative == ref_derivative
+            else:
+                _same_bits(derivative, ref_derivative)
+
+
+# -- causality residuals ---------------------------------------------------------
+def _ref_kk_report(values, grid, tail_model, keep):
+    transformed = _ref_hilbert_transform(values, grid, tail_model)
+    inner = np.abs(values - 1j * transformed)[keep]
+    return float(np.max(inner)), float(np.sqrt(np.mean(inner**2))), int(inner.size)
+
+
+def _ref_tau_kk(temporal, tail_model, edge_fraction):
+    g = temporal.grid.values
+    h = uniform_spacing(g, "")
+    k = int(round(g[0] / h))
+    n = g.size
+    m_max = k + n - 1
+    super_x = h * np.arange(-m_max, m_max + 1)
+    values = np.zeros(super_x.size, dtype=complex)
+    tau_pos = temporal.tau
+    values[m_max + k :] = tau_pos
+    values[: m_max - k + 1] = np.conj(tau_pos)[::-1]
+    mask = np.zeros(super_x.size, dtype=bool)
+    mask[_interior(super_x.size, edge_fraction)] = True
+    mask &= np.abs(super_x) > g[0] - 0.5 * h
+    return _ref_kk_report(values, FrequencyGrid(super_x), tail_model, mask)
+
+
+def _report_bits(report):
+    return (np.float64(report.residual_max).view(np.int64),
+            np.float64(report.residual_l2).view(np.int64), report.nodes)
+
+
+def _want_bits(want):
+    return (np.float64(want[0]).view(np.int64), np.float64(want[1]).view(np.int64), want[2])
+
+
+@settings(max_examples=20, **BITS)
+@given(n=SIZES, seed=st.integers(0, 2**32 - 1), k=st.integers(1, 40),
+       tail=st.sampled_from(("none", "one_over_omega", "one_over_omega2")),
+       edge=st.sampled_from((0.0, 0.05, 0.2)), zeros=st.booleans())
+@example(n=16_385, seed=0, k=1, tail="one_over_omega", edge=0.05, zeros=False)
+@example(n=8_192, seed=1, k=3, tail="none", edge=0.0, zeros=True)
+def test_causality_residuals_match_reference(n, seed, k, tail, edge, zeros):
+    """kk_residual and tau_kk_residual: the same statistics, bit for bit,
+    over the same nodes."""
+    rng = np.random.default_rng(seed)
+    h = rng.uniform(1e-3, 0.1)
+    tau_x = h * np.arange(k, k + n)
+    pole = rng.uniform(tau_x[0], tau_x[-1]) - 1j * rng.uniform(0.01, 1.0)
+    tau = 1.0 / (tau_x - pole)
+    if zeros:
+        tau.imag[rng.random(n) < 0.3] = -0.0
+    temporal = TemporalSpectrum(FrequencyGrid(tau_x), tau.real, tau.imag)
+    assert _report_bits(tau_kk_residual(temporal, tail, edge)) == _want_bits(
+        _ref_tau_kk(temporal, tail, edge))
+    x = np.linspace(-tau_x[-1], tau_x[-1], n)
+    spectrum = ComplexSpectrum(FrequencyGrid(x), 1.0 / (x - pole))
+    assert _report_bits(kk_residual(spectrum, tail, edge)) == _want_bits(
+        _ref_kk_report(spectrum.values, spectrum.grid, tail, _interior(n, edge)))
