@@ -76,6 +76,12 @@ _H = np.linspace(0.5, 50.0, 992)
 _F = np.concatenate([-_H[::-1], _H])
 SUM_SPECTRUM = _spectrum(_F, (2.3 + 0.4j) / _F)
 SUM_TAU = _table(TEMPORAL, _F, 0.0 * _F, 1.0 / _F)
+# A grid of 1,500 steps, where _F has 1,983, with a gap at the origin and
+# one at 20 to 30: the sum rule's median of the steps takes its other branch.
+_G = np.concatenate([-np.linspace(0.5, 50.0, 700)[::-1], np.linspace(0.5, 20.0, 501),
+                     np.linspace(30.0, 50.0, 300)])
+SUM_GAPPED_SPECTRUM = _spectrum(_G, (2.3 + 0.4j) / _G)
+SUM_GAPPED_TAU = _table(TEMPORAL, _G, 0.2 / ((_G - 1.0) ** 2 + 0.01), 0.5 / _G)
 BARRIER_TABLE = _rows(BARRIER, "0.5,0.1,-1.5,2.0,-0.5", "1.5,0.6,0.3,1.0,0.25",
                       "2.5,0.9,0.1,0.5,0.125")
 KK_ARTIFACT = "# tauspec:kk v1\ninput=s.csv\nkind=spectrum\nnodes=4001\n"
@@ -137,6 +143,9 @@ def _cases() -> dict:
         ("kk-crlf", _verb({"s.csv": _crlf(POLE)}, "kk", "s.csv", "-o", "kk.txt")),
         ("sumrule", _verb({"s.csv": SUM_SPECTRUM, "t.csv": SUM_TAU}, "sumrule", "--spectrum",
                           "s.csv", "--tau", "t.csv", "-o", "sumrule.txt")),
+        ("sumrule-gapped-even", _verb({"s.csv": SUM_GAPPED_SPECTRUM, "t.csv": SUM_GAPPED_TAU},
+                                      "sumrule", "--spectrum", "s.csv", "--tau", "t.csv",
+                                      "-o", "sumrule.txt")),
         ("winding", _verb(_doc(BLASCHKE), "winding", "m.json", "--rect", "0", "2", "0.02",
                           "1", "-o", "w.txt")),
         # Negative bounds written with an exponent.

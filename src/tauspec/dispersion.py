@@ -347,10 +347,17 @@ def tau_kk_residual(
     return _kk_report(values, FrequencyGrid(super_x), tail_model, mask, float(g[0]))
 
 
+def _median(values: np.ndarray) -> float:
+    """``np.median(values)`` bit for bit, for two values or more, without
+    its NaN check, which loads numpy.ma."""
+    half = values.size // 2
+    part = np.partition(values, (half - 1, half))
+    return float(part[half] if values.size % 2 else (part[half - 1] + part[half]) / 2)
+
+
 def _sum_rule_blocks(grid_values: np.ndarray):
     steps = np.diff(grid_values)
-    median = float(np.median(steps))
-    cuts = np.nonzero(steps > 1.5 * median)[0]
+    cuts = np.nonzero(steps > 1.5 * _median(steps))[0]
     edges = np.concatenate(([0], cuts + 1, [grid_values.size]))
     return [
         slice(int(edges[i]), int(edges[i + 1]))
@@ -483,6 +490,16 @@ def _segment_gap(v0: complex, v1: complex, points: np.ndarray) -> float:
     return float(np.min(np.abs(points - nearest)))
 
 
+# The 8-node Gauss-Legendre rule on [-1, 1], bit for bit as
+# np.polynomial.legendre.leggauss(8) gives it, without loading numpy.polynomial.
+_GAUSS_NODES = np.array([
+    -0.9602898564975362, -0.7966664774136267, -0.525532409916329, -0.18343464249564978,
+    0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362])
+_GAUSS_WEIGHTS = np.array([
+    0.10122853629037706, 0.22238103445337443, 0.3137066458778869, 0.36268378337836166,
+    0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706])
+
+
 def winding_number(
     model: PoleZeroModel, contour: Contour,
     samples_per_edge: int = MIN_SAMPLES_PER_EDGE,
@@ -500,7 +517,6 @@ def winding_number(
     """
     if samples_per_edge < MIN_SAMPLES_PER_EDGE:
         raise ValueError(f"samples_per_edge must be at least {MIN_SAMPLES_PER_EDGE}")
-    nodes, weights = np.polynomial.legendre.leggauss(8)
     singular = np.array([root for root, _, _ in model.response().factors], dtype=complex)
 
     v = contour.vertices
@@ -512,10 +528,10 @@ def winding_number(
 
     edges = np.linspace(0.0, 1.0, samples_per_edge + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
-    s_q = (0.5 * (edges[:-1] + edges[1:]))[:, None] + half[:, None] * nodes
+    s_q = (0.5 * (edges[:-1] + edges[1:]))[:, None] + half[:, None] * _GAUSS_NODES
     dv = (v[1:] - v[:-1])[:, None]
     tau_q = model_tau(model, v[:-1, None, None] + dv[..., None] * s_q)
-    panel = np.sum(weights * tau_q, axis=-1)
+    panel = np.sum(_GAUSS_WEIGHTS * tau_q, axis=-1)
     scale = dv * half
     # The real part, from real parts as scalar complex arithmetic rounds it,
     # summed panel by panel in edge-then-panel order: a pairwise np.sum

@@ -863,12 +863,13 @@ class TestImportPath:
 
 
 # Runs what ``python -m tauspec ARGS`` runs (no ARGS: ``import tauspec``)
-# and prints last on stderr, even after a SystemExit, the numpy, ctypes and
-# tauspec modules then loaded.
+# and prints last on stderr, even after a SystemExit, the numpy, ctypes,
+# json and tauspec modules then loaded, space-separated: the probe itself
+# loads no json.
 MODULES_PROBE = """
-import atexit, json, runpy, sys
-atexit.register(lambda: print(json.dumps(sorted(
-    m for m in sys.modules if m.split(".")[0] in ("numpy", "ctypes", "tauspec"))),
+import atexit, runpy, sys
+atexit.register(lambda: print(" ".join(sorted(
+    m for m in sys.modules if m.split(".")[0] in ("numpy", "ctypes", "json", "tauspec"))),
     file=sys.stderr))
 if len(sys.argv) > 1:
     runpy.run_module("tauspec", run_name="__main__", alter_sys=True)
@@ -878,11 +879,11 @@ else:
 
 
 def loaded(cwd, *argv):
-    """Exit code and the numpy, ctypes and tauspec modules loaded by a fresh
-    ``python -m tauspec *argv``, or by ``import tauspec`` alone."""
+    """Exit code and the numpy, ctypes, json and tauspec modules loaded by a
+    fresh ``python -m tauspec *argv``, or by ``import tauspec`` alone."""
     proc = subprocess.run([sys.executable, "-c", MODULES_PROBE, *argv], cwd=cwd,
                           env=src_env(), capture_output=True, text=True, timeout=60)
-    return proc.returncode, set(json.loads(proc.stderr.splitlines()[-1]))
+    return proc.returncode, set(proc.stderr.splitlines()[-1].split())
 
 
 # Command lines that import no numpy, with their exit codes.
@@ -893,12 +894,18 @@ NO_NUMPY = {
     "bad-choice": (2, "--stencil", "3", "extract", "s.csv", "-o", "t.csv"),
 }
 
-# Verb argv on the table s.csv -> (tauspec modules it loads, those it leaves unloaded).
+# Verb argv on the table s.csv, the tables p.csv and t.csv on a grid without
+# the origin, or the model m.json -> (tauspec modules it loads, those it
+# leaves unloaded).
 VERB_MODULES = {
     "report": (["report", "s.csv"], {"fileio", "core"},
                {"dispersion", "extract", "physics", "scatter1d"}),
     "kk": (["--tail", "w1", "kk", "s.csv"], {"fileio", "dispersion"}, {"extract"}),
-    "extract": (["extract", "s.csv", "-o", "t.csv"], {"fileio", "extract"}, {"dispersion"}),
+    "extract": (["extract", "s.csv", "-o", "x.csv"], {"fileio", "extract"}, {"dispersion"}),
+    "sumrule": (["sumrule", "--spectrum", "p.csv", "--tau", "t.csv"], {"fileio", "dispersion"},
+                {"extract", "physics", "scatter1d"}),
+    "winding": (["winding", "m.json", "--rect", "0", "2", "-1", "1"], {"fileio", "dispersion"},
+                {"extract", "physics", "scatter1d"}),
 }
 
 # Binds the package's names by ``import *``, or by one name first, then
@@ -973,14 +980,23 @@ class TestLoading:
 
     @pytest.mark.parametrize("verb", sorted(VERB_MODULES))
     def test_verb_loads_only_its_modules(self, tmp_path, verb):
+        """Each verb loads its own modules, and neither numpy.ma nor
+        numpy.polynomial; only a verb that reads a model loads json."""
         grid = FrequencyGrid.linspace(-10.0, 10.0, 401)
         fileio.write_spectrum(str(tmp_path / "s.csv"),
                               ComplexSpectrum(grid, 1.0 / (grid.values - 1.0 + 0.1j)))
+        grid = FrequencyGrid.linspace(0.5, 10.0, 400)
+        fileio.write_spectrum(str(tmp_path / "p.csv"), ComplexSpectrum(grid, 1.0 / grid.values))
+        fileio.write_temporal(str(tmp_path / "t.csv"),
+                              TemporalSpectrum(grid, grid.values, grid.values))
+        (tmp_path / "m.json").write_text(json.dumps(BLASCHKE_DOC))
         argv, used, unused = VERB_MODULES[verb]
         code, modules = loaded(tmp_path, *argv)
         assert code == 0
         assert {"numpy", *(f"tauspec.{m}" for m in used)} <= modules
         assert not {f"tauspec.{m}" for m in unused} & modules
+        assert not {"numpy.ma", "numpy.polynomial"} & modules
+        assert ("json" in modules) == ("m.json" in argv)
 
     @pytest.mark.parametrize("first", ["star", "name"])
     def test_star_import_binds_every_public_name(self, first):

@@ -839,28 +839,100 @@ class TestArtifacts:
             read_artifact(str(path))
 
 
+def opened_once(monkeypatch, path: str):
+    """Make a second ``open`` of ``path`` by fileio fail, as a FIFO reopened
+    would block."""
+    opens = []
+
+    def counted(file, *args, **kwargs):
+        opens.append(file)
+        assert opens.count(path) <= 1, f"{path} opened twice"
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(fileio, "open", counted, raising=False)
+
+
+def feed(fifo: Path, data: bytes) -> threading.Thread:
+    """A thread that writes ``data`` to ``fifo`` once."""
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=lambda: fifo.write_bytes(data), daemon=True)
+    writer.start()
+    return writer
+
+
+def table_arrays(content) -> list:
+    """The arrays of what a table reader returns, in column order."""
+    if isinstance(content, tuple):  # read_barrier_table
+        return [content[0].values, *content[1:]]
+    if isinstance(content, TemporalSpectrum):
+        return [content.grid.values, content.tau1, content.tau2]
+    return [content.grid.values, content.values]
+
+
 class TestDetectFormat:
-    @pytest.mark.parametrize("fmt", ["spectrum", "artifact"])
-    def test_pipe_is_detected_and_read_through_one_handle(self, tmp_path, fmt):
+    @pytest.mark.parametrize("fmt", [*fileio.TABLE_FORMATS, "artifact"])
+    def test_pipe_is_detected_and_read_through_one_handle(self, tmp_path, monkeypatch, fmt):
         path = tmp_path / "data"
-        if fmt == "spectrum":
-            write_spectrum(str(path), sample_spectrum())
-        else:
-            write_artifact(str(path), "kk", {"nodes": 11, "kind": "spectrum"})
+        e = np.array([0.5, 1.5, 2.5])
+        writers = {
+            "spectrum": lambda p: write_spectrum(p, sample_spectrum()),
+            "temporal": lambda p: write_temporal(p, sample_temporal()),
+            "barrier": lambda p: write_barrier_table(p, e, e, -e, 2 * e, 3 * e),
+            "artifact": lambda p: write_artifact(p, "kk", {"nodes": 11, "kind": "spectrum"}),
+        }
+        writers[fmt](str(path))
         fifo = tmp_path / "pipe"
-        os.mkfifo(fifo)
-        writer = threading.Thread(target=lambda: fifo.write_bytes(b"\n" + path.read_bytes()),
-                                  daemon=True)
-        writer.start()
+        writer = feed(fifo, b"\n" + path.read_bytes())
+        opened_once(monkeypatch, str(fifo))
         with fileio.detected(str(fifo)) as (found, read):
             content = read()
         writer.join(timeout=10)
         assert not writer.is_alive()
         assert found == fmt
-        if fmt == "spectrum":
-            assert np.array_equal(content.values, read_spectrum(str(path)).values)
-        else:
+        if fmt == "artifact":
             assert content == read_artifact(str(path))
+        else:
+            want = table_arrays(fileio.TABLE_FORMATS[fmt].read(str(path)))
+            for got, expected in zip(table_arrays(content), want, strict=True):
+                np.testing.assert_array_equal(got, expected)
+
+    # The byte 0xe9 in a row near the start, and in one past the 8 kB that
+    # a text read decodes at once.
+    @pytest.mark.parametrize("rows_before", [0, 2000])
+    @pytest.mark.parametrize("through", ["reader", "detected"])
+    def test_undecodable_byte_is_named_alike_in_a_file_and_a_pipe(
+            self, tmp_path, monkeypatch, rows_before, through):
+        data = (SPECTRUM_HEADER + "\n" + "".join(f"{k},1,2\n" for k in range(rows_before))
+                ).encode() + b"\r\n9,1.\xe9,2\n10,3,4\n"
+        (tmp_path / "file").write_bytes(data)
+        writer = feed(tmp_path / "pipe", data)
+        messages = []
+        for name in ("file", "pipe"):
+            path = str(tmp_path / name)
+            opened_once(monkeypatch, path)
+            with pytest.raises(ValueError) as info:
+                if through == "reader":
+                    read_spectrum(path)
+                else:
+                    with fileio.detected(path) as (_, read):
+                        read()
+            messages.append(str(info.value).removeprefix(f"{path}: "))
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert messages[0] == messages[1] == (
+            f"line {rows_before + 3}: 'utf-8' codec can't decode byte 0xe9 in position 4: "
+            "invalid continuation byte")
+
+    def test_pipe_names_a_bad_byte_before_its_format(self, tmp_path):
+        """A pipe is decoded as it is copied, so a byte that does not decode
+        past the first 8 kB is named before its first line is refused."""
+        data = ("nonsense\n" + "0,1,2\n" * 2000).encode() + b"1,\xe9,2\n"
+        writer = feed(tmp_path / "pipe", data)
+        with pytest.raises(ValueError, match="line 2002: 'utf-8' codec can't decode byte 0xe9"):
+            with fileio.detected(str(tmp_path / "pipe")):
+                pass
+        writer.join(timeout=10)
+        assert not writer.is_alive()
 
     def test_pipe_is_read_up_to_the_row_past_the_cap(self, tmp_path, monkeypatch):
         """The copy of a pipe stops at the row past the cap, as numpy's read

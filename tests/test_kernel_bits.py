@@ -28,10 +28,13 @@ from tauspec.core import (
     uniform_spacing,
 )
 from tauspec.dispersion import (
+    _GAUSS_NODES,
+    _GAUSS_WEIGHTS,
     _interior,
     _kernel_spectrum,
     _log_ratio_balanced,
     _log_ratio_over_omega,
+    _median,
     hilbert_transform,
     kk_residual,
     tau_kk_residual,
@@ -491,3 +494,25 @@ def test_causality_residuals_match_reference(n, seed, k, tail, edge, zeros):
     spectrum = ComplexSpectrum(FrequencyGrid(x), 1.0 / (x - pole))
     assert _report_bits(kk_residual(spectrum, tail, edge)) == _want_bits(
         _ref_kk_report(spectrum.values, spectrum.grid, tail, _interior(n, edge)))
+
+
+# -- sum-rule median and winding quadrature -------------------------------------
+@settings(max_examples=200, **BITS)
+@given(n=st.integers(2, 4_001), seed=st.integers(0, 2**32 - 1), gaps=st.integers(0, 5))
+@example(n=2, seed=0, gaps=0)
+@example(n=3, seed=0, gaps=1)
+@example(n=119_000, seed=1, gaps=4)
+@example(n=119_001, seed=2, gaps=4)
+def test_median_matches_numpy(n, seed, gaps):
+    """The sum rule's median of the grid steps, on odd and even step counts
+    with and without gaps, is np.median's, bit for bit."""
+    rng = np.random.default_rng(seed)
+    steps = rng.uniform(0.5, 1.5, n) * 10.0 ** rng.integers(-3, 4)
+    steps[rng.integers(0, n, gaps)] *= rng.uniform(2.0, 50.0, gaps)  # gaps in the grid
+    _same_bits(np.float64(_median(steps)), np.median(steps))
+
+
+def test_gauss_legendre_rule_is_leggauss():
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    _same_bits(_GAUSS_NODES, nodes)
+    _same_bits(_GAUSS_WEIGHTS, weights)
