@@ -14,9 +14,11 @@ once per workload and seed, over seeds 1 to 5 and for the
   ``failed`` and the rename time taken just before it (below), and the
   median and quartiles of each end-to-end metric over the runs
   (``statistics.quantiles``, inclusive method);
-- three calibration timings of seven repeats, taken before the runs:
+- four calibration timings of seven repeats, taken before the runs:
   the best time of a complex FFT of 2**20 points and of a pure-Python
-  loop of 10**6 additions, and the rename time: the median time of a
+  loop of 10**6 additions, the median wall time of a fresh
+  ``python -c "import numpy"``, the floor of a ``cli_session`` op, and
+  the rename time: the median time of a
   4 MiB file written and renamed over an existing one in DIR's
   ``.bench_work``, as each output of a verb once was.  Snapshots from
   different machines or sessions compare as ratios to these.  The
@@ -85,11 +87,17 @@ def replace_time(checkout: Path) -> float:
     return median
 
 
+def import_numpy_time() -> float:
+    return statistics.median(_times(lambda: subprocess.run(
+        [sys.executable, "-c", "import numpy"], check=True)))
+
+
 def calibrate(checkout: Path) -> dict:
     import numpy as np
     x = np.random.default_rng(0).standard_normal(1 << 20) * (1 + 1j)
     return {"fft_2e20_complex_s": min(_times(lambda: np.fft.fft(x))),
             "python_loop_1e6_s": min(_times(lambda: sum(range(10**6)))),
+            "python_import_numpy_s": import_numpy_time(),
             "replace_existing_4m_s": replace_time(checkout)}
 
 

@@ -10,7 +10,7 @@ data, evaluates them for closed-form models, and checks the dispersion
 and balance identities they satisfy.
 """
 
-import importlib
+import sys
 
 __version__ = "0.1.0"
 
@@ -22,11 +22,13 @@ def __getattr__(name):
     ``__all__``, imports the library modules and binds their ``__all__`` here."""
     if name.isidentifier():
         try:
-            return importlib.import_module(f".{name}", __name__)
+            # -X importtime times imports through __import__, not import_module
+            __import__(f"{__name__}.{name}")
+            return sys.modules[f"{__name__}.{name}"]
         except ModuleNotFoundError as exc:
             if exc.name != f"{__name__}.{name}":
                 raise
-    modules = [importlib.import_module(f".{m}", __name__) for m in _LIBRARY]
+    modules = [__getattr__(m) for m in _LIBRARY]
     names = {n: getattr(m, n) for m in modules for n in m.__all__}
     globals().update(names, __all__=list(names))
     if name not in globals():

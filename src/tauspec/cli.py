@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import collections
 import functools
+import gc
 import math
 import os
 import re
@@ -307,5 +308,15 @@ def main(argv=None) -> int:
     return EXIT_OK
 
 
+def entry() -> int:
+    """``main`` as a whole process, ``python -m tauspec`` or the ``tauspec``
+    script: the heap is frozen on the way out, so the exit collections skip
+    it.  ``main`` never freezes: a caller in process lives on."""
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -47,9 +48,19 @@ def test_failed_runs_are_kept_and_a_missing_metric_is_skipped():
 def test_calibration_times_a_rename_over_an_existing_file(tmp_path):
     timings = bench_snapshot.calibrate(tmp_path)
     assert set(timings) == {"fft_2e20_complex_s", "python_loop_1e6_s",
-                            "replace_existing_4m_s"}
+                            "python_import_numpy_s", "replace_existing_4m_s"}
     assert all(value > 0 for value in timings.values())
     assert list((tmp_path / ".bench_work").iterdir()) == []
+
+
+def test_numpy_import_time_is_the_median_of_seven_fresh_processes(monkeypatch):
+    commands = []
+    monkeypatch.setattr(bench_snapshot.subprocess, "run",
+                        lambda argv, **options: commands.append((argv, options)))
+    monkeypatch.setattr(bench_snapshot, "_times", lambda func, repeats=7: [
+        func() or t for t in (5.0, 1.0, 4.0, 2.0, 3.0, 7.0, 6.0)[:repeats]])
+    assert bench_snapshot.import_numpy_time() == 4.0
+    assert commands == [([sys.executable, "-c", "import numpy"], {"check": True})] * 7
 
 
 BETTER = {"ops_per_s": "higher", "op_p50_s": "lower"}

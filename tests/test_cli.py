@@ -1,8 +1,11 @@
 """End-to-end tests that drive the command line in process."""
 
+import ast
+import gc
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -146,6 +149,14 @@ def pole_spectrum_file(tmp_path, name, sign):
     vals = 1.0 / (x - 1.0 + sign * 0.1j)
     path = str(tmp_path / name)
     fileio.write_spectrum(path, ComplexSpectrum(FrequencyGrid(x), vals))
+    return path
+
+
+def small_pole_table(tmp_path, name="s.csv") -> str:
+    """A 401-node table of the causal pole at 1 - 0.1j."""
+    grid = FrequencyGrid.linspace(-10.0, 10.0, 401)
+    path = str(tmp_path / name)
+    fileio.write_spectrum(path, ComplexSpectrum(grid, 1.0 / (grid.values - 1.0 + 0.1j)))
     return path
 
 
@@ -854,11 +865,7 @@ class TestImportPath:
         assert self.scipy_after(*argv) == [0, []]
 
     def test_kk_through_hilbert_transform_loads_no_scipy(self, tmp_path):
-        grid = FrequencyGrid.linspace(-10.0, 10.0, 401)
-        inp = str(tmp_path / "pole.csv")
-        fileio.write_spectrum(
-            inp, ComplexSpectrum(grid, 1.0 / (grid.values - 1.0 + 0.1j))
-        )
+        inp = small_pole_table(tmp_path, "pole.csv")
         assert self.scipy_after("--tail", "w1", "kk", inp) == [0, []]
 
 
@@ -982,9 +989,7 @@ class TestLoading:
     def test_verb_loads_only_its_modules(self, tmp_path, verb):
         """Each verb loads its own modules, and neither numpy.ma nor
         numpy.polynomial; only a verb that reads a model loads json."""
-        grid = FrequencyGrid.linspace(-10.0, 10.0, 401)
-        fileio.write_spectrum(str(tmp_path / "s.csv"),
-                              ComplexSpectrum(grid, 1.0 / (grid.values - 1.0 + 0.1j)))
+        small_pole_table(tmp_path)
         grid = FrequencyGrid.linspace(0.5, 10.0, 400)
         fileio.write_spectrum(str(tmp_path / "p.csv"), ComplexSpectrum(grid, 1.0 / grid.values))
         fileio.write_temporal(str(tmp_path / "t.csv"),
@@ -1003,3 +1008,90 @@ class TestLoading:
         proc = subprocess.run([sys.executable, "-c", STAR_PROBE, first], env=src_env(),
                               capture_output=True, text=True, timeout=60, check=True)
         assert proc.stdout == "\n" * 5 + "False False False\n"
+
+
+def test_importtime_has_a_row_for_each_module_a_verb_loads(tmp_path):
+    """``python -X importtime`` times only the imports that pass through
+    ``__import__``: the package loads its modules that way, so kk's fileio
+    and dispersion have rows, with numpy's import inside dispersion's."""
+    small_pole_table(tmp_path)
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "tauspec", "kk", "s.csv"],
+                          cwd=tmp_path, env=src_env(), capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0
+    # (depth, module) per row; a module's row follows those of its imports
+    rows = [(len(col) - len(col.lstrip()), col.strip()) for col in
+            (line.rpartition("|")[2] for line in proc.stderr.splitlines()
+             if line.startswith("import time:"))]
+    names = [name for _, name in rows]
+    assert {"tauspec.cli", "tauspec.core", "tauspec.fileio", "tauspec.dispersion"} <= set(names)
+    at = names.index("tauspec.dispersion")
+    depth = rows[at][0]
+    first = max((k for k in range(at) if rows[k][0] <= depth), default=-1) + 1
+    assert "numpy" in names[first:at]
+
+
+# Runs ``python -m tauspec ARGS`` as MODULES_PROBE does and prints last on
+# stderr, even after a SystemExit, the number of objects gc.freeze has moved
+# out of the collector's reach.
+FREEZE_PROBE = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: print("frozen", gc.get_freeze_count(), file=sys.stderr))
+runpy.run_module("tauspec", run_name="__main__", alter_sys=True)
+"""
+
+# Command lines that end in each way -> (exit code, argv, refusal case whose
+# files they read, or None for s.csv).
+ENDINGS = {
+    "verb": (0, ("kk", "s.csv"), None),
+    "help": (0, ("--help",), None),
+    "usage": (2, ("teapot",), None),
+    "refused-input": (2, refusals.CASES["winding-kind"].argv, "winding-kind"),
+    "refused-domain": (4, refusals.CASES["winding-edge-through-zero"].argv,
+                       "winding-edge-through-zero"),
+}
+
+
+class TestProcessEntry:
+    """``python -m tauspec`` and the ``tauspec`` script run ``cli.entry``,
+    which freezes the heap however ``main`` ends; ``main`` never does."""
+
+    @pytest.mark.parametrize("ending", sorted(ENDINGS))
+    def test_process_exits_with_a_frozen_heap(self, tmp_path, ending):
+        code, argv, case = ENDINGS[ending]
+        if case is None:
+            small_pole_table(tmp_path)
+        else:
+            assert refusals.CASES[case].code == code
+            for name, content in refusals.CASES[case].files.items():
+                (tmp_path / name).write_bytes(
+                    content if isinstance(content, bytes) else content.encode())
+        proc = subprocess.run([sys.executable, "-c", FREEZE_PROBE, *argv], cwd=tmp_path,
+                              env=src_env(), capture_output=True, text=True, timeout=60)
+        assert proc.returncode == code
+        label, count = proc.stderr.splitlines()[-1].split()
+        assert label == "frozen" and int(count) > 0
+
+    def test_main_in_process_leaves_the_heap_unfrozen(self, tmp_path, capsys):
+        before = gc.get_freeze_count()
+        assert main(["kk", small_pole_table(tmp_path)]) == 0
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert main(["kk", str(tmp_path / "missing.csv")]) == 2
+        assert gc.get_freeze_count() == before
+
+    def test_script_names_the_function_the_module_runs(self):
+        """``[project.scripts] tauspec`` in pyproject.toml (read as text:
+        tomllib is not in Python 3.10) and ``__main__``'s ``sys.exit(...())``
+        name one function, ``cli.entry``."""
+        text = (ROOT / "pyproject.toml").read_text()
+        scripts = text.partition("\n[project.scripts]\n")[2].partition("\n[")[0]
+        module, name = re.fullmatch(r'tauspec = "([\w.]+):(\w+)"', scripts.strip()).groups()
+        script = getattr(importlib.import_module(module), name)
+        tree = ast.parse((SRC / "tauspec" / "__main__.py").read_text())
+        guard = next(stmt for stmt in tree.body if isinstance(stmt, ast.If))
+        assert ast.unparse(guard.test) == "__name__ == '__main__'"
+        (call,) = (stmt.value for stmt in guard.body)
+        assert ast.unparse(call.func) == "sys.exit" and not call.args[0].args
+        run = getattr(importlib.import_module("tauspec.__main__"), call.args[0].func.id)
+        assert script is run is cli.entry
