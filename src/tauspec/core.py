@@ -357,11 +357,11 @@ def reconstruct(
         )
     if anchor_value == 0:
         raise ValueError("anchor value must be nonzero")
-    # scipy's cumulative_trapezoid(1j * tau1 - tau2, grid, initial=0.0), with
-    # the real and imaginary parts summed apart: the same bits, without
-    # importing scipy.integrate.  Each sum starts from 0, so a zero running
-    # sum is +0, as the complex rounding makes it unless an increment
-    # underflows (|tau1| times the step below about 1e-308).
+    # The cumulative trapezoid rule of 1j * tau1 - tau2 over grid, from 0,
+    # with the real and imaginary parts summed apart: the same bits as the
+    # complex sum (test_core.py compares them).  Each sum starts from 0, so
+    # a zero running sum is +0, as the complex rounding makes it unless an
+    # increment underflows (|tau1| times the step below about 1e-308).
     step = np.diff(grid)
     log_s = np.empty(grid.size, dtype=complex)
     increment = np.empty(grid.size)

@@ -73,7 +73,7 @@ class PhaseJump(TauspecError):
 
 
 class NonPositiveSigma(TauspecError):
-    """Front-response width sigma must have positive (real part of) variance."""
+    """Front-response width sigma must be finite, with a positive real part."""
 
 
 class ZeroNorm(TauspecError):

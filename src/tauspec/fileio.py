@@ -265,24 +265,20 @@ def _naming(path: str, fh=None):
 def _open(path: str):
     """``open(path, "r")``, but a stream that cannot seek (a pipe) is read
     into memory first, up to its line with a table's row past the cap (the
-    header is one more), so a reader can go over it again.  The copy ends
-    at its first line that does not decode, and its handle starts at that
-    line: the first read raises, before anything else is checked."""
+    header is one more), so a reader can go over it again.  The copy is
+    decoded as a file is, in the same chunks, by whoever reads it: a byte
+    that does not decode is met where the same file's read meets it."""
     with _naming(path):
         fh = open(path, "r")
     if fh.seekable():
         return fh
     with fh:
         copy, kept = io.BytesIO(), 0
+        # A chunk ends at LF and holds one text line or more: kept runs behind.
         while kept <= MAX_POINTS + 1 and (chunk := fh.buffer.readline()):
             copy.write(chunk)
-            try:  # a chunk ends at LF and holds one text line or more: kept runs behind
-                kept += bool(chunk.decode(fh.encoding).strip())
-            except UnicodeDecodeError:  # the handle starts at this chunk
-                copy.seek(-len(chunk), io.SEEK_CUR)
-                break
-        else:
-            copy.seek(0)
+            kept += bool(chunk.decode(fh.encoding, "replace").strip())
+        copy.seek(0)
     return io.TextIOWrapper(copy, fh.encoding)
 
 

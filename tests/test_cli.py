@@ -44,6 +44,24 @@ rc = cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
 print(json.dumps([rc, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
 """
 
+# With scipy not importable, imports extract and prints whether that loaded
+# numpy.fft, then runs each front response on a real and a complex sigma
+# and prints whether every value came out finite.
+NO_SCIPY_PROBE = """
+import json, sys
+sys.modules["scipy"] = None
+import numpy as np
+from tauspec import extract
+fft_on_import = "numpy.fft" in sys.modules
+t = np.linspace(-1.0, 6.0, 57)
+finite = [bool(np.all(np.isfinite(response(1.0, 2.0, sigma, 0.7, t, *tau2))))
+          for sigma in (0.5, 0.5 + 0.2j)
+          for response, tau2 in ((extract.normal_response, ()),
+                                 (extract.anomalous_response, ()),
+                                 (extract.combined_response, (0.0,)))]
+print(json.dumps([fft_on_import, finite]))
+"""
+
 
 # Each model kind through the model verb: (document, sweep, closed form).
 # The closed form maps the sweep's nodes to (S, tau1, tau2).
@@ -867,6 +885,19 @@ class TestImportPath:
     def test_kk_through_hilbert_transform_loads_no_scipy(self, tmp_path):
         inp = small_pole_table(tmp_path, "pole.csv")
         assert self.scipy_after("--tail", "w1", "kk", inp) == [0, []]
+
+    def test_front_responses_run_without_scipy(self):
+        """The front responses' erf is numpy's own, and importing extract
+        loads no numpy.fft: only a first erf or uncertainty budget does."""
+        proc = subprocess.run([sys.executable, "-c", NO_SCIPY_PROBE], env=src_env(),
+                              capture_output=True, text=True, timeout=60, check=True)
+        assert json.loads(proc.stdout) == [False, [True] * 6]
+
+    def test_numpy_is_the_only_runtime_dependency(self):
+        """``[project] dependencies`` in pyproject.toml, read as text."""
+        text = (ROOT / "pyproject.toml").read_text()
+        block = re.search(r"\n\[project\]\n.*?\ndependencies = \[(.*?)\]", text, re.S)
+        assert re.findall(r'"([^"]*)"', block.group(1)) == ["numpy>=2.0"]
 
 
 # Runs what ``python -m tauspec ARGS`` runs (no ARGS: ``import tauspec``)

@@ -1,10 +1,12 @@
-"""Finite-difference extraction, front responses, uncertainty budget."""
+"""Finite-difference extraction, front responses, erf, uncertainty budget."""
 
+import math
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import erf
 
 from tauspec.core import ComplexSpectrum, FrequencyGrid, PoleZeroModel, evaluate_model, model_tau
 from tauspec.errors import (
@@ -16,6 +18,7 @@ from tauspec.errors import (
 )
 from tauspec.extract import (
     ExtractionOptions,
+    _erf,
     _unwrap,
     anomalous_response,
     combined_response,
@@ -27,12 +30,11 @@ from tauspec.extract import (
 
 def reference_response(omega0, tau, sigma, r0, t, front):
     """Both response branches written out apart, ``front`` picking
-    1 - erf (normal) or 1 + erf (anomalous)."""
+    1 - erf (normal) or 1 + erf (anomalous), with the package's erf."""
     sigma = complex(sigma) if np.iscomplexobj(np.asarray(sigma)) else float(sigma)
     x = (np.asarray(t) - tau) / np.lib.scimath.sqrt(2.0 * sigma)
     prefactor = r0 / np.lib.scimath.sqrt(8.0 * np.pi * sigma)
-    e = erf(x.astype(complex)) if np.iscomplexobj(x) else erf(x)
-    return prefactor * np.exp(-1j * omega0 * np.asarray(t) - x**2) * front(e)
+    return prefactor * np.exp(-1j * omega0 * np.asarray(t) - x**2) * front(_erf(x))
 
 
 def blaschke_spectrum(n=4001, lo=0.25, hi=1.75, gamma=0.2):
@@ -158,7 +160,7 @@ class TestResponses:
         expected = (
             (8.0 * np.pi * 0.5) ** -0.5
             * np.exp(-3j - x**2)
-            * (1.0 - erf(x))
+            * (1.0 - math.erf(x))
         )
         assert r[0] == pytest.approx(expected)
 
@@ -196,6 +198,40 @@ class TestResponses:
             normal_response(1.0, 2.0, -0.5, 1.0, np.array([3.0]))
         with pytest.raises(NonPositiveSigma):
             anomalous_response(1.0, 2.0, -0.1 + 1.0j, 1.0, np.array([3.0]))
+        for sigma in (np.nan, np.inf, complex(1.0, np.nan)):
+            with pytest.raises(NonPositiveSigma, match="finite"):
+                combined_response(1.0, 2.0, sigma, 1.0, np.array([3.0]), 0.0)
+
+
+def mpmath_erf(z: np.ndarray) -> np.ndarray:
+    """erf at 30 digits, rounded to the dtype of ``z``."""
+    with mpmath.workdps(30):
+        if np.iscomplexobj(z):
+            return np.array([complex(mpmath.erf(mpmath.mpc(v.real, v.imag))) for v in z])
+        return np.array([float(mpmath.erf(v)) for v in z])
+
+
+class TestErf:
+    def test_real_axis_matches_mpmath(self):
+        x = np.concatenate([np.linspace(-30.0, 30.0, 2401), np.geomspace(1e-8, 30.0, 400)])
+        x = x[x != 0.0]
+        got = _erf(x)
+        assert got.dtype == np.float64
+        want = mpmath_erf(x)
+        assert np.max(np.abs(got - want) / np.abs(want)) < 1e-14
+
+    def test_front_sector_matches_mpmath(self):
+        """|arg z| <= pi/4 and its mirror, 1e-8 <= |z| <= 100: all the front
+        responses reach, since Re sigma > 0."""
+        radius, angle = np.meshgrid(np.geomspace(1e-8, 100.0, 200),
+                                    np.linspace(-np.pi / 4, np.pi / 4, 21))
+        z = (radius * np.exp(1j * angle)).ravel()
+        z = np.concatenate([z, -z])
+        want = mpmath_erf(z)
+        assert np.max(np.abs(_erf(z) - want) / np.abs(want)) < 1e-14
+
+    def test_zero(self):
+        assert _erf(0.0) == 0.0 and _erf(0j) == 0.0
 
 
 class TestUncertainty:

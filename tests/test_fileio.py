@@ -897,12 +897,15 @@ class TestDetectFormat:
                 np.testing.assert_array_equal(got, expected)
 
     # The byte 0xe9 in a row near the start, and in one past the 8 kB that
-    # a text read decodes at once.
-    @pytest.mark.parametrize("rows_before", [0, 2000])
+    # a text read decodes at once; past them too under a first line of no
+    # format, which is refused before the byte is met.
+    @pytest.mark.parametrize("first, rows_before", [
+        (SPECTRUM_HEADER, 0), (SPECTRUM_HEADER, 2000), ("nonsense", 1999)],
+        ids=["0", "2000", "nonsense"])
     @pytest.mark.parametrize("through", ["reader", "detected"])
     def test_undecodable_byte_is_named_alike_in_a_file_and_a_pipe(
-            self, tmp_path, monkeypatch, rows_before, through):
-        data = (SPECTRUM_HEADER + "\n" + "".join(f"{k},1,2\n" for k in range(rows_before))
+            self, tmp_path, monkeypatch, first, rows_before, through):
+        data = (first + "\n" + "".join(f"{k},1,2\n" for k in range(rows_before))
                 ).encode() + b"\r\n9,1.\xe9,2\n10,3,4\n"
         (tmp_path / "file").write_bytes(data)
         writer = feed(tmp_path / "pipe", data)
@@ -919,20 +922,13 @@ class TestDetectFormat:
             messages.append(str(info.value).removeprefix(f"{path}: "))
         writer.join(timeout=10)
         assert not writer.is_alive()
-        assert messages[0] == messages[1] == (
-            f"line {rows_before + 3}: 'utf-8' codec can't decode byte 0xe9 in position 4: "
-            "invalid continuation byte")
-
-    def test_pipe_names_a_bad_byte_before_its_format(self, tmp_path):
-        """A pipe is decoded as it is copied, so a byte that does not decode
-        past the first 8 kB is named before its first line is refused."""
-        data = ("nonsense\n" + "0,1,2\n" * 2000).encode() + b"1,\xe9,2\n"
-        writer = feed(tmp_path / "pipe", data)
-        with pytest.raises(ValueError, match="line 2002: 'utf-8' codec can't decode byte 0xe9"):
-            with fileio.detected(str(tmp_path / "pipe")):
-                pass
-        writer.join(timeout=10)
-        assert not writer.is_alive()
+        if first == "nonsense":
+            expected = {"reader": "line 2: row has 3 fields, expected 1",
+                        "detected": "unrecognised file format"}[through]
+        else:
+            expected = (f"line {rows_before + 3}: 'utf-8' codec can't decode byte 0xe9 "
+                        "in position 4: invalid continuation byte")
+        assert messages[0] == messages[1] == expected
 
     def test_pipe_is_read_up_to_the_row_past_the_cap(self, tmp_path, monkeypatch):
         """The copy of a pipe stops at the row past the cap, as numpy's read

@@ -27,8 +27,8 @@ ROOTS = [
 
 # Public names that no root reaches, each with the reason it stays.
 ALLOWED = {
-    "normal_response": "the paper's saturated-front response for tau2 > 0; kept as the "
-    "reference for replacing scipy's erf with a numpy one",
+    "normal_response": "the paper's saturated-front response for tau2 > 0, the normal "
+    "front",
     "anomalous_response": "the mirror branch of normal_response, for tau2 < 0; kept "
     "with it",
     "combined_response": "the step-weighted sum of the two front branches; kept with "
