@@ -930,6 +930,23 @@ class TestDetectFormat:
                         "in position 4: invalid continuation byte")
         assert messages[0] == messages[1] == expected
 
+    def test_pipe_names_a_bad_byte_before_its_format(self, tmp_path, monkeypatch):
+        """A byte that does not decode inside the first 8 kB is named before a
+        first line of no format is refused, in a pipe as in the same file."""
+        data = ("nonsense\n" + "0,1,2\n" * 500).encode() + b"1,\xe9,2\n2,3,4\n"
+        (tmp_path / "file").write_bytes(data)
+        writer = feed(tmp_path / "pipe", data)
+        for name in ("file", "pipe"):
+            path = str(tmp_path / name)
+            opened_once(monkeypatch, path)
+            with pytest.raises(ValueError) as info:
+                with fileio.detected(path):
+                    pass
+            assert str(info.value).startswith(
+                f"{path}: line 502: 'utf-8' codec can't decode byte 0xe9")
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+
     def test_pipe_is_read_up_to_the_row_past_the_cap(self, tmp_path, monkeypatch):
         """The copy of a pipe stops at the row past the cap, as numpy's read
         does, so a pipe that goes on is refused and closed, not held."""
