@@ -82,6 +82,12 @@ _G = np.concatenate([-np.linspace(0.5, 50.0, 700)[::-1], np.linspace(0.5, 20.0, 
                      np.linspace(30.0, 50.0, 300)])
 SUM_GAPPED_SPECTRUM = _spectrum(_G, (2.3 + 0.4j) / _G)
 SUM_GAPPED_TAU = _table(TEMPORAL, _G, 0.2 / ((_G - 1.0) ** 2 + 0.01), 0.5 / _G)
+# S_j = exp(2.5ij) for j < 20 and S_20 = -S_19, in %.12e cells: the phase
+# steps by pi into the last node.
+_FLIP = np.exp(2.5j * np.arange(21))
+_FLIP[20] = -_FLIP[19]
+SIGN_FLIP = _rows(SPECTRUM, *(f"{w:.12e},{s.real:.12e},{s.imag:.12e}"
+                              for w, s in zip(np.linspace(0.0, 1.0, 21), _FLIP)))
 BARRIER_TABLE = _rows(BARRIER, "0.5,0.1,-1.5,2.0,-0.5", "1.5,0.6,0.3,1.0,0.25",
                       "2.5,0.9,0.1,0.5,0.125")
 KK_ARTIFACT = "# tauspec:kk v1\ninput=s.csv\nkind=spectrum\nnodes=4001\n"
@@ -131,6 +137,7 @@ def _cases() -> dict:
         ("extract-order-2", _verb({"s.csv": RESONANCE}, "extract", "s.csv", "-o", "t.csv")),
         ("extract-order-4", _verb({"s.csv": RESONANCE}, "--stencil", "4", "extract", "s.csv",
                                   "-o", "t.csv")),
+        ("extract-sign-flip", _verb({"s.csv": SIGN_FLIP}, "extract", "s.csv", "-o", "t.csv")),
         ("extract-whitespace-lines", _verb(
             {"s.csv": _rows(SPECTRUM, "0,1,2", "   ", "1,3,4", "\t", "2,5,6", "3,7,8")},
             "extract", "s.csv", "-o", "t.csv")),

@@ -77,12 +77,13 @@ def uniform_spacing(x, message: str) -> float:
     return h
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrequencyGrid:
     """Strictly increasing, finite frequency sample points.
 
     The wrapped array is copied and frozen so a grid can be shared between
-    spectra without aliasing surprises.
+    spectra without aliasing surprises.  Like the other containers of
+    arrays, a grid compares and hashes by identity.
     """
 
     values: np.ndarray
@@ -109,24 +110,11 @@ class FrequencyGrid:
         return self.values.size
 
     @property
-    def spacing(self) -> float:
-        """Mean node spacing."""
-        return float(np.mean(np.diff(self.values)))
-
-    @property
-    def is_uniform(self) -> bool:
-        try:
-            uniform_spacing(self.values, "")
-        except NonUniformGrid:
-            return False
-        return True
-
-    @property
     def span(self) -> float:
         return float(self.values[-1] - self.values[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComplexSpectrum:
     """Complex response samples S(omega) on a frequency grid."""
 
@@ -142,7 +130,7 @@ class ComplexSpectrum:
         object.__setattr__(self, "values", arr)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TemporalSpectrum:
     """Delay time tau1 and formation time tau2 sampled on a grid.
 

@@ -4,7 +4,7 @@ Every contract violation maps to one of these classes, and each class
 carries the stable exit code the command line front end returns for it:
 
 * input contract violations (bad files, malformed grids)      -> exit 2
-* numerical contract violations (zero modulus, phase jumps)   -> exit 3
+* numerical contract violations (zero modulus, zero norm)     -> exit 3
 * domain violations (pole on the grid, contour through a pole)-> exit 4
 
 The module also holds the size caps the command line prints in its help.
@@ -59,15 +59,6 @@ class AnchorOutOfRange(TauspecError):
 
 class ZeroModulus(TauspecError):
     """Spectrum modulus fell below the floor where log/phase are defined."""
-
-    exit_code = 3
-
-
-class PhaseJump(TauspecError):
-    """Successive unwrapped phase difference exceeded the tolerance.
-
-    Signals an under-resolved grid.
-    """
 
     exit_code = 3
 

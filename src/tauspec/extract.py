@@ -16,7 +16,7 @@ import numpy as np
 
 from ._stencils import differentiate
 from .core import ComplexSpectrum, TemporalSpectrum, _pointwise, uniform_spacing
-from .errors import NonPositiveSigma, PhaseJump, ZeroModulus, ZeroNorm
+from .errors import NonPositiveSigma, ZeroModulus, ZeroNorm
 
 __all__ = [
     "ExtractionOptions",
@@ -28,6 +28,9 @@ __all__ = [
     "uncertainty_product",
 ]
 
+# The floor of |S| below which log and phase are taken as undefined.
+_MIN_MODULUS = 1e-12
+
 
 @dataclass(frozen=True)
 class ExtractionOptions:
@@ -35,22 +38,13 @@ class ExtractionOptions:
 
     Attributes:
         stencil_order: 2 or 4; order 4 needs a uniform grid.
-        unwrap_tolerance: largest accepted phase step after unwrapping.
-            The default pi accepts anything the unwrapper produces; a
-            tighter value flags under-resolved grids.
-        min_modulus: floor below which log and phase are considered
-            undefined.
     """
 
     stencil_order: int = 2
-    unwrap_tolerance: float = float(np.pi)
-    min_modulus: float = 1e-12
 
     def __post_init__(self):
         if self.stencil_order not in (2, 4):
             raise ValueError("stencil_order must be 2 or 4")
-        if self.unwrap_tolerance <= 0 or self.min_modulus <= 0:
-            raise ValueError("tolerances must be positive")
 
 
 class UncertaintyBudget(NamedTuple):
@@ -83,22 +77,14 @@ def _unwrap(phase: np.ndarray) -> np.ndarray:
     return out
 
 
-def _log_spectrum(spectrum: ComplexSpectrum, options: ExtractionOptions):
-    """Split samples into log-modulus and unwrapped phase, with guards,
-    each one reduction; the node it names is looked for when it trips."""
+def _log_spectrum(spectrum: ComplexSpectrum):
+    """Log-modulus and unwrapped phase of the samples.  The modulus floor is
+    one reduction; the node it names is looked for when it trips."""
     moduli = np.abs(spectrum.values)
-    if np.min(moduli) < options.min_modulus:
-        low = int(np.argmax(moduli < options.min_modulus))
-        raise ZeroModulus(f"|S| below {options.min_modulus:g} at node {low}", node=low)
+    if np.min(moduli) < _MIN_MODULUS:
+        low = int(np.argmax(moduli < _MIN_MODULUS))
+        raise ZeroModulus(f"|S| below {_MIN_MODULUS:g} at node {low}", node=low)
     phase = _unwrap(np.angle(spectrum.values))
-    steps = np.diff(phase)
-    if np.maximum(np.max(steps), -np.min(steps)) > options.unwrap_tolerance:
-        steps = np.abs(steps)
-        bad = int(np.argmax(steps > options.unwrap_tolerance))
-        raise PhaseJump(
-            f"phase step {steps[bad]:.3g} exceeds tolerance at node {bad + 1}",
-            node=bad + 1,
-        )
     return np.log(moduli, out=moduli), phase
 
 
@@ -107,17 +93,17 @@ def extract_temporal(
 ) -> TemporalSpectrum:
     """Extract delay and formation times from a sampled response.
 
-    tau1 is the derivative of the unwrapped phase, tau2 is minus the
-    derivative of the log-modulus.  Edge nodes use one-sided stencils of
-    matching order and are flagged via ``edge_nodes`` on the result.
+    tau1 is the derivative of the phase, unwrapped as np.unwrap does (a
+    step of exactly pi is kept), tau2 is minus that of the log-modulus.
+    Edge nodes use one-sided stencils of matching order and are flagged
+    via ``edge_nodes`` on the result.
 
     Raises:
-        ZeroModulus: some |S| is below ``min_modulus``.
-        PhaseJump: unwrapped phase still steps by more than the tolerance.
+        ZeroModulus: some |S| is below 1e-12.
         NonUniformGrid: order-4 stencil on a non-uniform grid.
     """
     opts = options if options is not None else ExtractionOptions()
-    log_mod, phase = _log_spectrum(spectrum, opts)
+    log_mod, phase = _log_spectrum(spectrum)
     x = spectrum.grid.values
     tau1, tau2 = differentiate(x, phase, log_mod, order=opts.stencil_order)
     np.negative(tau2, out=tau2)
@@ -167,10 +153,18 @@ def _front_response(omega0, tau, sigma, r0, t, erf_sign):
     # A scalar t too goes through as an array: numpy may round a complex
     # product of scalars otherwise than the same product over an array.
     ts = np.atleast_1d(t)
+    if not np.isfinite(ts).all():
+        raise ValueError("t must be finite")
+    # Where |exp(-x^2)| = exp(-(t - tau)^2 Re sigma / 2|sigma|^2) < exp(-746),
+    # it is 0 in floating point and x^2 may overflow: t is moved to tau there.
+    reach = math.sqrt(1492.0 * abs(sigma)) * math.sqrt(abs(sigma) / sigma.real)
+    far = np.abs(ts - tau) > reach
+    ts = np.where(far, tau, ts)
     x = (ts - tau) / root
     prefactor = r0 / np.lib.scimath.sqrt(8.0 * np.pi * sigma)
     front = 1.0 + erf_sign * _erf(x)
     value = prefactor * np.exp(-1j * omega0 * ts - x**2) * front
+    value[far] = 0.0
     return _pointwise(t, value)
 
 
@@ -181,10 +175,12 @@ def normal_response(omega0, tau, sigma, r0, t):
            [1 - erf((t-tau)/sqrt(2 sigma))]
 
     ``sigma`` may be complex; the principal branch of the square root is
-    used; sigma must be finite and its real part positive.
+    used; sigma must be finite and its real part positive.  ``t`` must be
+    finite; where the Gaussian factor underflows, the response is 0.
 
     Raises:
         NonPositiveSigma: sigma not finite, or Re(sigma) <= 0.
+        ValueError: some t not finite.
     """
     return _front_response(omega0, tau, sigma, r0, t, -1.0)
 

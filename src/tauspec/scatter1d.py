@@ -27,6 +27,9 @@ __all__ = [
     "find_resonance",
 ]
 
+# Energies of find_resonance's scan, and of each of its zoomed rescans.
+_SCAN_POINTS = 201
+
 
 @dataclass(frozen=True)
 class PotentialProfile:
@@ -187,30 +190,25 @@ def complex_time(profile: PotentialProfile, energy):
     return transmission_and_time(profile, energy)[1]
 
 
-def find_resonance(
-    profile: PotentialProfile, e_lo: float, e_hi: float, points: int = 201
-) -> float:
+def find_resonance(profile: PotentialProfile, e_lo: float, e_hi: float) -> float:
     """Locate a transmission maximum by a scan plus zoomed rescans.
 
-    Scans ``points`` energies on [e_lo, e_hi] and takes the best interior
-    node.  Each further round rescans the bracket between that node's two
-    neighbours with max(points, 5) energies, until the bracket spans at
-    most 1.5e-8 of the peak energy.
+    Scans 201 energies on [e_lo, e_hi] and takes the best interior node.
+    Each further round rescans the bracket between that node's two
+    neighbours with 201 energies, until the bracket spans at most 1.5e-8
+    of the peak energy.
 
     Raises:
         ValueError: the scan peak sits on the window boundary.
     """
     if not (0 < e_lo < e_hi):
         raise ValueError("need 0 < e_lo < e_hi")
-    if points < 3:
-        raise ValueError("need at least three scan points")
-    energies = np.linspace(e_lo, e_hi, points)
+    energies = np.linspace(e_lo, e_hi, _SCAN_POINTS)
     peak = int(np.argmax(transmission_probability(profile, energies)))
-    if peak in (0, points - 1):
+    if peak in (0, _SCAN_POINTS - 1):
         raise ValueError("transmission peak at scan boundary; widen the window")
-    zoom = max(points, 5)
     while energies[peak + 1] - energies[peak - 1] > 1.5e-8 * energies[peak]:
-        energies = np.linspace(energies[peak - 1], energies[peak + 1], zoom)
+        energies = np.linspace(energies[peak - 1], energies[peak + 1], _SCAN_POINTS)
         peak = int(np.argmax(transmission_probability(profile, energies)))
-        peak = min(max(peak, 1), zoom - 2)
+        peak = min(max(peak, 1), _SCAN_POINTS - 2)
     return float(energies[peak])

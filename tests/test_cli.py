@@ -125,7 +125,7 @@ MODEL_KIND_CASES = {
 
 # The error classes of each non-input exit code; every other one exits 2.
 NUMERICAL_ERRORS = {
-    "ZeroModulus", "PhaseJump", "UnresolvedWinding",
+    "ZeroModulus", "UnresolvedWinding",
     "ZeroTransmission", "ZeroNorm",
 }
 DOMAIN_ERRORS = {
@@ -233,6 +233,19 @@ class TestExtract:
         temporal = fileio.read_temporal(out)
         assert np.max(np.abs(temporal.tau1)) < 1e-12
         assert np.max(np.abs(temporal.tau2)) < 1e-12
+
+    @pytest.mark.parametrize("n", [20, 36])
+    def test_sign_flip_table_is_extracted(self, tmp_path, n):
+        """S_j = exp(2.5ij) for j < n and S_n = -S_(n-1), in %.12e cells: the
+        phase steps by pi into the last node, and the table extracts."""
+        s = np.exp(2.5j * np.arange(n + 1))
+        s[n] = -s[n - 1]
+        rows = np.column_stack([np.linspace(0.0, 1.0, n + 1), s.real, s.imag])
+        inp, out = tmp_path / "s.csv", tmp_path / "t.csv"
+        np.savetxt(inp, rows, fmt="%.12e", delimiter=",", header="omega,re,im", comments="")
+        assert main(["extract", str(inp), "-o", str(out)]) == 0
+        cells = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert cells.shape == (n + 1, 3) and np.isfinite(cells).all()
 
     def test_decreasing_grid_exits_2_without_output(self, refused):
         refused("extract-decreasing-grid")

@@ -21,7 +21,7 @@ from tauspec.core import (
     reconstruct,
     uniform_spacing,
 )
-from tauspec.dispersion import residue_time_domain
+from tauspec.dispersion import Contour, residue_time_domain
 from tauspec.errors import (
     AnchorOutOfRange,
     GridError,
@@ -47,8 +47,7 @@ class TestFrequencyGrid:
     def test_linspace_matches_numpy(self):
         g = FrequencyGrid.linspace(0.0, 2.0, 11)
         np.testing.assert_allclose(g.values, np.linspace(0.0, 2.0, 11))
-        assert g.spacing == pytest.approx(0.2)
-        assert g.is_uniform
+        assert uniform_spacing(g.values, "msg") == pytest.approx(0.2)
         assert g.span == pytest.approx(2.0)
 
     def test_needs_three_points(self):
@@ -69,7 +68,21 @@ class TestFrequencyGrid:
 
     def test_non_uniform_detected(self):
         g = FrequencyGrid(np.array([0.0, 1.0, 3.0, 7.0]))
-        assert not g.is_uniform
+        with pytest.raises(NonUniformGrid, match="^msg$"):
+            uniform_spacing(g.values, "msg")
+
+    def test_compares_and_hashes_by_identity(self):
+        """A container of arrays is equal only to itself: numpy's == of
+        two arrays has no single truth value, and an array no hash."""
+        g = FrequencyGrid(np.array([1.0, 2.0, 3.0]))
+        values = np.ones(3, dtype=complex)
+        for a, b in [(g, FrequencyGrid(np.array([1.0, 2.0, 3.0]))),
+                     (ComplexSpectrum(g, values), ComplexSpectrum(g, values)),
+                     (TemporalSpectrum(g, np.ones(3), np.ones(3)),
+                      TemporalSpectrum(g, np.ones(3), np.ones(3))),
+                     (Contour.rectangle(0, 1, 0, 1), Contour.rectangle(0, 1, 0, 1))]:
+            assert a == a and a != b and not (a == b)
+            assert len({a, b, a}) == 2 and hash(a) == hash(a)
 
 
 class TestUniformSpacing:

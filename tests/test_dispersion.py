@@ -246,29 +246,18 @@ class TestKKResidual:
         assert issubclass(OriginGapTooWide, GridError)
         assert peak < 100_000
 
-    @pytest.mark.parametrize("fraction", [0.5, 0.7, -0.1, float("nan")])
-    def test_edge_fraction_outside_half_open_unit_half_rejected(self, fraction):
-        spectrum = ComplexSpectrum(FrequencyGrid.linspace(-1, 1, 10), np.ones(10))
-        with pytest.raises(ValueError, match="edge_fraction"):
-            kk_residual(spectrum, edge_fraction=fraction)
-        g = FrequencyGrid(0.1 * np.arange(1, 12))
-        with pytest.raises(ValueError, match="edge_fraction"):
-            tau_kk_residual(TemporalSpectrum(g, np.ones(11), np.zeros(11)),
-                            edge_fraction=fraction)
+    @pytest.mark.parametrize("n, nodes", [(10, 10), (19, 19), (20, 18), (401, 361)])
+    def test_edge_bands_drop_five_percent_per_side(self, n, nodes):
+        spectrum = ComplexSpectrum(FrequencyGrid.linspace(-1, 1, n), np.ones(n))
+        assert kk_residual(spectrum).nodes == nodes
 
-    def test_edge_fraction_just_below_half_keeps_a_node(self):
-        spectrum = ComplexSpectrum(FrequencyGrid.linspace(-1, 1, 10), np.ones(10))
-        assert kk_residual(spectrum, edge_fraction=0.49).nodes == 2
-        assert kk_residual(spectrum, edge_fraction=0.0).nodes == 10
-
-    def test_tau_edge_bands_covering_the_origin_window_rejected(self):
-        """The padded grid has 197 nodes; dropping 19 per side leaves only
-        the zero-filled window |omega| < 8.8."""
+    def test_tau_edge_bands_leave_nodes_at_the_widest_origin_window(self):
+        """k = 8n, the widest gap OriginGapTooWide lets through: the padded
+        grid has 197 nodes, the edge bands drop 9 per side and leave 2 of
+        the 11 positive nodes per side outside the zero-filled window."""
         g = FrequencyGrid(0.1 * np.arange(88, 99))
         t = TemporalSpectrum(g, np.ones(11), np.zeros(11))
-        assert tau_kk_residual(t, edge_fraction=0.05).nodes > 0
-        with pytest.raises(ValueError, match="edge_fraction"):
-            tau_kk_residual(t, edge_fraction=0.1)
+        assert tau_kk_residual(t).nodes == 4
 
     @pytest.mark.parametrize("start", [0.0, -0.5])
     def test_tau_variant_needs_a_positive_grid(self, start):
@@ -371,12 +360,11 @@ def per_panel_winding(model, contour, samples_per_edge):
 class TestWinding:
     @pytest.mark.parametrize("samples", [16, 256])
     @pytest.mark.parametrize("p", [0, 1])
-    @pytest.mark.parametrize("counterclockwise", [True, False])
-    def test_bitwise_equal_to_per_panel_loop(self, samples, p, counterclockwise):
+    def test_bitwise_equal_to_per_panel_loop(self, samples, p):
         model = PoleZeroModel(resonances=((1.0, 0.2), (1.7, 0.05)), p=p)
         hexagon = 1.0 + 0.9 * np.exp(1j * np.pi / 3 * np.arange(7))
         contours = [
-            Contour.rectangle(*rect, counterclockwise=counterclockwise)
+            Contour.rectangle(*rect)
             for rect in [
                 (0.0, 2.0, 0.02, 1.0),
                 (0.0, 2.0, -1.0, -0.02),
@@ -384,9 +372,7 @@ class TestWinding:
                 (-0.5, 2.5, -1.0, 1.0),
             ]
         ]
-        contours.append(
-            Contour(hexagon if counterclockwise else hexagon[::-1], counterclockwise)
-        )
+        contours.append(Contour(hexagon))
         for contour in contours:
             got = winding_number(model, contour, samples)
             want = per_panel_winding(model, contour, samples)
@@ -424,7 +410,7 @@ class TestWinding:
         with pytest.raises(ValueError):
             Contour(vertices=(0j, 1.0 + 0j, 1.0 + 1j, 1j, 0.5 + 0.5j))
         clockwise = (0j, 1j, 1.0 + 1j, 1.0 + 0j, 0j)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^contour must run counterclockwise$"):
             Contour(vertices=clockwise)
         for vertex in (complex(np.inf, 1.0), complex(1.0, np.nan)):
             with pytest.raises(ValueError, match="^contour vertices must be finite$"):

@@ -12,7 +12,6 @@ from tauspec.core import ComplexSpectrum, FrequencyGrid, PoleZeroModel, evaluate
 from tauspec.errors import (
     NonPositiveSigma,
     NonUniformGrid,
-    PhaseJump,
     ZeroModulus,
     ZeroNorm,
 )
@@ -122,20 +121,21 @@ class TestExtraction:
             extract_temporal(ComplexSpectrum(g, vals))
         assert info.value.node == 7
 
-    def test_phase_jump_reports_node(self):
-        g = FrequencyGrid.linspace(0.0, 1.0, 11)
-        vals = np.exp(1j * np.linspace(0.0, 0.5, 11))
-        vals[5:] *= np.exp(2.0j)
-        opts = ExtractionOptions(unwrap_tolerance=0.5)
-        with pytest.raises(PhaseJump) as info:
-            extract_temporal(ComplexSpectrum(g, vals), opts)
-        assert info.value.node == 5
+    @pytest.mark.parametrize("n", [20, 36])
+    def test_sign_flip_is_extracted_as_a_pi_step(self, n):
+        """S turns to -S at the last node: the phase steps by pi there,
+        np.unwrap keeps it, and the slope takes it whichever sign it has."""
+        g = FrequencyGrid.linspace(0.0, 1.0, n + 1)
+        vals = np.exp(2.5j * np.arange(n + 1))
+        vals[n] = -vals[n - 1]
+        out = extract_temporal(ComplexSpectrum(g, vals))
+        phase = np.unwrap(np.angle(vals))
+        assert abs(abs(phase[n] - phase[n - 1]) - np.pi) < 1e-12
+        np.testing.assert_array_equal(out.tau1, np.gradient(phase, g.values, edge_order=2))
 
     def test_bad_options_rejected(self):
         with pytest.raises(ValueError):
             ExtractionOptions(stencil_order=3)
-        with pytest.raises(ValueError):
-            ExtractionOptions(min_modulus=0.0)
 
 
 class TestResponses:
@@ -192,6 +192,30 @@ class TestResponses:
             # A scalar t is evaluated as a one-element array.
             one = reference_response(1.3, 2.0, sigma, 0.7, np.array([2.5]), front)
             assert scalar == complex(one[0])
+
+    @pytest.mark.parametrize("t", [np.inf, -np.inf, np.nan])
+    def test_non_finite_t_rejected(self, t):
+        for branch in (normal_response, anomalous_response):
+            with pytest.raises(ValueError, match="^t must be finite$"):
+                branch(1.0, 2.0, 0.5, 1.0, np.array([3.0, t]))
+        with pytest.raises(ValueError, match="^t must be finite$"):
+            combined_response(1.0, 2.0, 0.5, 1.0, t, 0.0)
+
+    @pytest.mark.parametrize("sigma", [0.5, 0.5 + 0.2j, 0.3 - 0.4j, 1e-300, 1e300])
+    def test_every_finite_t_gives_a_finite_value(self, sigma):
+        """Far from tau the Gaussian factor underflows to 0, and so does the
+        response, with no overflow on the way (the suite makes warnings
+        errors); nearer, it is the reference's value."""
+        t = np.concatenate([np.geomspace(1e-300, 1.7e308, 600), [0.0, 3.0, 30.0, 1e200]])
+        t = np.concatenate([t, -t])
+        for branch, front in [(normal_response, lambda e: 1.0 - e),
+                              (anomalous_response, lambda e: 1.0 + e)]:
+            got = branch(1.0, 2.0, sigma, 1.0, t)
+            assert np.isfinite(got).all()
+            near = np.abs(t - 2.0) < 1e3 * np.sqrt(abs(sigma))
+            expected = reference_response(1.0, 2.0, sigma, 1.0, t[near], front)
+            assert np.array_equal(got[near], expected)
+        assert normal_response(1.0, 2.0, 0.5, 1.0, 1e200) == 0.0
 
     def test_nonpositive_sigma_rejected(self):
         with pytest.raises(NonPositiveSigma):

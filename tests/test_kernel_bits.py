@@ -15,10 +15,13 @@ depends on whether numpy's complex loops fuse their multiply-adds, and
 reconstruct makes every zero running sum +0.
 """
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tauspec import extract
 from tauspec._stencils import differentiate
 from tauspec.core import (
     ComplexSpectrum,
@@ -39,7 +42,7 @@ from tauspec.dispersion import (
     kk_residual,
     tau_kk_residual,
 )
-from tauspec.errors import GridError, NonUniformGrid, PhaseJump, ZeroModulus
+from tauspec.errors import GridError, NonUniformGrid, ZeroModulus
 from tauspec.extract import ExtractionOptions, _log_spectrum, extract_temporal
 
 BITS = dict(deadline=None, derandomize=True)
@@ -313,22 +316,15 @@ def _ref_unwrap(phase):
     return out
 
 
-def _ref_log_spectrum(spectrum, options):
+def _ref_log_spectrum(spectrum, min_modulus):
     moduli = np.abs(spectrum.values)
-    low = np.nonzero(moduli < options.min_modulus)[0]
+    low = np.nonzero(moduli < min_modulus)[0]
     if low.size:
         raise ZeroModulus(
-            f"|S| below {options.min_modulus:g} at node {low[0]}",
+            f"|S| below {min_modulus:g} at node {low[0]}",
             node=int(low[0]),
         )
     phase = _ref_unwrap(np.angle(spectrum.values))
-    steps = np.abs(np.diff(phase))
-    bad = np.nonzero(steps > options.unwrap_tolerance)[0]
-    if bad.size:
-        raise PhaseJump(
-            f"phase step {steps[bad[0]]:.3g} exceeds tolerance at node {bad[0] + 1}",
-            node=int(bad[0] + 1),
-        )
     return np.log(moduli), phase
 
 
@@ -355,11 +351,11 @@ def _ref_differentiate(x, f, order=2):
     return out
 
 
-def _ref_extract_temporal(spectrum, options):
-    log_mod, phase = _ref_log_spectrum(spectrum, options)
+def _ref_extract_temporal(spectrum, order, min_modulus):
+    log_mod, phase = _ref_log_spectrum(spectrum, min_modulus)
     x = spectrum.grid.values
-    tau1 = _ref_differentiate(x, phase, options.stencil_order)
-    tau2 = -_ref_differentiate(x, log_mod, options.stencil_order)
+    tau1 = _ref_differentiate(x, phase, order)
+    tau2 = -_ref_differentiate(x, log_mod, order)
     return tau1, tau2
 
 
@@ -368,7 +364,7 @@ def _refusal(call, *args):
     the message and the node it named."""
     try:
         return call(*args)
-    except (ZeroModulus, PhaseJump, NonUniformGrid, ValueError) as exc:
+    except (ZeroModulus, NonUniformGrid, ValueError) as exc:
         return type(exc), str(exc), getattr(exc, "node", None)
 
 
@@ -377,19 +373,15 @@ def _refusal(call, *args):
        shape=st.sampled_from(("resonances", "noise", "wrapping", "small", "negative-zero")),
        grid=st.sampled_from(("uniform", "jitter", "step")),
        order=st.sampled_from((2, 4)),
-       tolerance=st.sampled_from((float(np.pi), float(np.pi), 1.0, 0.05)),
        min_modulus=st.sampled_from((1e-12, 1e-12, 1e-3, 0.5)))
-@example(n=16_385, seed=0, shape="resonances", grid="uniform", order=4,
-         tolerance=float(np.pi), min_modulus=1e-12)
-@example(n=16_383, seed=1, shape="wrapping", grid="uniform", order=2,
-         tolerance=float(np.pi), min_modulus=1e-12)
-@example(n=300, seed=2, shape="noise", grid="uniform", order=4, tolerance=0.05,
-         min_modulus=1e-12)
-@example(n=300, seed=3, shape="small", grid="uniform", order=4, tolerance=float(np.pi),
-         min_modulus=1e-3)
-def test_extraction_matches_reference(n, seed, shape, grid, order, tolerance, min_modulus):
+@example(n=16_385, seed=0, shape="resonances", grid="uniform", order=4, min_modulus=1e-12)
+@example(n=16_383, seed=1, shape="wrapping", grid="uniform", order=2, min_modulus=1e-12)
+@example(n=300, seed=2, shape="noise", grid="uniform", order=4, min_modulus=1e-12)
+@example(n=300, seed=3, shape="small", grid="uniform", order=4, min_modulus=1e-3)
+def test_extraction_matches_reference(n, seed, shape, grid, order, min_modulus):
     """extract_temporal, _log_spectrum and differentiate: the same bits, or
-    the same refusal naming the same node."""
+    the same refusal naming the same node.  The modulus floor is the
+    module's constant, set to each drawn value to reach ZeroModulus."""
     rng = np.random.default_rng(seed)
     x = np.linspace(0.1, 0.1 + rng.uniform(0.5, 5.0), n)
     if grid == "jitter":
@@ -411,18 +403,17 @@ def test_extraction_matches_reference(n, seed, shape, grid, order, tolerance, mi
         values = np.exp(1j * x) * (1.0 + 0.1 * x)
         values.imag[rng.random(n) < 0.3] = -0.0
     spectrum = ComplexSpectrum(FrequencyGrid(x), values)
-    options = ExtractionOptions(stencil_order=order, unwrap_tolerance=tolerance,
-                                min_modulus=min_modulus)
-    want = _refusal(_ref_extract_temporal, spectrum, options)
-    got = _refusal(extract_temporal, spectrum, options)
+    with mock.patch.object(extract, "_MIN_MODULUS", min_modulus):
+        got = _refusal(extract_temporal, spectrum, ExtractionOptions(stencil_order=order))
+        logs = _refusal(_log_spectrum, spectrum)
+    want = _refusal(_ref_extract_temporal, spectrum, order, min_modulus)
+    ref_logs = _refusal(_ref_log_spectrum, spectrum, min_modulus)
     if isinstance(want, tuple) and isinstance(want[0], type):
         assert got == want
     else:
         _same_bits(got.tau1, want[0])
         _same_bits(got.tau2, want[1])
         assert got.edge_nodes == order // 2
-    logs = _refusal(_log_spectrum, spectrum, options)
-    ref_logs = _refusal(_ref_log_spectrum, spectrum, options)
     if isinstance(ref_logs[0], type):
         assert logs == ref_logs
     else:
@@ -445,7 +436,7 @@ def _ref_kk_report(values, grid, tail_model, keep):
     return float(np.max(inner)), float(np.sqrt(np.mean(inner**2))), int(inner.size)
 
 
-def _ref_tau_kk(temporal, tail_model, edge_fraction):
+def _ref_tau_kk(temporal, tail_model):
     g = temporal.grid.values
     h = uniform_spacing(g, "")
     k = int(round(g[0] / h))
@@ -457,7 +448,7 @@ def _ref_tau_kk(temporal, tail_model, edge_fraction):
     values[m_max + k :] = tau_pos
     values[: m_max - k + 1] = np.conj(tau_pos)[::-1]
     mask = np.zeros(super_x.size, dtype=bool)
-    mask[_interior(super_x.size, edge_fraction)] = True
+    mask[_interior(super_x.size)] = True
     mask &= np.abs(super_x) > g[0] - 0.5 * h
     return _ref_kk_report(values, FrequencyGrid(super_x), tail_model, mask)
 
@@ -474,10 +465,10 @@ def _want_bits(want):
 @settings(max_examples=20, **BITS)
 @given(n=SIZES, seed=st.integers(0, 2**32 - 1), k=st.integers(1, 40),
        tail=st.sampled_from(("none", "one_over_omega", "one_over_omega2")),
-       edge=st.sampled_from((0.0, 0.05, 0.2)), zeros=st.booleans())
-@example(n=16_385, seed=0, k=1, tail="one_over_omega", edge=0.05, zeros=False)
-@example(n=8_192, seed=1, k=3, tail="none", edge=0.0, zeros=True)
-def test_causality_residuals_match_reference(n, seed, k, tail, edge, zeros):
+       zeros=st.booleans())
+@example(n=16_385, seed=0, k=1, tail="one_over_omega", zeros=False)
+@example(n=8_192, seed=1, k=3, tail="none", zeros=True)
+def test_causality_residuals_match_reference(n, seed, k, tail, zeros):
     """kk_residual and tau_kk_residual: the same statistics, bit for bit,
     over the same nodes."""
     rng = np.random.default_rng(seed)
@@ -488,12 +479,12 @@ def test_causality_residuals_match_reference(n, seed, k, tail, edge, zeros):
     if zeros:
         tau.imag[rng.random(n) < 0.3] = -0.0
     temporal = TemporalSpectrum(FrequencyGrid(tau_x), tau.real, tau.imag)
-    assert _report_bits(tau_kk_residual(temporal, tail, edge)) == _want_bits(
-        _ref_tau_kk(temporal, tail, edge))
+    assert _report_bits(tau_kk_residual(temporal, tail)) == _want_bits(
+        _ref_tau_kk(temporal, tail))
     x = np.linspace(-tau_x[-1], tau_x[-1], n)
     spectrum = ComplexSpectrum(FrequencyGrid(x), 1.0 / (x - pole))
-    assert _report_bits(kk_residual(spectrum, tail, edge)) == _want_bits(
-        _ref_kk_report(spectrum.values, spectrum.grid, tail, _interior(n, edge)))
+    assert _report_bits(kk_residual(spectrum, tail)) == _want_bits(
+        _ref_kk_report(spectrum.values, spectrum.grid, tail, _interior(n)))
 
 
 # -- sum-rule median and winding quadrature -------------------------------------

@@ -287,7 +287,7 @@ class TestGridsAndArtifacts:
         assert len(grid) == n
         assert grid.values[0] == pytest.approx(lo, abs=1e-12)
         assert grid.values[-1] == pytest.approx(lo + span, rel=1e-12)
-        assert grid.spacing == pytest.approx(span / (n - 1), rel=1e-9)
+        assert np.mean(np.diff(grid.values)) == pytest.approx(span / (n - 1), rel=1e-9)
 
     @settings(**COMMON)
     @given(

@@ -1,5 +1,6 @@
 """Static checks of the package source: every public name is reached, every
-imported name is used, and every package error is raised somewhere.
+defaulted parameter is passed and every public method or property is read,
+every imported name is used, and every package error is raised somewhere.
 
 No linter is a dependency, so these walk syntax trees with ``ast``.  An
 identifier is a ``Name``, the attribute of an ``Attribute`` or an imported
@@ -7,6 +8,7 @@ name; a string that spells a name does not count.
 """
 
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -25,6 +27,10 @@ ROOTS = [
     *sorted((ROOT / "bench").glob("*.py")),
 ]
 
+# The roots and the package code: where an option must be passed or a
+# method read to stay.
+CODE = ROOTS + [path for path in MODULES if path not in ROOTS]
+
 # Public names that no root reaches, each with the reason it stays.
 ALLOWED = {
     "normal_response": "the paper's saturated-front response for tau2 > 0, the normal "
@@ -33,6 +39,14 @@ ALLOWED = {
     "with it",
     "combined_response": "the step-weighted sum of the two front branches; kept with "
     "them",
+}
+
+# Defaulted parameters that no call in CODE is seen to pass, each with the
+# reason it stays.
+UNPASSED = {
+    f"{reader}.fh": "TABLE_FORMATS forwards it through lambda *args, and detected "
+    "passes it to that lambda"
+    for reader in ("read_spectrum", "read_temporal", "read_barrier_table")
 }
 
 
@@ -91,6 +105,88 @@ def reached_names() -> set:
 
 PUBLIC = {name: path.stem for path in MODULES for name in exported(parse(path))}
 REACHED = reached_names()
+
+
+def passed_arguments() -> tuple:
+    """For each callee name in CODE, the keywords some call passes it, and
+    the most arguments a call passes it by position.  A ``*args`` call
+    passes only the required parameters: its positions stop at the star."""
+    keywords, positions = defaultdict(set), defaultdict(int)
+    for path in CODE:
+        for call in ast.walk(parse(path)):
+            if isinstance(call, ast.Call):
+                func = call.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                keywords[name] |= {k.arg for k in call.keywords}
+                stars = [i for i, a in enumerate(call.args) if isinstance(a, ast.Starred)]
+                positions[name] = max(positions[name], (stars or [len(call.args)])[0])
+    return keywords, positions
+
+
+def _defaulted(callee: str, args: ast.arguments, first: int) -> list:
+    """(callee, parameter, position) of each defaulted parameter in ``args``,
+    counted from the ``first`` positional one; position None for a
+    keyword-only one."""
+    params = [a.arg for a in args.posonlyargs + args.args][first:]
+    return ([(callee, p, i) for i, p in enumerate(params)
+             if i >= len(params) - len(args.defaults)]
+            + [(callee, a.arg, None)
+               for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None])
+
+
+def public_methods(node: ast.ClassDef) -> list:
+    return [m for m in node.body
+            if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")]
+
+
+def defaulted(node) -> list:
+    """The defaulted parameters of a public function, or of the fields and
+    the public methods (past self or cls) of a public class."""
+    if isinstance(node, ast.FunctionDef):
+        return _defaulted(node.name, node.args, 0)
+    fields = [s for s in node.body if isinstance(s, ast.AnnAssign)]
+    out = [(node.name, s.target.id, i) for i, s in enumerate(fields) if s.value is not None]
+    for method in public_methods(node):
+        out += _defaulted(method.name, method.args, 1)
+    return out
+
+
+def public_definitions():
+    """Each public top-level function or class of the package."""
+    for path in MODULES:
+        tree = parse(path)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in exported(tree):
+                yield node
+
+
+def unpassed_parameters() -> list:
+    keywords, positions = passed_arguments()
+    return sorted(f"{callee}.{param}" for node in public_definitions()
+                  for callee, param, i in defaulted(node)
+                  if param not in keywords[callee]
+                  and (i is None or positions[callee] <= i))
+
+
+def unread_methods() -> list:
+    read = {node.attr for path in CODE for node in ast.walk(parse(path))
+            if isinstance(node, ast.Attribute)}
+    return sorted(f"{node.name}.{method.name}" for node in public_definitions()
+                  if isinstance(node, ast.ClassDef) for method in public_methods(node)
+                  if method.name not in read)
+
+
+def test_every_defaulted_parameter_is_passed_or_allowed():
+    """An option that only tests set is a constant of its module."""
+    assert [n for n in unpassed_parameters() if n not in UNPASSED] == []
+
+
+def test_every_allowed_parameter_is_unpassed():
+    assert sorted(UNPASSED.keys() - set(unpassed_parameters())) == []
+
+
+def test_every_public_method_or_property_is_read():
+    assert unread_methods() == []
 
 
 def test_every_public_name_is_reached_or_allowed():

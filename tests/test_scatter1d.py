@@ -155,11 +155,6 @@ class TestResonance:
         with pytest.raises(ValueError):
             find_resonance(double, 0.3, 0.95)
 
-    def test_three_point_scan_still_refines(self):
-        """Rescans use at least five nodes, so a three-node bracket shrinks."""
-        energy = find_resonance(BARRIER, 2.0, 5.0, points=3)
-        assert energy == pytest.approx(1.0 + (np.pi / 2.0) ** 2, rel=1e-6)
-
     def test_loads_no_scipy(self):
         probe = (
             "import sys\n"
