@@ -15,6 +15,7 @@ nothing from tauspec.  A new guard is one entry here.
 """
 
 import json
+import math
 import re
 from typing import NamedTuple
 
@@ -134,6 +135,31 @@ CASES = {
     "model-p-past-2**53": _model(
         {**BLASCHKE, "p": 2**53 + 1},
         "error: m.json: p must be an integer of magnitude below 2**53, got 9007199254740993"),
+    # A field that is not finite (JSON's Infinity or NaN, or a string float()
+    # reads as one) is refused as its document loads, in every model kind.
+    **{f"winding-resonance-{name}": Refusal(
+        model_file({"type": "blaschke", "resonances": [[value, 0.1]]}),
+        ("winding", "m.json", "--rect", "0", "2", "0.02", "1"), 2,
+        f"error: m.json: resonances[0] must be finite, got {name}")
+       for name, value in (("inf", math.inf), ("nan", math.nan))},
+    "model-scale-nan": _model(
+        {**BLASCHKE, "scale": [1.0, math.nan]}, "error: m.json: scale must be finite, got nan"),
+    "model-p-inf": _model(
+        {**BLASCHKE, "p": math.inf}, "error: m.json: p must be finite, got inf"),
+    "model-omega0-inf": _model(
+        {**OSCILLATOR, "omega0": math.inf}, "error: m.json: omega0 must be finite, got inf"),
+    "model-plasma_frequency-nan": _model(
+        {**KINDS["lorentz"], "plasma_frequency": math.nan},
+        "error: m.json: plasma_frequency must be finite, got nan"),
+    "model-gamma0-negative-inf": _model(
+        {**KINDS["breit_wigner"], "gamma0": -math.inf},
+        "error: m.json: gamma0 must be finite, got -inf"),
+    "model-eta-string-inf": _model(
+        {**KINDS["photon"], "eta": "inf"}, "error: m.json: eta must be finite, got 'inf'"),
+    "barrier-segment-inf": Refusal(
+        model_file({"type": "barrier", "segments": [[math.inf, 1.0]]}),
+        ("barrier", *MODEL[1:-1], "b.csv"), 2,
+        "error: m.json: segments[0] must be finite, got inf"),
     "model-large-p": _model(
         {**BLASCHKE, "p": 2000}, "error: m.json: model is not finite on [0.5, 1.5]"),
     "model-truncated-json": _model(

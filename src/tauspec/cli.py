@@ -153,6 +153,8 @@ def _winding(args, document):
     re_min, re_max, im_min, im_max = args.rect
     contour = Contour.rectangle(re_min, re_max, im_min, im_max)
     value = winding_number(document.params, contour, args.samples)
+    if math.isnan(value):  # no count to resolve, so no --samples to raise
+        raise UnresolvedWinding("winding count is nan")
     distance = abs(math.remainder(value, 1.0))
     if not distance <= WINDING_ABS:
         advice = (f"raise --samples (at most {MAX_SAMPLES_PER_EDGE})"
@@ -310,8 +312,11 @@ def main(argv=None) -> int:
 
 def entry() -> int:
     """``main`` as a whole process, ``python -m tauspec`` or the ``tauspec``
-    script: the heap is frozen on the way out, so the exit collections skip
-    it.  ``main`` never freezes: a caller in process lives on."""
+    script: the cyclic collector is off for the run, which frees its short
+    lived objects by reference counts, and the heap is frozen on the way
+    out, so the exit collections skip it.  ``main`` touches neither: a
+    caller in process lives on."""
+    gc.disable()
     try:
         return main()
     finally:

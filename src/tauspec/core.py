@@ -236,9 +236,10 @@ class PoleZeroModel:
     omega**(-prefactor_sign * p) models threshold behaviour at the origin.
 
     Args:
-        scale: overall complex amplitude.
+        scale: overall complex amplitude, finite and nonzero.
         p: non-negative integer power of the origin prefactor.
-        resonances: sequence of (center, width) pairs, both positive.
+        resonances: sequence of (center, width) pairs, both positive and
+            finite.
         prefactor_sign: +1 for a decaying origin factor omega**-p,
             -1 for the growing branch omega**+p.
     """
@@ -249,16 +250,16 @@ class PoleZeroModel:
     prefactor_sign: int = 1
 
     def __post_init__(self):
-        if self.scale == 0:
-            raise ValueError("scale must be nonzero")
+        if self.scale == 0 or not np.isfinite(self.scale):
+            raise ValueError("scale must be finite and nonzero")
         if not isinstance(self.p, (int, np.integer)) or self.p < 0:
             raise ValueError("p must be a non-negative integer")
         if self.prefactor_sign not in (1, -1):
             raise ValueError("prefactor_sign must be +1 or -1")
         res = tuple((float(w), float(g)) for w, g in self.resonances)
         for w, g in res:
-            if w <= 0 or g <= 0:
-                raise ValueError("resonances need positive center and width")
+            if not (0 < w < np.inf and 0 < g < np.inf):
+                raise ValueError("resonances need positive finite center and width")
         object.__setattr__(self, "scale", complex(self.scale))
         object.__setattr__(self, "resonances", res)
 

@@ -461,10 +461,11 @@ class Contour:
 def _segment_gap(v0: complex, v1: complex, points: np.ndarray) -> float:
     """Smallest distance from any of ``points`` to the segment v0-v1."""
     d = v1 - v0
-    den = abs(d) ** 2
-    if den == 0.0:
+    if d == 0:
         return float(np.min(np.abs(points - v0)))
-    t = np.clip(((points - v0) * np.conj(d)).real / den, 0.0, 1.0)
+    # Re((p - v0) / d) is where p projects onto the line, in units of d; as
+    # Re((p - v0) conj(d)) / |d|^2 it would overflow for a far point.
+    t = np.clip(((points - v0) / d).real, 0.0, 1.0)
     nearest = v0 + t * d
     return float(np.min(np.abs(points - nearest)))
 

@@ -63,10 +63,6 @@ class ZeroModulus(TauspecError):
     exit_code = 3
 
 
-class NonPositiveSigma(TauspecError):
-    """Front-response width sigma must be finite, with a positive real part."""
-
-
 class ZeroNorm(TauspecError):
     """Spectrum has zero L2 norm; moments are undefined."""
 

@@ -1,30 +1,25 @@
 """Extraction of temporal functions from sampled spectra, plus diagnostics.
 
 The extractor differentiates the unwrapped phase and the log-modulus of a
-sampled response.  Beside it sit the saturated-front response shapes and
-the energy-time uncertainty budget, which weighs the same unwrapped phase.
+sampled response.  Beside it sits the energy-time uncertainty budget,
+which weighs the same unwrapped phase.
 """
 
 from __future__ import annotations
 
-import functools
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from ._stencils import differentiate
-from .core import ComplexSpectrum, TemporalSpectrum, _pointwise, uniform_spacing
-from .errors import NonPositiveSigma, ZeroModulus, ZeroNorm
+from .core import ComplexSpectrum, TemporalSpectrum, uniform_spacing
+from .errors import ZeroModulus, ZeroNorm
 
 __all__ = [
     "ExtractionOptions",
     "UncertaintyBudget",
     "extract_temporal",
-    "normal_response",
-    "anomalous_response",
-    "combined_response",
     "uncertainty_product",
 ]
 
@@ -110,100 +105,6 @@ def extract_temporal(
     return TemporalSpectrum(
         spectrum.grid, tau1, tau2, edge_nodes=opts.stencil_order // 2
     )
-
-
-@functools.cache
-def _erf_coefficients():
-    """erf's 40 Taylor coefficients in z^2, then Weideman's scale L and his
-    n = 36 coefficients in (L - z) / (L + z) (SIAM J. Numer. Anal. 31
-    (1994) 1497), from one FFT; each list highest first."""
-    taylor = [(-1) ** k * 2.0 / math.sqrt(math.pi) / (math.factorial(k) * (2 * k + 1))
-              for k in range(39, -1, -1)]
-    n = 36
-    scale, m = math.sqrt(n / math.sqrt(2.0)), 2 * n
-    t = scale * np.tan(np.arange(1 - m, m) * (np.pi / (2 * m)))
-    f = np.concatenate(([0.0], np.exp(-t * t) * (scale * scale + t * t)))
-    return taylor, scale, np.fft.fft(np.fft.fftshift(f)).real[n:0:-1] / (2 * m)
-
-
-def _erf(z):
-    """erf of a finite real or complex array, real for a real one.
-
-    Below |z| = 1 a Taylor series; elsewhere 1 - exp(-z^2) w(iz), with
-    Weideman's rational w(iz) = exp(z^2) erfc(z), which needs iz in the
-    upper half-plane: so z is taken with Re z >= 0, as erf(-z) = -erf(z).
-    """
-    z = np.asarray(z)
-    sign = np.where(z.real < 0, -1.0, 1.0)
-    u = (sign * z).astype(complex)
-    near = np.abs(u) < 1.0
-    taylor, scale, weideman = _erf_coefficients()
-    horner = lambda coefficients, x: functools.reduce(lambda p, c: p * x + c, coefficients)
-    v, d = np.where(near, u, 0.0), scale + u
-    w = 2.0 * horner(weideman, (scale - u) / d) / d**2 + 1.0 / (math.sqrt(math.pi) * d)
-    out = sign * np.where(near, v * horner(taylor, v * v), 1.0 - np.exp(-u * u) * w)
-    return out if np.iscomplexobj(z) else out.real
-
-
-def _front_response(omega0, tau, sigma, r0, t, erf_sign):
-    sigma = complex(sigma) if np.iscomplexobj(np.asarray(sigma)) else float(sigma)
-    if not (np.isfinite(sigma) and np.real(sigma) > 0):
-        raise NonPositiveSigma("sigma must be finite with positive real part")
-    root = np.lib.scimath.sqrt(2.0 * sigma)
-    # A scalar t too goes through as an array: numpy may round a complex
-    # product of scalars otherwise than the same product over an array.
-    ts = np.atleast_1d(t)
-    if not np.isfinite(ts).all():
-        raise ValueError("t must be finite")
-    # Where |exp(-x^2)| = exp(-(t - tau)^2 Re sigma / 2|sigma|^2) < exp(-746),
-    # it is 0 in floating point and x^2 may overflow: t is moved to tau there.
-    reach = math.sqrt(1492.0 * abs(sigma)) * math.sqrt(abs(sigma) / sigma.real)
-    far = np.abs(ts - tau) > reach
-    ts = np.where(far, tau, ts)
-    x = (ts - tau) / root
-    prefactor = r0 / np.lib.scimath.sqrt(8.0 * np.pi * sigma)
-    front = 1.0 + erf_sign * _erf(x)
-    value = prefactor * np.exp(-1j * omega0 * ts - x**2) * front
-    value[far] = 0.0
-    return _pointwise(t, value)
-
-
-def normal_response(omega0, tau, sigma, r0, t):
-    """Saturated-front response for positive formation time.
-
-    R(t) = r0 (8 pi sigma)^(-1/2) exp{-i omega0 t - (t-tau)^2 / 2 sigma}
-           [1 - erf((t-tau)/sqrt(2 sigma))]
-
-    ``sigma`` may be complex; the principal branch of the square root is
-    used; sigma must be finite and its real part positive.  ``t`` must be
-    finite; where the Gaussian factor underflows, the response is 0.
-
-    Raises:
-        NonPositiveSigma: sigma not finite, or Re(sigma) <= 0.
-        ValueError: some t not finite.
-    """
-    return _front_response(omega0, tau, sigma, r0, t, -1.0)
-
-
-def anomalous_response(omega0, tau, sigma, r0, t):
-    """Mirror branch of ``normal_response`` with the opposite erf sign."""
-    return _front_response(omega0, tau, sigma, r0, t, 1.0)
-
-
-def combined_response(omega0, tau, sigma, r0, t, tau2):
-    """Step-weighted sum of the two response branches.
-
-    The normal branch carries positive formation time, the anomalous one
-    negative; at tau2 = 0 both get weight one half.
-    """
-    up = 1.0 if tau2 > 0 else (0.5 if tau2 == 0 else 0.0)
-    down = 1.0 - up
-    out = 0.0 + 0.0j
-    if up:
-        out = out + up * normal_response(omega0, tau, sigma, r0, t)
-    if down:
-        out = out + down * anomalous_response(omega0, tau, sigma, r0, t)
-    return out
 
 
 def uncertainty_product(spectrum: ComplexSpectrum) -> UncertaintyBudget:

@@ -480,12 +480,15 @@ class ModelDocument:
 
 
 def _float(value, name: str) -> float:
-    """``float(value)``; a string, JSON type or integer no float holds names
-    its field."""
+    """``float(value)``; a string, JSON type or integer no float holds, and
+    a value that is not finite (JSON's Infinity and NaN), name its field."""
     try:
-        return float(value)
+        number = float(value)
     except (ValueError, TypeError, OverflowError) as exc:
         raise ValueError(f"{name}: {exc}") from None
+    if not np.isfinite(number):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return number
 
 
 def _pair(value, name: str):

@@ -93,8 +93,8 @@ def _transfer(profile: PotentialProfile, energy, derivative: bool = False):
     comes back in place of None.
     """
     energy = np.asarray(energy, dtype=float)
-    if np.any(energy <= 0):
-        raise ValueError("energy must be positive")
+    if not np.all((energy > 0) & (energy < np.inf)):
+        raise ValueError("energy must be positive and finite")
     w00, w01, w10, w11 = 1.0, 0.0, 0.0, 1.0
     g00 = g01 = g10 = g11 = 0.0
     log_scale = np.zeros(energy.shape)

@@ -44,25 +44,6 @@ rc = cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
 print(json.dumps([rc, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
 """
 
-# With scipy not importable, imports extract and prints whether that loaded
-# numpy.fft, then runs each front response on a real and a complex sigma
-# and prints whether every value came out finite.
-NO_SCIPY_PROBE = """
-import json, sys
-sys.modules["scipy"] = None
-import numpy as np
-from tauspec import extract
-fft_on_import = "numpy.fft" in sys.modules
-t = np.linspace(-1.0, 6.0, 57)
-finite = [bool(np.all(np.isfinite(response(1.0, 2.0, sigma, 0.7, t, *tau2))))
-          for sigma in (0.5, 0.5 + 0.2j)
-          for response, tau2 in ((extract.normal_response, ()),
-                                 (extract.anomalous_response, ()),
-                                 (extract.combined_response, (0.0,)))]
-print(json.dumps([fft_on_import, finite]))
-"""
-
-
 # Each model kind through the model verb: (document, sweep, closed form).
 # The closed form maps the sweep's nodes to (S, tau1, tau2).
 def _blaschke_tables(x):
@@ -596,6 +577,22 @@ class TestWinding:
         _, mapping = fileio.read_artifact(str(tmp_path / "w.txt"))
         assert mapping["re_min"] == "-1.000000000000e+06"
 
+    def test_far_resonance_counts_zero(self, tmp_path):
+        """A zero and pole at 1e308 lie far off every edge: the edge gap is
+        taken with no overflow (the suite makes warnings errors)."""
+        write_json(tmp_path / "m.json", {"type": "blaschke", "resonances": [[1e308, 0.1]]})
+        art = str(tmp_path / "w.txt")
+        assert main(["winding", str(tmp_path / "m.json"), "--rect", "0", "2", "0.02", "1",
+                     "-o", art]) == 0
+        assert float(fileio.read_artifact(art)[1]["winding"]) == 0.0
+
+    def test_nan_count_exits_3_without_samples_advice(self, refused, monkeypatch):
+        from tauspec import dispersion
+        monkeypatch.setattr(dispersion, "winding_number", lambda *args: float("nan"))
+        refused(refusals.Refusal(refusals.model_file(refusals.BLASCHKE),
+                                 ("winding", "m.json", "--rect", "0", "2", "0.02", "1"), 3,
+                                 "error: winding count is nan"))
+
     def test_small_sample_count_exits_2(self, refused):
         refused("winding-few-samples")
 
@@ -899,18 +896,28 @@ class TestImportPath:
         inp = small_pole_table(tmp_path, "pole.csv")
         assert self.scipy_after("--tail", "w1", "kk", inp) == [0, []]
 
-    def test_front_responses_run_without_scipy(self):
-        """The front responses' erf is numpy's own, and importing extract
-        loads no numpy.fft: only a first erf or uncertainty budget does."""
-        proc = subprocess.run([sys.executable, "-c", NO_SCIPY_PROBE], env=src_env(),
-                              capture_output=True, text=True, timeout=60, check=True)
-        assert json.loads(proc.stdout) == [False, [True] * 6]
-
     def test_numpy_is_the_only_runtime_dependency(self):
         """``[project] dependencies`` in pyproject.toml, read as text."""
         text = (ROOT / "pyproject.toml").read_text()
         block = re.search(r"\n\[project\]\n.*?\ndependencies = \[(.*?)\]", text, re.S)
         assert re.findall(r'"([^"]*)"', block.group(1)) == ["numpy>=2.0"]
+
+    def test_every_test_requirement_is_imported_by_a_test(self):
+        """``[project.optional-dependencies] test`` in pyproject.toml, read as
+        text: some file under tests/ imports each requirement by its name."""
+        text = (ROOT / "pyproject.toml").read_text()
+        block = re.search(r"\n\[project\.optional-dependencies\]\n.*?\ntest = \[(.*?)\]",
+                          text, re.S)
+        required = {re.match(r"[\w.-]+", req).group()
+                    for req in re.findall(r'"([^"]*)"', block.group(1))}
+        imported = set()
+        for path in (ROOT / "tests").rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    imported |= {alias.name.partition(".")[0] for alias in node.names}
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    imported.add(node.module.partition(".")[0])
+        assert required and sorted(required - imported) == []
 
 
 # Runs what ``python -m tauspec ARGS`` runs (no ARGS: ``import tauspec``)
@@ -1032,7 +1039,8 @@ class TestLoading:
     @pytest.mark.parametrize("verb", sorted(VERB_MODULES))
     def test_verb_loads_only_its_modules(self, tmp_path, verb):
         """Each verb loads its own modules, and neither numpy.ma nor
-        numpy.polynomial; only a verb that reads a model loads json."""
+        numpy.polynomial; only a verb that reads a model loads json, and
+        only kk, whose Hilbert transform is an FFT, loads numpy.fft."""
         small_pole_table(tmp_path)
         grid = FrequencyGrid.linspace(0.5, 10.0, 400)
         fileio.write_spectrum(str(tmp_path / "p.csv"), ComplexSpectrum(grid, 1.0 / grid.values))
@@ -1046,6 +1054,7 @@ class TestLoading:
         assert not {f"tauspec.{m}" for m in unused} & modules
         assert not {"numpy.ma", "numpy.polynomial"} & modules
         assert ("json" in modules) == ("m.json" in argv)
+        assert ("numpy.fft" in modules) == (verb == "kk")
 
     @pytest.mark.parametrize("first", ["star", "name"])
     def test_star_import_binds_every_public_name(self, first):
@@ -1077,10 +1086,18 @@ def test_importtime_has_a_row_for_each_module_a_verb_loads(tmp_path):
 
 # Runs ``python -m tauspec ARGS`` as MODULES_PROBE does and prints last on
 # stderr, even after a SystemExit, the number of objects gc.freeze has moved
-# out of the collector's reach.
-FREEZE_PROBE = """
+# out of the collector's reach, whether the collector is on, and how many
+# collections ran once cli.entry had called main.
+ENTRY_PROBE = """
 import atexit, gc, runpy, sys
-atexit.register(lambda: print("frozen", gc.get_freeze_count(), file=sys.stderr))
+from tauspec import cli
+starts = []
+def main(*args):
+    gc.callbacks.append(lambda phase, info: starts.append(phase) if phase == "start" else None)
+    return run(*args)
+run, cli.main = cli.main, main
+atexit.register(lambda: print(gc.get_freeze_count(), gc.isenabled(), len(starts),
+                              file=sys.stderr))
 runpy.run_module("tauspec", run_name="__main__", alter_sys=True)
 """
 
@@ -1098,10 +1115,13 @@ ENDINGS = {
 
 class TestProcessEntry:
     """``python -m tauspec`` and the ``tauspec`` script run ``cli.entry``,
-    which freezes the heap however ``main`` ends; ``main`` never does."""
+    which turns the collector off for the run and freezes the heap however
+    ``main`` ends; ``main`` does neither."""
 
     @pytest.mark.parametrize("ending", sorted(ENDINGS))
     def test_process_exits_with_a_frozen_heap(self, tmp_path, ending):
+        """The process exits with a frozen heap and the collector off, and no
+        collection ran once main was called."""
         code, argv, case = ENDINGS[ending]
         if case is None:
             small_pole_table(tmp_path)
@@ -1110,11 +1130,11 @@ class TestProcessEntry:
             for name, content in refusals.CASES[case].files.items():
                 (tmp_path / name).write_bytes(
                     content if isinstance(content, bytes) else content.encode())
-        proc = subprocess.run([sys.executable, "-c", FREEZE_PROBE, *argv], cwd=tmp_path,
+        proc = subprocess.run([sys.executable, "-c", ENTRY_PROBE, *argv], cwd=tmp_path,
                               env=src_env(), capture_output=True, text=True, timeout=60)
         assert proc.returncode == code
-        label, count = proc.stderr.splitlines()[-1].split()
-        assert label == "frozen" and int(count) > 0
+        frozen, enabled, collections = proc.stderr.splitlines()[-1].split()
+        assert int(frozen) > 0 and (enabled, collections) == ("False", "0")
 
     def test_main_in_process_leaves_the_heap_unfrozen(self, tmp_path, capsys):
         before = gc.get_freeze_count()
@@ -1123,6 +1143,7 @@ class TestProcessEntry:
             main(["--help"])
         assert main(["kk", str(tmp_path / "missing.csv")]) == 2
         assert gc.get_freeze_count() == before
+        assert gc.isenabled()
 
     def test_script_names_the_function_the_module_runs(self):
         """``[project.scripts] tauspec`` in pyproject.toml (read as text:

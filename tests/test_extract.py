@@ -1,39 +1,13 @@
-"""Finite-difference extraction, front responses, erf, uncertainty budget."""
+"""Finite-difference extraction and the uncertainty budget."""
 
-import math
-
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tauspec.core import ComplexSpectrum, FrequencyGrid, PoleZeroModel, evaluate_model, model_tau
-from tauspec.errors import (
-    NonPositiveSigma,
-    NonUniformGrid,
-    ZeroModulus,
-    ZeroNorm,
-)
-from tauspec.extract import (
-    ExtractionOptions,
-    _erf,
-    _unwrap,
-    anomalous_response,
-    combined_response,
-    extract_temporal,
-    normal_response,
-    uncertainty_product,
-)
-
-
-def reference_response(omega0, tau, sigma, r0, t, front):
-    """Both response branches written out apart, ``front`` picking
-    1 - erf (normal) or 1 + erf (anomalous), with the package's erf."""
-    sigma = complex(sigma) if np.iscomplexobj(np.asarray(sigma)) else float(sigma)
-    x = (np.asarray(t) - tau) / np.lib.scimath.sqrt(2.0 * sigma)
-    prefactor = r0 / np.lib.scimath.sqrt(8.0 * np.pi * sigma)
-    return prefactor * np.exp(-1j * omega0 * np.asarray(t) - x**2) * front(_erf(x))
+from tauspec.errors import NonUniformGrid, ZeroModulus, ZeroNorm
+from tauspec.extract import ExtractionOptions, _unwrap, extract_temporal, uncertainty_product
 
 
 def blaschke_spectrum(n=4001, lo=0.25, hi=1.75, gamma=0.2):
@@ -136,126 +110,6 @@ class TestExtraction:
     def test_bad_options_rejected(self):
         with pytest.raises(ValueError):
             ExtractionOptions(stencil_order=3)
-
-
-class TestResponses:
-    def test_normal_amplitude_oracle(self):
-        r = normal_response(1.0, 2.0, 0.5, 1.0, np.array([3.0]))
-        assert abs(r[0]) == pytest.approx(0.016324, abs=1e-5)
-
-    def test_branches_sum_to_full_envelope(self):
-        """erf and its complement cancel, leaving twice the bare packet."""
-        t = np.linspace(0.0, 5.0, 41)
-        total = normal_response(1.0, 2.0, 0.5, 1.0, t) + anomalous_response(
-            1.0, 2.0, 0.5, 1.0, t
-        )
-        x = (t - 2.0) / np.sqrt(2.0 * 0.5)
-        bare = (8.0 * np.pi * 0.5) ** -0.5 * np.exp(-1j * t - x**2)
-        np.testing.assert_allclose(total, 2.0 * bare, rtol=1e-12, atol=1e-15)
-
-    def test_normal_uses_erf_complement(self):
-        t = np.array([3.0])
-        r = normal_response(1.0, 2.0, 0.5, 1.0, t)
-        x = (3.0 - 2.0) / np.sqrt(1.0)
-        expected = (
-            (8.0 * np.pi * 0.5) ** -0.5
-            * np.exp(-3j - x**2)
-            * (1.0 - math.erf(x))
-        )
-        assert r[0] == pytest.approx(expected)
-
-    def test_combined_selects_by_formation_sign(self):
-        t = np.linspace(1.5, 2.5, 7)
-        plus = normal_response(1.0, 2.0, 0.5, 1.0, t)
-        minus = anomalous_response(1.0, 2.0, 0.5, 1.0, t)
-        np.testing.assert_allclose(combined_response(1.0, 2.0, 0.5, 1.0, t, 0.3), plus)
-        np.testing.assert_allclose(combined_response(1.0, 2.0, 0.5, 1.0, t, -0.3), minus)
-        half = combined_response(1.0, 2.0, 0.5, 1.0, t, 0.0)
-        np.testing.assert_allclose(half, 0.5 * (plus + minus))
-
-    def test_complex_sigma_allowed(self):
-        r = normal_response(1.0, 2.0, 0.5 + 0.2j, 1.0, np.array([3.0]))
-        assert abs(r[0]) == pytest.approx(0.021345, abs=1e-5)
-
-    @pytest.mark.parametrize("sigma", [0.5, 0.5 + 0.2j, 0.3 - 0.4j])
-    def test_branches_bitwise_equal_to_reference(self, sigma):
-        t = np.linspace(-1.0, 6.0, 57)
-        pairs = [
-            (normal_response, lambda e: 1.0 - e),
-            (anomalous_response, lambda e: 1.0 + e),
-        ]
-        for branch, front in pairs:
-            expected = reference_response(1.3, 2.0, sigma, 0.7, t, front)
-            assert np.array_equal(branch(1.3, 2.0, sigma, 0.7, t), expected)
-            scalar = branch(1.3, 2.0, sigma, 0.7, 2.5)
-            assert type(scalar) is complex
-            # A scalar t is evaluated as a one-element array.
-            one = reference_response(1.3, 2.0, sigma, 0.7, np.array([2.5]), front)
-            assert scalar == complex(one[0])
-
-    @pytest.mark.parametrize("t", [np.inf, -np.inf, np.nan])
-    def test_non_finite_t_rejected(self, t):
-        for branch in (normal_response, anomalous_response):
-            with pytest.raises(ValueError, match="^t must be finite$"):
-                branch(1.0, 2.0, 0.5, 1.0, np.array([3.0, t]))
-        with pytest.raises(ValueError, match="^t must be finite$"):
-            combined_response(1.0, 2.0, 0.5, 1.0, t, 0.0)
-
-    @pytest.mark.parametrize("sigma", [0.5, 0.5 + 0.2j, 0.3 - 0.4j, 1e-300, 1e300])
-    def test_every_finite_t_gives_a_finite_value(self, sigma):
-        """Far from tau the Gaussian factor underflows to 0, and so does the
-        response, with no overflow on the way (the suite makes warnings
-        errors); nearer, it is the reference's value."""
-        t = np.concatenate([np.geomspace(1e-300, 1.7e308, 600), [0.0, 3.0, 30.0, 1e200]])
-        t = np.concatenate([t, -t])
-        for branch, front in [(normal_response, lambda e: 1.0 - e),
-                              (anomalous_response, lambda e: 1.0 + e)]:
-            got = branch(1.0, 2.0, sigma, 1.0, t)
-            assert np.isfinite(got).all()
-            near = np.abs(t - 2.0) < 1e3 * np.sqrt(abs(sigma))
-            expected = reference_response(1.0, 2.0, sigma, 1.0, t[near], front)
-            assert np.array_equal(got[near], expected)
-        assert normal_response(1.0, 2.0, 0.5, 1.0, 1e200) == 0.0
-
-    def test_nonpositive_sigma_rejected(self):
-        with pytest.raises(NonPositiveSigma):
-            normal_response(1.0, 2.0, -0.5, 1.0, np.array([3.0]))
-        with pytest.raises(NonPositiveSigma):
-            anomalous_response(1.0, 2.0, -0.1 + 1.0j, 1.0, np.array([3.0]))
-        for sigma in (np.nan, np.inf, complex(1.0, np.nan)):
-            with pytest.raises(NonPositiveSigma, match="finite"):
-                combined_response(1.0, 2.0, sigma, 1.0, np.array([3.0]), 0.0)
-
-
-def mpmath_erf(z: np.ndarray) -> np.ndarray:
-    """erf at 30 digits, rounded to the dtype of ``z``."""
-    with mpmath.workdps(30):
-        if np.iscomplexobj(z):
-            return np.array([complex(mpmath.erf(mpmath.mpc(v.real, v.imag))) for v in z])
-        return np.array([float(mpmath.erf(v)) for v in z])
-
-
-class TestErf:
-    def test_real_axis_matches_mpmath(self):
-        x = np.concatenate([np.linspace(-30.0, 30.0, 2401), np.geomspace(1e-8, 30.0, 400)])
-        x = x[x != 0.0]
-        got = _erf(x)
-        assert got.dtype == np.float64
-        want = mpmath_erf(x)
-        assert np.max(np.abs(got - want) / np.abs(want)) < 1e-14
-
-    def test_front_sector_matches_mpmath(self):
-        """|arg z| <= pi/4 and its mirror, 1e-8 <= |z| <= 100: all the front
-        responses reach, since Re sigma > 0."""
-        radius, angle = np.meshgrid(np.geomspace(1e-8, 100.0, 200),
-                                    np.linspace(-np.pi / 4, np.pi / 4, 21))
-        z = (radius * np.exp(1j * angle)).ravel()
-        z = np.concatenate([z, -z])
-        want = mpmath_erf(z)
-        assert np.max(np.abs(_erf(z) - want) / np.abs(want)) < 1e-14
-
-    def test_zero(self):
-        assert _erf(0.0) == 0.0 and _erf(0j) == 0.0
 
 
 class TestUncertainty:

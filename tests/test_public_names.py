@@ -31,16 +31,6 @@ ROOTS = [
 # method read to stay.
 CODE = ROOTS + [path for path in MODULES if path not in ROOTS]
 
-# Public names that no root reaches, each with the reason it stays.
-ALLOWED = {
-    "normal_response": "the paper's saturated-front response for tau2 > 0, the normal "
-    "front",
-    "anomalous_response": "the mirror branch of normal_response, for tau2 < 0; kept "
-    "with it",
-    "combined_response": "the step-weighted sum of the two front branches; kept with "
-    "them",
-}
-
 # Defaulted parameters that no call in CODE is seen to pass, each with the
 # reason it stays.
 UNPASSED = {
@@ -189,12 +179,8 @@ def test_every_public_method_or_property_is_read():
     assert unread_methods() == []
 
 
-def test_every_public_name_is_reached_or_allowed():
-    assert sorted(f"{PUBLIC[n]}.{n}" for n in PUBLIC.keys() - REACHED - ALLOWED.keys()) == []
-
-
-def test_every_allowed_name_is_public_and_unreached():
-    assert sorted(n for n in ALLOWED if n not in PUBLIC or n in REACHED) == []
+def test_every_public_name_is_reached():
+    assert sorted(f"{PUBLIC[n]}.{n}" for n in PUBLIC.keys() - REACHED) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)

@@ -219,6 +219,15 @@ class TestComplexTime:
         with pytest.raises(DegenerateEnergy, match="segment height 1"):
             transmission_and_time(self.DOUBLE, np.array([0.5, 1.0]))
 
+    @pytest.mark.parametrize("energy", [np.nan, np.inf, -np.inf])
+    def test_non_finite_energy_rejected(self, energy):
+        """NaN passes no comparison, so it is refused with inf before any
+        arithmetic; the suite makes the warnings it would raise errors."""
+        for sweep in (s_matrix, transmission_and_time, transmission_probability, complex_time):
+            for arg in (energy, np.array([0.5, energy])):
+                with pytest.raises(ValueError, match="^energy must be positive and finite$"):
+                    sweep(self.DOUBLE, arg)
+
     def test_opaque_barrier_raises_zero_transmission(self):
         opaque = PotentialProfile.single(width=80.0, height=1.0)
         with pytest.raises(ZeroTransmission):
