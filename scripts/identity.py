@@ -134,6 +134,12 @@ def _cases() -> dict:
         ("hartman_scan", ({}, (str(SCRIPTS / "hartman_scan.py"),))),
         ("barrier", _verb(_doc(BARRIER_DOC), "barrier", "m.json", "--from", "0.05", "--to",
                           "2.95", "--points", "30", "-o", "b.csv")),
+        # Energies where the derivative terms of the sweep overflow and W
+        # does not: near 0 |t| is too small (exit 3), near the largest
+        # floats the table is finite.
+        *((f"barrier-from-{lo}", _verb(_doc(BARRIER_DOC), "barrier", "m.json", "--from", lo,
+                                        "--to", hi, "--points", "3", "-o", "b.csv"))
+          for lo, hi in (("1e-300", "2e-300"), ("1e300", "1.5e300"), ("1e307", "1.7e308"))),
         ("extract-order-2", _verb({"s.csv": RESONANCE}, "extract", "s.csv", "-o", "t.csv")),
         ("extract-order-4", _verb({"s.csv": RESONANCE}, "--stencil", "4", "extract", "s.csv",
                                   "-o", "t.csv")),

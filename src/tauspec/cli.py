@@ -136,13 +136,12 @@ def _kk(args, document):
 def _sumrule(args, document):
     import numpy as np
     from . import fileio
-    from .dispersion import frequency_sum_rule, sum_rule_scale
+    from .dispersion import frequency_sum_rule
     spectrum = fileio.read_spectrum(args.spectrum)
     temporal = fileio.read_temporal(args.tau)
     # The grid checks compare the two tables, so a refusal names both.
     with fileio._naming(f"{args.spectrum}, {args.tau}"):
-        value = frequency_sum_rule(spectrum, temporal)
-        scale = sum_rule_scale(spectrum, temporal)
+        value, scale = frequency_sum_rule(spectrum, temporal)
     return "sumrule", {"exclusion_radius": np.min(np.abs(spectrum.grid.values)),
                        "l1_scale": scale, "nodes": len(spectrum.grid),
                        "value_im": value.imag, "value_re": value.real}

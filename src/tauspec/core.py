@@ -55,6 +55,12 @@ def _pointwise(arg, *results):
     return results[0] if len(results) == 1 else results
 
 
+def _require_finite(values, name: str) -> None:
+    """Raises ValueError("<name> must be finite") on a NaN or infinite element."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{name} must be finite")
+
+
 def _complex(re, im):
     """One complex array from its real and imaginary parts, bit for bit:
     ``re + 1j * im`` would turn a -0 imaginary part into +0."""
@@ -292,9 +298,11 @@ def evaluate_model(model, omega):
     """S(omega) of a model with a ``response()`` at real or complex omega.
 
     Raises:
+        ValueError: omega is NaN or infinite.
         PoleProximity: for a PoleZeroModel, a sample within 1e-12 of a
             pole, or of the origin when the prefactor is singular there.
     """
+    _require_finite(omega, "omega")
     if isinstance(model, PoleZeroModel):
         if model.p > 0 and model.prefactor_sign > 0:
             _guard_proximity(omega, 0.0, "the origin prefactor pole")
@@ -310,9 +318,11 @@ def model_tau(model, omega):
     origin prefactor adds prefactor_sign * p / omega to tau2.
 
     Raises:
+        ValueError: omega is NaN or infinite.
         PoleProximity: for a PoleZeroModel, a sample within 1e-12 of a
             pole, a zero or a prefactor origin.
     """
+    _require_finite(omega, "omega")
     if isinstance(model, PoleZeroModel):
         if model.p > 0:
             _guard_proximity(omega, 0.0, "the origin")

@@ -21,6 +21,7 @@ from .core import (
     PoleZeroModel,
     TemporalSpectrum,
     _pointwise,
+    _require_finite,
     model_tau,
     uniform_spacing,
 )
@@ -42,7 +43,6 @@ __all__ = [
     "kk_residual",
     "tau_kk_residual",
     "frequency_sum_rule",
-    "sum_rule_scale",
     "residue_time_domain",
     "winding_number",
 ]
@@ -349,20 +349,9 @@ def _sum_rule_blocks(grid_values: np.ndarray):
     ]
 
 
-def _sum_rule_integrand(spectrum: ComplexSpectrum, temporal: TemporalSpectrum):
-    g = spectrum.grid.values
-    if not np.array_equal(g, temporal.grid.values):
-        raise GridError("sum rule needs matching spectrum and tau grids")
-    if float(np.min(np.abs(g))) < 1e-12 * max(1.0, spectrum.grid.span):
-        raise OriginInGrid("sum rule grid must exclude the origin")
-    integrand = spectrum.values / g * (temporal.tau - 1j / g)
-    return g, integrand
-
-
-def frequency_sum_rule(
-    spectrum: ComplexSpectrum, temporal: TemporalSpectrum
-) -> complex:
-    """Weighted balance integral int S/omega (tau - i/omega) d omega.
+def frequency_sum_rule(spectrum: ComplexSpectrum, temporal: TemporalSpectrum):
+    """Weighted balance integral int S/omega (tau - i/omega) d omega, and
+    the L1 scale of its integrand, for judging how small the value is.
 
     For a response regular at the origin with S(0) = 0 this vanishes.
     The grid must exclude a window around omega = 0; integration is by
@@ -370,22 +359,20 @@ def frequency_sum_rule(
     where the spacing jumps above 1.5 times the median).
 
     Returns:
-        The complex value of the integral over the sampled blocks.
+        Tuple (value, scale): the complex integral over the sampled blocks,
+        and the float integral of its modulus.
     """
-    g, integrand = _sum_rule_integrand(spectrum, temporal)
-    total = 0.0 + 0.0j
+    g = spectrum.grid.values
+    if not np.array_equal(g, temporal.grid.values):
+        raise GridError("sum rule needs matching spectrum and tau grids")
+    if float(np.min(np.abs(g))) < 1e-12 * max(1.0, spectrum.grid.span):
+        raise OriginInGrid("sum rule grid must exclude the origin")
+    integrand = spectrum.values / g * (temporal.tau - 1j / g)
+    value, scale = 0.0 + 0.0j, 0.0
     for block in _sum_rule_blocks(g):
-        total += np.trapezoid(integrand[block], g[block])
-    return complex(total)
-
-
-def sum_rule_scale(spectrum: ComplexSpectrum, temporal: TemporalSpectrum) -> float:
-    """L1 scale of the sum-rule integrand, for judging how small a value is."""
-    g, integrand = _sum_rule_integrand(spectrum, temporal)
-    total = 0.0
-    for block in _sum_rule_blocks(g):
-        total += float(np.trapezoid(np.abs(integrand[block]), g[block]))
-    return total
+        value += np.trapezoid(integrand[block], g[block])
+        scale += float(np.trapezoid(np.abs(integrand[block]), g[block]))
+    return complex(value), scale
 
 
 def residue_time_domain(model: PoleZeroModel, t):
@@ -394,12 +381,13 @@ def residue_time_domain(model: PoleZeroModel, t):
     Each resonance contributes -cos(omega_n t) exp(-gamma_n |t|) to the
     real part; the imaginary part is the odd completion
     tau2(t) = -i sgn(t) tau1(t) with sgn(0) = 0.  The power prefactor
-    contributes nothing here.
+    contributes nothing here.  A NaN or infinite t raises ValueError.
 
     Returns:
         Tuple (tau1_t, tau2_t): a real and a complex value or array
         matching the shape of ``t``.
     """
+    _require_finite(t, "t")
     t_arr = np.asarray(t, dtype=float)
     wn, gn = np.reshape(model.resonances, (-1, 2)).T
     terms = -np.cos(np.multiply.outer(t_arr, wn)) * np.exp(

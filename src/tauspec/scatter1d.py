@@ -21,9 +21,7 @@ __all__ = [
     "PotentialProfile",
     "ScatteringMatrix1D",
     "s_matrix",
-    "transmission_probability",
     "transmission_and_time",
-    "complex_time",
     "find_resonance",
 ]
 
@@ -77,7 +75,7 @@ class ScatteringMatrix1D:
         return float(np.max(np.abs(np.swapaxes(s.conj(), -1, -2) @ s - np.eye(2))))
 
 
-def _transfer(profile: PotentialProfile, energy, derivative: bool = False):
+def _transfer(profile: PotentialProfile, energy):
     """Amplitude-basis transfer matrix as (T22, T21, log-scale L, dT22).
 
     The wavefunction-basis product W = e^-L M_n ... M_1, acting on
@@ -88,9 +86,9 @@ def _transfer(profile: PotentialProfile, energy, derivative: bool = False):
     and (1, -ik), T = e^L Q^-1 W Q has
     T22 = [(w00 + w11) + i (w10/k - k w01)] / 2 and
     T21 = [(w00 - w11) + i (k w01 + w10/k)] / 2, with T11 = conj(T22) and
-    T12 = conj(T21).  With ``derivative``, G = e^-L d(e^L W)/dE rides
-    through the same products (forward mode), and dT22 = e^-L d(e^L T22)/dE
-    comes back in place of None.
+    T12 = conj(T21).  G = e^-L d(e^L W)/dE rides through the same products
+    (forward mode) to dT22 = e^-L d(e^L T22)/dE.  Its terms may overflow,
+    silently, where W's do not: E near 0 or 1e308, widths past 1e102.
     """
     energy = np.asarray(energy, dtype=float)
     if not np.all((energy > 0) & (energy < np.inf)):
@@ -114,16 +112,17 @@ def _transfer(profile: PotentialProfile, energy, derivative: bool = False):
         s_k = s / k
         m10 = np.where(above, -k, k) * s
         log_scale += np.where(above, 0.0, ka)
-        if derivative:
-            # e^-(kappa width) dM/dE, one form for both signs of the gap.
-            # (width c - s/k) / (2 gap) cancels as k width -> 0, so there it
-            # takes the series in u = gap width^2 of the same function.
-            u = gap * width**2
-            near = width**3 * (-1 / 6 + u * (1 / 60 + u * (-1 / 1680 + u / 90720)))
-            d00 = -0.5 * width * s_k
+        with np.errstate(over="ignore", invalid="ignore"):
+            # e^-(kappa a) dM/dE for both signs of the gap, with a numpy width
+            # a: a**3 overflows to inf, not OverflowError.  (a c - s/k) / (2 gap)
+            # cancels as k a -> 0, so there it takes its series in u = gap a^2.
+            a = np.float64(width)
+            u = gap * a**2
+            near = a**3 * (-1 / 6 + u * (1 / 60 + u * (-1 / 1680 + u / 90720)))
+            d00 = -0.5 * a * s_k
             d01 = np.where(np.abs(u) < 1e-2, np.where(above, 1.0, np.sqrt(1.0 + q_1)) * near,
-                           (width * c - s_k) / (2.0 * gap))
-            d10 = -0.5 * (s_k + width * c)
+                           (a * c - s_k) / (2.0 * gap))
+            d10 = -0.5 * (s_k + a * c)
             g00, g01, g10, g11 = (
                 d00 * w00 + d01 * w10 + c * g00 + s_k * g10,
                 d00 * w01 + d01 * w11 + c * g01 + s_k * g11,
@@ -135,11 +134,10 @@ def _transfer(profile: PotentialProfile, energy, derivative: bool = False):
     k0 = np.sqrt(energy)
     t22 = _complex(0.5 * (w00 + w11), 0.5 * (w10 / k0 - k0 * w01))
     t21 = _complex(0.5 * (w00 - w11), 0.5 * (k0 * w01 + w10 / k0))
-    if not derivative:
-        return t22, t21, log_scale, None
     # The lead's k = sqrt(E) moves with E too: at fixed W it moves Im T22
     # by -Im T21 / (2E) per unit energy.
-    dt22 = _complex(0.5 * (g00 + g11), 0.5 * (g10 / k0 - k0 * g01 - t21.imag / energy))
+    with np.errstate(over="ignore", invalid="ignore"):
+        dt22 = _complex(0.5 * (g00 + g11), 0.5 * (g10 / k0 - k0 * g01 - t21.imag / energy))
     return t22, t21, log_scale, dt22
 
 
@@ -154,12 +152,6 @@ def s_matrix(profile: PotentialProfile, energy) -> ScatteringMatrix1D:
     return ScatteringMatrix1D(*_pointwise(energy, -t21 / t22, t, np.conj(t21) / t22, t))
 
 
-def transmission_probability(profile: PotentialProfile, energy):
-    """|t|^2 at a scalar energy (float) or an energy array."""
-    t = np.asarray(s_matrix(profile, energy).t)
-    return _pointwise(energy, np.hypot(t.real, t.imag) ** 2)
-
-
 def transmission_and_time(profile: PotentialProfile, energy):
     """Transmission amplitude t and its exact complex time, from one sweep.
 
@@ -170,24 +162,17 @@ def transmission_and_time(profile: PotentialProfile, energy):
     complex arrays.
 
     Raises:
-        ZeroTransmission: |t| below 1e-12 at a node.
+        ZeroTransmission: |t| below 1e-12 at a node, or tau not finite
+            there.
     """
-    t22, _, log_scale, dt22 = _transfer(profile, energy, derivative=True)
+    t22, _, log_scale, dt22 = _transfer(profile, energy)
     t = np.exp(-log_scale) / t22
     if np.any(np.hypot(t.real, t.imag) < 1e-12):
         raise ZeroTransmission("transmission too small to differentiate")
+    if not np.all(np.isfinite(dt22)):
+        raise ZeroTransmission("complex time is not finite")
     ratio = dt22 / t22
     return _pointwise(energy, t, _complex(-ratio.imag, ratio.real))
-
-
-def complex_time(profile: PotentialProfile, energy):
-    """Complex time tau = -i d ln t / dE = tau1 + i tau2, the exact
-    derivative: ``transmission_and_time(profile, energy)[1]``.
-
-    Raises:
-        ZeroTransmission: |t| below 1e-12 at a node.
-    """
-    return transmission_and_time(profile, energy)[1]
 
 
 def find_resonance(profile: PotentialProfile, e_lo: float, e_hi: float) -> float:
@@ -204,11 +189,13 @@ def find_resonance(profile: PotentialProfile, e_lo: float, e_hi: float) -> float
     if not (0 < e_lo < e_hi):
         raise ValueError("need 0 < e_lo < e_hi")
     energies = np.linspace(e_lo, e_hi, _SCAN_POINTS)
-    peak = int(np.argmax(transmission_probability(profile, energies)))
+    t = s_matrix(profile, energies).t
+    peak = int(np.argmax(np.hypot(t.real, t.imag) ** 2))
     if peak in (0, _SCAN_POINTS - 1):
         raise ValueError("transmission peak at scan boundary; widen the window")
     while energies[peak + 1] - energies[peak - 1] > 1.5e-8 * energies[peak]:
         energies = np.linspace(energies[peak - 1], energies[peak + 1], _SCAN_POINTS)
-        peak = int(np.argmax(transmission_probability(profile, energies)))
+        t = s_matrix(profile, energies).t
+        peak = int(np.argmax(np.hypot(t.real, t.imag) ** 2))
         peak = min(max(peak, 1), _SCAN_POINTS - 2)
     return float(energies[peak])

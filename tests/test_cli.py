@@ -25,7 +25,7 @@ from tauspec.core import (
     model_tau,
 )
 from tauspec.physics import OscillatorParams, PhotonParams
-from tauspec.scatter1d import PotentialProfile, complex_time, s_matrix
+from tauspec.scatter1d import PotentialProfile, s_matrix, transmission_and_time
 
 BLASCHKE_DOC = {"type": "blaschke", "resonances": [[1.0, 0.2]]}
 
@@ -315,7 +315,7 @@ class TestModel:
         profile = PotentialProfile(tuple(map(tuple, segments)))
         energies = np.linspace(0.05, 2.95, 60)
         t = np.array([s_matrix(profile, e).t for e in energies])
-        tau = np.array([complex_time(profile, e) for e in energies])
+        tau = np.array([transmission_and_time(profile, e)[1] for e in energies])
         expected = [energies, np.abs(t) ** 2, np.angle(t), tau.real, tau.imag]
         assert len(cols) == 5
         for got, want in zip(cols, expected):
@@ -629,7 +629,7 @@ class TestBarrier:
         profile = PotentialProfile(tuple(map(tuple, self.DOC["segments"])))
         energies = np.linspace(0.05, 2.95, 30)
         t = s_matrix(profile, energies).t
-        tau = complex_time(profile, energies)
+        tau = transmission_and_time(profile, energies)[1]
         fileio.write_barrier_table(want, energies, np.hypot(t.real, t.imag) ** 2,
                                    np.angle(t), tau.real, tau.imag)
         assert Path(out).read_bytes() == Path(want).read_bytes()

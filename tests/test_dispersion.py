@@ -22,7 +22,6 @@ from tauspec.dispersion import (
     hilbert_transform,
     kk_residual,
     residue_time_domain,
-    sum_rule_scale,
     tau_kk_residual,
     winding_number,
 )
@@ -281,7 +280,7 @@ class TestFrequencySumRule:
         grid = FrequencyGrid(full)
         spec = ComplexSpectrum(grid, (2.3 + 0.4j) / grid.values)
         temp = TemporalSpectrum(grid, np.zeros(len(grid)), 1.0 / grid.values)
-        assert frequency_sum_rule(spec, temp) == 0j
+        assert frequency_sum_rule(spec, temp)[0] == 0j
 
     def test_single_resonance_balance(self):
         """One sharp resonance with a 1/omega prefactor balances to O(gamma)."""
@@ -296,8 +295,7 @@ class TestFrequencySumRule:
         tau = np.concatenate([np.conj(tau_pos)[::-1], tau_pos])
         spec = ComplexSpectrum(grid, values)
         temp = TemporalSpectrum(grid, tau.real, tau.imag)
-        value = frequency_sum_rule(spec, temp)
-        scale = sum_rule_scale(spec, temp)
+        value, scale = frequency_sum_rule(spec, temp)
         analytic = 4j * np.pi * 0.02 / 10.0**3
         assert abs(value) / scale < 1e-2
         assert value.imag == pytest.approx(analytic.imag, rel=0.02)
@@ -340,6 +338,15 @@ class TestResidueSeries:
         tau1, tau2 = residue_time_domain(model, t)
         assert tau1[0] == pytest.approx(tau1[1])
         assert tau2[0] == pytest.approx(np.conj(tau2[1]))
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_non_finite_time_rejected(self, t):
+        """Refused at entry: inf would warn in cos, and NaN would come
+        back as NaN with no warning."""
+        model = PoleZeroModel(resonances=((1.0, 0.2),))
+        for arg in (t, np.array([0.5, t])):
+            with pytest.raises(ValueError, match="^t must be finite$"):
+                residue_time_domain(model, arg)
 
 
 def per_panel_winding(model, contour, samples_per_edge):

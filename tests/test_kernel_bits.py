@@ -38,6 +38,8 @@ from tauspec.dispersion import (
     _log_ratio_balanced,
     _log_ratio_over_omega,
     _median,
+    _sum_rule_blocks,
+    frequency_sum_rule,
     hilbert_transform,
     kk_residual,
     tau_kk_residual,
@@ -487,7 +489,7 @@ def test_causality_residuals_match_reference(n, seed, k, tail, zeros):
         _ref_kk_report(spectrum.values, spectrum.grid, tail, _interior(n)))
 
 
-# -- sum-rule median and winding quadrature -------------------------------------
+# -- sum rule and winding quadrature -------------------------------------
 @settings(max_examples=200, **BITS)
 @given(n=st.integers(2, 4_001), seed=st.integers(0, 2**32 - 1), gaps=st.integers(0, 5))
 @example(n=2, seed=0, gaps=0)
@@ -501,6 +503,41 @@ def test_median_matches_numpy(n, seed, gaps):
     steps = rng.uniform(0.5, 1.5, n) * 10.0 ** rng.integers(-3, 4)
     steps[rng.integers(0, n, gaps)] *= rng.uniform(2.0, 50.0, gaps)  # gaps in the grid
     _same_bits(np.float64(_median(steps)), np.median(steps))
+
+
+def _ref_sum_rule(spectrum, temporal):
+    """The value and the L1 scale as two passes, each building the
+    integrand and splitting the blocks again."""
+    g = spectrum.grid.values
+    integrand = spectrum.values / g * (temporal.tau - 1j / g)
+    total = 0.0 + 0.0j
+    for block in _sum_rule_blocks(g):
+        total += np.trapezoid(integrand[block], g[block])
+    integrand = spectrum.values / g * (temporal.tau - 1j / g)
+    scale = 0.0
+    for block in _sum_rule_blocks(g):
+        scale += float(np.trapezoid(np.abs(integrand[block]), g[block]))
+    return complex(total), scale
+
+
+@settings(max_examples=50, **BITS)
+@given(n=SIZES, seed=st.integers(0, 2**32 - 1), gaps=st.integers(0, 5), mirror=st.booleans())
+@example(n=992, seed=0, gaps=0, mirror=True)
+def test_sum_rule_matches_two_passes(n, seed, gaps, mirror):
+    """One pass gives the value and the scale of the two passes it
+    replaced, bit for bit, on grids with and without gaps."""
+    rng = np.random.default_rng(seed)
+    steps = rng.uniform(0.9, 1.1, n - 1) * 1e-2
+    steps[rng.integers(0, n - 1, gaps)] *= rng.uniform(2.0, 50.0, gaps)  # gaps in the grid
+    x = rng.uniform(0.1, 1.0) + np.concatenate(([0.0], np.cumsum(steps)))
+    grid = FrequencyGrid(np.concatenate((-x[::-1], x)) if mirror else x)
+    re_s, im_s, tau1, tau2 = rng.normal(size=(4, len(grid)))
+    spectrum = ComplexSpectrum(grid, re_s + 1j * im_s)
+    temporal = TemporalSpectrum(grid, tau1, tau2)
+    value, scale = frequency_sum_rule(spectrum, temporal)
+    want_value, want_scale = _ref_sum_rule(spectrum, temporal)
+    _same_bits(np.array([value]), np.array([want_value]))
+    _same_bits(np.array([scale]), np.array([want_scale]))
 
 
 def test_gauss_legendre_rule_is_leggauss():

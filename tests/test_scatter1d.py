@@ -1,5 +1,6 @@
 """Piecewise-constant 1D scattering: transfer matrices, delays, resonances."""
 
+import dataclasses
 import subprocess
 import sys
 from pathlib import Path
@@ -11,11 +12,9 @@ from tauspec import scatter1d
 from tauspec.errors import DegenerateEnergy, ZeroTransmission
 from tauspec.scatter1d import (
     PotentialProfile,
-    complex_time,
     find_resonance,
     s_matrix,
     transmission_and_time,
-    transmission_probability,
 )
 
 BARRIER = PotentialProfile.single(width=2.0, height=1.0)
@@ -32,6 +31,12 @@ def transfer_matrix(profile, energy):
     t22, t21, log_scale, _ = scatter1d._transfer(profile, energy)
     scaled = np.stack([np.conj(t22), np.conj(t21), t21, t22], axis=-1)
     return np.exp(log_scale)[..., None, None] * scaled.reshape(t22.shape + (2, 2))
+
+
+def transmission(profile, energy):
+    """|t|^2 from s_matrix, as find_resonance takes it."""
+    t = s_matrix(profile, energy).t
+    return np.hypot(np.real(t), np.imag(t)) ** 2
 
 
 def central_difference(profile, energy, h):
@@ -53,7 +58,7 @@ def analytic_barrier_transmission(energy, height, width):
 
 class TestTransmission:
     def test_rectangular_barrier_oracle(self):
-        t = transmission_probability(BARRIER, 0.5)
+        t = transmission(BARRIER, 0.5)
         assert t == pytest.approx(analytic_barrier_transmission(0.5, 1.0, 2.0), rel=1e-12)
         assert t == pytest.approx(0.210771094, abs=1e-8)
 
@@ -74,9 +79,7 @@ class TestTransmission:
 
     def test_well_transmits_more_than_barrier(self):
         well = PotentialProfile.single(width=2.0, height=-1.0)
-        assert transmission_probability(well, 0.5) > transmission_probability(
-            BARRIER, 0.5
-        )
+        assert transmission(well, 0.5) > transmission(BARRIER, 0.5)
 
     def test_degenerate_energy_guard(self):
         with pytest.raises(DegenerateEnergy):
@@ -105,7 +108,7 @@ class TestFreePropagation:
     def test_delay_is_traversal_time(self):
         """With 2m = 1 group velocity is 2k, so a length L takes L/(2k)."""
         free = PotentialProfile.single(width=1.0, height=0.0)
-        assert complex_time(free, 1.0).real == pytest.approx(0.5, rel=1e-6)
+        assert transmission_and_time(free, 1.0)[1].real == pytest.approx(0.5, rel=1e-6)
 
     def test_composition_matches_single_segment(self):
         split = PotentialProfile(segments=((0.7, 0.3), (1.3, 0.3)))
@@ -119,21 +122,21 @@ class TestDelays:
     def test_sub_barrier_formation_is_negative(self):
         """|t(E)| grows monotonically below the top, so tau2 < 0 there."""
         for energy in (0.2, 0.5, 0.8):
-            assert complex_time(BARRIER, energy).imag < 0.0
+            assert transmission_and_time(BARRIER, energy)[1].imag < 0.0
 
     def test_delay_at_pinned_point(self):
-        assert complex_time(BARRIER, 0.5).real == pytest.approx(1.776771, abs=1e-4)
+        assert transmission_and_time(BARRIER, 0.5)[1].real == pytest.approx(1.776771, abs=1e-4)
 
     def test_hartman_saturation(self):
         kappa = np.sqrt(0.5)
-        d1 = complex_time(PotentialProfile.single(width=12.0 / kappa, height=1.0), 0.5).real
-        d2 = complex_time(PotentialProfile.single(width=24.0 / kappa, height=1.0), 0.5).real
+        d1, d2 = (transmission_and_time(PotentialProfile.single(width=w / kappa, height=1.0),
+                                        0.5)[1].real for w in (12.0, 24.0))
         assert abs(d2 - d1) / d1 < 1e-4
 
     def test_opaque_barrier_blocks_delay_query(self):
         opaque = PotentialProfile.single(width=80.0, height=1.0)
         with pytest.raises(ZeroTransmission):
-            complex_time(opaque, 0.5)
+            transmission_and_time(opaque, 0.5)
 
 
 class TestResonance:
@@ -141,14 +144,14 @@ class TestResonance:
         """First transparency sits at E = V + (pi/a)^2 for a width-2 barrier."""
         energy = find_resonance(BARRIER, 2.0, 5.0)
         assert energy == pytest.approx(1.0 + (np.pi / 2.0) ** 2, rel=1e-6)
-        assert transmission_probability(BARRIER, energy) == pytest.approx(1.0, abs=1e-9)
+        assert transmission(BARRIER, energy) == pytest.approx(1.0, abs=1e-9)
 
     def test_double_barrier_quasibound_level(self):
         double = PotentialProfile(segments=((0.8, 1.0), (4.0, 0.0), (0.8, 1.0)))
         energy = find_resonance(double, 0.05, 0.95)
         assert energy == pytest.approx(0.23380356, abs=1e-4)
-        assert transmission_probability(double, energy) == pytest.approx(1.0, abs=1e-6)
-        assert complex_time(double, energy).real > 10.0
+        assert transmission(double, energy) == pytest.approx(1.0, abs=1e-6)
+        assert transmission_and_time(double, energy)[1].real > 10.0
 
     def test_boundary_peak_rejected(self):
         double = PotentialProfile(segments=((0.8, 1.0), (4.0, 0.0), (0.8, 1.0)))
@@ -182,7 +185,7 @@ class TestComplexTime:
         of ln |t|.  The central difference of step h misses them by its h^2
         term, about a third of its own change from h to 2h."""
         for profile in (BARRIER, self.DOUBLE):
-            tau = complex_time(profile, energy)
+            tau = transmission_and_time(profile, energy)[1]
             assert type(tau) is complex
             fine, coarse = (central_difference(profile, energy, h) for h in (step, 2 * step))
             assert abs(tau - fine) < 0.5 * abs(fine - coarse)
@@ -194,7 +197,10 @@ class TestComplexTime:
         grid = np.array(self.ENERGIES)
         for energies in (grid, grid - step, grid + step):
             for profile in (BARRIER, self.DOUBLE):
-                for func in (complex_time, transmission_probability, transfer_matrix):
+                pairs = [transmission_and_time(profile, float(e)) for e in energies]
+                batch = np.stack(transmission_and_time(profile, energies), axis=-1)
+                assert np.array_equal(batch, np.array(pairs))
+                for func in (transmission, transfer_matrix):
                     batch = func(profile, energies)
                     scalars = np.array([func(profile, float(e)) for e in energies])
                     assert np.array_equal(batch, scalars), func.__name__
@@ -202,20 +208,19 @@ class TestComplexTime:
     def test_array_shape_is_kept(self):
         energies = np.array(self.ENERGIES[:4]).reshape(2, 2)
         assert transfer_matrix(self.DOUBLE, energies).shape == (2, 2, 2, 2)
-        assert complex_time(self.DOUBLE, energies).shape == (2, 2)
+        assert transmission_and_time(self.DOUBLE, energies)[1].shape == (2, 2)
         amp = s_matrix(self.DOUBLE, energies)
         assert amp.t.shape == (2, 2)
         assert amp.unitarity_defect() < 1e-10
         assert type(s_matrix(self.DOUBLE, 0.5).t) is complex
-        assert type(transmission_probability(self.DOUBLE, 0.5)) is float
 
     def test_one_bad_node_fails_the_sweep(self):
         with pytest.raises(DegenerateEnergy, match="segment height 1"):
             s_matrix(BARRIER, np.array([0.5, 1.0, 1.5]))
         with pytest.raises(ValueError, match="energy must be positive"):
-            transmission_probability(BARRIER, np.array([0.5, 0.0]))
+            s_matrix(BARRIER, np.array([0.5, 0.0]))
         with pytest.raises(ValueError, match="energy must be positive"):
-            complex_time(BARRIER, np.array([0.5, 0.0]))
+            transmission_and_time(BARRIER, np.array([0.5, 0.0]))
         with pytest.raises(DegenerateEnergy, match="segment height 1"):
             transmission_and_time(self.DOUBLE, np.array([0.5, 1.0]))
 
@@ -223,7 +228,7 @@ class TestComplexTime:
     def test_non_finite_energy_rejected(self, energy):
         """NaN passes no comparison, so it is refused with inf before any
         arithmetic; the suite makes the warnings it would raise errors."""
-        for sweep in (s_matrix, transmission_and_time, transmission_probability, complex_time):
+        for sweep in (s_matrix, transmission_and_time):
             for arg in (energy, np.array([0.5, energy])):
                 with pytest.raises(ValueError, match="^energy must be positive and finite$"):
                     sweep(self.DOUBLE, arg)
@@ -231,7 +236,7 @@ class TestComplexTime:
     def test_opaque_barrier_raises_zero_transmission(self):
         opaque = PotentialProfile.single(width=80.0, height=1.0)
         with pytest.raises(ZeroTransmission):
-            complex_time(opaque, 0.5)
+            transmission_and_time(opaque, 0.5)
 
     def test_exact_tau_matches_the_single_barrier_closed_form(self):
         """t = 1/D with D = cosh(kappa a) + i (kappa^2 - k^2)/(2 k kappa)
@@ -254,7 +259,7 @@ class TestComplexTime:
         """Richardson's (4 D(h/2) - D(h)) / 3 removes the h^2 term of the
         central difference D, so it closes on the exact tau as h^4."""
         energies = np.array([0.1, 0.3, 0.5, 0.7, 0.9, 1.2, 1.7, 2.5])
-        exact = complex_time(self.DOUBLE, energies)
+        exact = transmission_and_time(self.DOUBLE, energies)[1]
 
         def richardson_error(h):
             fine, coarse = (central_difference(self.DOUBLE, energies, s) for s in (h / 2, h))
@@ -269,18 +274,55 @@ class TestComplexTime:
         Richardson difference taken across the top."""
         energies = 1.0 + np.array([-1e-6, -1e-9, 1e-9, 1e-6])
         fine, coarse = (central_difference(BARRIER, energies, h) for h in (5e-4, 1e-3))
-        np.testing.assert_allclose(complex_time(BARRIER, energies), (4.0 * fine - coarse) / 3.0,
-                                   rtol=1e-9)
+        tau = transmission_and_time(BARRIER, energies)[1]
+        np.testing.assert_allclose(tau, (4.0 * fine - coarse) / 3.0, rtol=1e-9)
 
     def test_one_sweep_gives_the_s_matrix_transmission(self):
         energies = np.array(self.ENERGIES)
         for profile in (BARRIER, self.DOUBLE):
             t, tau = transmission_and_time(profile, energies)
             assert np.array_equal(t, s_matrix(profile, energies).t)
-            assert np.array_equal(tau, complex_time(profile, energies))
             scalars = [transmission_and_time(profile, e) for e in self.ENERGIES]
             assert all(type(x) is complex for pair in scalars for x in pair)
             assert np.array_equal(np.array(scalars), np.stack([t, tau], axis=-1))
+
+
+class TestExtremeEnergies:
+    """Near E = 0 and the largest floats the derivative terms overflow
+    where W does not; the suite makes any warning an error."""
+
+    PROFILES = [BARRIER, PotentialProfile(((1.0, -3.0),)),
+                PotentialProfile(((3.0, 2.0), (1.0, -1.0), (0.5, 40.0)))]
+
+    @pytest.mark.parametrize("energy", [5e-324, 1e-300, 1e300, 1e308, 1.7e308])
+    def test_sweep_is_finite_or_refused(self, energy):
+        for profile in self.PROFILES:
+            for arg in (energy, np.array([energy])):
+                amp = s_matrix(profile, arg)
+                assert np.isfinite(np.array(dataclasses.astuple(amp))).all()
+                assert amp.unitarity_defect() <= 1e-10
+                if energy < 1.0:  # |t| of order sqrt(E) is below 1e-12
+                    with pytest.raises(ZeroTransmission):
+                        transmission_and_time(profile, arg)
+                else:
+                    assert np.isfinite(transmission_and_time(profile, arg)).all()
+
+    @pytest.mark.parametrize("width", [1e103, 1e160, 1e300])
+    def test_wide_free_stretch(self, width):
+        """width**3 passes the largest float: the derivative overflows as
+        numpy does, not with OverflowError, and tau is still width / (2k)."""
+        free = PotentialProfile.single(width, 0.0)
+        assert s_matrix(free, 1.0).unitarity_defect() <= 1e-10
+        t, tau = transmission_and_time(free, 1.0)
+        assert abs(t) == pytest.approx(1.0, rel=1e-12)
+        assert abs(tau - 0.5 * width) <= 1e-12 * width
+
+    def test_tau_not_finite_is_refused(self):
+        """At E = 1e-10 across a 1e300 stretch dT22 overflows, though |t| = 1."""
+        free = PotentialProfile.single(1e300, 0.0)
+        assert s_matrix(free, 1e-10).unitarity_defect() <= 1e-10
+        with pytest.raises(ZeroTransmission, match="^complex time is not finite$"):
+            transmission_and_time(free, 1e-10)
 
 
 class TestHartmanScan:
