@@ -224,6 +224,11 @@ CASES = {
         model_file({"type": "barrier", "segments": [[80.0, 1.0]]}),
         ("barrier", "m.json", "--from", "0.4", "--to", "0.6", "--points", "3", "-o", "b.csv"),
         3, "error: transmission too small to differentiate"),
+    "barrier-phase-overflow": Refusal(
+        model_file({"type": "barrier", "segments": [[1e300, 0.0]]}),
+        ("barrier", "m.json", "--from", "1e299", "--to", "1e300", "--points", "3",
+         "-o", "b.csv"),
+        2, "error: k*width is not finite in segment 0 (width 1e+300, height 0)"),
     # winding
     "winding-kind": Refusal(
         model_file(OSCILLATOR), ("winding", "m.json", "--rect", "0", "2", "-1", "1"), 2,

@@ -320,7 +320,3 @@ def entry() -> int:
         return main()
     finally:
         gc.freeze()
-
-
-if __name__ == "__main__":
-    sys.exit(entry())

@@ -294,20 +294,34 @@ def _guard_proximity(omega, points, what):
             )
 
 
+def _model_values(model, omega):
+    """S of a model at finite omega, past the proximity guards of a
+    PoleZeroModel.  A product past the float range gives inf or NaN
+    with no warning."""
+    _require_finite(omega, "omega")
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(model, PoleZeroModel):
+            if model.p > 0 and model.prefactor_sign > 0:
+                _guard_proximity(omega, 0.0, "the origin prefactor pole")
+            _guard_proximity(omega, model.poles(), "a model pole")
+        return model.response().values(omega)
+
+
 def evaluate_model(model, omega):
     """S(omega) of a model with a ``response()`` at real or complex omega.
 
     Raises:
-        ValueError: omega is NaN or infinite.
+        ValueError: omega is NaN or infinite, or S overflows at some
+            omega, where a factor such as the origin's omega**-+p passes
+            the float range.
         PoleProximity: for a PoleZeroModel, a sample within 1e-12 of a
             pole, or of the origin when the prefactor is singular there.
     """
-    _require_finite(omega, "omega")
-    if isinstance(model, PoleZeroModel):
-        if model.p > 0 and model.prefactor_sign > 0:
-            _guard_proximity(omega, 0.0, "the origin prefactor pole")
-        _guard_proximity(omega, model.poles(), "a model pole")
-    return model.response().values(omega)
+    values = _model_values(model, omega)
+    bad = ~np.isfinite(values)
+    if np.any(bad):
+        raise ValueError(f"S overflows at omega={np.asarray(omega)[bad].flat[0]:g}")
+    return values
 
 
 def model_tau(model, omega):

@@ -102,10 +102,11 @@ def _fft_length(m: int) -> int:
 def _kernel_spectrum(n: int):
     """FFT length L and the rfft of the skip-node kernel for n nodes.
 
-    L is the smallest 5-smooth length >= 2n - 1, where numpy's FFT is
-    fastest.  The kernel 1/m, 0 < |m| < n, is stored wrapped, 1/m at index
-    m and -1/m at L - m, so a circular convolution at length L has no
-    wrap-around in its first n outputs.  The spectrum depends on n alone;
+    L is the smallest 5-smooth length >= 2n - 1, a length numpy's FFT
+    takes fast, though not always the fastest one above 2n - 1.  The
+    kernel 1/m, 0 < |m| < n, is stored wrapped, 1/m at index m and -1/m
+    at L - m, so a circular convolution at length L has no wrap-around in
+    its first n outputs.  The spectrum depends on n alone;
     the two most recent sizes stay cached (about 16 n bytes each), which
     covers a caller alternating a spectrum and its mirrored tau grid.
     """

@@ -24,7 +24,7 @@ from .core import (
     FrequencyGrid,
     PoleZeroModel,
     TemporalSpectrum,
-    evaluate_model,
+    _model_values,
     model_tau,
 )
 # MAX_POINTS is this module's global, which read_table reads at each call.
@@ -476,7 +476,7 @@ class ModelDocument:
         if _MODEL_KINDS[self.kind].anchored:
             response = self.params.response()
             return response.ratio(om, om[0]), response.tau(om)
-        return evaluate_model(self.params, om), model_tau(self.params, om)
+        return _model_values(self.params, om), model_tau(self.params, om)
 
 
 def _float(value, name: str) -> float:

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._stencils import differentiate
 from .core import FrequencyGrid, RationalResponse
 from .errors import NonPositiveCrossSection, NonPositiveEta
 
@@ -165,5 +164,5 @@ def cross_section_tau2(sigma_samples: np.ndarray, grid: FrequencyGrid) -> np.nda
         raise ValueError("cross-section samples must match the grid")
     if np.any(sigma <= 0) or not np.all(np.isfinite(sigma)):
         raise NonPositiveCrossSection("cross-section must be finite and positive")
-    return -0.5 * differentiate(grid.values, np.log(sigma), order=2)
+    return -0.5 * np.gradient(np.log(sigma), grid.values, edge_order=2)
 

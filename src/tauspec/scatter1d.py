@@ -89,6 +89,7 @@ def _transfer(profile: PotentialProfile, energy):
     T12 = conj(T21).  G = e^-L d(e^L W)/dE rides through the same products
     (forward mode) to dT22 = e^-L d(e^L T22)/dE.  Its terms may overflow,
     silently, where W's do not: E near 0 or 1e308, widths past 1e102.
+    A segment whose phase k width passes the float range is refused.
     """
     energy = np.asarray(energy, dtype=float)
     if not np.all((energy > 0) & (energy < np.inf)):
@@ -96,22 +97,27 @@ def _transfer(profile: PotentialProfile, energy):
     w00, w01, w10, w11 = 1.0, 0.0, 0.0, 1.0
     g00 = g01 = g10 = g11 = 0.0
     log_scale = np.zeros(energy.shape)
-    for width, height in profile.segments:
-        gap = energy - height
+    for index, (width, height) in enumerate(profile.segments):
+        with np.errstate(over="ignore"):
+            gap = energy - height
+            above = gap > 0
+            k = np.sqrt(np.abs(gap))
+            ka = k * width
+            # 2 ka and L may overflow where ka does not: e^-2ka and e^-L are 0.
+            q_1 = np.expm1(-2.0 * ka)
+            log_scale += np.where(above, 0.0, ka)
         if np.any(np.abs(gap) < 1e-12):
             raise DegenerateEnergy(
                 f"energy within 1e-12 of segment height {height:g}"
             )
-        above = gap > 0
-        k = np.sqrt(np.abs(gap))
-        ka = k * width
-        q_1 = np.expm1(-2.0 * ka)
+        if not np.all(np.isfinite(ka)):
+            raise ValueError(f"k*width is not finite in segment {index} "
+                             f"(width {width:g}, height {height:g})")
         # M = [[c, s/k], [-+k s, c]]: cos and sin, or the scaled cosh and sinh.
         c = np.where(above, np.cos(ka), 1.0 + 0.5 * q_1)
         s = np.where(above, np.sin(ka), -0.5 * q_1)
         s_k = s / k
         m10 = np.where(above, -k, k) * s
-        log_scale += np.where(above, 0.0, ka)
         with np.errstate(over="ignore", invalid="ignore"):
             # e^-(kappa a) dM/dE for both signs of the gap, with a numpy width
             # a: a**3 overflows to inf, not OverflowError.  (a c - s/k) / (2 gap)

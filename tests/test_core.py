@@ -3,6 +3,7 @@ scalar convention of every pointwise function."""
 
 import dataclasses
 import importlib
+import re
 
 import numpy as np
 import pytest
@@ -234,6 +235,17 @@ class TestPoleZeroModel:
             for arg in (omega, np.array([0.5, omega])):
                 with pytest.raises(ValueError, match="^omega must be finite$"):
                     func(single_factor(), arg)
+
+    @pytest.mark.parametrize("sign, omega", [(1, 1e308), (1, 1e155), (-1, 1e200), (-1, -1e200)])
+    def test_overflow_at_a_finite_omega_refused(self, sign, omega):
+        """omega**-+2 passes the float range at a finite omega: refused with
+        no warning, naming the omega, while the other samples keep their
+        bits."""
+        m = PoleZeroModel(p=2, resonances=((1.0, 0.2),), prefactor_sign=sign)
+        for arg in (omega, np.array([2.0, omega])):
+            with pytest.raises(ValueError, match=re.escape(f"S overflows at omega={omega:g}")):
+                evaluate_model(m, arg)
+        assert evaluate_model(m, 2.0) == evaluate_model(m, np.array([2.0, 3.0]))[0]
 
 
 class TestReconstruct:

@@ -22,7 +22,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tauspec import extract
-from tauspec._stencils import differentiate
 from tauspec.core import (
     ComplexSpectrum,
     FrequencyGrid,
@@ -45,7 +44,7 @@ from tauspec.dispersion import (
     tau_kk_residual,
 )
 from tauspec.errors import GridError, NonUniformGrid, ZeroModulus
-from tauspec.extract import ExtractionOptions, _log_spectrum, extract_temporal
+from tauspec.extract import ExtractionOptions, _differentiate, _log_spectrum, extract_temporal
 
 BITS = dict(deadline=None, derandomize=True)
 # Node counts below and above the 16,384 complex nodes of numpy's elision.
@@ -381,7 +380,7 @@ def _refusal(call, *args):
 @example(n=300, seed=2, shape="noise", grid="uniform", order=4, min_modulus=1e-12)
 @example(n=300, seed=3, shape="small", grid="uniform", order=4, min_modulus=1e-3)
 def test_extraction_matches_reference(n, seed, shape, grid, order, min_modulus):
-    """extract_temporal, _log_spectrum and differentiate: the same bits, or
+    """extract_temporal, _log_spectrum and _differentiate: the same bits, or
     the same refusal naming the same node.  The modulus floor is the
     module's constant, set to each drawn value to reach ZeroModulus."""
     rng = np.random.default_rng(seed)
@@ -423,7 +422,7 @@ def test_extraction_matches_reference(n, seed, shape, grid, order, min_modulus):
             _same_bits(part, ref)
         # order 4 on a real and on a complex f, or the same refusal
         for f in (ref_logs[1], values):
-            derivative = _refusal(lambda *args: differentiate(*args, order=4), x, f)
+            derivative = _refusal(lambda *args: _differentiate(*args, order=4), x, f)
             ref_derivative = _refusal(_ref_differentiate, x, f, 4)
             if isinstance(ref_derivative, tuple):
                 assert derivative == ref_derivative

@@ -1,6 +1,7 @@
 """Piecewise-constant 1D scattering: transfer matrices, delays, resonances."""
 
 import dataclasses
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -323,6 +324,29 @@ class TestExtremeEnergies:
         assert s_matrix(free, 1e-10).unitarity_defect() <= 1e-10
         with pytest.raises(ZeroTransmission, match="^complex time is not finite$"):
             transmission_and_time(free, 1e-10)
+
+    @pytest.mark.parametrize("profile, energy, named", [
+        (PotentialProfile.single(1e300, 0.0), 1e300, "0 (width 1e+300, height 0)"),
+        # E - V overflows, though sqrt(E - V) would not
+        (PotentialProfile(((1.0, 2.0), (1.0, -1e308))), 1e308, "1 (width 1, height -1e+308)"),
+    ])
+    def test_phase_past_float_range_is_refused(self, profile, energy, named):
+        """k width that passes the largest float is refused, naming the
+        segment, before the sweep warns."""
+        for func in (s_matrix, transmission_and_time):
+            for arg in (energy, np.array([energy / 2, energy])):
+                with pytest.raises(ValueError, match=re.escape(
+                        f"k*width is not finite in segment {named}")):
+                    func(profile, arg)
+
+    @pytest.mark.parametrize("segments", [((1.5e308, 2.0),), ((1e308, 2.0), (1e308, 2.0))])
+    def test_opaque_past_float_range(self, segments):
+        """2 kappa a, or the sum L of kappa a, passes the largest float where
+        each kappa a does not: t is 0, as e^-L is, with no warning."""
+        amp = s_matrix(PotentialProfile(segments), 1.0)
+        assert amp.t == 0 and amp.unitarity_defect() <= 1e-10
+        with pytest.raises(ZeroTransmission, match="^transmission too small"):
+            transmission_and_time(PotentialProfile(segments), 1.0)
 
 
 class TestHartmanScan:
