@@ -164,6 +164,13 @@ def _cases() -> dict:
         # Negative bounds written with an exponent.
         ("winding-negative-exponent", _verb(_doc(BLASCHKE), "winding", "m.json", "--rect",
                                             "-1e6", "1e6", "-1", "1", "-o", "w.txt")),
+        # An ordered rectangle far out, whose shoelace sum cancels to 0.
+        ("winding-far-rectangle", _verb(_doc(BLASCHKE), "winding", "m.json", "--rect", "1e16",
+                                        "1.0000000000000004e16", "1e16",
+                                        "1.0000000000000004e16", "-o", "w.txt")),
+        # A rectangle one subnormal wide: the singularity gap divides by no edge.
+        ("winding-subnormal-width", _verb(_doc(BLASCHKE), "winding", "m.json", "--rect", "0",
+                                          "5e-324", "0", "1", "-o", "w.txt")),
         ("model-negative-exponent", _verb(_doc(MODELS["lorentz"][0]), "model", "m.json",
                                           "--from", "-1e3", "--to", "1e3", "--points", "201",
                                           "-o", "m")),

@@ -337,12 +337,15 @@ def model_tau(model, omega):
             pole, a zero or a prefactor origin.
     """
     _require_finite(omega, "omega")
-    if isinstance(model, PoleZeroModel):
-        if model.p > 0:
-            _guard_proximity(omega, 0.0, "the origin")
-        _guard_proximity(omega, model.poles(), "a model pole")
-        _guard_proximity(omega, model.zeros(), "a model zero")
-    return model.response().tau(omega)
+    # An omega - root past the float range is inf: far from the root for
+    # the guards, and a term of 0, its limit, in tau.
+    with np.errstate(over="ignore"):
+        if isinstance(model, PoleZeroModel):
+            if model.p > 0:
+                _guard_proximity(omega, 0.0, "the origin")
+            _guard_proximity(omega, model.poles(), "a model pole")
+            _guard_proximity(omega, model.zeros(), "a model zero")
+        return model.response().tau(omega)
 
 
 def reconstruct(

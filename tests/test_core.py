@@ -247,6 +247,16 @@ class TestPoleZeroModel:
                 evaluate_model(m, arg)
         assert evaluate_model(m, 2.0) == evaluate_model(m, np.array([2.0, 3.0]))[0]
 
+    def test_tau_far_from_a_resonance_is_zero(self):
+        """omega - 1e308 passes the float range at omega = -1e308: the guard
+        takes the distance as inf, far, with no warning, and tau is 0, as
+        gamma / (2e308)**2 rounds to; an ordinary sample keeps its bits."""
+        assert model_tau(PoleZeroModel(resonances=((1e308, 0.2),)), -1e308) == 0j
+        m = PoleZeroModel(resonances=((1.0, 0.2), (1e308, 0.2)))
+        tau = model_tau(m, np.array([-1e308, 0.5]))
+        assert tau[0] == 0j and tau[1] == model_tau(m, 0.5)
+        assert tau[1] == pytest.approx(0.2 / 0.26, rel=1e-15)
+
 
 class TestReconstruct:
     def test_round_trip_to_anchor(self):

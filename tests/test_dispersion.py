@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tauspec.core import (
     ComplexSpectrum,
@@ -14,6 +16,7 @@ from tauspec.core import (
 )
 from tauspec.dispersion import (
     Contour,
+    _boundary_gap,
     _fft_length,
     _kernel_spectrum,
     _pv_core,
@@ -369,7 +372,6 @@ class TestWinding:
     @pytest.mark.parametrize("p", [0, 1])
     def test_bitwise_equal_to_per_panel_loop(self, samples, p):
         model = PoleZeroModel(resonances=((1.0, 0.2), (1.7, 0.05)), p=p)
-        hexagon = 1.0 + 0.9 * np.exp(1j * np.pi / 3 * np.arange(7))
         contours = [
             Contour.rectangle(*rect)
             for rect in [
@@ -379,7 +381,6 @@ class TestWinding:
                 (-0.5, 2.5, -1.0, 1.0),
             ]
         ]
-        contours.append(Contour(hexagon))
         for contour in contours:
             got = winding_number(model, contour, samples)
             want = per_panel_winding(model, contour, samples)
@@ -411,18 +412,70 @@ class TestWinding:
         with pytest.raises(ValueError):
             winding_number(model, box, samples_per_edge=8)
 
+    def test_far_rectangle_counts_zero(self):
+        """An ordered rectangle out at 1e16, two ulps a side, whose shoelace
+        sum cancels to 0: counted, with no warning (the suite makes them
+        errors)."""
+        side = (1e16, 1.0000000000000004e16)
+        contour = Contour.rectangle(*side, *side)
+        assert winding_number(PoleZeroModel(resonances=((1.0, 0.2),)), contour) == 0.0
+
+    def test_subnormal_width_counts_with_no_warning(self):
+        """A rectangle 5e-324 wide: the singularity gap divides by no edge,
+        so nothing overflows, and the count is the quadrature's."""
+        model = PoleZeroModel(resonances=((1.0, 0.2),))
+        contour = Contour.rectangle(0.0, 5e-324, 0.0, 1.0)
+        got = winding_number(model, contour)
+        assert got == per_panel_winding(model, contour, 16)
+        assert abs(got) < 1e-15
+
     def test_contour_validation(self):
-        with pytest.raises(ValueError):
-            Contour(vertices=(0.0 + 0j, 1.0 + 0j, 1.0 + 1j))
-        with pytest.raises(ValueError):
-            Contour(vertices=(0j, 1.0 + 0j, 1.0 + 1j, 1j, 0.5 + 0.5j))
-        clockwise = (0j, 1j, 1.0 + 1j, 1.0 + 0j, 0j)
-        with pytest.raises(ValueError, match="^contour must run counterclockwise$"):
-            Contour(vertices=clockwise)
-        for vertex in (complex(np.inf, 1.0), complex(1.0, np.nan)):
+        """Three refusals, in this order: NaN is out of order, not finite."""
+        for rect in ((0.0, np.nan, 0.0, 1.0), (0.0, 1.0, np.nan, np.inf),
+                     (1.0, 0.0, 0.0, 1.0), (0.0, 1.0, 1.0, 1.0)):
+            with pytest.raises(ValueError, match="^rectangle bounds must be ordered$"):
+                Contour.rectangle(*rect)
+        for rect in ((0.0, np.inf, 0.0, 1.0), (-np.inf, 0.0, 0.0, 1.0),
+                     (0.0, 1.0, 0.0, np.inf)):
             with pytest.raises(ValueError, match="^contour vertices must be finite$"):
-                Contour(vertices=(0j, 1.0 + 0j, vertex, 1j, 0j))
+                Contour(*rect)
         # The suite turns warnings into errors, so an overflow warning fails here.
         for rect in ((0.0, 2.0, 0.02, 1e200), (-1e300, 1e300, -1.0, 1.0)):
             with pytest.raises(ValueError, match="^contour area overflows$"):
                 Contour.rectangle(*rect)
+        box = Contour(0.0, 2.0, -1.0, 1.0)
+        assert box.vertices.tolist() == [-1j, 2 - 1j, 2 + 1j, 1j, -1j]
+        assert not box.vertices.flags.writeable
+        with pytest.raises(TypeError):
+            Contour(vertices=box.vertices)
+
+
+def segment_gap(v0, v1, points):
+    """The per-edge projection the rectangle's gap replaced: the distance
+    from the nearest of ``points`` to the segment v0-v1, which an ordered
+    rectangle never makes of zero length."""
+    d = v1 - v0
+    t = np.clip(((points - v0) / d).real, 0.0, 1.0)
+    return float(np.min(np.abs(points - (v0 + t * d))))
+
+
+_COORD = st.floats(-1e100, 1e100) | st.floats(-4.0, 4.0) | st.sampled_from([0.0, 1.0, 5e-324])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(_COORD, min_size=4, max_size=4), st.lists(_COORD, min_size=2, max_size=8))
+def test_boundary_gap_matches_per_edge_projection(bounds, coords):
+    """The gap to the rectangle, taken with no division, against the least
+    of the four per-edge projections, to 1e-15 of the largest coordinate."""
+    re_lo, re_hi, im_lo, im_hi = sorted(bounds[:2]) + sorted(bounds[2:])
+    assume(re_lo < re_hi and im_lo < im_hi)
+    contour = Contour.rectangle(re_lo, re_hi, im_lo, im_hi)
+    points = np.array(coords[: len(coords) // 2 * 2]).view(complex)
+    v = contour.vertices
+    # A quotient by a subnormal edge overflows, or is NaN: no reference there.
+    with np.errstate(over="ignore", invalid="ignore"):
+        gaps = [segment_gap(v0, v1, points) for v0, v1 in zip(v[:-1], v[1:])]
+    assume(not np.isnan(gaps).any())
+    want = min(gaps)
+    scale = max(map(abs, bounds + coords))
+    assert abs(_boundary_gap(contour, points) - want) <= 1e-15 * scale
