@@ -11,9 +11,11 @@ once per workload and seed, over seeds 1 to 5 and for the
 - the commit of DIR and the ``src_digest`` its runs report;
 - the environment of its first run, less the fields of one run;
 - per workload, each run's seed, ``correct``, ``attempted``,
-  ``failed`` and the rename time taken just before it (below), and the
-  median and quartiles of each end-to-end metric over the runs
-  (``statistics.quantiles``, inclusive method);
+  ``failed``, the rename time taken just before it (below) and the
+  median time of each op (``op_median_s`` of the record file that
+  ``bench/run.py`` writes), and the median and quartiles of each
+  end-to-end metric over the runs (``statistics.quantiles``, inclusive
+  method);
 - four calibration timings of seven repeats, taken before the runs:
   the best time of a complex FFT of 2**20 points and of a pure-Python
   loop of 10**6 additions, the median wall time of a fresh
@@ -37,10 +39,12 @@ end-to-end metric the pairs (runs of one seed) in which DIR did better
 than OTHER, ties counting for neither.  The script prints the table
 OTHER -> DIR of each metric: OTHER's median and quartiles, DIR's median,
 the change in per cent and the pairs won, then each pair's ``ops_per_s``
-and rename times, and last a verdict per metric, also kept under
-``against`` (see ``verdict``).  ``--seeds`` runs other seeds than 1 to 5, so that a
-claimed gain can be shown on seeds not used while the change was built;
-only a comparison takes it.
+and rename times, then the same median table of each op's median time,
+so that a claim resting on one op shows that op's rows, and last a
+verdict per metric, also kept under ``against`` (see ``verdict``).
+``--seeds`` runs other seeds than 1 to 5, so that a claimed gain can be
+shown on seeds not used while the change was built; only a comparison
+takes it.
 
 A run that prints no result stops the snapshot with exit code 1 and
 writes nothing.
@@ -116,7 +120,8 @@ def summarise(runs) -> dict:
     names = list(dict.fromkeys(name for run in runs for name in run["metrics"]))
     return {
         "runs": [{key: run[key] for key in ("seed", "correct", "attempted", "failed",
-                                            "replace_existing_4m_s")} for run in runs],
+                                            "replace_existing_4m_s", "op_median_s")}
+                 for run in runs],
         "metrics": {name: quartiles([run["metrics"][name] for run in runs
                                      if name in run["metrics"]]) for name in names},
     }
@@ -169,23 +174,45 @@ def verdicts(runs, against, metrics: dict) -> dict:
             for name, m in metrics.items() if name in new and name in old}
 
 
+def _rows(runs, against, better: dict) -> list:
+    """Per metric of ``better`` that both sides report, the line OTHER -> DIR:
+    OTHER's median and quartiles, DIR's median, the change and the pairs
+    DIR won."""
+    lines = []
+    for name, won in pairs_won(runs, against, better).items():
+        new = [run["metrics"][name] for run in runs if name in run["metrics"]]
+        old = [run["metrics"][name] for run in against if name in run["metrics"]]
+        if not (new and old):
+            continue
+        old, median = quartiles(old), quartiles(new)["median"]
+        base = old["median"]
+        change = f"{100 * (median / base - 1):+.1f}%" if base else "n/a"
+        lines.append(f"  {name}: {base:.4g} [{old['q1']:.4g}, {old['q3']:.4g}]"
+                     f" -> {median:.4g} ({change}, {won}/{len(runs)})")
+    return lines
+
+
+def op_table(runs, against) -> list:
+    """The lines OTHER -> DIR of each op's median time (``op_median_s``) over
+    the runs of DIR and of OTHER (``against``) in pairs, in the order of
+    the workload's script; a pair is won where DIR's op was faster."""
+    def per_op(side):
+        return [{"metrics": run["op_median_s"]} for run in side]
+    ops = dict.fromkeys(op for run in runs + against for op in run["op_median_s"])
+    rows = _rows(per_op(runs), per_op(against), dict.fromkeys(ops, "lower"))
+    return ["  op median times (s):"] + ["  " + row for row in rows]
+
+
 def table(workload: str, runs, against, better: dict) -> list:
     """The lines OTHER -> DIR of one workload, from the runs of DIR and of
     OTHER (``against``) in pairs: per metric of ``better``, OTHER's median
     and quartiles, DIR's median, the change and the pairs DIR won; then per
     pair, each side's ops_per_s and rename time."""
-    new, old = summarise(runs)["metrics"], summarise(against)["metrics"]
     both = runs + against
     lines = [f"{workload} ({len(runs)} pairs, all correct: "
              f"{all(run['correct'] for run in both)}, failed ops: "
              f"{sum(run['failed'] for run in both)})"]
-    for name, won in pairs_won(runs, against, better).items():
-        if name not in new or name not in old:
-            continue
-        base, median = old[name]["median"], new[name]["median"]
-        change = f"{100 * (median / base - 1):+.1f}%" if base else "n/a"
-        lines.append(f"  {name}: {base:.4g} [{old[name]['q1']:.4g}, {old[name]['q3']:.4g}]"
-                     f" -> {median:.4g} ({change}, {won}/{len(runs)})")
+    lines += _rows(runs, against, better)
     for run, other in zip(runs, against):
         lines.append(f"  seed {run['seed']}: ops_per_s {other['metrics']['ops_per_s']:.4g} -> "
                      f"{run['metrics']['ops_per_s']:.4g}, replace_existing_4m_s "
@@ -196,8 +223,9 @@ def table(workload: str, runs, against, better: dict) -> list:
 
 def bench_run(checkout: Path, workload: str, seed: int, seconds: float):
     """(environment, run) of one ``bench/run.py`` run, from its printed
-    ``env`` line and its last line, with no bytecode cache of ``tauspec``
-    left from an earlier run, and the rename time just before it."""
+    ``env`` line, its last line and the op medians of its record file,
+    with no bytecode cache of ``tauspec`` left from an earlier run, and
+    the rename time just before it."""
     shutil.rmtree(checkout / "src" / "tauspec" / "__pycache__", ignore_errors=True)
     replace_s = replace_time(checkout)
     proc = subprocess.run(
@@ -210,8 +238,10 @@ def bench_run(checkout: Path, workload: str, seed: int, seconds: float):
         raise RuntimeError(f"{workload} seed {seed} exited {proc.returncode}: "
                            f"{proc.stderr.strip()}")
     result = json.loads(lines[-1])
+    record = checkout / ".bench_work" / "results" / f"{workload}-seed{seed}-trace0.json"
     return env, {"seed": seed, "correct": result["correct"], "attempted": result["attempted"],
                  "failed": result["failed"], "replace_existing_4m_s": replace_s,
+                 "op_median_s": json.loads(record.read_text())["op_median_s"],
                  "metrics": {name: m["value"] for name, m in result["metrics"].items()}}
 
 
@@ -271,6 +301,7 @@ def main(argv=None) -> int:
                     "pairs_won": pairs_won(runs["checkout"], runs["against"], better),
                     "verdicts": judged}
                 lines += table(workload, runs["checkout"], runs["against"], better)
+                lines += op_table(runs["checkout"], runs["against"])
                 lines.append("  verdicts: " + "; ".join(f"{name} {said}"
                                                         for name, said in judged.items()))
     except RuntimeError as exc:

@@ -15,9 +15,10 @@ bench_snapshot = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_snapshot)
 
 
-def run(seed, ops, correct=True, **extra):
+def run(seed, ops, correct=True, op_median_s=None, **extra):
     return {"seed": seed, "correct": correct, "attempted": 10, "failed": 0 if correct else 1,
-            "replace_existing_4m_s": 1e-3 * seed, "metrics": {"ops_per_s": ops, **extra}}
+            "replace_existing_4m_s": 1e-3 * seed, "op_median_s": op_median_s or {"a": 1 / ops},
+            "metrics": {"ops_per_s": ops, **extra}}
 
 
 def test_median_and_quartiles_over_the_runs():
@@ -40,7 +41,7 @@ def test_failed_runs_are_kept_and_a_missing_metric_is_skipped():
     runs = [run(1, 2.0, rows_per_s=10.0), run(2, 4.0, correct=False)]
     record = bench_snapshot.summarise(runs)
     assert record["runs"][1] == {"seed": 2, "correct": False, "attempted": 10, "failed": 1,
-                                 "replace_existing_4m_s": 2e-3}
+                                 "replace_existing_4m_s": 2e-3, "op_median_s": {"a": 0.25}}
     assert record["metrics"]["ops_per_s"]["median"] == 3.0
     assert record["metrics"]["rows_per_s"] == {"q1": 10.0, "median": 10.0, "q3": 10.0}
 
@@ -85,6 +86,21 @@ def test_table_reads_parent_to_change():
     ]
 
 
+def test_op_table_reads_each_op_parent_to_change():
+    """Per op, in script order: the parent's median [quartiles] of its runs'
+    op medians -> the change's median, and the pairs in which the change's
+    op was faster; an op that only one side ran gets no row."""
+    parent = [run(seed, 1.0, op_median_s={"kk": kk, "tau": tau, "gone": 1.0})
+              for seed, kk, tau in ((1, 0.06, 0.03), (2, 0.07, 0.029), (3, 0.05, 0.031))]
+    change = [run(seed, 1.0, op_median_s={"kk": kk, "tau": tau, "new": 1.0})
+              for seed, kk, tau in ((1, 0.07, 0.011), (2, 0.06, 0.012), (3, 0.05, 0.01))]
+    assert bench_snapshot.op_table(change, parent) == [
+        "  op median times (s):",
+        "    kk: 0.06 [0.055, 0.065] -> 0.06 (+0.0%, 1/3)",
+        "    tau: 0.03 [0.0295, 0.0305] -> 0.011 (-63.3%, 3/3)",
+    ]
+
+
 def test_against_alternates_the_trees_and_records_both(tmp_path, monkeypatch, capsys):
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(
         {"run_seconds": 1, "end_to_end": [{"name": name, "better": better, "bound": 0.25}
@@ -118,6 +134,9 @@ def test_against_alternates_the_trees_and_records_both(tmp_path, monkeypatch, ca
     # 3 pairs won of 3, medians apart by more than [21.5, 22.5]; op_p50_s
     # is in no run, so it gets no verdict
     assert "  verdicts: ops_per_s gain\n" in out
+    assert ("  op median times (s):\n"
+            "    a: 0.04545 [0.04447, 0.04654] -> 0.02273 (-50.0%, 3/3)\n") in out
+    assert snapshot["workloads"]["w"]["runs"][0]["op_median_s"] == {"a": 1 / 42}
     assert against["workloads"]["w"]["verdicts"] == {"ops_per_s": "gain"}
 
 
@@ -137,6 +156,9 @@ def test_each_run_starts_without_a_bytecode_cache(tmp_path, monkeypatch):
 
     def fake_subprocess(argv, cwd, **options):
         assert not cache.exists()
+        results = cwd / ".bench_work" / "results"
+        results.mkdir(parents=True)
+        (results / "w-seed1-trace0.json").write_text(json.dumps({"op_median_s": {"op": 0.5}}))
         return subprocess.CompletedProcess(argv, 0, 'env {"src_digest": "x"}\n'
                                            + json.dumps(result) + "\n", "")
 
@@ -145,6 +167,7 @@ def test_each_run_starts_without_a_bytecode_cache(tmp_path, monkeypatch):
     env, record = bench_snapshot.bench_run(tmp_path, "w", 1, 1.0)
     assert env == {"src_digest": "x"}
     assert record["metrics"] == {"ops_per_s": 1.0}
+    assert record["op_median_s"] == {"op": 0.5}
 
 
 def quart(q1, median, q3):

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tauspec.core import (
@@ -18,6 +18,7 @@ from tauspec.dispersion import (
     Contour,
     _boundary_gap,
     _fft_length,
+    _half_line_sums,
     _kernel_spectrum,
     _pv_core,
     _skip_node_sums,
@@ -121,8 +122,44 @@ class TestSkipNodeSums:
         rng = np.random.default_rng(n)
         data = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         for values in (data, np.ones(n, dtype=complex)):
-            err = np.abs(_pv_core(values) - direct_pv_core(values))
+            err = np.abs(_pv_core(values, _skip_node_sums(values), n) - direct_pv_core(values))
             assert np.max(err) <= DIRECT_SUM_TOL
+
+
+@st.composite
+def half_lines(draw):
+    """f at nodes 0..m = k + n - 1 of a half line: zero below k, 1 <= k <= 8n
+    (tau_kk_residual's cap), drawn values from k on, some imaginary parts -0."""
+    n = draw(st.integers(1, 300))
+    k = draw(st.integers(1, 8 * n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = np.zeros(k + n, dtype=complex)
+    scale = 10.0 ** rng.integers(-3, 4)
+    values[k:] = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    if draw(st.booleans()):
+        values.imag[k:][rng.random(n) < 0.3] = -0.0
+    return values
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(values=half_lines())
+@example(values=np.array([0.0, 1.0 - 0.0j]))
+@example(values=np.concatenate((np.zeros(36), np.arange(1.0, 6.0) * (1 - 2j))))  # L = 2m + 1 = 81
+@example(values=np.concatenate((np.zeros(8), np.linspace(1.0, 2.0, 20_000) + 0.5j)))
+def test_half_line_sums_match_the_mirrored_array(values):
+    """The Toeplitz + Hankel sums on nodes 0..m are ``_skip_node_sums`` of the
+    explicitly mirrored array f(-p) = conj(f(p)): s_p at p, and -conj(s_p)
+    at -p, within 1e-13 of the sum of |w f|.  ``_pv_core`` on the half is
+    the whole array's core at p >= 1 within as much."""
+    m = values.size - 1
+    mirrored = np.concatenate((np.conj(values[:0:-1]), values))
+    whole = _skip_node_sums(mirrored)
+    half = _half_line_sums(values)
+    tol = 1e-13 * (np.sum(np.abs(values[:-1])) + 0.5 * abs(values[-1]))
+    assert np.max(np.abs(half - whole[m:])) <= tol
+    assert np.max(np.abs(-np.conj(half) - whole[m::-1])) <= tol
+    core = _pv_core(values, half, 2 * m + 1)
+    assert np.max(np.abs(core - _pv_core(mirrored, whole, 2 * m + 1)[m:])[1:]) <= tol
 
 
 class TestKernelSpectrumCache:
@@ -246,6 +283,23 @@ class TestKKResidual:
         finally:
             tracemalloc.stop()
         assert issubclass(OriginGapTooWide, GridError)
+        assert peak < 100_000
+
+    def test_tau_variant_refuses_unknown_tail_at_entry(self):
+        """Before the grid checks, and before the padded arrays exist: k = 8n
+        = 160,000 would zero-fill 180,002 complex nodes, about 2.9 MB."""
+        g = FrequencyGrid(1e-3 * np.arange(160_000, 180_000))
+        wide = TemporalSpectrum(g, np.ones(20_000), np.zeros(20_000))
+        crossing = TemporalSpectrum(FrequencyGrid.linspace(-0.5, 0.5, 11), np.ones(11),
+                                    np.zeros(11))
+        tracemalloc.start()
+        try:
+            for temporal in (wide, crossing):
+                with pytest.raises(ValueError, match="^unknown tail model 'cubic'$"):
+                    tau_kk_residual(temporal, "cubic")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert peak < 100_000
 
     @pytest.mark.parametrize("n, nodes", [(10, 10), (19, 19), (20, 18), (401, 361)])

@@ -13,6 +13,11 @@ The drawn values keep every trapezoid increment of reconstruct above the
 underflow threshold.  Below it the reference's sign of a zero increment
 depends on whether numpy's complex loops fuse their multiply-adds, and
 reconstruct makes every zero running sum +0.
+
+One kernel is held to a tolerance instead: ``tau_kk_residual`` works on
+the half line of its mirrored grid, a new algorithm rather than a pass
+skipped, so its statistics are compared with the whole-grid reference to
+1e-12 relative, and its node count and origin gap exactly.
 """
 
 from unittest import mock
@@ -454,6 +459,10 @@ def _ref_tau_kk(temporal, tail_model):
     return _ref_kk_report(values, FrequencyGrid(super_x), tail_model, mask)
 
 
+def _close(got, want):
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
 def _report_bits(report):
     return (np.float64(report.residual_max).view(np.int64),
             np.float64(report.residual_l2).view(np.int64), report.nodes)
@@ -470,8 +479,9 @@ def _want_bits(want):
 @example(n=16_385, seed=0, k=1, tail="one_over_omega", zeros=False)
 @example(n=8_192, seed=1, k=3, tail="none", zeros=True)
 def test_causality_residuals_match_reference(n, seed, k, tail, zeros):
-    """kk_residual and tau_kk_residual: the same statistics, bit for bit,
-    over the same nodes."""
+    """kk_residual: the same statistics, bit for bit, over the same nodes.
+    tau_kk_residual on the half line: the whole mirrored grid's node count
+    and origin gap, and its statistics to 1e-12 relative."""
     rng = np.random.default_rng(seed)
     h = rng.uniform(1e-3, 0.1)
     tau_x = h * np.arange(k, k + n)
@@ -480,8 +490,10 @@ def test_causality_residuals_match_reference(n, seed, k, tail, zeros):
     if zeros:
         tau.imag[rng.random(n) < 0.3] = -0.0
     temporal = TemporalSpectrum(FrequencyGrid(tau_x), tau.real, tau.imag)
-    assert _report_bits(tau_kk_residual(temporal, tail)) == _want_bits(
-        _ref_tau_kk(temporal, tail))
+    report, want = tau_kk_residual(temporal, tail), _ref_tau_kk(temporal, tail)
+    assert (report.nodes, report.origin_gap) == (want[2], float(tau_x[0]))
+    _close(report.residual_max, want[0])
+    _close(report.residual_l2, want[1])
     x = np.linspace(-tau_x[-1], tau_x[-1], n)
     spectrum = ComplexSpectrum(FrequencyGrid(x), 1.0 / (x - pole))
     assert _report_bits(kk_residual(spectrum, tail)) == _want_bits(
